@@ -32,7 +32,8 @@ Layer map (bottom-up):
   scripts used by tests and benchmarks.
 * :mod:`repro.service` — the throughput layer: compiled-schema registry
   (compile a DTD once, share the artifact everywhere), parallel batch
-  checking, the persistent artifact store, and the shape dispatcher.
+  checking, the persistent artifact store, and the one text→verdict
+  pipeline (:class:`BackendDispatcher`).
 * :mod:`repro.server` — the asyncio NDJSON serving front (imported on
   demand; ``python -m repro serve``).
 """
@@ -59,13 +60,7 @@ from repro.service.compiled import (
     compile_schema,
     schema_fingerprint,
 )
-from repro.service.dispatch import (
-    BackendDispatcher,
-    DispatchDecision,
-    DispatchPolicy,
-    DocumentShape,
-    measure_shape,
-)
+from repro.service.dispatch import BackendDispatcher, DispatchDecision
 from repro.service.registry import (
     DEFAULT_REGISTRY,
     RegistryStats,
@@ -146,10 +141,7 @@ __all__ = [
     "StoreStats",
     "default_store_dir",
     "BackendDispatcher",
-    "DispatchPolicy",
     "DispatchDecision",
-    "DocumentShape",
-    "measure_shape",
     # errors
     "ReproError",
     "DTDError",

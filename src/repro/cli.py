@@ -24,10 +24,9 @@ Ten commands wrap the library for shell use:
     shards of a validation-server ring; ``--read-policy`` picks how the
     documents spread over a schema's live replicas (``primary-first``
     pins them to the primary, ``round-robin`` / ``least-inflight``
-    spread windows over all R owners).  ``--admission on`` runs the
-    coarse admission pre-filter first — locally, or client-side before
-    the wire in ring mode — so definite documents never reach a full
-    backend.
+    spread windows over all R owners).  With ``--ring``, ``--admission
+    on`` turns on the client-side coarse filter, so documents the
+    schema's coarse summary decides definitely never cross the wire.
 
 ``profile SCHEMA.dtd DOC.xml [DOC.xml ...]``
     Run a ``check`` or ``batch`` workload under :mod:`cProfile` and
@@ -92,6 +91,7 @@ from repro.dtd.model import DTD
 from repro.dtd.parser import parse_dtd
 from repro.errors import ReproError
 from repro.service.batch import BatchChecker
+from repro.service.dispatch import BackendDispatcher
 from repro.service.registry import DEFAULT_REGISTRY
 from repro.service.store import ArtifactStore, default_store_dir
 from repro.validity.validator import DTDValidator
@@ -167,41 +167,19 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    dtd = _load_dtd(args.schema, args.root)
-    document = _load_document(args.document)
-    admission = None
-    served_coarse = False
-    if args.admission != "off":
-        from repro.core.coarse import CoarseChecker
-
-        schema = DEFAULT_REGISTRY.get(dtd)
-        admission = CoarseChecker(schema.coarse).check_document(document)
-    if args.admission == "on" and admission is not None and admission.definite:
-        from repro.service.dispatch import BackendDispatcher
-
-        verdict = BackendDispatcher.coarse_verdict(admission)
-        served_coarse = True
-    else:
-        verdict = PVChecker(dtd, algorithm=args.algorithm).check_document(document)
-        if (
-            admission is not None
-            and admission.definite
-            and (admission.outcome == "accept") != verdict.potentially_valid
-        ):
-            print(
-                f"warning: coarse admission said {admission.outcome} but the "
-                f"{args.algorithm} backend disagrees — please report this",
-                file=sys.stderr,
-            )
-    note = ", coarse admission" if served_coarse else ""
+    dispatcher = BackendDispatcher(_load_dtd(args.schema, args.root))
+    checked = dispatcher.check_text(
+        Path(args.document).read_text(), args.algorithm
+    )
+    if checked.error is not None:
+        print(f"error: {checked.error}", file=sys.stderr)
+        return USAGE_ERROR
+    verdict = checked.verdict
+    assert verdict is not None
     if verdict.potentially_valid:
-        if served_coarse:
-            print("potentially valid — the encoding can be completed "
-                  "(coarse admission)")
-        else:
-            print("potentially valid — the encoding can be completed")
+        print("potentially valid — the encoding can be completed")
         return 0
-    print(f"NOT potentially valid ({len(verdict.failures)} blocked node(s){note}):")
+    print(f"NOT potentially valid ({len(verdict.failures)} blocked node(s)):")
     for failure in verdict.failures:
         print(f"  {failure}")
     if verdict.depth_limited:
@@ -214,21 +192,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         return _cmd_batch_ring(args)
     schema = DEFAULT_REGISTRY.get(_load_dtd(args.schema, args.root))
     checker = BatchChecker(
-        schema,
-        algorithm=args.algorithm,
-        workers=args.workers,
-        admission=args.admission,
+        schema, algorithm=args.algorithm or "machine", workers=args.workers
     )
     result = checker.check_paths(args.documents)
     for item in result.items:
         print(item)
     print(result.summary(), file=sys.stderr)
-    if result.mismatch_count:
-        print(
-            f"warning: {result.mismatch_count} coarse admission "
-            "mismatch(es) against the full backend — please report this",
-            file=sys.stderr,
-        )
     if args.stats:
         print(f"registry: {DEFAULT_REGISTRY.stats}", file=sys.stderr)
         pool = result.pool_registry
@@ -260,19 +229,18 @@ def _cmd_batch_ring(args: argparse.Namespace) -> int:
         members,
         replica_count=args.replicas,
         read_policy=args.read_policy,
-        # Admission "on" turns on the client-side coarse pre-filter:
-        # definite documents are answered from the cached per-fingerprint
-        # summary, only the uncertain middle crosses the wire.  "audit"
-        # is a server-side mode (serve --admission audit) and is rejected
-        # by main() for the ring path.
+        # Admission "on" turns on the client-side coarse filter: definite
+        # documents are answered from the cached per-fingerprint summary,
+        # only the uncertain middle crosses the wire.
         coarse_filter=args.admission == "on",
     ) as ring:
         try:
-            # One schema, one batch — but the corpus scheduler applies
-            # the read policy: under round-robin / least-inflight the
-            # documents spread in windows over every live owning replica.
-            results = ring.check_corpus(
-                [(dtd_text, docs, args.root)], algorithm=args.algorithm
+            # One schema, one batch — through the filter, then the read
+            # policy: under round-robin / least-inflight the documents
+            # spread in windows over every live owning replica.  With no
+            # --algorithm the shards' default applies.
+            replies, trailer = ring.check_batch(
+                dtd_text, docs, algorithm=args.algorithm, root=args.root
             )
         except ProtocolError as error:
             print(f"error: {error.message}", file=sys.stderr)
@@ -288,16 +256,6 @@ def _cmd_batch_ring(args: argparse.Namespace) -> int:
         except ConnectionError as error:
             # No shard reachable: a deployment failure, not bad usage.
             print(f"error: {error}", file=sys.stderr)
-            return RUNTIME_ERROR
-        replies, trailer = results[0]
-        if replies is None:
-            # The whole batch failed (surfaced in place by the corpus
-            # path): unreachable ring or a server rejection.
-            error = trailer.get("error") or {}
-            print(
-                f"error: {error.get('code')}: {error.get('message')}",
-                file=sys.stderr,
-            )
             return RUNTIME_ERROR
         all_ok = True
         for path, reply in zip(args.documents, replies):
@@ -376,7 +334,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             store=shard_store(index),
             workers=args.workers,
             default_algorithm=args.algorithm,
-            admission=args.admission,
             events=events,
             slow_ms=args.slow_ms,
             hot_limit=args.hot_limit,
@@ -817,16 +774,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="machine",
         help="checking backend (default: the exact machine)",
     )
-    check.add_argument(
-        "--admission",
-        choices=("on", "off", "audit"),
-        default="off",
-        help=(
-            "coarse-to-fine admission stage: on serves definite coarse "
-            "verdicts without running the backend, audit runs both and "
-            "warns on disagreement (default: off)"
-        ),
-    )
     check.set_defaults(handler=_cmd_check)
 
     batch = sub.add_parser(
@@ -838,8 +785,11 @@ def _build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--algorithm",
         choices=_ALGORITHMS,
-        default="machine",
-        help="checking backend for every document",
+        default=None,
+        help=(
+            "checking backend for every document (default: machine; with "
+            "--ring, the shards' default)"
+        ),
     )
     batch.add_argument(
         "--workers",
@@ -880,13 +830,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--admission",
-        choices=("on", "off", "audit"),
+        choices=("on", "off"),
         default="off",
         help=(
-            "coarse-to-fine admission stage: on short-circuits definite "
-            "coarse verdicts (with --ring: client-side batch pre-filter "
-            "over the cached summary), audit runs both locally and flags "
-            "disagreements (default: off)"
+            "with --ring: on answers documents the cached coarse summary "
+            "decides definitely on the client, so only the rest cross "
+            "the wire (default: off)"
         ),
     )
     batch.set_defaults(handler=_cmd_batch)
@@ -967,17 +916,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--algorithm",
         choices=(*_ALGORITHMS, "auto"),
         default="auto",
-        help="backend for requests that name none (default: auto-dispatch)",
-    )
-    serve.add_argument(
-        "--admission",
-        choices=("on", "off", "audit"),
-        default="off",
-        help=(
-            "coarse-to-fine admission stage for auto-dispatched checks: "
-            "on serves definite coarse verdicts without a backend, audit "
-            "runs both and counts mismatches (default: off)"
-        ),
+        help="backend for requests that name none (default: auto, the kernel)",
     )
     serve.add_argument(
         "--ring",
@@ -1185,12 +1124,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.handler is _cmd_batch and args.read_policy and not args.ring:
         print("error: --read-policy requires --ring", file=sys.stderr)
         return USAGE_ERROR
-    if args.handler is _cmd_batch and args.ring and args.admission == "audit":
-        print(
-            "error: --admission audit is a server-side mode; start the ring "
-            "with 'repro serve --admission audit' instead",
-            file=sys.stderr,
-        )
+    if args.handler is _cmd_batch and args.admission == "on" and not args.ring:
+        print("error: --admission requires --ring", file=sys.stderr)
         return USAGE_ERROR
     if args.handler is _cmd_serve and args.workers < 0:
         print("error: --workers must be >= 0", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Coarse-to-fine admission: a tiny per-schema summary and a linear pass.
+"""The coarse filter: a tiny per-schema summary and a linear pass.
 
 The exact backends decide Problem PV precisely, but most real traffic does
 not need them: a corrupt document usually violates a *cheap necessary
@@ -16,7 +16,7 @@ returning one of three outcomes:
 * ``"accept"`` — a sufficient condition held at every node: every exact
   backend accepts this document.
 * ``"uncertain"`` — neither; the document must escalate to a full
-  backend (the coarse-to-fine ladder's fine tier).
+  backend.
 
 The summary is deliberately tiny — a name table plus per-element integer
 bitmasks and a few small dicts, a few hundred bytes pickled — so it can
@@ -73,7 +73,7 @@ _INF = COUNT_CAP + 1
 
 @dataclass(frozen=True)
 class CoarseVerdict:
-    """One admission outcome: ``accept`` / ``reject`` / ``uncertain``.
+    """One coarse outcome: ``accept`` / ``reject`` / ``uncertain``.
 
     ``path``/``element`` pinpoint the node a ``reject`` is about (the same
     node the exact backends fail on) or, for ``uncertain``, the first node
@@ -96,7 +96,7 @@ class CoarseVerdict:
 
 
 class CoarseSummary:
-    """The per-schema admission summary (the coarse tier's whole input).
+    """The per-schema coarse summary (the coarse pass's whole input).
 
     Tokens are interned: bit ``i`` is ``names[i]`` for declared elements,
     and bit ``len(names)`` is the character-data token (``#PCDATA``).
@@ -297,11 +297,10 @@ def _embed_capacity(dtd: DTD, target: str | None) -> dict[str, int]:
 
 
 def compile_coarse(dag: DtdDag) -> CoarseSummary:
-    """Derive the admission summary from a compiled ``DAG_T``.
+    """Derive the coarse summary from a compiled ``DAG_T``.
 
     Runs once per schema alongside the kernel tables; the result rides in
-    format-version-3 artifacts and is what every admission surface —
-    dispatcher stage, server short-circuit, client-side batch pre-filter —
+    format-version-3 artifacts and is what the ring client's batch filter
     consumes at check time.
     """
     dtd = dag.dtd
@@ -426,7 +425,7 @@ class CoarseChecker:
         )
 
     def check_text(self, source: str) -> CoarseVerdict:
-        """The admission pass straight from document text.
+        """The coarse pass straight from document text.
 
         With the fast parser active this consumes the event stream
         directly (:func:`repro.core.stream.stream_coarse_check`) —

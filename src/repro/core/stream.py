@@ -15,12 +15,12 @@ produces them.  This module fuses the two passes:
   including every well-formedness diagnostic (the fused pass never stops
   scanning early, so a malformed suffix still raises exactly as the
   parse-first pipeline would).
-* :func:`stream_coarse_check` — the coarse admission pass over the same
-  events.  Outcome-identical to
+* :func:`stream_coarse_check` — the coarse pass over the same events,
+  which the ring client's filter runs.  Outcome-identical to
   :meth:`~repro.core.coarse.CoarseChecker.check_document` on the parsed
   tree; the *reported* node of a reject may differ (the tree pass visits
-  children in reverse document order), which is why admission surfaces
-  that promise byte-identical replies keep the tree path.
+  children in reverse document order), but it is always a node the full
+  check blocks too.
 
 Failure paths are computed lazily by walking the open-frame chain — the
 hot loop never builds path strings for nodes that pass.
@@ -227,7 +227,7 @@ _C_CHILDREN = 7
 
 
 def stream_coarse_check(summary: CoarseSummary, source: str) -> CoarseVerdict:
-    """The coarse admission pass over *source*, no tree built.
+    """The coarse pass over *source*, no tree built.
 
     Outcome-identical to the tree :class:`~repro.core.coarse.CoarseChecker`
     (a reject here implies a reject there and vice versa); the reported

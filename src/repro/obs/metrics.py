@@ -221,8 +221,8 @@ CATALOG: tuple[MetricSpec, ...] = (
     MetricSpec("repro_request_seconds", "histogram", ("op",),
                "End-to-end request latency, by wire op."),
     MetricSpec("repro_phase_seconds", "histogram", ("phase",),
-               "Per-request phase latency: parse, queue, decide, "
-               "verdict, artifact."),
+               "Per-request phase latency: parse (DTD resolution), queue, "
+               "verdict (text to verdict), artifact."),
     MetricSpec("repro_verdict_seconds", "histogram", ("backend",),
                "Verdict computation latency, by resolved backend."),
     MetricSpec("repro_dispatch_total", "counter", ("backend",),
@@ -259,15 +259,6 @@ CATALOG: tuple[MetricSpec, ...] = (
                "Suspicions this agent confirmed down after timeout."),
     MetricSpec("repro_view_epoch", "gauge", (),
                "Placement view epoch this member currently holds."),
-    MetricSpec("repro_admission_total", "counter", ("outcome",),
-               "Coarse admission outcomes: accept, reject, uncertain."),
-    MetricSpec("repro_admission_seconds", "histogram", (),
-               "Coarse admission pass latency."),
-    MetricSpec("repro_admission_mismatches_total", "counter", (),
-               "Audit-mode disagreements between a definite coarse "
-               "outcome and the full backend verdict."),
-    MetricSpec("repro_parse_seconds", "histogram", (),
-               "Document parse latency on the server check path."),
     MetricSpec("repro_verdict_cache_total", "counter", ("outcome",),
                "Verdict cache lookups: hit, miss, evict."),
 )

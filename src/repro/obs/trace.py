@@ -11,8 +11,8 @@ The wire shape, end to end:
   from :func:`new_trace_id` are 16 hex chars).
 * server reply — ``"trace": {"id": ..., "span": {...}}`` where the span
   records ``member``, ``op``, ``total_ms``, and the phase timings the
-  server measured (``queue_ms``, ``parse_ms``, ``decide_ms``,
-  ``verdict_ms``, ``artifact_ms`` — whichever apply).
+  server measured (``parse_ms``, ``queue_ms``, ``verdict_ms``,
+  ``artifact_ms`` — whichever apply).
 * ring client reply — the server object is folded into per-hop records:
   ``"trace": {"id": ..., "failovers": N, "hops": [{"member", "elapsed_ms",
   "error"?, "span"?}, ...]}``.  Every member attempted is one hop, in

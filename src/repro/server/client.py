@@ -216,7 +216,7 @@ class ValidationClient:
         *trace*, when given, opts the request into tracing: the reply
         gains a ``trace`` object with the server's per-phase span.
         *coarse*, when true, asks the server to stamp the schema's
-        base64 admission summary into the reply under ``"coarse"``.
+        base64 coarse summary into the reply under ``"coarse"``.
         """
         return self.request(
             self._payload("check", dtd=dtd, doc=doc, algorithm=algorithm,
@@ -392,7 +392,7 @@ class ValidationClient:
         return base64.b64decode(reply["artifact"].encode("ascii"))
 
     def get_coarse(self, fingerprint: str) -> bytes:
-        """The server's coarse admission summary for *fingerprint*, as the
+        """The server's coarse summary for *fingerprint*, as the
         pickled :class:`~repro.core.coarse.CoarseSummary` bytes — the
         few-hundred-byte payload a ring client caches to pre-filter
         batches locally."""

@@ -15,7 +15,7 @@ Request object::
      "root": "r",                    # optional DTD root override
      "fingerprint": "9f...",         # required for the artifact ops
      "artifact": "<base64>",         # required for "put-artifact"
-     "coarse": true,                 # optional: stamp the admission
+     "coarse": true,                 # optional: stamp the coarse
                                      # summary into the check reply
      "count": 12,                    # optional item count for "check-batch"
      "epoch": 3,                     # optional ring epoch (see below)
@@ -65,7 +65,7 @@ move artifacts between shards by fingerprint so each schema is compiled
 at most once ring-wide.
 
 ``get-coarse`` is the lightweight sibling: it returns only the
-few-hundred-byte coarse admission summary
+few-hundred-byte coarse summary
 (:mod:`repro.core.coarse`, pickled and base64-encoded) for a
 fingerprint this server holds, so a routing client can pre-filter
 batches locally without pulling the full artifact.  A ``check`` or

@@ -54,7 +54,7 @@ from repro.core.coarse import CoarseChecker, decode_coarse
 from repro.dtd.parser import parse_dtd
 from repro.errors import ReproError
 from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry, merge_snapshots
+from repro.obs.metrics import MetricsRegistry, Stopwatch, merge_snapshots
 from repro.obs.trace import TraceContext
 from repro.server.client import ServerError, ValidationClient
 from repro.server.placement import (
@@ -70,7 +70,6 @@ from repro.server.protocol import ProtocolError, READ_POLICIES
 from repro.server.router import Router
 from repro.server.scheduler import DEFAULT_WINDOW, CorpusScheduler
 from repro.service.compiled import schema_fingerprint
-from repro.xmlmodel.parser import parse_xml
 
 __all__ = [
     "Member",
@@ -144,8 +143,9 @@ class ShardedClient:
         ``failover`` and (via its pool) ``member-down`` / ``member-up``.
     coarse_filter:
         When true, :meth:`check_batch` pre-filters batches client-side
-        with the schema's few-hundred-byte coarse admission summary
-        (:mod:`repro.core.coarse`): documents the summary decides
+        with the schema's few-hundred-byte coarse summary
+        (:mod:`repro.core.coarse`), streamed over each document's text
+        without building a tree: documents the summary decides
         definitely are answered locally (``algorithm == "coarse"``)
         and only the ``uncertain`` remainder crosses the wire.  The
         summary is fetched per fingerprint with the ``get-coarse`` op
@@ -599,7 +599,7 @@ class ShardedClient:
     # -- the client-side coarse pre-filter -----------------------------------
 
     def _coarse_checker(self, fingerprint: str) -> CoarseChecker | None:
-        """The cached (or ``get-coarse``-fetched) admission checker.
+        """The cached (or ``get-coarse``-fetched) coarse checker.
 
         ``None`` when no shard holds the artifact yet — the caller's
         cue to run the batch unfiltered with the reply-stamp ask.
@@ -638,7 +638,7 @@ class ShardedClient:
     def _adopt_coarse_stamp(
         self, fingerprint: str, reply: dict[str, Any]
     ) -> None:
-        """Cache the admission summary a reply stamped (first-miss path)."""
+        """Cache the coarse summary a reply stamped (first-miss path)."""
         stamp = reply.get("coarse")
         if not isinstance(stamp, str):
             return
@@ -681,6 +681,7 @@ class ShardedClient:
         root: str | None,
     ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
         """Answer definite documents locally; route only the uncertain."""
+        watch = Stopwatch()
         fingerprint = self.fingerprint(dtd, root)
         checker = self._coarse_checker(fingerprint)
         if checker is None:
@@ -695,11 +696,10 @@ class ShardedClient:
         escalate: list[int] = []
         for index, doc in enumerate(docs):
             try:
-                document = parse_xml(doc)
+                verdict = checker.check_text(doc)
             except ReproError:
                 escalate.append(index)  # the server owns bad-document
                 continue
-            verdict = checker.check_document(document)
             if verdict.definite:
                 merged[index] = self._local_item(index, verdict)
             else:
@@ -717,7 +717,14 @@ class ShardedClient:
                 merged[index] = reply
             trailer = dict(trailer)
         else:
-            trailer = {"ok": True, "op": "check-batch", "errors": 0}
+            # No shard was asked: the trailer reports the local work.
+            trailer = {
+                "ok": True,
+                "op": "check-batch",
+                "errors": 0,
+                "schema": {"fingerprint": fingerprint, "registry": "local"},
+                "elapsed_ms": watch.elapsed_ms,
+            }
         trailer["items"] = len(docs)
         trailer["filtered"] = filtered
         assert all(reply is not None for reply in merged)
@@ -735,7 +742,7 @@ class ShardedClient:
         replicas when the read policy balances reads.
 
         With ``coarse_filter`` enabled (and the call untraced, using
-        ``auto`` dispatch), documents the cached admission summary
+        ``auto`` dispatch), documents the cached coarse summary
         decides definitely are answered locally and only the uncertain
         remainder crosses the wire; the trailer gains ``"filtered"``.
 

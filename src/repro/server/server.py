@@ -11,17 +11,22 @@ domain socket.
 Execution model
 ---------------
 The event loop owns all registry and schema-resolution state; verdict
-work is CPU-bound and runs off-loop:
+work is CPU-bound and runs off-loop.  Every ``check`` and
+``check-batch`` item runs the one text→verdict pipeline,
+:meth:`~repro.service.dispatch.BackendDispatcher.check_text`, on a
+thread (``asyncio.to_thread``) over a per-fingerprint dispatcher that
+shares the server's verdict cache:
 
-* ``workers == 0`` — each check runs on a thread (``asyncio.to_thread``).
-  The artifact is shared in-process; fine for tests and modest loads.
-* ``workers > 0`` — checks run on a :class:`ProcessPoolExecutor` whose
-  workers hold their own fingerprint-keyed artifact caches.  A task
-  message normally carries only ``(fingerprint, document)``; the compiled
-  artifact itself is shipped (pickled) to the pool **only when a worker
-  reports a miss**, and workers with a disk store load by fingerprint
-  without any shipping at all.  This is the batch layer's
-  ship-the-artifact-once discipline extended to a long-lived pool.
+* ``workers == 0`` — the verdict is computed on that thread.  The
+  artifact is shared in-process; fine for tests and modest loads.
+* ``workers > 0`` — the dispatcher's backend step runs on a
+  :class:`ProcessPoolExecutor` whose workers hold their own
+  fingerprint-keyed dispatchers.  A task message normally carries only
+  ``(fingerprint, document)``; the compiled artifact itself is shipped
+  (pickled) to the pool **only when a worker reports a miss**, and
+  workers with a disk store load by fingerprint without any shipping at
+  all.  This is the batch layer's ship-the-artifact-once discipline
+  extended to a long-lived pool.
 
 Shutdown is graceful by default: :meth:`ValidationServer.stop` closes the
 listeners, lets every in-flight request finish and its response flush,
@@ -44,14 +49,13 @@ import stat
 import threading
 from collections import Counter, OrderedDict
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import replace as dataclass_replace
 from time import monotonic
 from typing import Any
 
 from repro.config import CheckerConfig, DEFAULT_CONFIG
 from repro.core.classify import classify_dtd
 from repro.core.coarse import encode_coarse
-from repro.core.pv import PVChecker
+from repro.core.pv import PVVerdict
 from repro.dtd.parser import parse_dtd
 from repro.errors import ReproError
 from repro.obs.events import EventLog
@@ -64,7 +68,7 @@ from repro.server.placement import Member, PlacementView, parse_member
 from repro.server.protocol import ProtocolError, Request
 from repro.service.cache import VerdictCache
 from repro.service.compiled import CompiledSchema
-from repro.service.dispatch import DEFAULT_POLICY, BackendDispatcher, DispatchPolicy
+from repro.service.dispatch import BackendDispatcher, TextVerdict
 from repro.service.registry import SchemaRegistry
 from repro.service.store import ArtifactStore, decode_artifact, encode_artifact
 from repro.validity.validator import DTDValidator
@@ -99,7 +103,7 @@ _PROBE_TIMEOUT = 2.0
 HOT_FINGERPRINTS = 32
 
 #: The request phases the server times into ``repro_phase_seconds``.
-_PHASES = ("parse", "queue", "decide", "verdict", "artifact")
+_PHASES = ("parse", "queue", "verdict", "artifact")
 
 #: Bound on the per-fingerprint request counter; past this the counter is
 #: compacted to its hottest half (exact counts are a prefetch heuristic,
@@ -110,7 +114,7 @@ _HOT_COUNTER_SIZE = 4096
 #: requests skip DTD re-parsing entirely.
 _TEXT_INDEX_SIZE = 1024
 
-#: Bound on each pool worker's fingerprint-keyed caches.
+#: Bound on each pool worker's fingerprint-keyed dispatcher cache.
 _POOL_CACHE_SIZE = 64
 
 #: Above this many fingerprints the shipped-hint set is reset; correctness
@@ -123,7 +127,7 @@ class _BoundedCache(OrderedDict):
     """A small LRU mapping: inserting past *maxsize* evicts the oldest.
 
     The server and its pool workers key derived objects (dispatchers,
-    checkers, validators, artifacts) by schema fingerprint; without a
+    validators) by schema fingerprint; without a
     bound, every schema ever served would stay pinned in memory and
     defeat the registry's LRU budget.
     """
@@ -200,13 +204,11 @@ class ArtifactMissError(Exception):
 
 # -- pool-worker state -------------------------------------------------------
 #
-# One artifact cache per worker process, keyed by fingerprint.  Module-level
-# so the initializer and task function pickle by reference.
+# One dispatcher cache per worker process, keyed by fingerprint.
+# Module-level so the initializer and task function pickle by reference.
 
 _POOL_STORE: ArtifactStore | None = None
-_POOL_SCHEMAS: "_BoundedCache" = _BoundedCache(_POOL_CACHE_SIZE)
 _POOL_DISPATCHERS: "_BoundedCache" = _BoundedCache(_POOL_CACHE_SIZE)
-_POOL_CHECKERS: "_BoundedCache" = _BoundedCache(4 * _POOL_CACHE_SIZE)
 
 
 def _init_pool_worker(store_dir: str | None) -> None:
@@ -214,93 +216,46 @@ def _init_pool_worker(store_dir: str | None) -> None:
     _POOL_STORE = ArtifactStore(store_dir) if store_dir else None
 
 
-def _pool_schema(fingerprint: str, blob: bytes | None) -> CompiledSchema:
-    schema = _POOL_SCHEMAS.get(fingerprint)
-    if schema is None and blob is not None:
-        schema = pickle.loads(blob)
-        _POOL_SCHEMAS[fingerprint] = schema
-    if schema is None and _POOL_STORE is not None:
-        schema = _POOL_STORE.load(fingerprint)
-        if schema is not None:
-            _POOL_SCHEMAS[fingerprint] = schema
-    if schema is None:
-        raise ArtifactMissError(fingerprint)
-    return schema
-
-
-def _dispatched_fields(
-    dispatcher: BackendDispatcher, document: Any, doc_parse: float
-) -> dict[str, Any]:
-    """One ``auto`` dispatch (admission included) as response fields.
-
-    Shared by the in-process thread path and the pool-worker path so the
-    admission stage behaves identically on both; the server counts the
-    admission metrics from these fields on its side of the process
-    boundary (a pool worker's registry is invisible to scrapers).
-    """
-    inner: dict[str, float] = {}
-    dispatched = dispatcher.check_document(document, timings=inner)
-    decision = dispatched.decision
-    timings: dict[str, Any] = {"doc_parse": doc_parse}
-    timings.update(inner)
-    timings["backend"] = decision.algorithm
-    fields: dict[str, Any] = {
-        "verdict": protocol.verdict_fields(dispatched.verdict),
-        "algorithm": decision.algorithm,
-        "reason": decision.reason,
-        "timings": timings,
-    }
-    if decision.admission is not None:
-        fields["admission"] = decision.admission
-        if decision.admission_mismatch:
-            fields["admission_mismatch"] = True
-    return fields
-
-
-def _pool_check(
+def _pool_verdict(
     fingerprint: str,
     blob: bytes | None,
     doc_text: str,
     algorithm: str,
     config: CheckerConfig,
-    policy: DispatchPolicy,
-) -> dict[str, Any]:
-    """Check one document in a pool worker; returns response fields.
-
-    The worker times its own phases with its local clock and ships the
-    *durations* back (floats pickle fine); the server derives queue-wait
-    from its side of the boundary, so no cross-process clock is assumed.
-    """
-    schema = _pool_schema(fingerprint, blob)
-    parse_watch = Stopwatch()
+) -> PVVerdict:
+    """Run the backend step of one check in a pool worker."""
+    dispatcher = _POOL_DISPATCHERS.get(fingerprint)
+    if dispatcher is None:
+        schema = pickle.loads(blob) if blob is not None else None
+        if schema is None and _POOL_STORE is not None:
+            schema = _POOL_STORE.load(fingerprint)
+        if schema is None:
+            raise ArtifactMissError(fingerprint)
+        dispatcher = BackendDispatcher(schema, config=config)
+        _POOL_DISPATCHERS[fingerprint] = dispatcher
     try:
-        document = parse_xml(doc_text)
+        return dispatcher.checker_for(algorithm).check_text(doc_text)
     except ReproError as error:
-        return {"error": ("bad-document", str(error))}
-    doc_parse = parse_watch.seconds
-    if algorithm == "auto":
-        dispatcher = _POOL_DISPATCHERS.get(fingerprint)
-        if dispatcher is None:
-            dispatcher = BackendDispatcher(schema, policy=policy, config=config)
-            _POOL_DISPATCHERS[fingerprint] = dispatcher
-        return _dispatched_fields(dispatcher, document, doc_parse)
-    key = (fingerprint, algorithm)
-    checker = _POOL_CHECKERS.get(key)
-    if checker is None:
-        checker = schema.checker(algorithm, config)
-        _POOL_CHECKERS[key] = checker
-    verdict_watch = Stopwatch()
-    verdict = checker.check_document(document)
-    return {
-        "verdict": protocol.verdict_fields(verdict),
-        "algorithm": algorithm,
-        "reason": None,
-        "timings": {
-            "doc_parse": doc_parse,
-            "verdict": verdict_watch.seconds,
-            "backend": algorithm,
-        },
-    }
+        # Re-raised plain: subclasses with custom constructors do not
+        # survive the trip back through pickle.
+        raise ReproError(str(error)) from None
+
+
+class _PoolDispatcher(BackendDispatcher):
+    """A dispatcher whose backend step runs on the server's process pool.
+
+    Resolution, the verdict cache and the decision log stay in the
+    server process, so one cache fronts both execution modes.
+    """
+
+    def __init__(self, server: "ValidationServer", schema: CompiledSchema) -> None:
+        super().__init__(
+            schema, config=server.config, verdict_cache=server._verdict_cache
+        )
+        self._server = server
+
+    def _verdict(self, algorithm: str, text: str) -> PVVerdict:
+        return self._server._pool_verdict(self.schema, text, algorithm)
 
 
 class ValidationServer:
@@ -312,7 +267,7 @@ class ValidationServer:
     ``check-batch``, ``stats`` (including the ``hot`` most-requested
     fingerprint list that feeds a ring coordinator's join-prefetch),
     the artifact hand-off pair ``put-artifact`` / ``get-artifact`` (and
-    the lightweight ``get-coarse`` admission-summary fetch), the
+    the lightweight ``get-coarse`` coarse-summary fetch), the
     ``health`` liveness probe, and ``ring-config``.  When a ring view
     has been published (:meth:`set_ring_view` or the ``ring-config``
     op), every success reply is stamped with the view's epoch and a
@@ -332,18 +287,12 @@ class ValidationServer:
         ``0`` checks on threads in this process; ``N > 0`` uses a process
         pool of that size.
     default_algorithm:
-        Backend when a request names none; ``"auto"`` (the default) routes
-        through the shape dispatcher.
-    admission:
-        Overrides ``policy.admission`` (``"off"`` / ``"on"`` / ``"audit"``)
-        — the coarse-to-fine pre-filter that runs before any verdict
-        backend on ``auto``-dispatched checks.  The policy (admission
-        mode included) pickles to pool workers, so the stage behaves
-        identically on threads and on a process pool.
+        Backend when a request names none; ``"auto"`` (the default)
+        resolves to the fused kernel.
     verdict_cache:
         Entries in the verdict memo cache (``serve --verdict-cache N``);
         ``0`` (the default) disables it.  Repeat documents — same schema
-        fingerprint, same bytes, same effective algorithm — are answered
+        fingerprint, same bytes, same resolved backend — are answered
         from the cache without parsing, the reply stamped ``"cached":
         true``; hits, misses and evictions feed
         ``repro_verdict_cache_total``.
@@ -355,9 +304,7 @@ class ValidationServer:
         store: ArtifactStore | None = None,
         workers: int = 0,
         config: CheckerConfig = DEFAULT_CONFIG,
-        policy: DispatchPolicy = DEFAULT_POLICY,
         default_algorithm: str = "auto",
-        admission: str | None = None,
         metrics: MetricsRegistry | None = None,
         events: EventLog | None = None,
         slow_ms: float | None = None,
@@ -387,11 +334,6 @@ class ValidationServer:
         self.store = store if store is not None else registry.store
         self.workers = workers
         self.config = config
-        if admission is not None:
-            # replace() re-runs DispatchPolicy validation, so a bad mode
-            # fails here, not on the first request.
-            policy = dataclass_replace(policy, admission=admission)
-        self.policy = policy
         self.default_algorithm = default_algorithm
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.events = events if events is not None else EventLog()
@@ -422,22 +364,13 @@ class ValidationServer:
         }
         self._m_dispatch = {
             backend: m.counter("repro_dispatch_total", backend=backend)
-            for backend in (*protocol.ALGORITHMS, "coarse")
+            for backend in protocol.ALGORITHMS
             if backend != "auto"
         }
-        self._m_admission = {
-            outcome: m.counter("repro_admission_total", outcome=outcome)
-            for outcome in ("accept", "reject", "uncertain")
-        }
-        self._m_admission_seconds = m.histogram("repro_admission_seconds")
-        self._m_admission_mismatch = m.counter(
-            "repro_admission_mismatches_total"
-        )
         self._m_cache = {
             outcome: m.counter("repro_verdict_cache_total", outcome=outcome)
             for outcome in ("hit", "miss", "evict")
         }
-        self._m_parse_seconds = m.histogram("repro_parse_seconds")
         self._m_batch_items = m.counter("repro_batch_items_total")
         self._m_slow = m.counter("repro_slow_requests_total")
         self._m_traced = m.counter("repro_traced_requests_total")
@@ -449,13 +382,17 @@ class ValidationServer:
         self._verdict_cache = (
             VerdictCache(verdict_cache) if verdict_cache > 0 else None
         )
+        # The cache counts its own traffic; scrapes add what is new since.
+        self._cache_seen = {"hits": 0, "misses": 0, "evictions": 0}
         self._pool: ProcessPoolExecutor | None = None
+        # Pool requests run on threads: the lock guards rebuilding a
+        # broken pool and the shipped-artifact hints.
+        self._pool_lock = threading.Lock()
         self._shipped: set[str] = set()
         # Derived-object caches hold compiled artifacts alive; bounding
         # them by the registry's own budget keeps a long-lived server's
         # memory proportional to maxsize, not to every schema ever seen.
         self._dispatchers: _BoundedCache = _BoundedCache(registry.maxsize)
-        self._checkers: _BoundedCache = _BoundedCache(4 * registry.maxsize)
         self._validators: _BoundedCache = _BoundedCache(registry.maxsize)
         self._text_index: OrderedDict[tuple[str, str | None], str] = OrderedDict()
         self._dispatch_counts: Counter[str] = Counter()
@@ -794,9 +731,6 @@ class ValidationServer:
         backend = timings.get("backend")
         if backend in self._m_verdict and timings.get("verdict") is not None:
             self._m_verdict[backend].observe(timings["verdict"])
-        admission = timings.get("admission")
-        if admission is not None:
-            self._m_admission_seconds.observe(admission)
 
     def _note_slow(
         self, op: str | None, watch: Stopwatch, trace: str | None, id: Any
@@ -921,76 +855,74 @@ class ValidationServer:
 
     # -- ops -----------------------------------------------------------------
 
+    def _dispatcher(self, schema: CompiledSchema) -> BackendDispatcher:
+        """The per-fingerprint dispatcher (built on the event loop)."""
+        dispatcher = self._dispatchers.get(schema.fingerprint)
+        if dispatcher is None:
+            if self.workers > 0:
+                dispatcher = _PoolDispatcher(self, schema)
+            else:
+                dispatcher = BackendDispatcher(
+                    schema, config=self.config, verdict_cache=self._verdict_cache
+                )
+            self._dispatchers[schema.fingerprint] = dispatcher
+        return dispatcher
+
     async def _run_check(
         self,
         schema: CompiledSchema,
         doc_text: str,
         algorithm: str,
-        timings: dict[str, Any] | None = None,
-    ) -> dict[str, Any]:
-        """One verdict's raw fields, off-loop (thread or process pool).
+        timings: dict[str, Any],
+    ) -> TextVerdict:
+        """One served verdict, off-loop; raises ``bad-document``.
 
         Brackets the off-loop work with the ``inflight`` gauge (the
         increments run on the event loop, so no lock is needed): the
         stats-visible load signal a ``least-inflight`` routing client
-        balances on.  The off-loop wall clock minus the work the worker
-        itself timed is the queue-wait phase — measured on this side of
-        the boundary so process-pool workers need no shared clock.
-
-        When the verdict cache is enabled, it is consulted here — on the
-        event-loop side — so one shared cache fronts both the thread and
-        the process-pool execution modes.  A hit skips parsing and
-        checking entirely and returns a stamped copy of the memoized
-        fields; parse errors are memoized too (they are just as
-        deterministic as verdicts).
+        balances on.  The off-loop wall clock minus the verdict time is
+        the queue-wait phase.  A cache hit runs no backend, so the
+        dispatch tallies and the verdict phase skip it.
         """
-        cache = self._verdict_cache
-        key = None
-        if cache is not None:
-            mode = (
-                f"auto:{self.policy.admission}" if algorithm == "auto" else algorithm
-            )
-            key = cache.key(schema.fingerprint, doc_text, mode)
-            hit = cache.get(key)
-            if hit is not None:
-                self._m_cache["hit"].inc()
-                fields = dict(hit)
-                fields["cached"] = True
-                return fields
-            self._m_cache["miss"].inc()
+        dispatcher = self._dispatcher(schema)
         self._inflight += 1
         self._g_inflight.set(self._inflight)
         off_loop = Stopwatch()
         try:
-            if self._pool is not None:
-                fields = await self._pool_round_trip(schema, doc_text, algorithm)
-            else:
-                fields = await asyncio.to_thread(
-                    self._inline_check, schema, doc_text, algorithm
-                )
+            checked = await asyncio.to_thread(
+                self._check, dispatcher, doc_text, algorithm
+            )
         finally:
             self._inflight -= 1
             self._g_inflight.set(self._inflight)
-        if key is not None and cache is not None:
-            stored = {k: v for k, v in fields.items() if k != "timings"}
-            if cache.put(key, stored):
-                self._m_cache["evict"].inc()
-        inner = fields.pop("timings", None)
-        if inner is not None and inner.get("doc_parse") is not None:
-            self._m_parse_seconds.observe(inner["doc_parse"])
-        if timings is not None and inner is not None:
-            worked = sum(
-                inner.get(key) or 0.0
-                for key in ("doc_parse", "admission", "decide", "verdict")
-            )
-            timings["queue"] = max(0.0, off_loop.seconds - worked)
-            # DTD resolution and document parsing are one "parse" phase.
-            doc_parse = inner.get("doc_parse")
-            if doc_parse is not None:
-                timings["parse"] = timings.get("parse", 0.0) + doc_parse
-            for key in ("admission", "decide", "verdict", "backend"):
-                if inner.get(key) is not None:
-                    timings[key] = inner[key]
+        timings["queue"] = max(0.0, off_loop.seconds - checked.seconds)
+        if not checked.cached:
+            timings["verdict"] = checked.seconds
+            timings["backend"] = checked.algorithm
+            self._dispatch_counts[checked.algorithm] += 1
+            counter = self._m_dispatch.get(checked.algorithm)
+            if counter is not None:
+                counter.inc()
+        if checked.error is not None:
+            raise ProtocolError("bad-document", checked.error)
+        return checked
+
+    @staticmethod
+    def _check(
+        dispatcher: BackendDispatcher, doc_text: str, algorithm: str
+    ) -> TextVerdict:
+        """The off-loop step: the one text→verdict pipeline."""
+        return dispatcher.check_text(doc_text, algorithm)
+
+    def _verdict_fields(self, checked: TextVerdict) -> dict[str, Any]:
+        """The verdict fields a ``check`` reply and a batch item share."""
+        assert checked.verdict is not None
+        fields = protocol.verdict_fields(checked.verdict)
+        fields["algorithm"] = checked.algorithm
+        if checked.cached:
+            fields["cached"] = True
+        if checked.reason:
+            fields["dispatch_reason"] = checked.reason
         return fields
 
     async def _op_check(
@@ -1002,103 +934,20 @@ class ValidationServer:
     ) -> dict[str, Any]:
         assert request.doc is not None
         algorithm = request.algorithm or self.default_algorithm
-        fields = await self._run_check(schema, request.doc, algorithm, timings)
-        error = fields.pop("error", None)
-        if error is not None:
-            raise ProtocolError(*error)
-        cached = fields.pop("cached", False)
-        if cached:
-            # A replayed verdict: no backend ran, so the dispatch and
-            # admission tallies stay untouched; the reply still carries
-            # the memoized admission outcome.
-            admission = fields.pop("admission", None)
-            fields.pop("admission_mismatch", None)
-        else:
-            self._dispatch_counts[fields["algorithm"]] += 1
-            self._count_dispatch(fields["algorithm"])
-            admission = self._count_admission(fields, schema)
+        checked = await self._run_check(schema, request.doc, algorithm, timings)
         response: dict[str, Any] = {
             "ok": True,
             "op": "check",
-            **fields["verdict"],
-            "algorithm": fields["algorithm"],
+            **self._verdict_fields(checked),
             "schema": self._schema_fields(schema, disposition),
         }
-        if cached:
-            response["cached"] = True
-        if admission is not None:
-            response["admission"] = admission
-        if fields.get("reason"):
-            response["dispatch_reason"] = fields["reason"]
         if request.coarse:
             response["coarse"] = self._coarse_stamp(schema)
         return response
 
-    def _count_admission(
-        self, fields: dict[str, Any], schema: CompiledSchema
-    ) -> str | None:
-        """Record one check's admission outcome (server-side: pool-worker
-        registries are invisible to scrapers) and return it for the reply."""
-        admission = fields.pop("admission", None)
-        if admission is None:
-            return None
-        counter = self._m_admission.get(admission)
-        if counter is not None:
-            counter.inc()
-        if fields.pop("admission_mismatch", False):
-            self._m_admission_mismatch.inc()
-            self.events.emit(
-                "admission-mismatch",
-                member=self._member_label(),
-                fingerprint=schema.fingerprint,
-                outcome=admission,
-                backend=fields.get("algorithm"),
-            )
-        return admission
-
     def _coarse_stamp(self, schema: CompiledSchema) -> str:
-        """The base64 admission summary a ``"coarse": true`` reply carries."""
+        """The base64 coarse summary a ``"coarse": true`` reply carries."""
         return base64.b64encode(encode_coarse(schema.coarse)).decode("ascii")
-
-    def _count_dispatch(self, backend: str) -> None:
-        counter = self._m_dispatch.get(backend)
-        if counter is not None:
-            counter.inc()
-
-    def _inline_check(
-        self, schema: CompiledSchema, doc_text: str, algorithm: str
-    ) -> dict[str, Any]:
-        parse_watch = Stopwatch()
-        try:
-            document = parse_xml(doc_text)
-        except ReproError as error:
-            return {"error": ("bad-document", str(error))}
-        doc_parse = parse_watch.seconds
-        if algorithm == "auto":
-            dispatcher = self._dispatchers.get(schema.fingerprint)
-            if dispatcher is None:
-                dispatcher = BackendDispatcher(
-                    schema, policy=self.policy, config=self.config
-                )
-                self._dispatchers[schema.fingerprint] = dispatcher
-            return _dispatched_fields(dispatcher, document, doc_parse)
-        key = (schema.fingerprint, algorithm)
-        checker = self._checkers.get(key)
-        if checker is None:
-            checker = schema.checker(algorithm, self.config)
-            self._checkers[key] = checker
-        verdict_watch = Stopwatch()
-        verdict = checker.check_document(document)
-        return {
-            "verdict": protocol.verdict_fields(verdict),
-            "algorithm": algorithm,
-            "reason": None,
-            "timings": {
-                "doc_parse": doc_parse,
-                "verdict": verdict_watch.seconds,
-                "backend": algorithm,
-            },
-        }
 
     def _make_pool(self) -> ProcessPoolExecutor:
         store_dir = str(self.store.directory) if self.store is not None else None
@@ -1108,64 +957,56 @@ class ValidationServer:
             initargs=(store_dir,),
         )
 
-    async def _pool_round_trip(
+    def _pool_verdict(
         self, schema: CompiledSchema, doc_text: str, algorithm: str
-    ) -> dict[str, Any]:
-        """Run a check on the pool, shipping the artifact only on a miss.
+    ) -> PVVerdict:
+        """Run a backend on the pool, shipping the artifact only on a miss.
 
-        A broken pool (a worker OOM-killed or SIGKILLed poisons the whole
-        :class:`ProcessPoolExecutor`) is rebuilt once per request instead
-        of condemning the long-running server to answer ``internal``
-        forever.
+        Called on a request's thread.  A broken pool (a worker OOM-killed
+        or SIGKILLed poisons the whole :class:`ProcessPoolExecutor`) is
+        rebuilt once per request instead of condemning the long-running
+        server to answer ``internal`` forever.
         """
-        loop = asyncio.get_running_loop()
+        fingerprint = schema.fingerprint
         for attempt in (1, 2):
             pool = self._pool
             assert pool is not None
             blob = (
                 None
-                if schema.fingerprint in self._shipped
+                if fingerprint in self._shipped
                 else pickle.dumps(schema, protocol=pickle.HIGHEST_PROTOCOL)
             )
             try:
                 try:
-                    fields = await loop.run_in_executor(
-                        pool,
-                        _pool_check,
-                        schema.fingerprint,
-                        blob,
-                        doc_text,
-                        algorithm,
+                    verdict = pool.submit(
+                        _pool_verdict, fingerprint, blob, doc_text, algorithm,
                         self.config,
-                        self.policy,
-                    )
+                    ).result()
                 except ArtifactMissError:
                     # A different worker picked up the task than the one(s)
                     # seeded earlier; retry once with the artifact attached.
-                    fields = await loop.run_in_executor(
-                        pool,
-                        _pool_check,
-                        schema.fingerprint,
+                    verdict = pool.submit(
+                        _pool_verdict, fingerprint,
                         pickle.dumps(schema, protocol=pickle.HIGHEST_PROTOCOL),
-                        doc_text,
-                        algorithm,
-                        self.config,
-                        self.policy,
-                    )
+                        doc_text, algorithm, self.config,
+                    ).result()
             except BrokenExecutor:
                 if attempt == 2:
                     raise
-                pool.shutdown(wait=False)
-                self._shipped.clear()  # fresh workers hold no artifacts
-                self._pool = self._make_pool()
+                with self._pool_lock:
+                    if self._pool is pool:
+                        pool.shutdown(wait=False)
+                        self._shipped.clear()  # fresh workers hold no artifacts
+                        self._pool = self._make_pool()
                 continue
-            self._shipped.add(schema.fingerprint)
-            if len(self._shipped) > _SHIPPED_HINT_SIZE:
-                # The hint only avoids redundant shipping; resetting it is
-                # always safe because a wrong "shipped" assumption is
-                # healed by the ArtifactMissError retry above.
-                self._shipped.clear()
-            return fields
+            with self._pool_lock:
+                self._shipped.add(fingerprint)
+                if len(self._shipped) > _SHIPPED_HINT_SIZE:
+                    # The hint only avoids redundant shipping; resetting
+                    # it is always safe because a wrong "shipped"
+                    # assumption is healed by the ArtifactMissError retry.
+                    self._shipped.clear()
+            return verdict
         raise AssertionError("unreachable")  # pragma: no cover
 
     # -- the streaming batch op ----------------------------------------------
@@ -1308,10 +1149,7 @@ class ValidationServer:
             item = protocol.decode_batch_item(line)
             if item.id is not None:
                 item_id = item.id
-            fields = await self._run_check(schema, item.doc, algorithm, timings)
-            error = fields.pop("error", None)
-            if error is not None:
-                raise ProtocolError(*error)
+            checked = await self._run_check(schema, item.doc, algorithm, timings)
         except ProtocolError as error:
             self._errors += 1
             self._m_errors.get(error.code, self._m_errors["internal"]).inc()
@@ -1328,28 +1166,13 @@ class ValidationServer:
             )
             reply["op"] = "check-batch-item"
             return reply
-        cached = fields.pop("cached", False)
-        if cached:
-            admission = fields.pop("admission", None)
-            fields.pop("admission_mismatch", None)
-        else:
-            self._dispatch_counts[fields["algorithm"]] += 1
-            self._count_dispatch(fields["algorithm"])
-            admission = self._count_admission(fields, schema)
         self._observe_phases(timings)
         reply = {
             "ok": True,
             "op": "check-batch-item",
             "id": item_id,
-            **fields["verdict"],
-            "algorithm": fields["algorithm"],
+            **self._verdict_fields(checked),
         }
-        if cached:
-            reply["cached"] = True
-        if admission is not None:
-            reply["admission"] = admission
-        if fields.get("reason"):
-            reply["dispatch_reason"] = fields["reason"]
         if trace is not None:
             stub: dict[str, Any] = {"id": trace}
             for phase in ("queue", "verdict"):
@@ -1451,7 +1274,7 @@ class ValidationServer:
     async def _op_get_coarse(
         self, request: Request, timings: dict[str, Any]
     ) -> dict[str, Any]:
-        """Hand the few-hundred-byte admission summary to a routing client.
+        """Hand the few-hundred-byte coarse summary to a routing client.
 
         The lightweight sibling of ``get-artifact``: a ring client caches
         this per fingerprint to pre-filter batches locally.  A possible
@@ -1699,11 +1522,19 @@ class ValidationServer:
         """The metrics scrape: a mergeable snapshot plus exposition text.
 
         Not epoch-gated — scrapers address a shard directly, not through
-        ring routing.  Gauges that mirror live server state are set at
-        snapshot time so the scrape never lags the truth.
+        ring routing.  Gauges that mirror live server state, and the
+        verdict-cache counters the dispatchers keep, are brought up to
+        date at snapshot time so the scrape never lags the truth.
         """
         self._g_inflight.set(self._inflight)
         self._g_connections.set(len(self._conn_tasks))
+        if self._verdict_cache is not None:
+            stats = self._verdict_cache.stats
+            for outcome, key in (
+                ("hit", "hits"), ("miss", "misses"), ("evict", "evictions")
+            ):
+                self._m_cache[outcome].inc(stats[key] - self._cache_seen[key])
+            self._cache_seen = stats
         snapshot = self.metrics.snapshot()
         return {
             "ok": True,

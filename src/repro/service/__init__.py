@@ -21,8 +21,10 @@ amortization and the bulk-throughput side:
 * :mod:`repro.service.store` — :class:`ArtifactStore`, the persistent
   on-disk artifact cache (atomic writes, corruption-tolerant loads) that
   backs a registry across process restarts.
-* :mod:`repro.service.dispatch` — :class:`BackendDispatcher`, per-document
-  backend selection by document shape with an auditable decision log.
+* :mod:`repro.service.dispatch` — :class:`BackendDispatcher`, the one
+  text→verdict pipeline every surface calls (``auto`` resolves to the
+  fused kernel, repeats come from the verdict cache), with an auditable
+  decision log.
 
 This is the architectural seam scaling work builds on: anything that can
 obtain a :class:`CompiledSchema` — from memory, disk, or a peer — can
@@ -38,13 +40,10 @@ from repro.service.compiled import (
     schema_fingerprint,
 )
 from repro.service.dispatch import (
-    DEFAULT_POLICY,
     BackendDispatcher,
     DispatchDecision,
     DispatchedVerdict,
-    DispatchPolicy,
-    DocumentShape,
-    measure_shape,
+    TextVerdict,
 )
 from repro.service.registry import (
     DEFAULT_REGISTRY,
@@ -75,10 +74,7 @@ __all__ = [
     "StoreStats",
     "default_store_dir",
     "BackendDispatcher",
-    "DispatchPolicy",
-    "DEFAULT_POLICY",
     "DispatchDecision",
     "DispatchedVerdict",
-    "DocumentShape",
-    "measure_shape",
+    "TextVerdict",
 ]

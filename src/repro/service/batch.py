@@ -18,17 +18,10 @@ and parse locally).  Results come back as plain
 parse does not poison the batch — it yields a :class:`BatchItem` with
 ``error`` set and counts as "not potentially valid" in the aggregate.
 
-With ``workers <= 1`` everything runs inline on one shared checker — the
-same code path the differential tests compare against — so worker count
-can never change a verdict, only the wall time.
-
-The coarse-to-fine **admission stage** composes with both paths: with
-``admission="on"`` each document first runs the schema's
-:class:`~repro.core.coarse.CoarseChecker`, definite outcomes are served
-without touching the full backend (``BatchItem.coarse`` is set), and only
-the uncertain middle escalates; with ``"audit"`` the full backend always
-runs and disagreements are flagged per item.  The coarse summary rides
-inside the compiled artifact, so pool workers admit locally for free.
+Inline and in every pool worker, each document goes through
+:meth:`~repro.service.dispatch.BackendDispatcher.check_text`, the one
+text→verdict pipeline the server runs too — so worker count can never
+change a verdict, only the wall time.
 """
 
 from __future__ import annotations
@@ -41,12 +34,11 @@ from time import perf_counter
 from typing import Iterable, Sequence
 
 from repro.config import CheckerConfig, DEFAULT_CONFIG
-from repro.core.coarse import CoarseChecker
-from repro.core.pv import Algorithm, PVChecker, PVVerdict
+from repro.core.pv import Algorithm, PVVerdict
 from repro.dtd.model import DTD
-from repro.errors import ReproError
 from repro.service.cache import VerdictCache
 from repro.service.compiled import CompiledSchema
+from repro.service.dispatch import BackendDispatcher, TextVerdict
 from repro.service.registry import DEFAULT_REGISTRY, RegistryStats, SchemaRegistry
 from repro.xmlmodel.serialize import to_xml
 from repro.xmlmodel.tree import XmlDocument
@@ -56,22 +48,12 @@ __all__ = ["BatchItem", "BatchResult", "BatchChecker", "check_batch"]
 
 @dataclass(frozen=True)
 class BatchItem:
-    """The outcome for one document of a batch.
-
-    ``admission`` is the coarse outcome when the admission stage ran
-    (``None`` when off); ``coarse`` marks verdicts the admission stage
-    served without running a full backend; ``admission_mismatch`` flags
-    an audit-mode disagreement between a definite coarse outcome and the
-    full verdict (which is the one served).
-    """
+    """The outcome for one document of a batch."""
 
     index: int
     label: str
     verdict: PVVerdict | None
     error: str | None = None
-    admission: str | None = None
-    coarse: bool = False
-    admission_mismatch: bool = False
 
     @property
     def ok(self) -> bool:
@@ -101,8 +83,6 @@ class BatchResult:
     fingerprint: str
     #: One registry snapshot per pool worker (empty when checked inline).
     worker_stats: tuple[RegistryStats, ...] = field(default=())
-    #: The admission mode the batch ran under (``off``/``on``/``audit``).
-    admission: str = "off"
 
     @property
     def pool_registry(self) -> RegistryStats | None:
@@ -140,16 +120,6 @@ class BatchResult:
         return sum(1 for item in self.items if item.error is not None)
 
     @property
-    def coarse_count(self) -> int:
-        """Documents the admission stage served without a full backend."""
-        return sum(1 for item in self.items if item.coarse)
-
-    @property
-    def mismatch_count(self) -> int:
-        """Audit-mode coarse/full disagreements (should stay at zero)."""
-        return sum(1 for item in self.items if item.admission_mismatch)
-
-    @property
     def all_ok(self) -> bool:
         return self.ok_count == self.total
 
@@ -159,19 +129,13 @@ class BatchResult:
 
     def summary(self) -> str:
         """One-line aggregate the batch CLI prints after the verdicts."""
-        line = (
+        return (
             f"{self.total} document(s): {self.ok_count} potentially valid, "
             f"{self.rejected_count} not, {self.error_count} error(s) — "
             f"{self.elapsed:.3f}s with {self.workers} worker(s) "
             f"({self.documents_per_second:.1f} docs/s, "
             f"algorithm={self.algorithm})"
         )
-        if self.admission != "off":
-            line += (
-                f" [admission {self.admission}: {self.coarse_count} "
-                f"short-circuited, {self.mismatch_count} mismatch(es)]"
-            )
-        return line
 
 
 # -- worker-side state ------------------------------------------------------
@@ -180,111 +144,39 @@ class BatchResult:
 # (index, label, xml_text).  Top-level (module) names so the fork/spawn
 # pickling of the initializer and task function resolves by reference.
 
-_WORKER_CHECKER: PVChecker | None = None
+_WORKER_DISPATCHER: BackendDispatcher | None = None
+_WORKER_ALGORITHM: str = "machine"
 _WORKER_REGISTRY: SchemaRegistry | None = None
-_WORKER_FINGERPRINT: str | None = None
-_WORKER_ADMIT: CoarseChecker | None = None
-_WORKER_ADMISSION: str = "off"
 
 
 def _init_worker(
-    schema: CompiledSchema, algorithm: str, config: CheckerConfig, admission: str
+    schema: CompiledSchema, algorithm: str, config: CheckerConfig
 ) -> None:
-    global _WORKER_CHECKER, _WORKER_REGISTRY, _WORKER_FINGERPRINT
-    global _WORKER_ADMIT, _WORKER_ADMISSION
+    global _WORKER_DISPATCHER, _WORKER_ALGORITHM, _WORKER_REGISTRY
     # A fresh registry (never the fork-inherited process default, whose
     # counters belong to the parent) seeded with the shipped artifact:
     # its statistics then describe exactly this worker's cache traffic.
     _WORKER_REGISTRY = SchemaRegistry()
     _WORKER_REGISTRY.put(schema)
-    _WORKER_FINGERPRINT = schema.fingerprint
-    _WORKER_CHECKER = PVChecker(
-        schema.dtd, config=config, algorithm=algorithm, compiled=schema
-    )
-    # The coarse summary travels inside the pickled artifact, so each
-    # worker admits locally without recompiling anything.
-    _WORKER_ADMISSION = admission
-    _WORKER_ADMIT = (
-        CoarseChecker(schema.coarse) if admission != "off" else None
-    )
+    _WORKER_DISPATCHER = BackendDispatcher(schema, config=config)
+    _WORKER_ALGORITHM = algorithm
 
 
 def _check_one(task: tuple[int, str, str]) -> tuple[BatchItem, int, RegistryStats]:
     index, label, text = task
-    assert _WORKER_CHECKER is not None, "pool initializer did not run"
-    assert _WORKER_REGISTRY is not None and _WORKER_FINGERPRINT is not None
+    assert _WORKER_DISPATCHER is not None, "pool initializer did not run"
+    assert _WORKER_REGISTRY is not None
     # The per-document cache access, recorded: each task is one lookup of
     # the shipped artifact, so pool-wide hit counts mean "documents
     # answered without recompiling anywhere".
-    _WORKER_REGISTRY.lookup(_WORKER_FINGERPRINT, count=True)
-    item = _check_text(
-        _WORKER_CHECKER, index, label, text,
-        admit=_WORKER_ADMIT, mode=_WORKER_ADMISSION,
-    )
-    return item, os.getpid(), _WORKER_REGISTRY.stats
+    _WORKER_REGISTRY.lookup(_WORKER_DISPATCHER.schema.fingerprint, count=True)
+    checked = _WORKER_DISPATCHER.check_text(text, _WORKER_ALGORITHM)
+    return _item(index, label, checked), os.getpid(), _WORKER_REGISTRY.stats
 
 
-def _check_text(
-    checker: PVChecker,
-    index: int,
-    label: str,
-    text: str,
-    admit: CoarseChecker | None = None,
-    mode: str = "off",
-    cache: VerdictCache | None = None,
-) -> BatchItem:
-    from repro.service.dispatch import BackendDispatcher
-    from repro.xmlmodel.parser import parse_xml
-
-    if admit is None:
-        # The classic (no-admission) path checks straight from text: on
-        # the kernel tier that is the fused single-pass hot path, and a
-        # verdict cache — keyed by schema fingerprint, content digest and
-        # backend — serves repeats without parsing at all.  Parse and
-        # check failures surface identically to the parse-first pipeline.
-        key = None
-        if cache is not None:
-            key = cache.key(checker.compiled.fingerprint, text, checker.algorithm)
-            hit = cache.get(key)
-            if hit is not None:
-                return BatchItem(index=index, label=label, verdict=hit)
-        try:
-            verdict = checker.check_text(text)
-        except ReproError as error:
-            return BatchItem(
-                index=index, label=label, verdict=None, error=str(error)
-            )
-        if cache is not None:
-            cache.put(key, verdict)
-        return BatchItem(index=index, label=label, verdict=verdict)
-    try:
-        document = parse_xml(text)
-    except ReproError as error:
-        return BatchItem(index=index, label=label, verdict=None, error=str(error))
-    admission = admit.check_document(document)
-    if mode == "on" and admission is not None and admission.definite:
-        return BatchItem(
-            index=index,
-            label=label,
-            verdict=BackendDispatcher.coarse_verdict(admission),
-            admission=admission.outcome,
-            coarse=True,
-        )
-    try:
-        verdict = checker.check_document(document)
-    except ReproError as error:
-        return BatchItem(index=index, label=label, verdict=None, error=str(error))
-    mismatch = (
-        admission is not None
-        and admission.definite
-        and (admission.outcome == "accept") != verdict.potentially_valid
-    )
+def _item(index: int, label: str, checked: TextVerdict) -> BatchItem:
     return BatchItem(
-        index=index,
-        label=label,
-        verdict=verdict,
-        admission=None if admission is None else admission.outcome,
-        admission_mismatch=mismatch,
+        index=index, label=label, verdict=checked.verdict, error=checked.error
     )
 
 
@@ -298,20 +190,16 @@ class BatchChecker:
         through *registry* (the process default unless overridden).
     algorithm:
         Backend for every document
-        (``machine``/``kernel``/``figure5``/``earley``).
+        (``machine``/``kernel``/``figure5``/``earley``, or ``auto``).
     workers:
         Pool size.  ``1`` (the default) checks inline in this process;
         ``N > 1`` forks a pool whose workers each receive the compiled
         artifact once.
-    admission:
-        The coarse-to-fine admission stage: ``"off"`` (default), ``"on"``
-        (definite coarse outcomes short-circuit the full backend), or
-        ``"audit"`` (coarse runs and is compared, full verdict served).
     verdict_cache:
         A :class:`VerdictCache` (or a positive int size; ``0``/``None``
-        disables) serving repeat documents in O(1) on the inline
-        no-admission path.  Pool workers never share it — cache state
-        lives in the parent process only.
+        disables) serving repeat documents in O(1) on the inline path.
+        Pool workers never share it — cache state lives in the parent
+        process only.
     """
 
     def __init__(
@@ -321,20 +209,16 @@ class BatchChecker:
         workers: int = 1,
         config: CheckerConfig = DEFAULT_CONFIG,
         registry: SchemaRegistry | None = None,
-        admission: str = "off",
         verdict_cache: VerdictCache | int | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if admission not in ("off", "on", "audit"):
-            raise ValueError('admission must be "off", "on", or "audit"')
         if isinstance(schema, DTD):
             schema = (registry or DEFAULT_REGISTRY).get(schema)
         self.schema = schema
         self.algorithm: Algorithm = algorithm
         self.workers = workers
         self.config = config
-        self.admission = admission
         if isinstance(verdict_cache, int):
             verdict_cache = VerdictCache(verdict_cache) if verdict_cache > 0 else None
         self.verdict_cache = verdict_cache
@@ -384,18 +268,12 @@ class BatchChecker:
         worker_stats: tuple[RegistryStats, ...] = ()
         if self.workers == 1 or len(tasks) <= 1:
             used_workers = 1
-            checker = self.schema.checker(self.algorithm, self.config)
-            admit = (
-                CoarseChecker(self.schema.coarse)
-                if self.admission != "off"
-                else None
+            dispatcher = BackendDispatcher(
+                self.schema, config=self.config, verdict_cache=self.verdict_cache
             )
-            cache = self.verdict_cache if self.admission == "off" else None
             items = [
-                _check_text(
-                    checker, *task, admit=admit, mode=self.admission, cache=cache
-                )
-                for task in tasks
+                _item(index, label, dispatcher.check_text(text, self.algorithm))
+                for index, label, text in tasks
             ]
         else:
             used_workers = self.workers
@@ -410,7 +288,6 @@ class BatchChecker:
             algorithm=self.algorithm,
             fingerprint=self.schema.fingerprint,
             worker_stats=worker_stats,
-            admission=self.admission,
         )
 
     def check_documents(self, documents: Sequence[XmlDocument]) -> BatchResult:
@@ -427,7 +304,7 @@ class BatchChecker:
         with context.Pool(
             processes=self.workers,
             initializer=_init_worker,
-            initargs=(self.schema, self.algorithm, self.config, self.admission),
+            initargs=(self.schema, self.algorithm, self.config),
         ) as pool:
             outcomes = list(pool.map(_check_one, tasks, chunksize=chunksize))
         items = [item for item, _pid, _stats in outcomes]
@@ -447,14 +324,7 @@ def check_batch(
     algorithm: Algorithm = "machine",
     workers: int = 1,
     config: CheckerConfig = DEFAULT_CONFIG,
-    admission: str = "off",
 ) -> BatchResult:
     """One-call convenience: batch-check *documents* against *dtd*."""
-    checker = BatchChecker(
-        dtd,
-        algorithm=algorithm,
-        workers=workers,
-        config=config,
-        admission=admission,
-    )
+    checker = BatchChecker(dtd, algorithm=algorithm, workers=workers, config=config)
     return checker.check_documents(documents)

@@ -2,17 +2,17 @@
 
 Validation traffic repeats itself — editors re-check on every keystroke,
 pipelines re-submit the same artifacts, ring clients retry.  A verdict is
-a pure function of ``(schema, document bytes, checking policy)``, so a
-bounded LRU over that key serves repeats without parsing a byte.
+a pure function of ``(schema, document bytes, backend)``, so a bounded
+LRU over that key serves repeats without parsing a byte.
 
 :class:`VerdictCache` is that LRU.  Keys are
-``(schema_fingerprint, blake2b(doc_bytes), mode)`` — the fingerprint pins
-the schema revision (a recompiled schema can never serve stale verdicts),
-the 16-byte blake2b digest stands in for the document text, and ``mode``
-names the checking policy (a backend token, or ``auto:<admission>`` on
-the dispatcher path) so differently-configured surfaces never alias.
-Values are whatever verdict object the caller serves (:class:`PVVerdict`,
-``DispatchedVerdict`` — the cache never inspects them).
+``(schema_fingerprint, blake2b(doc_bytes), backend)`` — the fingerprint
+pins the schema revision (a recompiled schema can never serve stale
+verdicts), the 16-byte blake2b digest stands in for the document text,
+and ``backend`` is the *resolved* backend, so an ``auto`` request and a
+``kernel`` request for the same bytes share one entry.  The only caller
+is :meth:`repro.service.dispatch.BackendDispatcher.check_text`; values
+are its ``(verdict, error)`` pairs, which the cache never inspects.
 
 One instance is shared across threads (``ValidationServer`` consults it
 from every connection); a single lock guards the ordered dict, and the
@@ -50,9 +50,9 @@ class VerdictCache:
         return hashlib.blake2b(text.encode("utf-8"), digest_size=16).digest()
 
     @classmethod
-    def key(cls, fingerprint: str, text: str, mode: str) -> Hashable:
-        """The cache key for *text* checked under *fingerprint*/*mode*."""
-        return (fingerprint, cls.digest(text), mode)
+    def key(cls, fingerprint: str, text: str, backend: str) -> Hashable:
+        """The cache key for *text* checked by *backend* under *fingerprint*."""
+        return (fingerprint, cls.digest(text), backend)
 
     def get(self, key: Hashable) -> Any | None:
         """The cached verdict, freshened to most-recent, or ``None``."""

@@ -76,11 +76,11 @@ class CompiledSchema:
         format version 2); artifacts unpickled from the version-1 layout
         rebuild them lazily on first kernel use.
     coarse:
-        The admission summary (:class:`~repro.core.coarse.CoarseSummary`)
-        the coarse-to-fine pipeline pre-filters with.  Built eagerly by
+        The coarse summary (:class:`~repro.core.coarse.CoarseSummary`)
+        the ring client's filter runs.  Built eagerly by
         :func:`compile_schema` and carried inside the pickle (artifact
         format version 3); older artifacts rebuild it lazily on first
-        admission use.
+        use.
     compile_seconds:
         Wall time the compilation took (feeds registry statistics and the
         E10 benchmark's amortization table).
@@ -151,7 +151,7 @@ class CompiledSchema:
 
     @property
     def coarse(self) -> CoarseSummary:
-        """The admission summary (rebuilt if the pickle lacked it — i.e.
+        """The coarse summary (rebuilt if the pickle lacked it — i.e.
         the artifact predates format version 3)."""
         if self._coarse is None:
             self._coarse = compile_coarse(self.dag)
@@ -159,7 +159,7 @@ class CompiledSchema:
 
     @property
     def has_coarse(self) -> bool:
-        """Whether the admission summary is present (no rebuild needed)."""
+        """Whether the coarse summary is present (no rebuild needed)."""
         return self._coarse is not None
 
     def checker(self, algorithm: str = "machine", config=None):
@@ -194,7 +194,7 @@ class CompiledSchema:
         self.dag = state["dag"]
         self.compile_seconds = state["compile_seconds"]
         # Version-1 artifacts predate the kernel tables and version-1/-2
-        # artifacts predate the admission summary; absent means "rebuild
+        # artifacts predate the coarse summary; absent means "rebuild
         # lazily", so old pickles keep loading.
         self._tables = state.get("tables")
         self._coarse = state.get("coarse")

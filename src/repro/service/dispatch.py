@@ -1,4 +1,4 @@
-"""Per-document backend selection with an auditable decision log.
+"""The one text→verdict pipeline, with an auditable decision log.
 
 The checking backends trade constant factors for generality (the full
 contract lives in ``docs/BACKENDS.md``, kept in lockstep with
@@ -6,31 +6,27 @@ contract lives in ``docs/BACKENDS.md``, kept in lockstep with
 
 * ``kernel`` — the machine's merged-GSS semantics over dense integer
   tables; exact for every DTD class with the smallest exact constant,
-* ``figure5`` — the paper's greedy recognizer; the cheapest per node, but
-  its verdict for PV-strong recursive DTDs is only "within depth D",
+  and fused with the scanner (:mod:`repro.core.stream`) so no tree is
+  built,
+* ``figure5`` — the paper's greedy recognizer; its verdict for PV-strong
+  recursive DTDs is only "within depth D",
 * ``machine`` — the exact GSS machine over object graphs; the semantics
   reference the kernel is differentially pinned against,
 * ``earley`` — the Section 3.3 content-grammar reference; slow, used as a
   cross-check.
 
-:class:`BackendDispatcher` picks one per document from the document's
-*shape* — element count, tree depth, and gap density (the fraction of
-content tokens that are character-data runs, i.e. how "document-centric"
-the instance is) — under a tunable :class:`DispatchPolicy`.  Every choice
-is recorded as a :class:`DispatchDecision` in a bounded log, so a serving
-deployment can answer "why did request 4711 run on the machine backend?"
-after the fact, and can route a deterministic 1-in-N audit slice to the
-Earley reference to cross-check the fast backends in production.
+:meth:`BackendDispatcher.check_text` is the only code that turns document
+text into a served verdict: the server (threads and process pool), the
+batch checker (inline and pool workers) and ``repro check`` all call it.
+``auto`` resolves to the fused kernel; an explicit algorithm runs through
+:meth:`~repro.core.pv.PVChecker.check_text` too, which parses a tree for
+every backend but the kernel.  Repeats are served from a
+:class:`~repro.service.cache.VerdictCache` keyed by ``(fingerprint,
+digest, resolved backend)``, so ``auto`` and ``kernel`` share entries.
 
-Ahead of all of that sits the **admission stage**
-(``DispatchPolicy.admission``): a coarse-to-fine pre-filter over the
-schema's :class:`~repro.core.coarse.CoarseSummary`.  With admission
-``"on"``, documents the coarse pass decides definitely (``reject`` or
-``accept``) short-circuit — no backend runs at all — and only the
-``uncertain`` middle escalates through the shape rules above.  With
-``"audit"``, the coarse pass runs and is *compared* against the full
-backend verdict on every document (mismatches are flagged on the
-decision), but the full verdict is always the one served.
+Every ``auto`` resolution is recorded as a :class:`DispatchDecision` in a
+bounded log, and ``audit_every=N`` routes a deterministic 1-in-N slice to
+the Earley reference to cross-check the kernel in production.
 """
 
 from __future__ import annotations
@@ -41,27 +37,26 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from repro.config import CheckerConfig, DEFAULT_CONFIG
-from repro.core.coarse import CoarseChecker, CoarseVerdict
-from repro.core.pv import Algorithm, NodeFailure, PVChecker, PVVerdict
+from repro.core.pv import Algorithm, PVChecker, PVVerdict
 from repro.dtd.model import DTD
+from repro.errors import ReproError
 from repro.service.cache import VerdictCache
 from repro.service.compiled import CompiledSchema
 from repro.service.registry import DEFAULT_REGISTRY, SchemaRegistry
-from repro.xmlmodel.delta import SIGMA, content_symbols
-from repro.xmlmodel.parser import parse_xml
 from repro.xmlmodel.tree import XmlDocument, XmlElement
 
 __all__ = [
+    "AUTO_BACKEND",
     "BackendInfo",
     "BACKENDS",
-    "DocumentShape",
-    "measure_shape",
-    "DispatchPolicy",
-    "DEFAULT_POLICY",
     "DispatchDecision",
     "DispatchedVerdict",
+    "TextVerdict",
     "BackendDispatcher",
 ]
+
+#: What ``auto`` resolves to outside the audit slice.
+AUTO_BACKEND: Algorithm = "kernel"
 
 
 @dataclass(frozen=True)
@@ -80,7 +75,7 @@ class BackendInfo:
         search, only total for small bounds — a test oracle, not a
         serving backend).
     auto:
-        Whether :meth:`BackendDispatcher.choose` ever selects it.
+        Whether ``auto`` ever runs it (the kernel, or the audit slice).
     summary:
         One line of what the backend is.
     """
@@ -103,13 +98,13 @@ BACKENDS: tuple[BackendInfo, ...] = (
     BackendInfo(
         name="machine",
         exactness="exact",
-        auto=True,
+        auto=False,
         summary="the exact GSS machine over object graphs (semantics reference)",
     ),
     BackendInfo(
         name="figure5",
         exactness="depth-bounded",
-        auto=True,
+        auto=False,
         summary="the paper's greedy Figure 5 recognizer (smallest per-node cost)",
     ),
     BackendInfo(
@@ -128,133 +123,20 @@ BACKENDS: tuple[BackendInfo, ...] = (
 
 
 @dataclass(frozen=True)
-class DocumentShape:
-    """The features backend selection looks at, computed in one walk."""
-
-    elements: int
-    depth: int
-    content_tokens: int
-    sigma_tokens: int
-
-    @property
-    def gap_density(self) -> float:
-        """Character-data runs per content token (0.0 for element-only)."""
-        return self.sigma_tokens / self.content_tokens if self.content_tokens else 0.0
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"{self.elements} element(s), depth {self.depth}, "
-            f"gap density {self.gap_density:.2f}"
-        )
-
-
-def measure_shape(document: XmlDocument | XmlElement) -> DocumentShape:
-    """Measure *document* (elements, depth, ``Delta_T`` token counts)."""
-    root = document.root if isinstance(document, XmlDocument) else document
-    elements = 0
-    max_depth = 0
-    content_tokens = 0
-    sigma_tokens = 0
-    stack: list[tuple[XmlElement, int]] = [(root, 1)]
-    while stack:
-        node, depth = stack.pop()
-        elements += 1
-        max_depth = max(max_depth, depth)
-        symbols = content_symbols(node)
-        content_tokens += len(symbols)
-        sigma_tokens += sum(1 for symbol in symbols if symbol == SIGMA)
-        for child in node.element_children():
-            stack.append((child, depth + 1))
-    return DocumentShape(
-        elements=elements,
-        depth=max_depth,
-        content_tokens=content_tokens,
-        sigma_tokens=sigma_tokens,
-    )
-
-
-@dataclass(frozen=True)
-class DispatchPolicy:
-    """Thresholds steering :meth:`BackendDispatcher.choose`.
-
-    Parameters
-    ----------
-    small_elements / shallow_depth:
-        Documents at or under both bounds go to the greedy ``figure5``
-        recognizer, whose per-node constant is the smallest.
-    gap_heavy:
-        Gap density at or above this routes to the exact backend even for
-        small documents: dense character data multiplies the star-group
-        alternatives the greedy recognizer enumerates.
-    audit_every:
-        When positive, every N-th decision is routed to the Earley
-        reference instead, a deterministic in-production cross-check.
-        ``0`` disables auditing.
-    exact_backend:
-        Which exact tier serves the routes that need exactness:
-        ``"kernel"`` (default, the table-driven machine) or ``"machine"``
-        (the object-graph reference — same verdicts, larger constant).
-    admission:
-        The coarse-to-fine admission stage: ``"off"`` (default — classic
-        behavior, every document runs a full backend), ``"on"`` (definite
-        coarse verdicts short-circuit; only ``uncertain`` escalates), or
-        ``"audit"`` (the coarse pass runs on every document and is
-        compared against the full verdict, which is always the one
-        served — mismatches are flagged on the decision).
-    """
-
-    small_elements: int = 64
-    shallow_depth: int = 8
-    gap_heavy: float = 0.5
-    audit_every: int = 0
-    exact_backend: str = "kernel"
-    admission: str = "off"
-
-    def __post_init__(self) -> None:
-        if self.small_elements < 0 or self.shallow_depth < 0:
-            raise ValueError("policy thresholds must be non-negative")
-        if not 0.0 <= self.gap_heavy <= 1.0:
-            raise ValueError("gap_heavy must be a fraction in [0, 1]")
-        if self.audit_every < 0:
-            raise ValueError("audit_every must be >= 0 (0 disables audits)")
-        if self.exact_backend not in ("kernel", "machine"):
-            raise ValueError('exact_backend must be "kernel" or "machine"')
-        if self.admission not in ("off", "on", "audit"):
-            raise ValueError('admission must be "off", "on", or "audit"')
-
-
-DEFAULT_POLICY = DispatchPolicy()
-
-
-@dataclass(frozen=True)
 class DispatchDecision:
-    """One recorded backend choice (the audit-log entry).
-
-    ``algorithm`` is what actually ran — a backend name, or ``"coarse"``
-    when the admission stage short-circuited the document.  When the
-    1-in-N audit slice displaces the shape rules, ``shadowed`` records
-    the backend the shape rules would have chosen, so the log keeps
-    *both* (the audited route and the displaced one).  ``admission`` is
-    the coarse outcome when the admission stage ran (``None`` when off),
-    and ``admission_mismatch`` flags an audit-mode disagreement between
-    the coarse pass and the full verdict that was served.
-    """
+    """One recorded ``auto`` resolution (the audit-log entry)."""
 
     sequence: int
     algorithm: Algorithm
-    shape: DocumentShape
     reason: str
-    shadowed: str | None = None
-    admission: str | None = None
-    admission_mismatch: bool = False
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"#{self.sequence} -> {self.algorithm}: {self.reason} [{self.shape}]"
+        return f"#{self.sequence} -> {self.algorithm}: {self.reason}"
 
 
 @dataclass(frozen=True)
 class DispatchedVerdict:
-    """A verdict bundled with the decision that produced it."""
+    """A verdict over a parsed tree, bundled with the decision behind it."""
 
     verdict: PVVerdict
     decision: DispatchDecision
@@ -263,251 +145,128 @@ class DispatchedVerdict:
         return bool(self.verdict)
 
 
+@dataclass(frozen=True)
+class TextVerdict:
+    """What :meth:`BackendDispatcher.check_text` served for one document.
+
+    ``verdict`` is ``None`` exactly when ``error`` holds the message of a
+    document that failed to parse (or to check).  ``algorithm`` is the
+    backend that ran; ``reason`` is the decision's reason for ``auto``
+    requests and ``None`` otherwise.  ``seconds`` is the text→verdict
+    duration — ``0.0`` when ``cached``.
+    """
+
+    verdict: PVVerdict | None
+    error: str | None
+    algorithm: str
+    cached: bool
+    seconds: float
+    reason: str | None = None
+
+
 class BackendDispatcher:
-    """Routes documents to backends by shape, remembering every choice.
+    """Serves verdicts for one schema, remembering every ``auto`` choice.
 
     One checker per backend is built lazily over the shared compiled
-    artifact, so dispatching never recompiles schema work; the dispatcher
+    artifact, so checking never recompiles schema work; the dispatcher
     is exactly as warm as the registry entry behind it.
     """
 
     def __init__(
         self,
         schema: CompiledSchema | DTD,
-        policy: DispatchPolicy = DEFAULT_POLICY,
         config: CheckerConfig = DEFAULT_CONFIG,
         registry: SchemaRegistry | None = None,
         log_size: int = 256,
         verdict_cache: VerdictCache | int | None = None,
+        audit_every: int = 0,
     ) -> None:
         if log_size < 0:
             raise ValueError("log_size must be >= 0")
+        if audit_every < 0:
+            raise ValueError("audit_every must be >= 0 (0 disables audits)")
         if isinstance(schema, DTD):
             schema = (registry or DEFAULT_REGISTRY).get(schema)
         self.schema = schema
-        self.policy = policy
         self.config = config
+        self.audit_every = audit_every
         if isinstance(verdict_cache, int):
             verdict_cache = VerdictCache(verdict_cache) if verdict_cache > 0 else None
         self.verdict_cache = verdict_cache
-        #: Cache keys carry the routing policy, so dispatchers with
-        #: different admission modes sharing one cache never alias.
-        self._cache_mode = f"auto:{policy.admission}"
         self._checkers: dict[str, PVChecker] = {}
-        self._coarse: CoarseChecker | None = None
         self._log: deque[DispatchDecision] = deque(maxlen=log_size)
         self._counts: Counter[str] = Counter()
         self._sequence = 0
-        # The server dispatches from multiple worker threads; the log,
+        # The server checks from multiple worker threads; the log,
         # counters, and checker cache are the only shared mutable state.
         self._lock = threading.Lock()
 
-    # -- the policy ---------------------------------------------------------
-
-    def _next_sequence(self) -> int:
+    def choose(self) -> DispatchDecision:
+        """Resolve the next ``auto`` request and record the decision."""
         with self._lock:
             self._sequence += 1
-            return self._sequence
-
-    def _record(self, decision: DispatchDecision) -> None:
-        with self._lock:
+            sequence = self._sequence
+            if self.audit_every and sequence % self.audit_every == 0:
+                decision = DispatchDecision(
+                    sequence,
+                    "earley",
+                    f"scheduled audit (1 in {self.audit_every}) against the "
+                    "Earley reference",
+                )
+            else:
+                decision = DispatchDecision(
+                    sequence, AUTO_BACKEND, "auto resolves to the kernel"
+                )
             self._log.append(decision)
             self._counts[decision.algorithm] += 1
-
-    def _decide(
-        self, shape: DocumentShape, sequence: int
-    ) -> tuple[str, str, str | None]:
-        """The shape rules: ``(algorithm, reason, shadowed)``.
-
-        ``shadowed`` is the backend the shape rules picked when the
-        1-in-N audit slice displaced it — the audit-log entry records
-        both, so the slice never hides what would have served.
-        """
-        policy = self.policy
-        exact = policy.exact_backend
-        if self.schema.is_pv_strong:
-            shaped, shape_reason = exact, (
-                f"PV-strong recursive DTD: only the exact {exact} backend "
-                "answers without a depth bound"
-            )
-        elif shape.gap_density >= policy.gap_heavy and shape.content_tokens:
-            shaped, shape_reason = exact, (
-                f"gap-heavy content (density {shape.gap_density:.2f} >= "
-                f"{policy.gap_heavy:.2f})"
-            )
-        elif (
-            shape.elements <= policy.small_elements
-            and shape.depth <= policy.shallow_depth
-        ):
-            shaped, shape_reason = "figure5", (
-                f"small and shallow (<= {policy.small_elements} elements, "
-                f"depth <= {policy.shallow_depth}): greedy recognizer wins "
-                "on constants"
-            )
-        else:
-            shaped, shape_reason = exact, f"default exact backend ({exact})"
-        if policy.audit_every and sequence % policy.audit_every == 0:
-            return "earley", (
-                f"scheduled audit (1 in {policy.audit_every}) against the "
-                f"Earley reference; displaced shape choice {shaped}: "
-                f"{shape_reason}"
-            ), shaped
-        return shaped, shape_reason, None
-
-    def choose(self, document: XmlDocument | XmlElement) -> DispatchDecision:
-        """Pick a backend for *document* and record the decision."""
-        shape = measure_shape(document)
-        sequence = self._next_sequence()
-        algorithm, reason, shadowed = self._decide(shape, sequence)
-        decision = DispatchDecision(
-            sequence=sequence,
-            algorithm=algorithm,  # type: ignore[arg-type]
-            shape=shape,
-            reason=reason,
-            shadowed=shadowed,
-        )
-        self._record(decision)
         return decision
-
-    # -- the admission stage ------------------------------------------------
-
-    def admit(self, document: XmlDocument | XmlElement) -> CoarseVerdict:
-        """Run the coarse admission pass over *document*.
-
-        Pure — nothing is recorded; callers that serve the outcome (or
-        escalate) record the combined decision.  The checker is built
-        lazily over the artifact's summary, so admission never costs a
-        schema recompile.
-        """
-        with self._lock:
-            checker = self._coarse
-        if checker is None:
-            checker = CoarseChecker(self.schema.coarse)
-            with self._lock:
-                if self._coarse is None:
-                    self._coarse = checker
-                checker = self._coarse
-        return checker.check_document(document)
-
-    @staticmethod
-    def coarse_verdict(admission: CoarseVerdict) -> PVVerdict:
-        """A definite admission outcome as a served :class:`PVVerdict`."""
-        if admission.outcome == "accept":
-            return PVVerdict(True)
-        if admission.outcome != "reject":  # pragma: no cover - guarded by callers
-            raise ValueError("only definite admission outcomes become verdicts")
-        failure = NodeFailure(
-            path=admission.path,
-            element=admission.element,
-            symbols=(),
-            reason=admission.reason,
-        )
-        return PVVerdict(False, failures=(failure,), depth_limited=False)
 
     # -- checking -----------------------------------------------------------
 
-    def check_document(
-        self,
-        document: XmlDocument | XmlElement,
-        timings: dict[str, float] | None = None,
-    ) -> DispatchedVerdict:
-        """Admit, choose a backend if needed, run it, and record it all.
+    def check_text(self, text: str, algorithm: str = "auto") -> TextVerdict:
+        """Document *text* to a served verdict: the one pipeline.
 
-        With admission ``"on"`` a definite coarse outcome is served
-        directly (``algorithm == "coarse"``); with ``"audit"`` the full
-        backend always runs and the decision flags any disagreement.
-        When *timings* is given it receives the ``admission``,
-        ``decide``, and ``verdict`` phase durations in seconds (only the
-        phases that actually ran), so the server's phase histograms stay
-        honest without a second dispatch path.
+        ``auto`` resolves through :meth:`choose`; the verdict cache is
+        consulted under ``(fingerprint, digest, resolved backend)``.  A
+        document that fails to parse is answered (and cached) as an
+        ``error``, never raised.
         """
-        mode = self.policy.admission
-        admission: CoarseVerdict | None = None
-        if mode != "off":
-            started = perf_counter()
-            admission = self.admit(document)
-            if timings is not None:
-                timings["admission"] = perf_counter() - started
-            if mode == "on" and admission.definite:
-                shape = measure_shape(document)
-                decision = DispatchDecision(
-                    sequence=self._next_sequence(),
-                    algorithm="coarse",  # type: ignore[arg-type]
-                    shape=shape,
-                    reason=(
-                        f"admission {admission.outcome}: "
-                        f"{admission.reason or 'coarse pass was definite'}"
-                    ),
-                    admission=admission.outcome,
-                )
-                self._record(decision)
-                return DispatchedVerdict(
-                    verdict=self.coarse_verdict(admission), decision=decision
-                )
+        reason = None
+        if algorithm == "auto":
+            decision = self.choose()
+            algorithm, reason = decision.algorithm, decision.reason
+        cache = self.verdict_cache
+        key = None
+        if cache is not None:
+            key = cache.key(self.schema.fingerprint, text, algorithm)
+            hit = cache.get(key)
+            if hit is not None:
+                verdict, error = hit
+                return TextVerdict(verdict, error, algorithm, True, 0.0, reason)
         started = perf_counter()
-        shape = measure_shape(document)
-        sequence = self._next_sequence()
-        algorithm, reason, shadowed = self._decide(shape, sequence)
-        if timings is not None:
-            timings["decide"] = perf_counter() - started
-        started = perf_counter()
-        verdict = self._checker(algorithm).check_document(document)
-        if timings is not None:
-            timings["verdict"] = perf_counter() - started
-        mismatch = (
-            admission is not None
-            and admission.definite
-            and (admission.outcome == "accept") != verdict.potentially_valid
-        )
-        decision = DispatchDecision(
-            sequence=sequence,
-            algorithm=algorithm,  # type: ignore[arg-type]
-            shape=shape,
-            reason=reason,
-            shadowed=shadowed,
-            admission=None if admission is None else admission.outcome,
-            admission_mismatch=mismatch,
-        )
-        self._record(decision)
+        try:
+            verdict, error = self._verdict(algorithm, text), None
+        except ReproError as failure:
+            verdict, error = None, str(failure)
+        seconds = perf_counter() - started
+        if cache is not None:
+            cache.put(key, (verdict, error))
+        return TextVerdict(verdict, error, algorithm, False, seconds, reason)
+
+    def _verdict(self, algorithm: str, text: str) -> PVVerdict:
+        """Run *algorithm* over *text* (overridden to run it elsewhere)."""
+        return self.checker_for(algorithm).check_text(text)  # type: ignore[arg-type]
+
+    def check_document(
+        self, document: XmlDocument | XmlElement
+    ) -> DispatchedVerdict:
+        """``auto`` over an already-parsed tree, for callers holding one."""
+        decision = self.choose()
+        verdict = self.checker_for(decision.algorithm).check_document(document)
         return DispatchedVerdict(verdict=verdict, decision=decision)
 
-    def check_text(
-        self,
-        text: str,
-        timings: dict[str, float] | None = None,
-    ) -> tuple[DispatchedVerdict, bool]:
-        """Check document *text*, serving repeats from the verdict cache.
-
-        Returns ``(dispatched, cached)``.  A hit replays the stored
-        :class:`DispatchedVerdict` without parsing a byte — the decision
-        log and counters are untouched (the cache sits *in front of* the
-        dispatcher), which is why callers surface the ``cached`` flag.
-        On a miss the classic parse → dispatch pipeline runs and the
-        result is stored under ``(fingerprint, blake2b(text), policy)``.
-        """
-        cache = self.verdict_cache
-        if cache is None:
-            document = parse_xml(text)
-            return self.check_document(document, timings), False
-        key = cache.key(self.schema.fingerprint, text, self._cache_mode)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit, True
-        document = parse_xml(text)
-        dispatched = self.check_document(document, timings)
-        cache.put(key, dispatched)
-        return dispatched, False
-
     def checker_for(self, algorithm: Algorithm) -> PVChecker:
-        """The cached checker for *algorithm*.
-
-        Public so phase-timed callers (the server's instrumentation)
-        can run :meth:`choose` and the verdict under separate timers
-        without duplicating the checker cache.
-        """
-        return self._checker(algorithm)
-
-    def _checker(self, algorithm: Algorithm) -> PVChecker:
+        """The cached checker for *algorithm*."""
         with self._lock:
             checker = self._checkers.get(algorithm)
         if checker is None:
@@ -526,7 +285,7 @@ class BackendDispatcher:
 
     @property
     def counts(self) -> dict[str, int]:
-        """Total decisions per backend over the dispatcher's lifetime."""
+        """Total ``auto`` decisions per backend over the dispatcher's life."""
         with self._lock:
             return dict(self._counts)
 

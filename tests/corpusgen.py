@@ -1,8 +1,10 @@
-"""Seeded fuzzing corpora for the coarse-admission test harness.
+"""Seeded fuzzing corpora for the coarse-filter and surface test harnesses.
 
-One place builds every corpus the admission stack is tested against, so
-the differential suite (``test_admission_differential.py``), the E18
-benchmark, and CI's fuzz job all draw from the same distribution:
+One place builds every corpus the coarse pass and the serving surfaces
+are tested against, so the differential suite
+(``test_admission_differential.py``), the surface-equivalence suite
+(``test_surfaces.py``), and CI's fuzz job all draw from the same
+distribution:
 
 * :func:`valid_documents` — seeded valid documents from
   :class:`~repro.workloads.docgen.DocumentGenerator`, with ``deep`` /
@@ -15,7 +17,7 @@ benchmark, and CI's fuzz job all draw from the same distribution:
   the valid one, which is where a too-eager coarse filter would
   misclassify first.
 * :func:`mixed_corpus` — the skewed valid/corrupt mix (provenance
-  labelled per document) that E18 measures escalation rates on.
+  labelled per document) the differential suites run on.
 
 Everything is deterministic in ``seed``; nothing here asserts — verdicts
 belong to the tests and benchmarks that consume the corpus.

@@ -1,17 +1,19 @@
-"""Differential fuzzing: coarse admission never contradicts a full backend.
+"""Differential fuzzing: the coarse pass never contradicts a full backend.
 
 The coarse pass (:mod:`repro.core.coarse`) is only allowed three answers,
 and only one of them is cheap to get wrong silently: a *definite* outcome
 (``accept`` / ``reject``) that a full backend would reverse.  This suite
 pushes seeded mixed corpora (valid documents plus single-mutation
-corruptions from :mod:`corpusgen`) through the coarse checker **and**
-every exact backend, asserting:
+corruptions from :mod:`corpusgen`) through the coarse checker — both the
+tree pass and the streamed pass over the serialized text, which is what
+the ring client's filter runs — **and** every exact backend, asserting:
 
 * a definite coarse outcome always matches the kernel, machine, and
   Earley verdicts (``uncertain`` promises nothing and is skipped),
 * a coarse ``reject`` names a ``(path, element)`` at which the full
-  checker also reports a blocked node — the short-circuit loses no
-  diagnostic precision,
+  checker also reports a blocked node — the filter loses no diagnostic
+  precision (the two passes may name different nodes; each must be
+  blocked),
 * the corpus is not vacuous: the coarse stage actually rejects a healthy
   share of the corrupted documents (a regression to all-``uncertain``
   would otherwise pass every agreement test while gutting the pipeline).
@@ -19,7 +21,7 @@ every exact backend, asserting:
 Size and seed are environment knobs so CI can scale the run up without a
 code change: ``REPRO_FUZZ_SEED`` reseeds the whole corpus (the nightly
 job rotates it), ``REPRO_FUZZ_DOCS`` sets documents per DTD (the
-admission-smoke job raises it so the run crosses 500 documents).
+coarse-filter smoke job raises it so the run crosses 500 documents).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from repro.core.pv import PVChecker
 from repro.dtd import catalog
 from repro.dtd.parser import parse_dtd
 from repro.service.registry import DEFAULT_REGISTRY
+from repro.xmlmodel.serialize import to_xml
 
 #: The fuzzing schema pool: the paper's figures plus the document-centric
 #: catalog entries, covering seq/choice/star content, mixed content,
@@ -56,6 +59,18 @@ BACKENDS = ("kernel", "machine", "earley")
 SEED = int(os.environ.get("REPRO_FUZZ_SEED", "2006"))
 DOCS_PER_DTD = int(os.environ.get("REPRO_FUZZ_DOCS", "30"))
 
+#: (DTD, coarse pass) pairs.  The tree pass keeps the bare DTD name as
+#: its test id; the streamed pass over the serialized text is ``-streamed``.
+PASSES = [pytest.param(name, "tree", id=name) for name in DTD_NAMES] + [
+    pytest.param(name, "streamed", id=f"{name}-streamed") for name in DTD_NAMES
+]
+
+
+def _coarse_pass(coarse: CoarseChecker, document, how: str):
+    if how == "tree":
+        return coarse.check_document(document)
+    return coarse.check_text(to_xml(document))
+
 
 @lru_cache(maxsize=None)
 def _fixture(name: str):
@@ -72,12 +87,12 @@ def _fixture(name: str):
     return dtd, coarse, checkers, corpus
 
 
-@pytest.mark.parametrize("name", DTD_NAMES)
-def test_definite_outcomes_agree_with_every_backend(name):
+@pytest.mark.parametrize(("name", "how"), PASSES)
+def test_definite_outcomes_agree_with_every_backend(name, how):
     """accept/reject from the coarse pass == every exact backend's verdict."""
     _dtd, coarse, checkers, corpus = _fixture(name)
     for index, (document, provenance) in enumerate(corpus):
-        admission = coarse.check_document(document)
+        admission = _coarse_pass(coarse, document, how)
         if not admission.definite:
             continue
         expected = admission.outcome == "accept"
@@ -89,13 +104,13 @@ def test_definite_outcomes_agree_with_every_backend(name):
             )
 
 
-@pytest.mark.parametrize("name", DTD_NAMES)
-def test_reject_names_a_node_the_full_checker_also_blocks(name):
+@pytest.mark.parametrize(("name", "how"), PASSES)
+def test_reject_names_a_node_the_full_checker_also_blocks(name, how):
     """A coarse reject's (path, element) appears among the full failures."""
     _dtd, coarse, checkers, corpus = _fixture(name)
     kernel = checkers["kernel"]
     for index, (document, provenance) in enumerate(corpus):
-        admission = coarse.check_document(document)
+        admission = _coarse_pass(coarse, document, how)
         if admission.outcome != "reject":
             continue
         verdict = kernel.check_document(document)

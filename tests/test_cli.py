@@ -215,6 +215,51 @@ class TestRingCli:
         assert "policy: round-robin" in captured.err
         assert compiles == 1
 
+    def test_batch_ring_coarse_filter_answers_locally(
+        self, schema, doc_s_file, doc_w_file, tmp_path, capsys
+    ):
+        """``--admission on`` filters a ring batch (from the second run,
+        once a shard holds the artifact) without changing a verdict."""
+        from repro.server.server import ServerThread
+
+        reject = tmp_path / "zz.xml"
+        reject.write_text("<r><zz></zz></r>")  # undeclared: a definite reject
+        docs = [doc_s_file, doc_w_file, str(reject)]
+        handles = [
+            ServerThread(unix_path=str(tmp_path / f"shard-{i}.sock"),
+                         port=0).start()
+            for i in range(2)
+        ]
+        try:
+            ring_arg = ",".join(handle.unix_path for handle in handles)
+            runs = []
+            for admission in ("off", "on", "on"):
+                status = main(
+                    ["batch", schema, *docs, "--ring", ring_arg,
+                     "--admission", admission, "--stats"]
+                )
+                runs.append((status, capsys.readouterr()))
+        finally:
+            for handle in handles:
+                handle.stop()
+        (off_status, off), _first, (on_status, on) = runs
+
+        def verdicts(out: str) -> list[str]:
+            # A filtered reject names one blocked node, the full check
+            # every one, so only the verdicts must match line for line.
+            return [line.split(" (")[0] for line in out.splitlines()]
+
+        assert off_status == on_status == 1
+        assert verdicts(on.out) == verdicts(off.out)
+        assert len(verdicts(off.out)) == len(docs)
+        assert "'coarse_filtered': 0" in off.err
+        assert "'coarse_filtered': 1" in on.err
+
+    def test_batch_admission_requires_ring(self, schema, doc_s_file, capsys):
+        status = main(["batch", schema, doc_s_file, "--admission", "on"])
+        assert status == 2
+        assert "--admission requires --ring" in capsys.readouterr().err
+
     def test_batch_read_policy_requires_ring(self, schema, doc_s_file,
                                              capsys):
         status = main(

@@ -1,18 +1,21 @@
-"""Tests for document-shape measurement and multi-backend dispatch."""
+"""Tests for the one text→verdict pipeline and its decision log."""
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
+import repro.xmlmodel.parser as xml_parser
 from repro.core.pv import PVChecker
 from repro.dtd.parser import parse_dtd
-from repro.service.dispatch import (
-    BackendDispatcher,
-    DispatchPolicy,
-    measure_shape,
-)
+from repro.service.cache import VerdictCache
+from repro.service.dispatch import BackendDispatcher
 from repro.workloads.docgen import DocumentGenerator
+from repro.xmlmodel.fastlex import parser_backend
 from repro.xmlmodel.parser import parse_xml
+from repro.xmlmodel.serialize import to_xml
 
 FIGURE1 = """
 <!ELEMENT r (a+)>
@@ -28,92 +31,50 @@ FIGURE1 = """
 STRONG = "<!ELEMENT a (a | b*)><!ELEMENT b EMPTY>"
 
 
-class TestMeasureShape:
-    def test_counts_elements_and_depth(self):
-        shape = measure_shape(parse_xml("<r><a><b></b></a><a></a></r>"))
-        assert shape.elements == 4
-        assert shape.depth == 3
-        assert shape.sigma_tokens == 0
-        assert shape.gap_density == 0.0
-
-    def test_gap_density_counts_character_runs(self):
-        # r: [a] — a: [#PCDATA] — so 1 sigma out of 2 content tokens.
-        shape = measure_shape(parse_xml("<r><a>some text</a></r>"))
-        assert shape.content_tokens == 2
-        assert shape.sigma_tokens == 1
-        assert shape.gap_density == 0.5
-
-    def test_empty_document(self):
-        shape = measure_shape(parse_xml("<r></r>"))
-        assert shape.elements == 1
-        assert shape.depth == 1
-        assert shape.gap_density == 0.0
-
-
 class TestPolicyRouting:
-    def test_small_shallow_goes_greedy(self):
-        dispatcher = BackendDispatcher(parse_dtd(FIGURE1))
-        decision = dispatcher.choose(parse_xml("<r><a><e></e></a></r>"))
-        assert decision.algorithm == "figure5"
-        assert "small and shallow" in decision.reason
+    """``auto`` runs the exact kernel whatever the document's shape."""
 
     def test_gap_heavy_goes_exact(self):
         dispatcher = BackendDispatcher(parse_dtd(FIGURE1))
-        decision = dispatcher.choose(parse_xml("<r><a>plenty of text</a></r>"))
-        assert decision.algorithm == "kernel"
-        assert "gap-heavy" in decision.reason
+        checked = dispatcher.check_text("<r><a>plenty of text</a></r>")
+        assert checked.algorithm == "kernel"
+        assert checked.reason == "auto resolves to the kernel"
 
     def test_large_document_goes_exact(self):
-        dispatcher = BackendDispatcher(
-            parse_dtd(FIGURE1), policy=DispatchPolicy(small_elements=2)
-        )
-        decision = dispatcher.choose(
-            parse_xml("<r><a><e></e></a><a><e></e></a></r>")
-        )
-        assert decision.algorithm == "kernel"
-        assert decision.reason == "default exact backend (kernel)"
+        dispatcher = BackendDispatcher(parse_dtd(FIGURE1))
+        checked = dispatcher.check_text("<r><a><e></e></a><a><e></e></a></r>")
+        assert checked.algorithm == "kernel"
 
     def test_deep_document_goes_exact(self):
-        dispatcher = BackendDispatcher(
-            parse_dtd(FIGURE1), policy=DispatchPolicy(shallow_depth=1)
-        )
-        decision = dispatcher.choose(parse_xml("<r><a><e></e></a></r>"))
-        assert decision.algorithm == "kernel"
+        dispatcher = BackendDispatcher(parse_dtd(FIGURE1))
+        checked = dispatcher.check_text("<r><a><b><f><c></c></f></b></a></r>")
+        assert checked.algorithm == "kernel"
 
     def test_pv_strong_always_exact(self):
         dispatcher = BackendDispatcher(parse_dtd(STRONG))
-        decision = dispatcher.choose(parse_xml("<a></a>"))
-        assert decision.algorithm == "kernel"
-        assert "PV-strong" in decision.reason
+        checked = dispatcher.check_text("<a></a>")
+        assert checked.algorithm == "kernel"
+        assert not checked.verdict.depth_limited
 
     def test_exact_backend_is_swappable_to_the_machine(self):
-        """The object-graph reference stays selectable as the exact tier."""
-        dispatcher = BackendDispatcher(
-            parse_dtd(FIGURE1), policy=DispatchPolicy(exact_backend="machine")
-        )
-        decision = dispatcher.choose(parse_xml("<r><a>plenty of text</a></r>"))
-        assert decision.algorithm == "machine"
+        """The object-graph reference stays selectable per request."""
+        dispatcher = BackendDispatcher(parse_dtd(FIGURE1))
+        checked = dispatcher.check_text("<r><a>plenty of text</a></r>", "machine")
+        assert checked.algorithm == "machine"
+        assert checked.reason is None
+        assert dispatcher.decisions == ()  # only auto requests are decided
 
     def test_audit_slice_goes_earley(self):
-        dispatcher = BackendDispatcher(
-            parse_dtd(FIGURE1), policy=DispatchPolicy(audit_every=3)
-        )
-        document = parse_xml("<r><a><e></e></a></r>")
-        algorithms = [dispatcher.choose(document).algorithm for _ in range(6)]
+        dispatcher = BackendDispatcher(parse_dtd(FIGURE1), audit_every=3)
+        algorithms = [dispatcher.choose().algorithm for _ in range(6)]
         assert algorithms == [
-            "figure5", "figure5", "earley", "figure5", "figure5", "earley",
+            "kernel", "kernel", "earley", "kernel", "kernel", "earley",
         ]
-        assert dispatcher.counts == {"figure5": 4, "earley": 2}
+        assert dispatcher.counts == {"kernel": 4, "earley": 2}
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
-            DispatchPolicy(gap_heavy=1.5)
-        with pytest.raises(ValueError):
-            DispatchPolicy(audit_every=-1)
-        with pytest.raises(ValueError):
-            DispatchPolicy(small_elements=-1)
-        with pytest.raises(ValueError):
-            DispatchPolicy(exact_backend="earley")
+            BackendDispatcher(parse_dtd(FIGURE1), audit_every=-1)
 
 
 class TestDispatchedChecking:
@@ -125,15 +86,14 @@ class TestDispatchedChecking:
         for document in generator.documents(6, target_nodes=20):
             outcome = dispatcher.check_document(document)
             assert bool(outcome) == direct.is_potentially_valid(document)
-            assert outcome.decision.algorithm in (
-                "kernel", "machine", "figure5", "earley",
-            )
+            assert outcome.decision.algorithm == "kernel"
+            checked = dispatcher.check_text(to_xml(document))
+            assert checked.verdict == outcome.verdict
 
     def test_decision_log_is_bounded(self):
         dispatcher = BackendDispatcher(parse_dtd(FIGURE1), log_size=2)
-        document = parse_xml("<r></r>")
         for _ in range(5):
-            dispatcher.choose(document)
+            dispatcher.choose()
         decisions = dispatcher.decisions
         assert len(decisions) == 2
         assert decisions[-1].sequence == 5  # the log keeps the newest
@@ -141,10 +101,10 @@ class TestDispatchedChecking:
     def test_checkers_share_compiled_artifact(self):
         dtd = parse_dtd(FIGURE1)
         dispatcher = BackendDispatcher(dtd)
-        dispatcher.check_document(parse_xml("<r></r>"))
-        dispatcher.check_document(parse_xml("<r><a>text</a></r>"))
+        dispatcher.check_text("<r></r>")
+        dispatcher.check_text("<r><a>text</a></r>", "machine")
         checkers = list(dispatcher._checkers.values())
-        assert len(checkers) >= 2
+        assert len(checkers) == 2
         assert all(c.compiled is dispatcher.schema for c in checkers)
 
     def test_log_size_validated(self):
@@ -152,102 +112,82 @@ class TestDispatchedChecking:
             BackendDispatcher(parse_dtd(FIGURE1), log_size=-1)
 
 
-class TestAuditSliceShadow:
-    """Regression: the audit slice must record the displaced shape choice.
+class TestTextPipeline:
+    """``check_text``: one cache key, errors as answers, lazy trees."""
 
-    The audit-log entry used to keep only ``earley`` when the 1-in-N
-    slice fired, losing which backend the shape rules actually picked —
-    exactly the question the log exists to answer.
-    """
+    def test_auto_and_kernel_requests_share_cache_entries(self):
+        cache = VerdictCache(8)
+        dispatcher = BackendDispatcher(parse_dtd(FIGURE1), verdict_cache=cache)
+        first = dispatcher.check_text("<r><a>x</a></r>", "kernel")
+        replay = dispatcher.check_text("<r><a>x</a></r>")
+        assert (first.cached, replay.cached) == (False, True)
+        assert replay.algorithm == "kernel"
+        assert replay.verdict is first.verdict
+        assert replay.seconds == 0.0
+        assert len(cache) == 1
 
-    def test_audit_entries_record_the_shadowed_backend(self):
+    def test_explicit_backends_never_alias(self):
+        dispatcher = BackendDispatcher(parse_dtd(FIGURE1), verdict_cache=8)
+        dispatcher.check_text("<r><a>x</a></r>", "kernel")
+        other = dispatcher.check_text("<r><a>x</a></r>", "machine")
+        assert not other.cached
+        assert len(dispatcher.verdict_cache) == 2
+
+    def test_malformed_documents_are_answered_and_cached(self):
+        dispatcher = BackendDispatcher(parse_dtd(FIGURE1), verdict_cache=8)
+        first = dispatcher.check_text("<r><a></r>")
+        assert first.verdict is None and "does not match" in first.error
+        replay = dispatcher.check_text("<r><a></r>")
+        assert replay.cached and replay.error == first.error
+
+    def test_concurrent_checks_lose_no_decision_or_cache_count(self):
+        """Server threads share one dispatcher and one verdict cache."""
         dispatcher = BackendDispatcher(
-            parse_dtd(FIGURE1), policy=DispatchPolicy(audit_every=3)
+            parse_dtd(FIGURE1), verdict_cache=VerdictCache(4), audit_every=5
         )
-        document = parse_xml("<r><a><e></e></a></r>")
-        for _ in range(6):
-            dispatcher.choose(document)
-        audited = [d for d in dispatcher.decisions if d.algorithm == "earley"]
-        assert len(audited) == 2
-        for decision in audited:
-            assert decision.shadowed == "figure5"
-            assert "displaced shape choice figure5" in decision.reason
+        texts = [f"<r><a>{n}</a></r>" for n in range(6)]
+        threads, calls = 8, 40
 
-    def test_non_audit_entries_have_no_shadow(self):
-        dispatcher = BackendDispatcher(
-            parse_dtd(FIGURE1), policy=DispatchPolicy(audit_every=3)
-        )
-        document = parse_xml("<r><a><e></e></a></r>")
-        for _ in range(6):
-            dispatcher.choose(document)
-        for decision in dispatcher.decisions:
-            if decision.algorithm != "earley":
-                assert decision.shadowed is None
+        def hammer() -> None:
+            for n in range(calls):
+                dispatcher.check_text(texts[n % len(texts)])
 
-    def test_shadow_reflects_the_policy_not_a_constant(self):
-        dispatcher = BackendDispatcher(
-            parse_dtd(STRONG), policy=DispatchPolicy(audit_every=1)
-        )
-        decision = dispatcher.choose(parse_xml("<a><b></b></a>"))
-        assert decision.algorithm == "earley"
-        assert decision.shadowed == "kernel"  # PV-strong forces the exact tier
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=hammer) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        total = threads * calls
+        assert sum(dispatcher.counts.values()) == total
+        assert dispatcher.counts["earley"] == total // 5
+        stats = dispatcher.verdict_cache.stats
+        assert stats["hits"] + stats["misses"] == total
 
+    @pytest.mark.skipif(
+        parser_backend() != "fast", reason="the reference parser builds trees"
+    )
+    def test_audit_slice_parses_a_tree_only_for_the_audited_document(
+        self, monkeypatch
+    ):
+        parsed: list[str] = []
+        original = xml_parser.parse_xml
 
-class TestAdmissionStage:
-    def test_admission_off_never_runs_coarse(self):
-        dispatcher = BackendDispatcher(parse_dtd(FIGURE1))
-        outcome = dispatcher.check_document(parse_xml("<r><zz/></r>"))
-        assert outcome.decision.admission is None
-        assert outcome.decision.algorithm != "coarse"
+        def counting(text):
+            parsed.append(text)
+            return original(text)
 
-    def test_admission_on_short_circuits_definite_rejects(self):
-        dispatcher = BackendDispatcher(
-            parse_dtd(FIGURE1), policy=DispatchPolicy(admission="on")
-        )
-        outcome = dispatcher.check_document(parse_xml("<r><zz/></r>"))
-        assert outcome.decision.algorithm == "coarse"
-        assert outcome.decision.admission == "reject"
-        assert not outcome.verdict.potentially_valid
-        failure = outcome.verdict.failures[0]
-        assert (failure.path, failure.element) == ("/r", "r")
-
-    def test_admission_on_escalates_uncertain(self):
-        dispatcher = BackendDispatcher(
-            parse_dtd(FIGURE1), policy=DispatchPolicy(admission="on")
-        )
-        outcome = dispatcher.check_document(parse_xml("<r><a>text</a></r>"))
-        assert outcome.decision.algorithm != "coarse"
-        assert outcome.decision.admission == "uncertain"
-        assert outcome.verdict.potentially_valid
-
-    def test_admission_audit_always_runs_a_backend(self):
-        dispatcher = BackendDispatcher(
-            parse_dtd(FIGURE1), policy=DispatchPolicy(admission="audit")
-        )
-        outcome = dispatcher.check_document(parse_xml("<r><zz/></r>"))
-        assert outcome.decision.algorithm != "coarse"
-        assert outcome.decision.admission == "reject"
-        assert not outcome.decision.admission_mismatch
-        assert not outcome.verdict.potentially_valid
-
-    def test_admission_matches_direct_checker_on_generated_corpus(self):
-        dtd = parse_dtd(FIGURE1)
-        dispatcher = BackendDispatcher(dtd, policy=DispatchPolicy(admission="on"))
-        direct = PVChecker(dtd)
-        generator = DocumentGenerator(dtd, seed=29)
-        for document in generator.documents(8, target_nodes=20):
-            outcome = dispatcher.check_document(document)
-            assert bool(outcome) == direct.is_potentially_valid(document)
-
-    def test_admission_timings_are_reported(self):
-        dispatcher = BackendDispatcher(
-            parse_dtd(FIGURE1), policy=DispatchPolicy(admission="audit")
-        )
-        timings: dict[str, float] = {}
-        dispatcher.check_document(parse_xml("<r><a>text</a></r>"), timings=timings)
-        assert set(timings) == {"admission", "decide", "verdict"}
-        assert all(value >= 0.0 for value in timings.values())
-
-    def test_admission_policy_validation(self):
-        with pytest.raises(ValueError):
-            DispatchPolicy(admission="sometimes")
+        monkeypatch.setattr(xml_parser, "parse_xml", counting)
+        dispatcher = BackendDispatcher(parse_dtd(FIGURE1), audit_every=2)
+        kernel = dispatcher.check_text("<r><a>one</a></r>")
+        audited = dispatcher.check_text("<r><a>two</a></r>")
+        assert (kernel.algorithm, audited.algorithm) == ("kernel", "earley")
+        assert parsed == ["<r><a>two</a></r>"]
+        assert audited.verdict == PVChecker(
+            parse_dtd(FIGURE1), algorithm="kernel"
+        ).check_document(parse_xml("<r><a>two</a></r>"))

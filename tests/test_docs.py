@@ -57,6 +57,17 @@ class TestProtocolDocCoverage:
             f"docs/PROTOCOL.md lacks error code(s): {missing}"
         )
 
+    def test_algorithm_row_lists_every_algorithm(self):
+        """The request table's ``algorithm`` row is ``protocol.ALGORITHMS``."""
+        row = re.search(
+            r"^\| `algorithm` +\| (.+?) \| optional \|$",
+            protocol_md(),
+            flags=re.MULTILINE,
+        )
+        assert row is not None, "docs/PROTOCOL.md lacks the algorithm row"
+        documented = re.findall(r"`([a-z0-9]+)`", row.group(1))
+        assert documented == list(protocol.ALGORITHMS)
+
     def test_error_codes_cover_what_the_implementation_raises(self):
         """Every ProtocolError(code) literal in the server package is in
         ERROR_CODES (and therefore, by the test above, documented)."""
@@ -126,11 +137,9 @@ class TestBackendsDocCoverage:
             )
 
     def test_default_exact_backend_is_documented(self):
-        from repro.service.dispatch import DEFAULT_POLICY
+        from repro.service.dispatch import AUTO_BACKEND
 
-        assert f'`"{DEFAULT_POLICY.exact_backend}"` by default' in (
-            self.backends_md()
-        )
+        assert f'`AUTO_BACKEND` is `"{AUTO_BACKEND}"`' in self.backends_md()
 
     def test_store_format_versions_are_documented(self):
         from repro.service.store import (

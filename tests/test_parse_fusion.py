@@ -279,18 +279,18 @@ def test_dispatcher_check_text_uses_cache():
     text = to_xml(
         corpusgen.valid_documents(catalog.manuscript(), 1, seed=SEED)[0]
     )
-    first, was_cached = dispatcher.check_text(text)
-    assert was_cached is False
-    replay, was_cached = dispatcher.check_text(text)
-    assert was_cached is True
-    assert replay is first
+    first = dispatcher.check_text(text)
+    assert first.cached is False
+    replay = dispatcher.check_text(text)
+    assert replay.cached is True
+    assert replay.verdict is first.verdict
     assert cache.stats["hits"] == 1
     # An int size builds the cache internally; no cache means no replay.
     assert BackendDispatcher(schema, verdict_cache=16).verdict_cache is not None
     bare = BackendDispatcher(schema)
-    verdict, was_cached = bare.check_text(text)
-    assert was_cached is False
-    assert verdict.verdict.potentially_valid == first.verdict.potentially_valid
+    checked = bare.check_text(text)
+    assert checked.cached is False
+    assert checked.verdict.potentially_valid == first.verdict.potentially_valid
 
 
 def test_batch_checker_replays_repeats_from_cache():
@@ -332,4 +332,3 @@ def test_server_stamps_cached_replies(tmp_path):
             assert stats["hits"] == 2 and stats["misses"] == 2
             exposition = client.metrics()["prometheus"]
             assert "repro_verdict_cache_total" in exposition
-            assert "repro_parse_seconds" in exposition

@@ -1,0 +1,195 @@
+"""Surface equivalence: every serving surface answers the same bytes alike.
+
+Every surface runs the one text→verdict pipeline
+(:meth:`repro.service.dispatch.BackendDispatcher.check_text`), so one
+seeded corpus — valid documents, single-mutation corruptions and
+malformed texts over three catalog DTDs — must come back identical from
+the library, the batch checker (inline and pooled), the served ``check``
+and ``check-batch`` ops (threads and a process pool, cold and from the
+verdict cache) and the ring client.  Replies are compared on
+``potentially_valid``, the failures, ``depth_limited`` and the error.
+
+The ring client's coarse filter is the one sanctioned difference: a
+filtered document keeps its verdict, and a filtered reject names one
+node the full check also blocks rather than all of them.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+import pytest
+
+import corpusgen
+from repro.core.pv import PVChecker
+from repro.dtd import catalog
+from repro.dtd.serialize import dtd_to_text
+from repro.errors import ReproError
+from repro.server.client import ValidationClient
+from repro.server.ring import ShardedClient
+from repro.server.server import ServerThread
+from repro.service.batch import BatchChecker
+from repro.xmlmodel.serialize import to_xml
+
+DTD_NAMES = ("paper-figure1", "example5-T1", "manuscript")
+SEED = 13
+DOCS_PER_DTD = 12
+
+
+def _malformed(text: str) -> list[str]:
+    """Three ill-formed variants of a well-formed document."""
+    return [text[:-1], text + text, text.replace("</", "<", 1)]
+
+
+@lru_cache(maxsize=None)
+def corpus() -> tuple[tuple[str, str, str | None, tuple[str, ...]], ...]:
+    """``(name, dtd text, root, texts)`` per DTD."""
+    out = []
+    for name in DTD_NAMES:
+        dtd = catalog.load(name)
+        texts = [
+            to_xml(document)
+            for document, _provenance in corpusgen.mixed_corpus(
+                dtd, DOCS_PER_DTD, seed=SEED, corrupt_fraction=0.5
+            )
+        ]
+        texts += _malformed(texts[0])
+        out.append((name, dtd_to_text(dtd), dtd.root, tuple(texts)))
+    return tuple(out)
+
+
+def _from_verdict(verdict) -> tuple:
+    failures = tuple((f.path, f.element, f.reason) for f in verdict.failures)
+    return (verdict.potentially_valid, failures, verdict.depth_limited, None)
+
+
+def _from_error(message: str) -> tuple:
+    return (None, (), None, ("bad-document", message))
+
+
+def _from_reply(reply: dict) -> tuple:
+    if not reply["ok"]:
+        error = reply["error"]
+        return (None, (), None, (error["code"], error["message"]))
+    failures = tuple(
+        (f["path"], f["element"], f["reason"]) for f in reply["failures"]
+    )
+    return (reply["potentially_valid"], failures, reply["depth_limited"], None)
+
+
+@lru_cache(maxsize=None)
+def expected() -> dict[str, list[tuple]]:
+    """The library's answers: ``PVChecker(kernel).check_text``."""
+    out = {}
+    for name, _text, _root, texts in corpus():
+        checker = PVChecker(catalog.load(name), algorithm="kernel")
+        answers = []
+        for text in texts:
+            try:
+                answers.append(_from_verdict(checker.check_text(text)))
+            except ReproError as error:
+                answers.append(_from_error(str(error)))
+        out[name] = answers
+    return out
+
+
+def test_corpus_covers_every_kind_of_answer():
+    answers = [answer for group in expected().values() for answer in group]
+    assert any(answer[0] is True for answer in answers)
+    assert any(answer[0] is False for answer in answers)
+    assert sum(answer[3] is not None for answer in answers) == 3 * len(DTD_NAMES)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batch_checker_matches_the_library(workers):
+    for name, _text, _root, texts in corpus():
+        result = BatchChecker(
+            catalog.load(name), algorithm="kernel", workers=workers
+        ).check_texts(list(texts))
+        answers = [
+            _from_error(item.error) if item.error is not None
+            else _from_verdict(item.verdict)
+            for item in result.items
+        ]
+        assert answers == expected()[name], name
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+def test_served_check_and_batch_match_the_library(tmp_path, workers):
+    with ServerThread(unix_path=str(tmp_path / "pv.sock"), workers=workers) as handle:
+        with ValidationClient.connect_unix(handle.unix_path) as client:
+            for name, dtd_text, root, texts in corpus():
+                checks = [
+                    _from_reply(_reply(client, dtd_text, text, root))
+                    for text in texts
+                ]
+                replies, trailer = client.check_batch(dtd_text, list(texts), root=root)
+                assert checks == expected()[name], name
+                assert [_from_reply(r) for r in replies] == expected()[name], name
+                assert trailer["errors"] == 3
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+def test_verdict_cache_replays_every_reply(tmp_path, workers):
+    with ServerThread(
+        unix_path=str(tmp_path / "pv.sock"), workers=workers, verdict_cache=4096
+    ) as handle:
+        with ValidationClient.connect_unix(handle.unix_path) as client:
+            for name, dtd_text, root, texts in corpus():
+                replies, _trailer = client.check_batch(
+                    dtd_text, list(texts), root=root
+                )
+                assert [_from_reply(r) for r in replies] == expected()[name]
+                # kernel and auto share entries: every reply is a hit.
+                replays = [
+                    _reply(client, dtd_text, text, root, algorithm="kernel")
+                    for text in texts
+                ]
+                assert all(reply.get("cached") for reply in replays
+                           if reply["ok"]), name
+                assert [_from_reply(r) for r in replays] == expected()[name]
+            stats = client.stats()["server"]["verdict_cache"]
+            distinct = sum(len(set(texts)) for *_, texts in corpus())
+            total = sum(len(texts) for *_, texts in corpus())
+            assert stats["misses"] == distinct
+            assert stats["hits"] == 2 * total - distinct
+
+
+def test_ring_client_matches_the_library(tmp_path):
+    handles = [
+        ServerThread(unix_path=str(tmp_path / f"shard-{i}.sock")).start()
+        for i in range(2)
+    ]
+    try:
+        paths = [handle.unix_path for handle in handles]
+        with ShardedClient(paths) as ring:
+            for name, dtd_text, root, texts in corpus():
+                replies, _trailer = ring.check_batch(dtd_text, list(texts), root=root)
+                assert [_from_reply(r) for r in replies] == expected()[name]
+        filtered = 0
+        with ShardedClient(paths, coarse_filter=True) as ring:
+            for name, dtd_text, root, texts in corpus():
+                # The shards hold the artifact: the filter is live at once.
+                replies, trailer = ring.check_batch(dtd_text, list(texts), root=root)
+                filtered += trailer.get("filtered", 0)
+                for reply, full in zip(replies, expected()[name]):
+                    if not reply.get("filtered"):
+                        assert _from_reply(reply) == full
+                        continue
+                    assert reply["potentially_valid"] == full[0]
+                    blocked = {(path, element) for path, element, _ in full[1]}
+                    for failure in reply["failures"]:
+                        assert (failure["path"], failure["element"]) in blocked
+        assert filtered > 0
+    finally:
+        for handle in handles:
+            handle.stop()
+
+
+def _reply(client, dtd_text, text, root, algorithm=None) -> dict:
+    """A ``check`` reply, with an error reply returned rather than raised."""
+    payload = {"op": "check", "dtd": dtd_text, "doc": text, "root": root}
+    if algorithm is not None:
+        payload["algorithm"] = algorithm
+    client.send(payload)
+    return client.recv()
