@@ -112,8 +112,14 @@ class ValidationClient:
         cls, path: str, timeout: float | None = 30.0
     ) -> "ValidationClient":
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(timeout)
-        sock.connect(path)
+        try:
+            sock.settimeout(timeout)
+            sock.connect(path)
+        except BaseException:
+            # The raised error keeps this frame, and so the socket, alive:
+            # close it now or its fd lives as long as the error does.
+            sock.close()
+            raise
         return cls(sock)
 
     @classmethod
@@ -287,9 +293,13 @@ class ValidationClient:
                     f"expected a check-batch-item reply, got {reply.get('op')!r}"
                 )
             index = reply.get("id")
-            if not isinstance(index, int) or not 0 <= index < len(docs):
+            if type(index) is not int or not 0 <= index < len(docs):
                 raise ConnectionError(
                     f"batch item reply has unknown id {index!r}"
+                )
+            if replies[index] is not None:
+                raise ConnectionError(
+                    f"batch item id {index!r} was answered twice"
                 )
             replies[index] = reply
             received += 1
@@ -299,7 +309,7 @@ class ValidationClient:
             raise ConnectionError(
                 f"expected the check-batch trailer, got {trailer.get('op')!r}"
             )
-        assert all(reply is not None for reply in replies)
+        # Every id was answered once, so no slot is left None.
         return replies, trailer  # type: ignore[return-value]
 
     def validate(

@@ -48,10 +48,12 @@ Streaming batch op
 ``check-batch`` is one request header followed by NDJSON *item* lines —
 ``{"doc": "<r>...</r>", "id": ...}`` — either exactly ``count`` of them
 (when the header carries a count) or terminated by a blank line.  The
-server replies with one ``check-batch-item`` line per item as it is
-checked (correlated by the item's ``id``, defaulting to its 0-based
-index) and a final ``check-batch`` trailer summarizing the run.  The DTD
-is resolved once for the whole batch, and item replies stream back while
+server replies with one ``check-batch-item`` line per item, in item
+order (correlated by the item's ``id``, defaulting to its 0-based index),
+and a final ``check-batch`` trailer summarizing the batch.  Items are
+checked in runs: each run is every item line that has arrived since the
+server last looked, and its replies are written at once.  The DTD is
+resolved once for the whole batch, and item replies stream back while
 later items are still in flight, so a batch over one connection costs one
 round trip instead of one per document.
 

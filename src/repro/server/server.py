@@ -11,11 +11,13 @@ domain socket.
 Execution model
 ---------------
 The event loop owns all registry and schema-resolution state; verdict
-work is CPU-bound and runs off-loop.  Every ``check`` and
+work is CPU-bound and runs off-loop.  Every ``check`` and every
 ``check-batch`` item runs the one text→verdict pipeline,
 :meth:`~repro.service.dispatch.BackendDispatcher.check_text`, on a
 thread (``asyncio.to_thread``) over a per-fingerprint dispatcher that
-shares the server's verdict cache:
+shares the server's verdict cache.  A ``check`` is one thread hop; a
+batch takes one hop per *run*, every item line that has arrived since
+the batch last looked, and answers the run with one write:
 
 * ``workers == 0`` — the verdict is computed on that thread.  The
   artifact is shared in-process; fine for tests and modest loads.
@@ -152,6 +154,92 @@ class _BoundedCache(OrderedDict):
 #: Sentinel :meth:`ValidationServer._read_line` returns for an over-limit
 #: request line (distinct from ``None``, which means EOF/shutdown).
 _OVERLONG = b"\x00overlong\x00"
+
+
+class _ItemReader:
+    """A ``check-batch``'s item lines, collected by a task as they arrive.
+
+    The task reads with a plain ``readline`` and stops at the batch's
+    last item: after *count* item lines, or at the blank line that ends
+    an uncounted batch, so a request pipelined behind the batch stays on
+    the stream for the connection loop.  :attr:`end` is ``None`` while
+    reading and then says why it stopped: ``"done"``, ``"overlong"`` (an
+    over-limit line: the stream cannot be re-framed) or ``"hangup"``.
+
+    Each :meth:`take` pauses the task, once the line it is reading has
+    come in, until the next :meth:`wait`.  Lines that arrive while a run
+    is checked or its replies drain stay in the stream, whose ``limit``
+    pauses the transport: a client that sends without reading holds one
+    line beyond the run in flight, plus that bounded buffer.
+    """
+
+    def __init__(self, reader: asyncio.StreamReader, count: int | None) -> None:
+        self.lines: list[bytes] = []
+        self.end: str | None = None
+        self._arrived: asyncio.Future[None] | None = None
+        self._resume: asyncio.Future[None] | None = None
+        self._task = asyncio.ensure_future(self._read(reader, count))
+
+    async def _read(
+        self, reader: asyncio.StreamReader, remaining: int | None
+    ) -> None:
+        end = "hangup"
+        try:
+            while remaining is None or remaining > 0:
+                if self._resume is not None:
+                    await self._resume
+                line = await reader.readline()
+                if not line:
+                    return
+                if not line.strip():
+                    if remaining is None:
+                        break  # the uncounted batch's blank-line terminator
+                    continue  # blank keep-alive lines inside a counted batch
+                if remaining is not None:
+                    remaining -= 1
+                self.lines.append(line)
+                self._wake()
+            end = "done"
+        except ValueError:  # stream limit overrun
+            end = "overlong"
+        except OSError:  # a reset connection is a hangup too
+            pass
+        finally:
+            self.end = end
+            self._wake()
+
+    def _wake(self) -> None:
+        if self._arrived is not None and not self._arrived.done():
+            self._arrived.set_result(None)
+
+    def take(self) -> list[bytes]:
+        """Every line collected since the last take: the next run.
+
+        Pauses the reading task until the next :meth:`wait`.
+        """
+        run, self.lines = self.lines, []
+        self._resume = asyncio.get_running_loop().create_future()
+        return run
+
+    async def wait(self, closing: asyncio.Future[Any]) -> bool:
+        """Resume reading; wait for a line or the end of reading.
+
+        ``False`` if *closing* won.
+        """
+        resume, self._resume = self._resume, None
+        if resume is not None:
+            resume.set_result(None)
+            # The resumed task runs before this one does again, and it
+            # collects every line the stream holds without yielding.
+            await asyncio.sleep(0)
+        if self.lines or self.end is not None:
+            return True
+        self._arrived = arrived = asyncio.get_running_loop().create_future()
+        await asyncio.wait((arrived, closing), return_when=asyncio.FIRST_COMPLETED)
+        return arrived.done()
+
+    def close(self) -> None:
+        self._task.cancel()
 
 
 def _remove_stale_unix_socket(path: str) -> None:
@@ -875,44 +963,80 @@ class ValidationServer:
         algorithm: str,
         timings: dict[str, Any],
     ) -> TextVerdict:
-        """One served verdict, off-loop; raises ``bad-document``.
-
-        Brackets the off-loop work with the ``inflight`` gauge (the
-        increments run on the event loop, so no lock is needed): the
-        stats-visible load signal a ``least-inflight`` routing client
-        balances on.  The off-loop wall clock minus the verdict time is
-        the queue-wait phase.  A cache hit runs no backend, so the
-        dispatch tallies and the verdict phase skip it.
-        """
-        dispatcher = self._dispatcher(schema)
-        self._inflight += 1
-        self._g_inflight.set(self._inflight)
-        off_loop = Stopwatch()
-        try:
-            checked = await asyncio.to_thread(
-                self._check, dispatcher, doc_text, algorithm
-            )
-        finally:
-            self._inflight -= 1
-            self._g_inflight.set(self._inflight)
-        timings["queue"] = max(0.0, off_loop.seconds - checked.seconds)
-        if not checked.cached:
-            timings["verdict"] = checked.seconds
-            timings["backend"] = checked.algorithm
-            self._dispatch_counts[checked.algorithm] += 1
-            counter = self._m_dispatch.get(checked.algorithm)
-            if counter is not None:
-                counter.inc()
+        """One served verdict, a one-document hop; raises ``bad-document``."""
+        [checked], timings["queue"] = await self._off_loop(
+            self._dispatcher(schema), [doc_text], algorithm
+        )
+        if isinstance(checked, Exception):
+            raise checked
+        self._tally(checked, timings)
         if checked.error is not None:
             raise ProtocolError("bad-document", checked.error)
         return checked
+
+    async def _off_loop(
+        self, dispatcher: BackendDispatcher, docs: list[str], algorithm: str
+    ) -> tuple[list[TextVerdict | Exception], float]:
+        """Check *docs* in one thread hop: their results, per-document queue.
+
+        Brackets the hop with the ``inflight`` gauge, which counts each
+        document (the increments run on the event loop, so no lock is
+        needed): the stats-visible load signal a ``least-inflight``
+        routing client balances on.  The hop's wall clock minus the
+        verdict seconds is the queue-wait phase, spread evenly over the
+        documents.
+        """
+        self._inflight += len(docs)
+        self._g_inflight.set(self._inflight)
+        off_loop = Stopwatch()
+        try:
+            results = await asyncio.to_thread(
+                self._check_all, dispatcher, docs, algorithm
+            )
+        finally:
+            self._inflight -= len(docs)
+            self._g_inflight.set(self._inflight)
+        verdict_seconds = sum(
+            result.seconds for result in results if isinstance(result, TextVerdict)
+        )
+        return results, max(0.0, off_loop.seconds - verdict_seconds) / len(docs)
+
+    def _tally(self, checked: TextVerdict, timings: dict[str, Any]) -> None:
+        """Record one check's verdict phase and dispatch count.
+
+        A cache hit runs no backend, so it records neither.
+        """
+        if checked.cached:
+            return
+        timings["verdict"] = checked.seconds
+        timings["backend"] = checked.algorithm
+        self._dispatch_counts[checked.algorithm] += 1
+        counter = self._m_dispatch.get(checked.algorithm)
+        if counter is not None:
+            counter.inc()
 
     @staticmethod
     def _check(
         dispatcher: BackendDispatcher, doc_text: str, algorithm: str
     ) -> TextVerdict:
-        """The off-loop step: the one text→verdict pipeline."""
+        """One document through the one text→verdict pipeline."""
         return dispatcher.check_text(doc_text, algorithm)
+
+    def _check_all(
+        self, dispatcher: BackendDispatcher, docs: list[str], algorithm: str
+    ) -> list[TextVerdict | Exception]:
+        """The off-loop step: :meth:`_check` per document, in order.
+
+        An unexpected failure stays in its document's place, so the rest
+        of a batch run is still answered.
+        """
+        results: list[TextVerdict | Exception] = []
+        for doc_text in docs:
+            try:
+                results.append(self._check(dispatcher, doc_text, algorithm))
+            except Exception as error:  # noqa: BLE001 - a reply beats a lost run
+                results.append(error)
+        return results
 
     def _verdict_fields(self, checked: TextVerdict) -> dict[str, Any]:
         """The verdict fields a ``check`` reply and a batch item share."""
@@ -1019,14 +1143,18 @@ class ValidationServer:
     ) -> bool:
         """One streaming batch: header already decoded, items on *reader*.
 
-        Item replies are written as each verdict lands, correlated by the
-        item's ``id`` (its 0-based index when it carries none), and a
-        trailer summarizes the batch.  Per-item defects (a bad document, a
-        malformed item line) are structured item errors and the batch
+        Items are checked in *runs*: a reader task collects item lines as
+        they arrive, and each time the loop comes back it takes every
+        line that has arrived, checks the run (:meth:`_answer_run`) and
+        writes its replies with one write, in item order, correlated by
+        the item's ``id`` (its 0-based index when it carries none).  A
+        trailer summarizes the batch.  Per-item defects (a bad document,
+        a malformed item line) are structured item errors and the batch
         continues; defects that lose the framing — a bad header (the
         client may already have pipelined items this server cannot safely
         reinterpret), an over-limit item line, a mid-batch hangup — end
-        the connection after an error reply, the documented disconnect.
+        the connection after the replies already checked and an error
+        reply, the documented disconnect.
         """
         watch = Stopwatch()
         self._batches += 1
@@ -1039,6 +1167,7 @@ class ValidationServer:
             parse_watch = Stopwatch()
             schema, disposition = self._resolve_schema(request.dtd, request.root)
             batch_timings["parse"] = parse_watch.seconds
+            dispatcher = self._dispatcher(schema)
         except ProtocolError as error:
             self._errors += 1
             self._m_errors.get(error.code, self._m_errors["internal"]).inc()
@@ -1066,44 +1195,44 @@ class ValidationServer:
             )
             await writer.drain()
             return False
+        assert self._closing is not None
         algorithm = request.algorithm or self.default_algorithm
-        remaining = request.count
         items = 0
         errors = 0
-        while remaining is None or remaining > 0:
-            line = await self._read_line(reader)
-            if line is None:
-                return False  # hangup or shutdown mid-batch
-            if line is _OVERLONG:
-                writer.write(
-                    protocol.encode(
-                        protocol.error_payload(
-                            "bad-request",
-                            "batch item line exceeds "
-                            f"{protocol.MAX_LINE_BYTES} bytes",
-                        )
+        feed = _ItemReader(reader, request.count)
+        # One closing waiter per batch: the shutdown race is paid once per
+        # wait for input, not once per item line.
+        closing = asyncio.ensure_future(self._closing.wait())
+        try:
+            while True:
+                if not await feed.wait(closing):
+                    return False  # shutdown while waiting for an item
+                run = feed.take()
+                if not run:
+                    break  # the reader has stopped
+                replies, run_errors = await self._answer_run(
+                    run, items, dispatcher, algorithm, request.trace
+                )
+                items += len(run)
+                errors += run_errors
+                writer.write(replies)
+                await writer.drain()
+        finally:
+            feed.close()
+            closing.cancel()
+        if feed.end == "overlong":
+            writer.write(
+                protocol.encode(
+                    protocol.error_payload(
+                        "bad-request",
+                        f"batch item line exceeds {protocol.MAX_LINE_BYTES} bytes",
                     )
                 )
-                await writer.drain()
-                return False  # the stream cannot be re-framed
-            if not line.strip():
-                if remaining is None:
-                    break  # the uncounted batch's blank-line terminator
-                continue  # blank keep-alive lines inside a counted batch
-            if remaining is not None:
-                remaining -= 1
-            index = items
-            items += 1
-            self._requests += 1
-            self._batch_items += 1
-            self._m_batch_items.inc()
-            reply = await self._handle_batch_item(
-                line, index, schema, algorithm, request.trace
             )
-            if not reply.get("ok"):
-                errors += 1
-            writer.write(protocol.encode(reply))
             await writer.drain()
+            return False  # the stream cannot be re-framed
+        if feed.end != "done":
+            return False  # hangup mid-batch
         self._count_hot(schema.fingerprint, max(items, 1))
         trailer: dict[str, Any] = {
             "ok": True,
@@ -1134,44 +1263,70 @@ class ValidationServer:
         await writer.drain()
         return True
 
-    async def _handle_batch_item(
+    async def _answer_run(
         self,
-        line: bytes,
-        index: int,
-        schema: CompiledSchema,
+        run: list[bytes],
+        first: int,
+        dispatcher: BackendDispatcher,
         algorithm: str,
-        trace: str | None = None,
+        trace: str | None,
+    ) -> tuple[bytes, int]:
+        """One run of item lines to its encoded replies and error count.
+
+        The items are decoded on the loop and all of their documents are
+        checked in one hop (:meth:`_off_loop`).  *first* is the index of
+        the run's first item.
+        """
+        self._requests += len(run)
+        self._batch_items += len(run)
+        self._m_batch_items.inc(len(run))
+        decoded: list[protocol.BatchItem | ProtocolError] = []
+        for line in run:
+            try:
+                decoded.append(protocol.decode_batch_item(line))
+            except ProtocolError as error:
+                decoded.append(error)
+        docs = [item.doc for item in decoded if isinstance(item, protocol.BatchItem)]
+        results: list[TextVerdict | Exception] = []
+        queue = 0.0
+        if docs:
+            results, queue = await self._off_loop(dispatcher, docs, algorithm)
+        checked = iter(results)
+        replies: list[bytes] = []
+        errors = 0
+        for index, item in enumerate(decoded, first):
+            if isinstance(item, ProtocolError):
+                reply = self._item_error(item.code, item.message, index)
+            else:
+                item_id = index if item.id is None else item.id
+                reply = self._item_reply(next(checked), item_id, queue, trace)
+            if not reply["ok"]:
+                errors += 1
+            replies.append(protocol.encode(reply))
+        return b"".join(replies), errors
+
+    def _item_reply(
+        self,
+        result: TextVerdict | Exception,
+        item_id: Any,
+        queue: float,
+        trace: str | None,
     ) -> dict[str, Any]:
-        """One item line to one ``check-batch-item`` reply (never raises)."""
-        item_id: Any = index
-        timings: dict[str, Any] = {}
-        try:
-            item = protocol.decode_batch_item(line)
-            if item.id is not None:
-                item_id = item.id
-            checked = await self._run_check(schema, item.doc, algorithm, timings)
-        except ProtocolError as error:
-            self._errors += 1
-            self._m_errors.get(error.code, self._m_errors["internal"]).inc()
-            reply = protocol.error_payload(
-                error.code, error.message, id=item_id, details=error.details
+        """One checked document to its ``check-batch-item`` reply."""
+        if isinstance(result, Exception):
+            return self._item_error(
+                "internal", f"{type(result).__name__}: {result}", item_id
             )
-            reply["op"] = "check-batch-item"
-            return reply
-        except Exception as error:  # noqa: BLE001 - a reply beats a disconnect
-            self._errors += 1
-            self._m_errors["internal"].inc()
-            reply = protocol.error_payload(
-                "internal", f"{type(error).__name__}: {error}", id=item_id
-            )
-            reply["op"] = "check-batch-item"
-            return reply
+        timings: dict[str, Any] = {"queue": queue}
+        self._tally(result, timings)
+        if result.error is not None:
+            return self._item_error("bad-document", result.error, item_id)
         self._observe_phases(timings)
         reply = {
             "ok": True,
             "op": "check-batch-item",
             "id": item_id,
-            **self._verdict_fields(checked),
+            **self._verdict_fields(result),
         }
         if trace is not None:
             stub: dict[str, Any] = {"id": trace}
@@ -1180,6 +1335,14 @@ class ValidationServer:
                 if seconds is not None:
                     stub[f"{phase}_ms"] = round(seconds * 1000.0, 3)
             reply["trace"] = stub
+        return reply
+
+    def _item_error(self, code: str, message: str, item_id: Any) -> dict[str, Any]:
+        """A structured per-item error reply; the batch goes on."""
+        self._errors += 1
+        self._m_errors.get(code, self._m_errors["internal"]).inc()
+        reply = protocol.error_payload(code, message, id=item_id)
+        reply["op"] = "check-batch-item"
         return reply
 
     # -- artifact hand-off ops -----------------------------------------------

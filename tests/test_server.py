@@ -4,16 +4,24 @@ from __future__ import annotations
 
 import asyncio
 import base64
+import gc
 import json
+import os
 import socket
 import threading
+import time
+import warnings
 
 import pytest
 
 from repro.core.coarse import decode_coarse
+from repro.core.pv import PVChecker
+from repro.dtd.parser import parse_dtd
+from repro.errors import ReproError
 from repro.server import protocol
 from repro.server.client import ServerError, ValidationClient
 from repro.server.protocol import ProtocolError, decode_request
+from repro.server import server as server_mod
 from repro.server.server import ServerThread, ValidationServer
 from repro.service.registry import SchemaRegistry
 from repro.service.store import ArtifactStore
@@ -458,6 +466,41 @@ class TestClientWireDefects:
                 client.request({"op": "stats"})
         thread.join(timeout=5)
 
+    def test_a_batch_item_answered_twice_is_a_connection_error(self):
+        def respond(conn: socket.socket) -> None:
+            stream = conn.makefile("rb")
+            for _ in range(3):  # the header and both items
+                stream.readline()
+            item = {"ok": True, "op": "check-batch-item", "id": 0,
+                    "potentially_valid": True}
+            trailer = {"ok": True, "op": "check-batch", "items": 2, "errors": 0}
+            conn.sendall(protocol.encode(item) * 2 + protocol.encode(trailer))
+
+        host, port, thread = _one_shot_server(respond)
+        with ValidationClient.connect_tcp(host, port) as client:
+            with pytest.raises(ConnectionError, match="answered twice"):
+                client.check_batch(FIGURE1, [DOC_OK, DOC_OK])
+        thread.join(timeout=5)
+
+    def test_a_failed_unix_connect_closes_its_socket(self, tmp_path):
+        def open_fds() -> int:
+            return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
+
+        missing = str(tmp_path / "nobody.sock")
+        kept: list[OSError] = []  # a failover keeps its last error like this
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            before = open_fds()
+            for _ in range(20):
+                with pytest.raises(OSError) as excinfo:
+                    ValidationClient.connect_unix(missing)
+                kept.append(excinfo.value)
+            held = open_fds() - before
+            kept.clear()
+            gc.collect()
+        assert held == 0
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
 
 class TestOverLimitRequests:
     """MAX_LINE_BYTES exceeded -> structured error, then disconnect."""
@@ -886,3 +929,206 @@ class TestCoarseOp:
         assert len(replies) == 1
         blob = base64.b64decode(trailer["coarse"].encode("ascii"))
         assert decode_coarse(blob) is not None
+
+
+def _batch_stream(docs: list[str], counted: bool = True, **header: object) -> bytes:
+    """A check-batch header and its item lines, as one write."""
+    fields = {"op": "check-batch", "dtd": FIGURE1, **header}
+    if counted:
+        fields["count"] = len(docs)
+    return protocol.encode(fields) + b"".join(
+        protocol.encode({"doc": doc}) for doc in docs
+    )
+
+
+def _send_and_read(address, stream: bytes, replies: int) -> list[dict]:
+    """Send *stream* in one write on a fresh connection; read *replies*."""
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(stream)
+        with sock.makefile("rb") as lines:
+            return [protocol.decode_reply(lines.readline()) for _ in range(replies)]
+
+
+class TestBatchRuns:
+    """A batch checks every item line that has arrived as one run: one
+    off-loop hop and one write per run."""
+
+    @pytest.fixture
+    def hops(self, monkeypatch):
+        """The functions sent off-loop with ``asyncio.to_thread``."""
+        sent: list = []
+        to_thread = asyncio.to_thread
+
+        async def counting(func, /, *args, **kwargs):
+            sent.append(func)
+            return await to_thread(func, *args, **kwargs)
+
+        monkeypatch.setattr(asyncio, "to_thread", counting)
+        return sent
+
+    def test_a_batch_that_arrived_in_one_write_is_one_hop(
+        self, server_handle, hops
+    ):
+        stream = _batch_stream([DOC_OK] * 50, trace="runs")
+        *items, trailer = _send_and_read(server_handle.tcp_address, stream, 51)
+        assert len(hops) == 1
+        assert [item["id"] for item in items] == list(range(50))
+        assert all(item["potentially_valid"] for item in items)
+        assert trailer["items"] == 50 and trailer["errors"] == 0
+        # The hop's queue time is spread evenly over the run's items; each
+        # item keeps its own verdict time and dispatch count.
+        assert len({item["trace"]["queue_ms"] for item in items}) == 1
+        assert all("verdict_ms" in item["trace"] for item in items)
+        with ValidationClient.connect(server_handle.tcp_address) as client:
+            assert client.stats()["dispatch"] == {"kernel": 50}
+
+    @pytest.mark.parametrize("window", [1, 3, 7])
+    def test_every_window_answers_each_id_once_with_library_verdicts(
+        self, client, hops, window
+    ):
+        docs = [DOC_OK, DOC_BAD, "<r><a>", "<r><a><c>x</c><d>y</d></a></r>"] * 5
+        replies, trailer = client.check_batch(FIGURE1, docs, window=window)
+        assert [reply["id"] for reply in replies] == list(range(len(docs)))
+        library = PVChecker(parse_dtd(FIGURE1), algorithm="kernel")
+        for doc, reply in zip(docs, replies):
+            try:
+                expected = library.check_text(doc).potentially_valid
+            except ReproError:
+                assert reply["error"]["code"] == "bad-document"
+            else:
+                assert reply["potentially_valid"] is expected
+        assert trailer["items"] == 20 and trailer["errors"] == 5
+        if window == 1:  # every run shrinks to the one item in flight
+            assert len(hops) == len(docs)
+
+    @pytest.mark.parametrize("counted", [True, False], ids=["counted", "blank"])
+    def test_a_request_pipelined_behind_a_batch_is_answered(
+        self, server_handle, counted
+    ):
+        stream = _batch_stream([DOC_OK, DOC_BAD], counted=counted)
+        if not counted:
+            stream += b"\n"
+        stream += protocol.encode(
+            {"op": "check", "dtd": FIGURE1, "doc": DOC_OK, "id": "behind"}
+        )
+        *items, trailer, check = _send_and_read(
+            server_handle.tcp_address, stream, 4
+        )
+        assert [item["potentially_valid"] for item in items] == [True, False]
+        assert trailer["op"] == "check-batch" and trailer["items"] == 2
+        assert check["op"] == "check" and check["id"] == "behind"
+        assert check["potentially_valid"] is True
+
+    def test_defective_items_in_one_run_are_item_errors(
+        self, server_handle, hops
+    ):
+        stream = (
+            protocol.encode({"op": "check-batch", "dtd": FIGURE1, "count": 4})
+            + protocol.encode({"doc": DOC_OK})
+            + b"{not json\n"
+            + protocol.encode({"doc": "<r><a>", "id": "broken"})
+            + protocol.encode({"doc": DOC_BAD})
+        )
+        *items, trailer = _send_and_read(server_handle.tcp_address, stream, 5)
+        assert len(hops) == 1
+        assert [item["id"] for item in items] == [0, 1, "broken", 3]
+        assert [item["ok"] for item in items] == [True, False, False, True]
+        assert items[1]["error"]["code"] == "bad-item"
+        assert items[2]["error"]["code"] == "bad-document"
+        assert items[3]["potentially_valid"] is False
+        assert trailer["items"] == 4 and trailer["errors"] == 2
+
+    def test_a_client_that_does_not_read_is_held_at_one_line(
+        self, server_handle, monkeypatch
+    ):
+        # While a run is checked, the reader takes at most one more line;
+        # the rest stay in the stream, whose limit pauses the transport.
+        feeds: list = []
+
+        class Recorded(server_mod._ItemReader):
+            def __init__(self, *args):
+                super().__init__(*args)
+                feeds.append(self)
+
+        monkeypatch.setattr(server_mod, "_ItemReader", Recorded)
+        server = server_handle.server
+        entered, release = threading.Event(), threading.Event()
+        runs: list[int] = []
+        check_all = server._check_all
+
+        def held(dispatcher, docs, algorithm):
+            runs.append(len(docs))
+            entered.set()
+            release.wait(timeout=10)
+            return check_all(dispatcher, docs, algorithm)
+
+        monkeypatch.setattr(server, "_check_all", held)
+        count = 5000
+        item_line = protocol.encode({"doc": DOC_OK})
+        try:
+            with socket.create_connection(
+                server_handle.tcp_address, timeout=10
+            ) as sock:
+                sock.sendall(
+                    protocol.encode(
+                        {"op": "check-batch", "dtd": FIGURE1, "count": count}
+                    )
+                    + item_line
+                )
+                assert entered.wait(timeout=10)  # the first run is off-loop
+                sock.sendall(item_line * (count - 1))  # and no replies are read
+                time.sleep(0.5)  # for the stream to reach the server
+                [feed] = feeds
+                ahead = len(feed.lines)
+                release.set()
+                with sock.makefile("rb") as lines:
+                    replies = [
+                        protocol.decode_reply(lines.readline())
+                        for _ in range(count + 1)
+                    ]
+        finally:
+            release.set()
+        assert ahead <= 1
+        # Once resumed, the reader collects the whole backlog as one run.
+        assert runs == [1, count - 1]
+        *items, trailer = replies
+        assert [item["id"] for item in items] == list(range(count))
+        assert trailer["items"] == count and trailer["errors"] == 0
+        assert server._inflight == 0
+
+    def test_a_hangup_mid_run_leaves_the_server_live(self, server_handle, client):
+        stream = _batch_stream([DOC_OK] * 50)
+        with socket.create_connection(server_handle.tcp_address) as sock:
+            sock.sendall(stream[: len(stream) * 2 // 3])  # ends mid-line
+        deadline = time.monotonic() + 10.0
+        # Until a run was checked and the batch's connection has closed.
+        while (server := client.stats()["server"])["batch_items"] == 0 or (
+            server["connections"] > 1
+        ):
+            assert time.monotonic() < deadline, server
+            time.sleep(0.01)
+        assert server["inflight"] == 0
+        assert client.health()["status"] == "ok"
+        assert client.check(FIGURE1, DOC_OK)["potentially_valid"] is True
+
+    def test_stop_ends_a_batch_waiting_for_its_next_item(self):
+        handle = ServerThread(host="127.0.0.1", port=0).start()
+        try:
+            with socket.create_connection(handle.tcp_address, timeout=10) as sock:
+                # The header promises three items; only one is sent.
+                sock.sendall(
+                    protocol.encode({"op": "check-batch", "dtd": FIGURE1, "count": 3})
+                    + protocol.encode({"doc": DOC_OK})
+                )
+                with sock.makefile("rb") as lines:
+                    first = protocol.decode_reply(lines.readline())
+                    began = time.monotonic()
+                    handle.stop()  # the drain timeout is 30 s
+                    stopped = time.monotonic() - began
+                    rest = lines.readline()
+        finally:
+            handle.stop()
+        assert first["ok"] is True and first["id"] == 0
+        assert stopped < 5.0
+        assert rest == b""  # closed without a trailer
+        assert handle.server._inflight == 0
