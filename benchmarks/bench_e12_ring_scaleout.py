@@ -24,8 +24,8 @@ so there the ring is only required to stay within 1.5x of the batched
 single server, and the ratios are reported); each schema fingerprint is
 compiled **at most once ring-wide** — including after a membership
 change, where the replayed corpus reaches remapped shards via
-``get-artifact``/``put-artifact`` hand-off (observed in the
-coordinator's stats) instead of recompiling.
+``get-artifact``/``put-artifact`` hand-off (observed in the routing
+client's stats) instead of recompiling.
 
 ``REPRO_BENCH_FAST=1`` shrinks the corpus for the CI smoke job.
 """

@@ -12,13 +12,15 @@ E13 holds the **availability** layer to the same standard over real
   failed checks** (every document still gets its verdict, identical to
   the baseline) and **zero recompiles** (the surviving replicas answer
   from fanned-out artifacts; their registry miss counters do not move);
-* **add one shard** — a fourth server joins through the
-  :class:`~repro.server.coordinator.RingCoordinator`, which prefetches
-  the joiner's hottest owned fingerprints *before* publishing the join.
-  Required: the joiner serves its first routed request from a
-  **prefetched** artifact — 0 compiles on join (its miss counter stays
-  0 through traffic).
+* **add one shard** — a fourth server joins by ``--gossip-seed``; its
+  gossip agent prefetches the joiner's hottest owned fingerprints
+  *before* it announces itself.  Required: the joiner serves its first
+  routed request from a **prefetched** artifact — 0 compiles on join
+  (its miss counter stays 0 through traffic).
 
+The ring is real ``python -m repro serve`` subprocesses, one per shard,
+joined into one gossip ring by ``--gossip-seed`` with ``--replicas 2``;
+membership and epochs come from their gossip agents alone.
 ``REPRO_BENCH_FAST=1`` shrinks the corpus for the CI smoke job.
 """
 
@@ -39,7 +41,6 @@ from repro.dtd import catalog
 from repro.dtd.parser import parse_dtd
 from repro.dtd.serialize import dtd_to_text
 from repro.server.client import ValidationClient
-from repro.server.coordinator import RingCoordinator
 from repro.server.ring import ShardedClient, ShardRing, member_label
 from repro.service.compiled import schema_fingerprint
 from repro.workloads.degrade import degrade
@@ -51,6 +52,9 @@ DOCS_PER_SCHEMA = 6 if FAST else 16
 TARGET_NODES = 12
 SHARDS = 3
 REPLICAS = 2
+#: Fast gossip so down-detection and joins fit a CI-sized timeout.
+GOSSIP_INTERVAL = 0.2
+CONVERGE_TIMEOUT = 30.0
 
 SCHEMA_BUILDERS = (
     catalog.paper_figure1,
@@ -81,12 +85,18 @@ def _corpus() -> list[tuple[str, str | None, list[str]]]:
     return batches
 
 
-def _spawn_server(unix_path: str) -> subprocess.Popen:
+def _spawn_server(unix_path: str, seeds: list[str]) -> subprocess.Popen:
+    """One ring shard, joining the ring of *seeds* by gossip."""
     src_dir = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--no-tcp", "--unix", unix_path],
+        [
+            sys.executable, "-m", "repro", "serve", "--no-tcp",
+            "--unix", unix_path, "--replicas", str(REPLICAS),
+            "--gossip-interval", str(GOSSIP_INTERVAL),
+            "--gossip-seed", ",".join(seeds),
+        ],
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
@@ -123,9 +133,37 @@ def _stop(processes: list[subprocess.Popen]) -> None:
             process.wait(timeout=10)
 
 
-def _registry_misses(unix_path: str) -> int:
+def _registry(unix_path: str) -> dict:
     with ValidationClient.connect_unix(unix_path) as client:
-        return client.stats()["registry"]["misses"]
+        return client.stats()["registry"]
+
+
+def _registry_misses(unix_path: str) -> int:
+    return _registry(unix_path)["misses"]
+
+
+def _await_converged(paths: list[str]) -> int:
+    """Poll *paths* until every one answers ``health`` with one epoch
+    over exactly *paths*; returns that epoch."""
+    expected = tuple(sorted(paths))
+    deadline = time.monotonic() + CONVERGE_TIMEOUT
+    seen: set = set()
+    while time.monotonic() < deadline:
+        seen = set()
+        for path in paths:
+            try:
+                with ValidationClient.connect_unix(path) as client:
+                    reply = client.health()
+            except OSError:
+                seen.add(None)
+                continue
+            seen.add((reply["epoch"], tuple(sorted(reply["members"] or ()))))
+        if len(seen) == 1:
+            [view] = seen
+            if view is not None and view[0] is not None and view[1] == expected:
+                return view[0]
+        time.sleep(0.05)
+    raise AssertionError(f"ring never converged on {expected}: {seen}")
 
 
 def _pick_paths(tmp_path, fingerprints) -> tuple[list[str], str]:
@@ -160,12 +198,12 @@ def test_e13_replica_failover(benchmark, tmp_path):
         for dtd, root, _docs in batches
     ]
     shard_paths, joiner_path = _pick_paths(tmp_path, fingerprints)
-    processes = [_spawn_server(path) for path in shard_paths]
-    coordinator = RingCoordinator(
-        shard_paths, replica_count=REPLICAS, prefetch=len(batches)
-    )
+    processes = [
+        _spawn_server(path, [p for p in shard_paths if p != path])
+        for path in shard_paths
+    ]
     try:
-        coordinator.publish()
+        _await_converged(shard_paths)
         with ShardedClient(shard_paths, replica_count=REPLICAS) as ring:
             # -- phase 1: warm the ring (one compile per schema, fan-out) -----
             warm_started = time.perf_counter()
@@ -200,8 +238,6 @@ def test_e13_replica_failover(benchmark, tmp_path):
                 if index == kill_at:
                     processes[victim_index].send_signal(signal.SIGKILL)
                     processes[victim_index].wait(timeout=10)
-                    coordinator.probe_once()
-                    coordinator.probe_once()  # down_after probes -> epoch bump
                 for doc in docs:
                     try:
                         reply = ring.check(dtd, doc, root=root)
@@ -220,9 +256,15 @@ def test_e13_replica_failover(benchmark, tmp_path):
             )
 
             # -- phase 3: join a prefetched shard ----------------------------
-            processes.append(_spawn_server(joiner_path))
-            prefetched = coordinator.add_member(joiner_path)
-            joiner_misses_at_join = _registry_misses(joiner_path)
+            # The survivors' gossip drops the victim; the joiner then
+            # prefetches from them and announces itself, and every live
+            # member agrees on one epoch before any traffic.
+            _await_converged(survivors)
+            processes.append(_spawn_server(joiner_path, survivors))
+            _await_converged([*survivors, joiner_path])
+            joined = _registry(joiner_path)
+            prefetched = joined["size"]
+            joiner_misses_at_join = joined["misses"]
             join_verdicts: list[bool] = []
             for dtd, root, docs in batches:
                 reply = ring.check(dtd, docs[0], root=root)
@@ -233,7 +275,6 @@ def test_e13_replica_failover(benchmark, tmp_path):
                 joiner_requests = client.stats()["server"]["requests"]
             ring_stats = ring.ring_stats
     finally:
-        coordinator.stop()
         _stop(processes)
 
     table = Table(
@@ -272,11 +313,11 @@ def test_e13_replica_failover(benchmark, tmp_path):
     )
     # Recovery took one of two documented paths (timing decides which):
     # the client tripped on the dead socket and failed over, or the
-    # coordinator's epoch bump re-resolved placement first.
+    # survivors' gossip minted an epoch that re-resolved placement first.
     assert ring_stats["failovers"] >= 1 or ring_stats["epoch_refreshes"] >= 1
 
     # Phase 3: the joiner took traffic without ever compiling — its hot
-    # set arrived by prefetch before the join was published.
+    # set arrived by prefetch before it announced itself.
     assert prefetched >= 1
     assert joiner_misses_at_join == 0
     assert joiner_misses_after_traffic == 0, (

@@ -19,7 +19,9 @@ live owners.  Required:
   seed window performs the one honest compile/hand-off and the fan-out
   warms every owner before windows land on them.
 
-``REPRO_BENCH_FAST=1`` shrinks the corpus for the CI smoke job.
+The three shards form one gossip ring (``--gossip-seed``,
+``--replicas 2``).  ``REPRO_BENCH_FAST=1`` shrinks the corpus for the
+CI smoke job.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from repro.dtd import catalog
 from repro.dtd.parser import parse_dtd
 from repro.dtd.serialize import dtd_to_text
 from repro.server.client import ValidationClient
-from repro.server.coordinator import RingCoordinator
 from repro.server.ring import ShardedClient, member_label
 from repro.service.compiled import schema_fingerprint
 from repro.workloads.docgen import DocumentGenerator
@@ -53,6 +54,8 @@ TARGET_NODES = 160
 WINDOW = 4
 SHARDS = 3
 REPLICAS = 2
+GOSSIP_INTERVAL = 0.2
+CONVERGE_TIMEOUT = 30.0
 #: Max/min bound on the per-replica share of the hot schema's documents.
 #: Work-stealing is not an even split (a straggling window skews it),
 #: but every replica must take a real share.
@@ -83,12 +86,18 @@ def _corpus() -> list[tuple[str, str | None, list[str]]]:
     return batches
 
 
-def _spawn_server(unix_path: str) -> subprocess.Popen:
+def _spawn_server(unix_path: str, seeds: list[str]) -> subprocess.Popen:
+    """One ring shard, joining the ring of *seeds* by gossip."""
     src_dir = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--no-tcp", "--unix", unix_path],
+        [
+            sys.executable, "-m", "repro", "serve", "--no-tcp",
+            "--unix", unix_path, "--replicas", str(REPLICAS),
+            "--gossip-interval", str(GOSSIP_INTERVAL),
+            "--gossip-seed", ",".join(seeds),
+        ],
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
@@ -130,6 +139,24 @@ def _shard_stats(unix_path: str) -> dict:
         return client.stats()
 
 
+def _await_converged(paths: list[str]) -> None:
+    """Poll *paths* until every one answers ``health`` with one epoch
+    over exactly *paths*."""
+    expected = tuple(sorted(paths))
+    deadline = time.monotonic() + CONVERGE_TIMEOUT
+    seen: set = set()
+    while time.monotonic() < deadline:
+        seen = set()
+        for path in paths:
+            with ValidationClient.connect_unix(path) as client:
+                reply = client.health()
+            seen.add((reply["epoch"], tuple(sorted(reply["members"] or ()))))
+        if len(seen) == 1 and next(iter(seen))[1] == expected:
+            return
+        time.sleep(0.05)
+    raise AssertionError(f"ring never converged on {expected}: {seen}")
+
+
 def _hot_counts(shard_paths: list[str], fingerprint: str) -> dict[str, int]:
     """Per-shard item count served for *fingerprint* (from `hot` stats)."""
     counts: dict[str, int] = {}
@@ -157,10 +184,12 @@ def test_e14_balanced_reads(benchmark, tmp_path):
         parse_dtd(batches[0][0], root=batches[0][1])
     )
     shard_paths = [str(tmp_path / f"shard-{i}.sock") for i in range(SHARDS)]
-    processes = [_spawn_server(path) for path in shard_paths]
-    coordinator = RingCoordinator(shard_paths, replica_count=REPLICAS)
+    processes = [
+        _spawn_server(path, [p for p in shard_paths if p != path])
+        for path in shard_paths
+    ]
     try:
-        coordinator.publish()
+        _await_converged(shard_paths)
         with ShardedClient(shard_paths, replica_count=REPLICAS) as ring:
             hot_owners = [
                 member_label(m) for m in ring.ring.owners(hot_fingerprint)
@@ -204,7 +233,6 @@ def test_e14_balanced_reads(benchmark, tmp_path):
                 )
             )
     finally:
-        coordinator.stop()
         _stop(processes)
 
     owner_shares = [balanced_share[owner] for owner in hot_owners]

@@ -1,14 +1,11 @@
-"""E17 — chaos: kill the coordinator AND a shard mid-corpus, lose nothing.
+"""E17 — chaos: kill a shard mid-corpus, lose nothing.
 
-E14 proved balanced reads; E13 proved replica failover.  Both still
-assumed a healthy control plane: one ``RingCoordinator`` process owning
-health probes and epoch publication, and ``least-inflight`` balancing on
-client-local counters.  E17 holds the gossip refactor to the standard
-that motivated it — the ring must not care who dies:
+E14 proved balanced reads; E13 proved replica failover.  E17 holds the
+ring's one control plane — the shards' own gossip agents — to the
+standard that motivated it: the ring must not care who dies, and
+``least-inflight`` must balance on load the servers report, not on
+client-local counters:
 
-* **coordinator SIGKILLed mid-corpus** — checks keep flowing and every
-  shard keeps answering with one converged epoch, because membership
-  truth lives in the shards' own gossip, not in the dead process;
 * **shard SIGKILLed mid-corpus** — the survivors' gossip agents
   suspect, confirm, and mint a new epoch that drops the victim, the
   client routes around it, and **zero checks are lost**: every replay
@@ -20,9 +17,10 @@ that motivated it — the ring must not care who dies:
   behavior — is measured alongside for contrast).
 
 The ring is three real ``python -m repro serve`` subprocesses, each
-running its own gossip agent (``--gossip on``) seeded with the other
-two; the coordinator is a real subprocess too, so SIGKILL means SIGKILL.
-``REPRO_BENCH_FAST=1`` shrinks the corpus for the CI smoke job.
+running its own gossip agent seeded with the other two and started with
+``--replicas 2 --read-policy least-inflight``, so SIGKILL means
+SIGKILL.  ``REPRO_BENCH_FAST=1`` shrinks the corpus for the CI smoke
+job.
 """
 
 from __future__ import annotations
@@ -63,29 +61,6 @@ CONVERGE_TIMEOUT = 30.0
 HOT_BUILDER = catalog.paper_figure1
 COLD_BUILDERS = (catalog.example5_t1, catalog.play, catalog.dictionary)
 
-#: The coordinator runs as a real process so SIGKILL is honest.  It
-#: publishes the initial R=2 view (superseding the self-only views the
-#: shards' gossip agents mint at boot) and then just probes — exactly
-#: the classic control plane the tentpole makes optional.
-_COORDINATOR_DRIVER = """\
-import sys
-import time
-
-from repro.server.coordinator import RingCoordinator
-
-coordinator = RingCoordinator(
-    sys.argv[1:],
-    replica_count={replicas},
-    read_policy="least-inflight",
-    probe_interval=0.5,
-)
-coordinator.start()
-print("published", flush=True)
-while True:
-    time.sleep(60)
-"""
-
-
 def _documents(dtd, seed: int, count: int) -> list[str]:
     generator = DocumentGenerator(dtd, seed=seed)
     return [
@@ -118,7 +93,8 @@ def _spawn_shard(unix_path: str, seeds: list[str]) -> subprocess.Popen:
     command = [
         sys.executable, "-m", "repro", "serve", "--no-tcp",
         "--unix", unix_path,
-        "--gossip", "on", "--gossip-interval", str(GOSSIP_INTERVAL),
+        "--replicas", str(REPLICAS), "--read-policy", "least-inflight",
+        "--gossip-interval", str(GOSSIP_INTERVAL),
     ]
     if seeds:
         command += ["--gossip-seed", ",".join(seeds)]
@@ -146,24 +122,6 @@ def _spawn_shard(unix_path: str, seeds: list[str]) -> subprocess.Popen:
         time.sleep(0.02)
     process.terminate()
     raise RuntimeError(f"shard on {unix_path} did not come up in time")
-
-
-def _spawn_coordinator(tmp_path, shard_paths: list[str]) -> subprocess.Popen:
-    driver = tmp_path / "coordinator.py"
-    driver.write_text(_COORDINATOR_DRIVER.format(replicas=REPLICAS))
-    process = subprocess.Popen(
-        [sys.executable, str(driver), *shard_paths],
-        env=_subprocess_env(),
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
-        text=True,
-    )
-    assert process.stdout is not None
-    line = process.stdout.readline()
-    if "published" not in line:
-        process.kill()
-        raise RuntimeError(f"coordinator never published: {line!r}")
-    return process
 
 
 def _stop(processes: list[subprocess.Popen]) -> None:
@@ -253,7 +211,6 @@ def test_e17_chaos(benchmark, tmp_path):
         path: _spawn_shard(path, [p for p in shard_paths if p != path])
         for path in shard_paths
     }
-    coordinator = _spawn_coordinator(tmp_path, shard_paths)
     table = Table(
         "E17: chaos (3-shard gossip ring, R=2, least-inflight)",
         ["phase", "docs", "seconds", "docs/s", "notes"],
@@ -307,24 +264,7 @@ def test_e17_chaos(benchmark, tmp_path):
                 for path in shard_paths
             }
 
-            # -- phase 3: SIGKILL the coordinator mid-corpus
-            started = time.perf_counter()
-            first, _trailer = ring.check_batch(
-                hot_dtd, hot_docs[:half], root=hot_root
-            )
-            coordinator.kill()
-            coordinator.wait(timeout=10)
-            second, _trailer = ring.check_batch(
-                hot_dtd, hot_docs[half:], root=hot_root
-            )
-            coordless_results = ring.check_corpus(corpus)
-            coordless_seconds = time.perf_counter() - started
-            coordless_verdicts = (
-                _batch_verdicts(first) + _batch_verdicts(second)
-            )
-            epoch_coordless = _await_converged(shard_paths, shard_paths)
-
-            # -- phase 4: SIGKILL a hot-schema owner mid-corpus
+            # -- phase 3: SIGKILL a hot-schema owner mid-corpus
             started = time.perf_counter()
             first, _trailer = ring.check_batch(
                 hot_dtd, hot_docs[:half], root=hot_root
@@ -344,7 +284,7 @@ def test_e17_chaos(benchmark, tmp_path):
                 lambda: ring.check(hot_dtd, hot_docs[0], root=hot_root)
             )
     finally:
-        _stop([coordinator, *processes.values()])
+        _stop(list(processes.values()))
 
     total_docs = sum(len(docs) for _dtd, _root, docs in batches)
     chaos_docs = len(hot_docs) + total_docs
@@ -363,11 +303,6 @@ def test_e17_chaos(benchmark, tmp_path):
         ),
     )
     table.add_row(
-        "coordinator SIGKILL", chaos_docs, coordless_seconds,
-        throughput(chaos_docs, coordless_seconds),
-        f"epoch {epoch_coordless}, all shards",
-    )
-    table.add_row(
         "owner SIGKILL", chaos_docs, chaos_seconds,
         throughput(chaos_docs, chaos_seconds),
         f"epoch {epoch_final}, {len(survivors)} survivors",
@@ -375,19 +310,16 @@ def test_e17_chaos(benchmark, tmp_path):
     table.print()
     print(
         f"hot owners: {hot_owners}; victim: {victim}; epochs: "
-        f"{epoch_initial} initial -> {epoch_coordless} coordinator-less -> "
-        f"{epoch_final} after shard death; skew "
+        f"{epoch_initial} initial -> {epoch_final} after shard death; skew "
         f"{_ratio(truth_share, hot_owners):.2f} server-truth vs "
         f"{_ratio(control_share, hot_owners):.2f} control; "
         f"client marked down: {down_after_chaos}"
     )
 
-    # Zero lost checks: every replay — balanced, coordinator-less, and
-    # with an owner dying mid-batch — reproduces the warm baseline.
+    # Zero lost checks: every replay — balanced, and with an owner dying
+    # mid-batch — reproduces the warm baseline.
     assert truth_verdicts == hot_expected
     assert control_verdicts == hot_expected
-    assert coordless_verdicts == hot_expected
-    assert _verdicts(coordless_results) == baseline
     assert chaos_verdicts == hot_expected
     assert _verdicts(chaos_results) == baseline
 
@@ -405,13 +337,9 @@ def test_e17_chaos(benchmark, tmp_path):
         if path not in hot_owners:
             assert truth_share[path] == 0
 
-    # Killing the coordinator changed nothing: the survivors agree on
-    # one epoch (gossip owns membership) and it did not regress.
-    assert epoch_coordless >= epoch_initial
-
     # Killing a shard was *detected by the shards themselves*: the
     # survivors minted a strictly newer epoch whose view excludes the
     # victim (asserted inside _await_converged), and the client routed
     # around the death.
-    assert epoch_final > epoch_coordless
+    assert epoch_final > epoch_initial
     assert victim in down_after_chaos

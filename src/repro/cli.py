@@ -42,15 +42,18 @@ Ten commands wrap the library for shell use:
     persistent artifact store and a process pool.  ``--ring N`` starts a
     local ring of N shard servers (consecutive ports / suffixed socket
     paths, one registry and store partition each) for development and
-    smoke testing of the sharded topology; ``--replicas R`` publishes a
-    ring view (epoch 1, replica-set size R) to every shard so replies
-    carry epochs and clients route reads to any of R owners.
-    ``--gossip on`` runs a SWIM-style gossip agent on every shard:
-    membership truth then lives in the shards themselves (probe,
-    suspect, refute, confirm down, mint epochs) and no coordinator is
-    needed.  ``--verdict-cache N`` memoizes up to N verdicts per shard
-    keyed by content digest; repeat documents are answered without
-    parsing, the replies stamped ``"cached": true``.
+    smoke testing of the sharded topology; every shard of a ring runs a
+    SWIM-style gossip agent, the ring's one control plane (probe,
+    suspect, refute, confirm down, mint epochs), starting from a view
+    at epoch 1 that lists every shard.  ``--gossip-seed ADDR`` joins
+    this server to a running ring instead: its agent prefetches the
+    hottest artifacts it will own, then announces itself.  Every shard
+    of a ring takes the same ``--replicas R`` (each schema is owned by
+    R shards, so clients read from any of them) and ``--read-policy``
+    (advertised to clients that name none).  ``--verdict-cache N``
+    memoizes up to N verdicts per shard keyed by content digest; repeat
+    documents are answered without parsing, the replies stamped
+    ``"cached": true``.
 
 ``ring-status ADDR[,ADDR...]``
     Probe every shard of a running ring with the ``health`` op and print
@@ -58,7 +61,7 @@ Ten commands wrap the library for shell use:
     when any is down.  ``--metrics`` additionally scrapes each shard's
     ``metrics`` op and prints the ring-wide aggregate.  Instead of
     listing every ADDR, ``--discover ADDR`` bootstraps the member list
-    from any one live shard's view — no coordinator required.
+    from any one live shard's view.
 
 ``metrics ADDR[,ADDR...]``
     Scrape every shard's ``metrics`` op and print ring-wide aggregates:
@@ -323,12 +326,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"error: {error}", file=sys.stderr)
             return RUNTIME_ERROR
 
-    gossip_on = args.gossip == "on"
-    gossip_seeds: tuple[str, ...] = ()
-    if args.gossip_seed:
-        gossip_seeds = tuple(
-            part.strip() for part in args.gossip_seed.split(",") if part.strip()
-        )
+    seeds = [part.strip() for part in (args.gossip_seed or "").split(",")]
+    seeds = [seed for seed in seeds if seed]
     servers = [
         ValidationServer(
             store=shard_store(index),
@@ -337,10 +336,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             events=events,
             slow_ms=args.slow_ms,
             hot_limit=args.hot_limit,
-            gossip=gossip_on,
             gossip_interval=args.gossip_interval,
-            gossip_seeds=gossip_seeds,
             verdict_cache=args.verdict_cache,
+            replica_count=args.replicas,
+            read_policy=args.read_policy,
         )
         for index in range(shards)
     ]
@@ -383,43 +382,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     print(f"{name}artifact store: {server.store.directory}",
                           file=sys.stderr)
             if shards > 1:
-                from repro.server.protocol import ProtocolError
-
-                # Publish the initial ring view in-process so every
-                # reply carries an epoch, clients serve reads from the
-                # R replicas of a fingerprint, and the advertised read
-                # policy (if any) reaches policy-less clients.  Epoch 1
-                # classically; with gossip on, each shard's agent has
-                # already minted a self-only view, so the full view must
-                # supersede the highest epoch minted so far (retrying
-                # past any the agents mint while we publish).
+                # Every shard is bound: install the full view in process
+                # (epoch 1, so replies carry an epoch, clients read from
+                # the R replicas of a fingerprint and policy-less
+                # clients follow the advertised policy) before any
+                # gossip agent announces itself.
                 labels = [shard_label(server) for server in started]
-                epoch = 1
-                if gossip_on:
-                    epoch = max(
-                        (s.placement.epoch or 0) for s in started
-                    ) + 1
-                published = False
-                while not published:
-                    try:
-                        for server in started:
-                            server.set_ring_view(
-                                epoch, labels, args.replicas,
-                                read_policy=args.read_policy,
-                            )
-                        published = True
-                    except ProtocolError:
-                        epoch += 1  # a gossip agent minted past us; retry
+                for server in started:
+                    server.set_ring_view(
+                        1, labels, args.replicas, read_policy=args.read_policy
+                    )
+            if shards > 1 or seeds:
+                for server in started:
+                    await server.join_ring(seeds)
                 policy_note = (
                     f", read policy {args.read_policy}"
                     if args.read_policy
                     else ""
                 )
-                gossip_note = ", gossip on" if gossip_on else ""
                 print(
-                    f"ring view published: epoch {epoch}, "
-                    f"{len(labels)} member(s), "
-                    f"replicas {args.replicas}{policy_note}{gossip_note}",
+                    f"ring view: epoch {started[0].placement.epoch}, "
+                    f"{len(started[0].placement)} member(s), "
+                    f"replicas {args.replicas}{policy_note}",
                     file=sys.stderr,
                 )
             await asyncio.gather(*(server.serve_forever() for server in started))
@@ -479,11 +463,11 @@ def _discover_members(seed_text: str, timeout: float) -> list:
     """Bootstrap the shard list from one live shard's view.
 
     Connects to *seed_text*, reads the ``health`` reply's ``members``
-    (the live labels of the view the shard holds — gossip-maintained or
-    coordinator-published), and parses each into an address.  The seed
-    itself is included even when the view omits it, so a solo shard is
-    still discoverable.  Raises ``ValueError`` on an unparseable
-    address and ``OSError``/server errors when the seed is dark.
+    (the live labels of the view the shard's gossip agent maintains),
+    and parses each into an address.  The seed itself is included even
+    when the view omits it, so a solo shard is still discoverable.
+    Raises ``ValueError`` on an unparseable address and
+    ``OSError``/server errors when the seed is dark.
     """
     from repro.server.client import ValidationClient
     from repro.server.ring import member_label, parse_member
@@ -934,9 +918,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="R",
         help=(
-            "replica-set size published with the ring view: each schema "
-            "fingerprint is owned by R shards (reads from any live one, "
-            "artifacts fanned out to all R); requires --ring N >= R"
+            "replica-set size this shard advertises with its ring view: "
+            "each schema fingerprint is owned by R shards (reads from any "
+            "live one, artifacts fanned out to all R); every shard of a "
+            "ring takes the same R; requires a ring (--ring N >= R or "
+            "--gossip-seed)"
         ),
     )
     serve.add_argument(
@@ -944,8 +930,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=_READ_POLICIES,
         default=None,
         help=(
-            "read policy advertised with the published ring view "
-            "(requires --ring N >= 2): clients without an explicit "
+            "read policy this shard advertises with its ring view "
+            "(requires --ring N >= 2 or --gossip-seed; every shard of a "
+            "ring takes the same one): clients without an explicit "
             "policy follow it"
         ),
     )
@@ -987,17 +974,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--gossip",
-        choices=("on", "off"),
-        default="off",
-        help=(
-            "run a SWIM-style gossip membership agent on every shard: "
-            "shards probe each other, suspect/confirm failures, and "
-            "mint view epochs themselves — no coordinator needed "
-            "(default: off, the classic coordinator-driven flow)"
-        ),
-    )
-    serve.add_argument(
         "--gossip-interval",
         type=float,
         default=1.0,
@@ -1009,8 +985,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="ADDR[,ADDR...]",
         help=(
-            "existing ring member(s) to announce this shard to; the "
-            "join then propagates by gossip (multi-host scale-out)"
+            "join the running ring of these member(s): prefetch the "
+            "hottest artifacts this shard will own, then announce it; "
+            "the join propagates by gossip (multi-host scale-out)"
         ),
     )
     serve.set_defaults(handler=_cmd_serve)
@@ -1031,8 +1008,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="ADDR",
         help=(
             "bootstrap the shard list from one live shard's view "
-            "(instead of listing every ADDR); works with no "
-            "coordinator running"
+            "(instead of listing every ADDR)"
         ),
     )
     ring_status.add_argument(
@@ -1133,12 +1109,22 @@ def main(argv: list[str] | None = None) -> int:
     if args.handler is _cmd_serve and args.ring < 1:
         print("error: --ring must be >= 1", file=sys.stderr)
         return USAGE_ERROR
-    if args.handler is _cmd_serve and not 1 <= args.replicas <= args.ring:
-        print("error: --replicas must be between 1 and --ring N", file=sys.stderr)
-        return USAGE_ERROR
-    if args.handler is _cmd_serve and args.read_policy and args.ring < 2:
+    if args.handler is _cmd_serve and not (
+        args.replicas >= 1
+        and (args.replicas <= args.ring or (args.ring == 1 and args.gossip_seed))
+    ):
         print(
-            "error: --read-policy requires a ring view (--ring N >= 2)",
+            "error: --replicas must be between 1 and --ring N "
+            "(a single shard joining with --gossip-seed takes any R >= 1)",
+            file=sys.stderr,
+        )
+        return USAGE_ERROR
+    if args.handler is _cmd_serve and args.read_policy and not (
+        args.ring >= 2 or args.gossip_seed
+    ):
+        print(
+            "error: --read-policy requires a ring (--ring N >= 2 or "
+            "--gossip-seed)",
             file=sys.stderr,
         )
         return USAGE_ERROR
@@ -1161,9 +1147,6 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --gossip-interval must be > 0", file=sys.stderr)
         return USAGE_ERROR
     if args.handler is _cmd_serve and args.gossip_seed:
-        if args.gossip != "on":
-            print("error: --gossip-seed requires --gossip on", file=sys.stderr)
-            return USAGE_ERROR
         from repro.server.placement import parse_member
 
         for part in args.gossip_seed.split(","):

@@ -41,7 +41,10 @@ prose:
    direct-matches (the position is occupied by the hypothesized missing
    element);
 2. when a sub-recognizer's active set empties after an accepted symbol,
-   its node is retired (children prepended) — it can absorb nothing more.
+   its node is retired (children prepended) — it can absorb nothing more;
+3. an occupied node and a fresh node at the same position are different
+   hypotheses, so the skip path (line 35) appends a fresh child even
+   while an occupied node holds its position.
 
 ``mode="verbatim"`` keeps the published behaviour; the differential tests
 pin both (see EXPERIMENTS.md, finding F-A1).
@@ -133,15 +136,29 @@ class ECRecognizer:
         result = _REJECT
 
         active = self.active
-        present: set[int] = {node.index for node in active}
+        refined = self.mode == "refined"
+
+        def key(node: _ActiveNode) -> tuple[int, bool]:
+            """A node's hypothesis: its position, and (refined mode only)
+            whether a consuming sub-recognizer occupies it.  An occupied
+            and a fresh node at one position are different hypotheses,
+            so neither deduplicates the other."""
+            occupied = (
+                refined
+                and node.recognizer is not None
+                and node.recognizer.consumed > 0
+            )
+            return node.index, occupied
+
+        present: set[tuple[int, bool]] = {key(node) for node in active}
         next_round: list[_ActiveNode] = []
         next_present: set[int] = set()
 
         def append_children(of_index: int) -> None:
             """Line 35: append children(n) — examined later this round."""
             for child in sorted(dag.children(of_index)):
-                if child not in present:
-                    present.add(child)
+                if (child, False) not in present:
+                    present.add((child, False))
                     active.append(_ActiveNode(child))
 
         def prepend_children(of_index: int) -> None:
@@ -160,6 +177,7 @@ class ECRecognizer:
         cursor = 0
         while cursor < len(active):
             node = active[cursor]
+            node_key = key(node)
             position: Position = dag.position(node.index)
             if position.is_group:
                 # Lines 13-21: star-group nodes.
@@ -191,7 +209,7 @@ class ECRecognizer:
                         if self.mode == "refined" and not node.recognizer.active:
                             # Refined rule 2 (Example 4 prose): the missing
                             # element matched its last content — retire it.
-                            present.discard(node.index)
+                            present.discard(node_key)
                             del active[cursor]
                             prepend_children(node.index)
                             continue
@@ -200,20 +218,15 @@ class ECRecognizer:
                 # Lines 29-33: direct match.  Refined rule 1: a position
                 # occupied by a consuming missing-element hypothesis cannot
                 # also be matched directly.
-                occupied = (
-                    self.mode == "refined"
-                    and node.recognizer is not None
-                    and node.recognizer.consumed > 0
-                )
-                if label == symbol and not occupied:
+                if label == symbol and not node_key[1]:
                     result = _ACCEPT
-                    present.discard(node.index)
+                    present.discard(node_key)
                     del active[cursor]
                     prepend_children(node.index)
                     continue
             # Lines 34-35: no match here — skip the node, try its children
             # for the *same* symbol.
-            present.discard(node.index)
+            present.discard(node_key)
             del active[cursor]
             append_children(node.index)
 

@@ -6,11 +6,10 @@ newline), anything file-like (``write`` + optional ``flush``), or
 ``None`` — the default, which disables the log entirely so un-operated
 deployments pay a single attribute check per would-be event.
 
-The stack emits a small, stable vocabulary: ``member-up`` /
-``member-down`` / ``member-joined`` / ``member-removed`` and
-``epoch-published`` from the coordinator, ``member-down`` / ``member-up``
-from client connection pools, ``member-suspect`` / ``member-down`` /
-``member-refuted`` / ``member-removed`` from the gossip agent,
+The stack emits a small, stable vocabulary: ``member-down`` /
+``member-up`` from connection pools, ``member-joined`` /
+``member-suspect`` / ``member-down`` / ``member-refuted`` /
+``member-removed`` from the gossip agent,
 ``failover`` from :class:`ShardedClient`,
 ``window-requeued`` from the corpus scheduler, ``store-upgrade`` from
 the artifact store, and ``slow-request`` from servers run with

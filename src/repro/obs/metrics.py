@@ -431,7 +431,7 @@ def histogram_quantile(entry: Mapping[str, Any], q: float) -> float | None:
 def counter_value(snapshot: Mapping[str, Any], name: str,
                   **labels: str) -> float:
     """Sum of a snapshot's counters named *name* whose labels contain
-    *labels* (a convenience for tests, the CLI, and the coordinator)."""
+    *labels* (a convenience for tests and the CLI)."""
     total = 0.0
     for entry in snapshot.get("counters", []):
         if entry["name"] != name:

@@ -14,7 +14,7 @@ process serving traffic:
   NDJSON client (pipelining, streaming ``check-batch``, artifact
   transfer) used by tests, the benchmarks, and the CI smoke jobs.
 * :mod:`repro.server.placement` — the placement core shared by client,
-  server, and coordinator: :class:`ShardRing` (consistent hashing with
+  server, and gossip agent: :class:`ShardRing` (consistent hashing with
   virtual nodes and replica sets) and :class:`PlacementView` (the
   epoch-stamped view with a bounded fingerprint→owners memo and both
   wire reconciliation disciplines).
@@ -31,19 +31,20 @@ process serving traffic:
   replica picked by the read policy, deterministic failover,
   compile-at-most-once artifact hand-off and replica fan-out,
   epoch-driven placement refresh).
-* :mod:`repro.server.coordinator` — :class:`RingCoordinator`, the
-  control plane: ``health``-probe-driven live membership, epoch-stamped
-  ``ring-config`` publishing, and hot-artifact prefetch so a joining
-  shard takes its first request warm.
+* :mod:`repro.server.gossip` — :class:`~repro.server.gossip.GossipAgent`,
+  the ring's one control plane: every shard's agent probes its peers,
+  suspects, refutes and confirms failures and mints epochs, and a
+  joining shard's agent prefetches its hottest owned artifacts before
+  announcing itself, so its first request is warm.
 
 Start one from the shell with ``python -m repro serve`` (or a local
 ring of N shards with R replicas per schema via ``python -m repro
-serve --ring N --replicas R``); inspect a running ring with ``python
--m repro ring-status ADDR[,ADDR...]``.
+serve --ring N --replicas R``; another shard joins it with ``serve
+--gossip-seed ADDR --replicas R``); inspect a running ring with
+``python -m repro ring-status ADDR[,ADDR...]``.
 """
 
 from repro.server.client import ServerError, ValidationClient
-from repro.server.coordinator import RingCoordinator
 from repro.server.placement import PlacementView
 from repro.server.pool import ConnectionPool
 from repro.server.protocol import (
@@ -92,7 +93,6 @@ __all__ = [
     "ConnectionPool",
     "Router",
     "CorpusScheduler",
-    "RingCoordinator",
     "member_label",
     "parse_member",
     "READ_POLICIES",

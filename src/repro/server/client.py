@@ -23,13 +23,13 @@ Beyond one-request-per-round-trip calls, the client supports
   neither side's socket buffer can deadlock the exchange);
 * **artifact hand-off** — :meth:`ValidationClient.get_artifact` /
   :meth:`ValidationClient.put_artifact` move compiled schema artifacts
-  between servers by fingerprint, the primitive the sharding ring's
-  coordinator uses;
+  between servers by fingerprint, the primitive the routing client's
+  hand-off and a joining shard's prefetch use;
 * **membership ops** — :meth:`ValidationClient.health` (the liveness
-  probe, carrying the shard's ring view) and
-  :meth:`ValidationClient.ring_config` (publish an epoch-stamped view),
-  plus an optional ``epoch=`` on every routed op so stale placement is
-  answered ``wrong-epoch`` with the refresh.
+  probe, carrying the shard's ring view and gossip) and
+  :meth:`ValidationClient.probe` (the gossip relay), plus an optional
+  ``epoch=`` on every routed op so stale placement is answered
+  ``wrong-epoch`` with the refresh.
 
 The wire format behind all of this is specified in
 ``docs/PROTOCOL.md``.
@@ -218,7 +218,8 @@ class ValidationClient:
 
         *epoch*, when given, stamps the request with the ring epoch this
         client routed under; a shard holding a newer view answers with a
-        ``wrong-epoch`` error carrying the refresh (see ``ring-config``).
+        ``wrong-epoch`` error carrying the refresh (docs/PROTOCOL.md,
+        "Epochs").
         *trace*, when given, opts the request into tracing: the reply
         gains a ``trace`` object with the server's per-phase span.
         *coarse*, when true, asks the server to stamp the schema's
@@ -355,8 +356,8 @@ class ValidationClient:
 
         *gossip*, when given, piggybacks the caller's membership table
         on the probe (the shard merges it and answers with its own
-        under ``"gossip"``) — the anti-entropy exchange of
-        coordinator-less rings.
+        under ``"gossip"``) — the anti-entropy exchange of ring
+        membership.
         """
         return self.request(self._payload("health", gossip=gossip))
 
@@ -369,31 +370,6 @@ class ValidationClient:
         return self.request(
             self._payload("probe", target=target, gossip=gossip)
         )
-
-    def ring_config(
-        self,
-        epoch: int,
-        members: list[str],
-        replica_count: int = 1,
-        read_policy: str | None = None,
-    ) -> dict[str, Any]:
-        """Publish a ring view (epoch + member labels) to this shard.
-
-        The shard adopts the view only when *epoch* is at least as new as
-        the one it holds; an older push raises :class:`ServerError` with
-        code ``wrong-epoch`` carrying the shard's current view.
-        *read_policy*, when given, is advertised with the view so
-        routing clients without an explicit policy follow it.
-        """
-        payload: dict[str, Any] = {
-            "op": "ring-config",
-            "epoch": epoch,
-            "members": list(members),
-            "replica_count": replica_count,
-        }
-        if read_policy is not None:
-            payload["read_policy"] = read_policy
-        return self.request(payload)
 
     def get_artifact(self, fingerprint: str) -> bytes:
         """The server's compiled artifact for *fingerprint*, as the

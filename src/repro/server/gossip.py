@@ -1,6 +1,7 @@
-"""SWIM-style gossip membership: failure detection without a coordinator.
+"""SWIM-style gossip membership: the ring's one control plane.
 
-:class:`GossipAgent` is the per-server membership loop.  Each interval
+:class:`GossipAgent` is the per-server membership loop; a ring's
+membership and epochs come from its shards' agents alone.  Each interval
 it picks one random peer from its server's
 :class:`~repro.server.placement.PlacementView` and probes it with a
 ``health`` request carrying this view's full epoch-stamped gossip table
@@ -13,6 +14,14 @@ the ring.  A suspicion that survives *suspect_after* seconds unrefuted
 is confirmed **down** (the view mints a new epoch and the ring
 reshapes); a member down for *remove_after* seconds is purged from the
 table entirely.
+
+A shard joining through *seeds* prefetches before it announces itself:
+it reads a seed's view with a plain ``health`` (one carrying no gossip,
+so the seed learns nothing of the joiner yet), collects the live
+members' ``hot`` lists from ``stats``, and fetches with ``get-artifact``
+every listed fingerprint it will own under those members plus itself,
+hottest first.  Its first routed request for such a schema is then a
+registry hit, not a compile.  Unreachable peers are skipped.
 
 Refutation closes the false-positive loop: a live member that learns —
 via any merge — that the cluster thinks it is suspect or down
@@ -30,23 +39,27 @@ Instruments (all in ``MetricsRegistry``'s catalog):
 ``repro_gossip_suspects_total`` / ``repro_gossip_refutes_total`` /
 ``repro_gossip_down_total`` (lifecycle transitions this agent drove),
 and ``repro_view_epoch`` (the epoch this view currently holds).
-Events: ``member-suspect`` and ``member-refuted`` here, plus the pool's
-``member-down`` / ``member-up`` on quarantine transitions.
+Events: ``member-joined`` (with the count ``prefetched``),
+``member-suspect``, ``member-refuted``, ``member-down`` and
+``member-removed`` here, plus the pool's ``member-down`` /
+``member-up`` on quarantine transitions.
 """
 
 from __future__ import annotations
 
 import random
 import threading
+from collections import Counter
 from time import monotonic
-from typing import Any
+from typing import Any, Callable
 
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry, Stopwatch
-from repro.server.client import ServerError, ValidationClient
+from repro.server.client import ServerError
 from repro.server.placement import (
     Member,
     PlacementView,
+    ShardRing,
     member_label,
     parse_member,
 )
@@ -89,10 +102,15 @@ class GossipAgent:
         This server's member label (``host:port`` or unix path) — the
         identity defended by refutation and excluded from probing.
     seeds:
-        Addresses to contact while the table knows no other peer
-        (bootstrap/join); ignored once the view has live peers.
+        Addresses of a running ring to join: :meth:`start` reads a
+        seed's view and prefetches first, and the probe loop contacts
+        them while the table knows no other peer.
     connect:
         Connection factory for the probe pool, injectable for tests.
+    install:
+        ``(fingerprint, blob) -> disposition | None``: installs one
+        prefetched artifact blob (the server's ``put-artifact`` check;
+        ``None`` means rejected).  Without it a join prefetches nothing.
     """
 
     def __init__(
@@ -109,8 +127,10 @@ class GossipAgent:
         metrics: MetricsRegistry | None = None,
         events: EventLog | None = None,
         rng: random.Random | None = None,
+        install: Callable[[str, bytes], Any] | None = None,
     ) -> None:
         self._view = view
+        self._install = install
         self._self_label = self_label
         self._seeds = tuple(seeds)
         self.interval = interval
@@ -143,10 +163,20 @@ class GossipAgent:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
-        """Announce this member alive and start the probe loop."""
+        """Announce this member alive and start the probe loop.
+
+        A seeded agent joins a running ring: it adopts a seed's view and
+        prefetches (:meth:`_join`) before it announces.  That blocks on
+        the network, so call this off the event loop.
+        """
         if self._thread is not None:
             return
+        prefetched = self._join() if self._seeds else None
         self._view.note_alive(self._self_label)
+        if prefetched is not None:
+            self._events.emit(
+                "member-joined", member=self._self_label, prefetched=prefetched
+            )
         self._g_epoch.set(float(self._view.epoch or 0))
         self._stop.clear()
         self._thread = threading.Thread(
@@ -168,6 +198,82 @@ class GossipAgent:
                 self.step()
             except Exception:  # pragma: no cover - the loop must survive
                 pass
+
+    # -- joining -------------------------------------------------------------
+
+    def _join(self) -> int:
+        """Adopt a seed's view, then prefetch; returns artifacts installed.
+
+        The seed is read with a plain ``health``: no gossip rides on it,
+        so this member is not announced until :meth:`start` does so.
+        """
+        members: list[str] = []
+        for seed in self._seeds:
+            label = member_label(seed)
+            if label == self._self_label:
+                continue
+            try:
+                reply = self._request(label, lambda client: client.health())
+            except (OSError, ProtocolError, ServerError):
+                continue
+            self.merge_wire(reply.get("gossip"))
+            members = [
+                m for m in reply.get("members") or []
+                if isinstance(m, str) and m and m != self._self_label
+            ]
+            if members:
+                break
+        if not members or self._install is None:
+            return 0
+        return self._prefetch(members)
+
+    def _prefetch(self, members: list[str]) -> int:
+        """Install, hottest first, every fingerprint on the *members*'
+        ``hot`` lists that this member will own once it joins them."""
+        counts: Counter[str] = Counter()
+        holders: dict[str, list[str]] = {}
+        for label in members:
+            try:
+                stats = self._request(label, lambda client: client.stats())
+            except (OSError, ProtocolError, ServerError):
+                continue
+            for entry in stats.get("hot") or []:
+                if (
+                    isinstance(entry, list)
+                    and len(entry) == 2
+                    and isinstance(entry[0], str)
+                    and isinstance(entry[1], int)
+                ):
+                    counts[entry[0]] += entry[1]
+                    holders.setdefault(entry[0], []).append(label)
+        if not counts:
+            return 0
+        try:
+            future = ShardRing(
+                [parse_member(label) for label in (*members, self._self_label)],
+                vnodes=self._view.vnodes,
+                replica_count=self._view.replica_count,
+            )
+        except ValueError:  # a member label that does not parse
+            return 0
+        installed = 0
+        assert self._install is not None
+        for fingerprint, _count in counts.most_common():
+            owners = {member_label(m) for m in future.owners(fingerprint)}
+            if self._self_label not in owners:
+                continue
+            for source in holders[fingerprint]:
+                try:
+                    blob = self._request(
+                        source,
+                        lambda client: client.get_artifact(fingerprint),
+                    )
+                except (OSError, ProtocolError, ServerError):
+                    continue
+                if self._install(fingerprint, blob) is not None:
+                    installed += 1
+                break
+        return installed
 
     # -- wire payloads -------------------------------------------------------
 

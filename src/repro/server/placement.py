@@ -16,19 +16,19 @@ is the single home for both:
     win, older ones are ignored — how a routing client converges after a
     ``wrong-epoch`` reply or a newer reply stamp;
   - the *server* discipline (:meth:`PlacementView.publish` /
-    :meth:`PlacementView.check_request_epoch`): a push that does not
-    supersede the held view raises ``wrong-epoch`` carrying the current
-    view, and so does a request routed under an older epoch;
+    :meth:`PlacementView.check_request_epoch`): an installed view that
+    does not supersede the held one raises ``wrong-epoch`` carrying the
+    current view, and so does a request routed under an older epoch;
   - the *gossip* discipline (:meth:`PlacementView.merge_delta` /
     :meth:`PlacementView.gossip_delta` and the local transitions
     :meth:`PlacementView.suspect` / :meth:`PlacementView.confirm_down` /
     :meth:`PlacementView.note_alive`): a SWIM-style membership table
     (status + incarnation per member, suspect → down → removed
     lifecycle, refutation by incarnation bump) whose merges commute, so
-    coordinator-less rings converge to one view with no publisher.
+    a ring's shards converge to one view with no publisher.
 
 :class:`~repro.server.ring.ShardedClient`,
-:class:`~repro.server.coordinator.RingCoordinator`, and
+:class:`~repro.server.gossip.GossipAgent`, and
 :class:`~repro.server.server.ValidationServer` all consume this module
 instead of keeping their own copies of view/epoch handling.
 
@@ -239,7 +239,7 @@ class ShardRing:
 
         The first entry is the owner; the rest are the distinct members
         encountered walking the ring clockwise from the key's point —
-        the order a coordinator tries when shards are unreachable, and
+        the order a client tries when shards are unreachable, and
         the order that keeps failover placement as stable as primary
         placement under membership change.
         """
@@ -502,15 +502,14 @@ class PlacementView:
         replica_count: int = 1,
         read_policy: str | None = None,
     ) -> None:
-        """Adopt a pushed view under the server discipline.
+        """Install a whole view under the server discipline (the local
+        ring's start-up path, :meth:`ValidationServer.set_ring_view`).
 
         Raises :class:`~repro.server.protocol.ProtocolError` with code
         ``wrong-epoch`` when *epoch* is older than the view already
-        held, **or** equal to it with different contents — two
-        publishers that raced to the same epoch with different
-        membership must not silently diverge; the rejected one adopts a
-        higher epoch and republishes, so the ring converges on one
-        view.  Re-pushing the identical view is idempotent.
+        held, **or** equal to it with different contents — one epoch
+        must never name two views.  Installing the identical view again
+        is idempotent.
         """
         with self._lock:
             proposed = (epoch, list(members), replica_count, read_policy)
@@ -526,7 +525,7 @@ class PlacementView:
                 ):
                     raise ProtocolError(
                         "wrong-epoch",
-                        f"ring-config epoch {epoch} does not supersede "
+                        f"ring view epoch {epoch} does not supersede "
                         "the current view",
                         details=self._details_locked(),
                     )
@@ -562,7 +561,7 @@ class PlacementView:
 
     # -- gossip membership ----------------------------------------------------
     #
-    # The SWIM-ish membership table underlying coordinator-less rings.
+    # The SWIM-ish membership table every ring shard's gossip agent keeps.
     # Each member is (status, incarnation); entries merge under
     # :func:`_supersedes` (higher incarnation wins, then later
     # lifecycle status), so concurrent deltas applied in any order
@@ -615,9 +614,9 @@ class PlacementView:
 
     def gossip_delta(self) -> dict[str, Any]:
         """The full table as a wire gossip payload (piggybacked on
-        ``health``/``probe`` traffic).  Full-state gossip: at ring sizes
-        where a coordinator was ever plausible, the whole table is a few
-        hundred bytes and true anti-entropy beats delta bookkeeping."""
+        ``health``/``probe`` traffic).  Full-state gossip: at the ring
+        sizes this serves, the whole table is a few hundred bytes and
+        true anti-entropy beats delta bookkeeping."""
         with self._lock:
             return {
                 "epoch": self._epoch,

@@ -6,7 +6,7 @@ one lock per member (a blocking NDJSON connection serves one request at
 a time), and the up/down marks that routing consults.  Both the data
 plane (:class:`~repro.server.ring.ShardedClient` and its
 :class:`~repro.server.scheduler.CorpusScheduler`) and the control plane
-(:class:`~repro.server.coordinator.RingCoordinator`) lease connections
+(each shard's :class:`~repro.server.gossip.GossipAgent`) lease connections
 from it, so reconnect/mark-down behavior is defined exactly once.
 
 The pool also remembers every address it has ever been told about,

@@ -6,8 +6,7 @@ Request object::
 
     {"op": "check" | "classify" | "validate" | "stats"
            | "check-batch" | "put-artifact" | "get-artifact"
-           | "get-coarse" | "health" | "ring-config" | "metrics"
-           | "probe",
+           | "get-coarse" | "health" | "metrics" | "probe",
      "dtd": "<!ELEMENT ...>",        # required for schema-carrying ops
      "doc": "<r>...</r>",            # required for "check"/"validate"
      "algorithm": "machine" | "kernel" | "figure5" | "earley"
@@ -19,9 +18,6 @@ Request object::
                                      # summary into the check reply
      "count": 12,                    # optional item count for "check-batch"
      "epoch": 3,                     # optional ring epoch (see below)
-     "members": ["host:port", ...],  # required for "ring-config"
-     "replica_count": 2,             # optional for "ring-config"
-     "read_policy": "round-robin",   # optional for "ring-config"
      "gossip": {"epoch": 3,          # optional piggybacked membership
                 "members": [{"member": "host:port", "status": "alive",
                              "incarnation": 0}, ...]},
@@ -62,9 +58,10 @@ Artifact hand-off ops
 ``get-artifact`` returns a compiled schema artifact held by this server —
 the :mod:`repro.service.store` file format (versioned header + pickle),
 base64-encoded — and ``put-artifact`` seeds one into the registry (and
-the disk store, when attached).  Together they let a ring coordinator
+the disk store, when attached).  Together they let a routing client
 move artifacts between shards by fingerprint so each schema is compiled
-at most once ring-wide.
+at most once ring-wide, and a joining shard prefetch its hottest owned
+artifacts.
 
 ``get-coarse`` is the lightweight sibling: it returns only the
 few-hundred-byte coarse summary
@@ -78,27 +75,24 @@ first-miss path that saves the extra round trip.
 Membership ops and epochs
 -------------------------
 ``health`` is the liveness probe: it carries no payload and answers with
-the server's status, uptime, and — when a ring view has been published
-to it — the current ring ``epoch``, ``members``, and ``replica_count``.
-``ring-config`` publishes a ring view to a shard: a monotonically
-increasing ``epoch``, the member labels of the ring, the replica
-count, and optionally a ``read_policy`` the ring advertises to routing
-clients (one of :data:`READ_POLICIES`; clients with no explicit policy
-follow it).  A shard holding a view stamps ``"epoch"`` into every success
-reply; a request carrying an ``epoch`` **older** than the shard's view
-is answered with error code ``wrong-epoch`` whose error object carries
-the shard's current ``epoch``, ``members``, and ``replica_count`` — the
+the server's status, uptime, and — when the server belongs to a ring —
+the current ring ``epoch``, ``members``, ``replica_count`` and the
+``read_policy`` the ring advertises to routing clients (one of
+:data:`READ_POLICIES`; clients with no explicit policy follow it).  A
+shard holding a view stamps ``"epoch"`` into every success reply; a
+request carrying an ``epoch`` **older** than the shard's view is
+answered with error code ``wrong-epoch`` whose error object carries the
+shard's current ``epoch``, ``members``, and ``replica_count`` — the
 full refresh a client needs to re-resolve placement without restarting.
-A ``ring-config`` older than the view already held is rejected the same
-way, so two racing membership changes converge on the newest epoch.
 
 Gossip membership
 -----------------
-Servers running with gossip enabled maintain the SWIM-style membership
-table of :class:`~repro.server.placement.PlacementView` and exchange it
-as ``"gossip"`` payloads: a ``health`` request may carry one (the
-server merges it) and the ``health`` reply carries the server's own
-table back; the ``probe`` op asks a shard to reach ``target``'s
+Ring shards run a gossip agent, the ring's only control plane: it keeps
+the SWIM-style membership table of
+:class:`~repro.server.placement.PlacementView` and exchanges it as
+``"gossip"`` payloads: a ``health`` request may carry one (the server
+merges it) and the ``health`` reply carries the server's own table
+back; the ``probe`` op asks a shard to reach ``target``'s
 ``health`` on the asker's behalf (the SWIM indirect probe) and answers
 ``{"ok": true, "op": "probe", "target": ..., "reachable": true|false}``
 plus the prober's gossip.  Success replies additionally stamp a
@@ -182,7 +176,6 @@ OPS = (
     "get-artifact",
     "get-coarse",
     "health",
-    "ring-config",
     "metrics",
     "probe",
 )
@@ -214,8 +207,8 @@ SCHEMA_OPS = ("check", "classify", "validate", "check-batch")
 #: Accepted ``algorithm`` values; ``auto`` routes through the dispatcher.
 ALGORITHMS = ("machine", "kernel", "figure5", "earley", "auto")
 
-#: Read policies a ring may advertise (``ring-config``) and a routing
-#: client may apply: ``primary-first`` serves every read from a
+#: Read policies a ring may advertise (``serve --read-policy``) and a
+#: routing client may apply: ``primary-first`` serves every read from a
 #: fingerprint's primary replica (the compatibility default),
 #: ``round-robin`` rotates reads across the live replica set, and
 #: ``least-inflight`` picks the live replica with the fewest requests
@@ -258,9 +251,6 @@ class Request:
     coarse: bool | None = None
     count: int | None = None
     epoch: int | None = None
-    members: list[str] | None = None
-    replica_count: int | None = None
-    read_policy: str | None = None
     gossip: dict[str, Any] | None = None
     target: str | None = None
     trace: str | None = None
@@ -316,31 +306,6 @@ def decode_request(line: str | bytes) -> Request:
     if epoch is not None and (isinstance(epoch, bool) or not isinstance(epoch, int)
                               or epoch < 0):
         raise ProtocolError("bad-request", "'epoch' must be a non-negative integer")
-    members = payload.get("members")
-    if members is not None and (
-        not isinstance(members, list)
-        or not members
-        or not all(isinstance(m, str) and m for m in members)
-    ):
-        raise ProtocolError(
-            "bad-request", "'members' must be a non-empty list of member labels"
-        )
-    replica_count = payload.get("replica_count")
-    if replica_count is not None and (
-        isinstance(replica_count, bool)
-        or not isinstance(replica_count, int)
-        or replica_count < 1
-    ):
-        raise ProtocolError(
-            "bad-request", "'replica_count' must be a positive integer"
-        )
-    read_policy = payload.get("read_policy")
-    if read_policy is not None and read_policy not in READ_POLICIES:
-        raise ProtocolError(
-            "bad-request",
-            "'read_policy' must be one of "
-            f"{', '.join(READ_POLICIES)} (got {read_policy!r})",
-        )
     gossip = payload.get("gossip")
     if gossip is not None and not isinstance(gossip, dict):
         raise ProtocolError("bad-request", "'gossip' must be an object")
@@ -358,9 +323,6 @@ def decode_request(line: str | bytes) -> Request:
         coarse=coarse,
         count=count,
         epoch=epoch,
-        members=members,
-        replica_count=replica_count,
-        read_policy=read_policy,
         gossip=gossip,
         target=payload.get("target"),
         trace=trace,
@@ -377,10 +339,6 @@ def decode_request(line: str | bytes) -> Request:
         raise ProtocolError("bad-request", f"op {op!r} requires 'fingerprint'")
     if request.op == "put-artifact" and request.artifact is None:
         raise ProtocolError("bad-request", "op 'put-artifact' requires 'artifact'")
-    if request.op == "ring-config" and (request.epoch is None or members is None):
-        raise ProtocolError(
-            "bad-request", "op 'ring-config' requires 'epoch' and 'members'"
-        )
     if request.op == "probe" and not request.target:
         raise ProtocolError("bad-request", "op 'probe' requires 'target'")
     return request

@@ -11,7 +11,7 @@ schema.  It composes the focused layers of the ring stack:
   hashing with virtual nodes and replica sets) and
   :class:`~repro.server.placement.PlacementView` (the epoch-stamped
   single source of truth for membership and ownership, shared with the
-  server and the coordinator).  Re-exported here for compatibility.
+  server and its gossip agent).  Re-exported here for compatibility.
 * :mod:`repro.server.pool` — :class:`~repro.server.pool.ConnectionPool`
   (pooled blocking connections with liveness marks).
 * :mod:`repro.server.router` — :class:`~repro.server.router.Router`
@@ -21,7 +21,7 @@ schema.  It composes the focused layers of the ring stack:
   :class:`~repro.server.scheduler.CorpusScheduler` (replica-aware
   corpus spreading with straggler hand-off).
 
-:class:`ShardedClient` is the blocking coordinator over those layers.
+:class:`ShardedClient` is the blocking client composed of those layers.
 It fingerprints each request's DTD locally (memoized), routes ``check``
 / ``classify`` / ``validate`` / ``check-batch`` to a live replica of
 the owning set picked by the read policy, and fails over
@@ -34,13 +34,13 @@ a schema the artifact is fanned out to the rest of its replica set, so
 each schema is compiled **at most once ring-wide** and killing any
 single replica loses neither checks nor compiled work.
 
-Live membership: replies from shards holding a published ring view are
-stamped with the view's **epoch**; a request routed under a stale epoch
-is answered ``wrong-epoch`` together with the current member list, and
-the client adopts the new view — which also invalidates every cached
-placement decision — and re-resolves, no restart.
-:class:`repro.server.coordinator.RingCoordinator` is the piece that
-probes shard health and publishes those views.
+Live membership: replies from ring shards are stamped with the view's
+**epoch**; a request routed under a stale epoch is answered
+``wrong-epoch`` together with the current member list, and the client
+adopts the new view — which also invalidates every cached placement
+decision — and re-resolves, no restart.  The shards' own gossip agents
+(:class:`repro.server.gossip.GossipAgent`) detect failures and joins
+and mint those epochs.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ __all__ = [
 #: the client can re-resolve.
 _MAX_EPOCH_REFRESHES = 4
 
-#: Bound on the coordinator's (dtd text, root) -> fingerprint memo.
+#: Bound on the client's (dtd text, root) -> fingerprint memo.
 _FINGERPRINT_MEMO_SIZE = 1024
 
 #: Bound on the per-fingerprint coarse-summary cache (each entry is a
@@ -125,7 +125,7 @@ class ShardedClient:
         How reads pick among a fingerprint's live replicas — one of
         :data:`~repro.server.protocol.READ_POLICIES`.  ``None`` (the
         default) follows the policy the ring advertises in its
-        published view, falling back to ``primary-first``.
+        view, falling back to ``primary-first``.
     vnodes:
         Virtual nodes per member for the ring.
     timeout:

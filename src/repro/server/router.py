@@ -30,8 +30,8 @@ the full preference list — an error beats silently giving up, and a
 shard may have come back.
 
 A router constructed with ``policy=None`` follows the policy the ring
-advertises in its published view (``ring-config``'s ``read_policy``
-field), falling back to ``primary-first`` when none is advertised; an
+advertises in its view (the ``read_policy`` its shards were started
+with, ``serve --read-policy``), falling back to ``primary-first`` when none is advertised; an
 explicit policy always wins over the advertised one.
 """
 

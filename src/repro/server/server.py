@@ -32,7 +32,18 @@ the batch last looked, and answers the run with one write:
 
 Shutdown is graceful by default: :meth:`ValidationServer.stop` closes the
 listeners, lets every in-flight request finish and its response flush,
-then tears down connections and the pool.
+then tears down connections and the pool.  A batch run still off-loop
+when the drain times out is abandoned between documents.
+
+Ring membership
+---------------
+A standalone server holds no ring view and stamps no epoch.  A ring
+shard runs a :class:`~repro.server.gossip.GossipAgent`
+(:meth:`ValidationServer.join_ring`), the only source of its
+membership and epochs; the agent of a shard joining through seeds
+prefetches the hottest artifacts it will own before announcing itself.
+A local ring (``serve --ring N``) installs its full view in process
+with :meth:`ValidationServer.set_ring_view` before the agents start.
 
 :class:`ServerThread` runs a server on a dedicated event-loop thread —
 the form the test suite, the benchmark, and embedders use.
@@ -52,7 +63,7 @@ import threading
 from collections import Counter, OrderedDict
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from time import monotonic
-from typing import Any
+from typing import Any, Iterable
 
 from repro.config import CheckerConfig, DEFAULT_CONFIG
 from repro.core.classify import classify_dtd
@@ -91,7 +102,6 @@ HANDLED_OPS = (
     "get-artifact",
     "get-coarse",
     "health",
-    "ring-config",
     "metrics",
     "probe",
 )
@@ -353,14 +363,15 @@ class ValidationServer:
     specified in full in ``docs/PROTOCOL.md``): the verdict ops
     ``check`` / ``classify`` / ``validate``, the streaming
     ``check-batch``, ``stats`` (including the ``hot`` most-requested
-    fingerprint list that feeds a ring coordinator's join-prefetch),
-    the artifact hand-off pair ``put-artifact`` / ``get-artifact`` (and
-    the lightweight ``get-coarse`` coarse-summary fetch), the
-    ``health`` liveness probe, and ``ring-config``.  When a ring view
-    has been published (:meth:`set_ring_view` or the ``ring-config``
-    op), every success reply is stamped with the view's epoch and a
-    request routed under an older epoch is answered ``wrong-epoch``
-    together with the current membership.
+    fingerprint list a joining shard's prefetch reads), the artifact
+    hand-off pair ``put-artifact`` / ``get-artifact`` (and the
+    lightweight ``get-coarse`` coarse-summary fetch), the ``health``
+    liveness probe, ``metrics`` and the gossip relay ``probe``.  Once
+    the server holds a ring view (its gossip agent's, see
+    :meth:`join_ring`, or one installed with :meth:`set_ring_view`),
+    every success reply is stamped with the view's epoch and a request
+    routed under an older epoch is answered ``wrong-epoch`` together
+    with the current membership.
 
     Parameters
     ----------
@@ -384,6 +395,14 @@ class ValidationServer:
         from the cache without parsing, the reply stamped ``"cached":
         true``; hits, misses and evictions feed
         ``repro_verdict_cache_total``.
+    replica_count, read_policy:
+        The replica-set size and the read policy this server advertises
+        with its ring view (``serve --replicas`` / ``--read-policy``);
+        every shard of a ring takes the same values.  A standalone
+        server holds no view and advertises nothing.
+    gossip_interval:
+        Seconds between the gossip agent's probe rounds, once the
+        server joins a ring.
     """
 
     def __init__(
@@ -397,10 +416,10 @@ class ValidationServer:
         events: EventLog | None = None,
         slow_ms: float | None = None,
         hot_limit: int = HOT_FINGERPRINTS,
-        gossip: bool = False,
         gossip_interval: float = DEFAULT_PROBE_INTERVAL,
-        gossip_seeds: tuple[Member | str, ...] = (),
         verdict_cache: int = 0,
+        replica_count: int = 1,
+        read_policy: str | None = None,
     ) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0")
@@ -414,6 +433,8 @@ class ValidationServer:
             raise ValueError("hot_limit must be >= 1")
         if slow_ms is not None and slow_ms < 0:
             raise ValueError("slow_ms must be >= 0")
+        if read_policy is not None and read_policy not in protocol.READ_POLICIES:
+            raise ValueError(f"unknown read policy {read_policy!r}")
         if registry is None:
             registry = SchemaRegistry(store=store)
         elif store is not None and registry.store is None:
@@ -500,21 +521,20 @@ class ValidationServer:
         # Per-fingerprint request counts: the "hot" list a joining shard's
         # prefetch is computed from.
         self._hot_counts: Counter[str] = Counter()
-        # The published ring view — the shared placement core with the
-        # server-side (strict) reconciliation discipline.  Epoch is None
-        # until a coordinator (or the CLI's local-ring mode) pushes a
-        # view; only superseding views replace it.
-        self._placement = PlacementView()
-        # Decentralized membership: when enabled, a GossipAgent (started
-        # with the server, once its own address is known) probes peers
-        # and mutates this very placement view — no coordinator needed.
-        self._gossip_enabled = bool(gossip)
-        self._gossip_interval = gossip_interval
-        self._gossip_seeds = tuple(
-            parse_member(seed) if isinstance(seed, str) else seed
-            for seed in gossip_seeds
+        # The ring view — the shared placement core.  Its epoch is None
+        # until the gossip agent announces this server (or the local
+        # ring installs a view); the replica count and read policy it
+        # advertises are this server's own, set once here.
+        self._placement = PlacementView(
+            replica_count=replica_count, read_policy=read_policy
         )
+        # Ring membership: the GossipAgent that join_ring() starts
+        # probes peers and mutates this very placement view.
+        self._gossip_interval = gossip_interval
         self._gossip: GossipAgent | None = None
+        # Set when stop()'s drain times out: an off-loop run still being
+        # checked stops at its next document.
+        self._abandoned = False
 
     # -- endpoints -----------------------------------------------------------
 
@@ -537,6 +557,7 @@ class ValidationServer:
         if host is None and unix_path is None:
             raise ValueError("need a TCP host/port or a unix socket path")
         self._closing = asyncio.Event()
+        self._abandoned = False
         self._started_at = monotonic()
         if self.workers > 0 and self._pool is None:
             self._pool = self._make_pool()
@@ -559,18 +580,41 @@ class ValidationServer:
             )
             self._unix_path = unix_path
             self._servers.append(server)
-        if self._gossip_enabled and self._gossip is None:
-            label = self._member_label()
-            if label is not None:
-                self._gossip = GossipAgent(
-                    self._placement,
-                    label,
-                    seeds=self._gossip_seeds,
-                    interval=self._gossip_interval,
-                    metrics=self.metrics,
-                    events=self.events,
-                )
-                self._gossip.start()
+
+    async def join_ring(self, seeds: Iterable[Member | str] = ()) -> None:
+        """Run this server's gossip agent: it is a ring member from now on.
+
+        Call after :meth:`start` (the agent's identity is the bound
+        address).  With *seeds* this is a join: off the event loop, the
+        agent reads a seed's view, prefetches the hottest artifacts it
+        will own and only then announces itself
+        (:meth:`GossipAgent.start`).  Without seeds the agent announces
+        into the view already held, the one a local ring installs with
+        :meth:`set_ring_view`.
+        """
+        if self._gossip is not None:
+            return
+        label = self._member_label()
+        if label is None:
+            raise RuntimeError("join_ring() needs a bound server; start() first")
+        agent = GossipAgent(
+            self._placement,
+            label,
+            seeds=tuple(
+                parse_member(seed) if isinstance(seed, str) else seed
+                for seed in seeds
+            ),
+            interval=self._gossip_interval,
+            metrics=self.metrics,
+            events=self.events,
+            install=self._install_artifact,
+        )
+        await asyncio.to_thread(agent.start)
+        if self._gossip is not None or self._closing is None or self._closing.is_set():
+            # Stopped, or joined by a racing call, while this one joined.
+            await asyncio.to_thread(agent.stop)
+            return
+        self._gossip = agent
 
     async def serve_forever(self) -> None:
         """Block until :meth:`stop` (or cancellation) ends the server."""
@@ -591,7 +635,12 @@ class ValidationServer:
         if self._closing is not None:
             self._closing.set()
         if self._conn_tasks:
-            await asyncio.wait(list(self._conn_tasks), timeout=drain_timeout)
+            _done, pending = await asyncio.wait(
+                list(self._conn_tasks), timeout=drain_timeout
+            )
+            # The drain gave up: a run still checking off-loop would
+            # otherwise finish every document for a cancelled batch.
+            self._abandoned = bool(pending)
         for task in list(self._conn_tasks):
             task.cancel()
         if self._pool is not None:
@@ -627,16 +676,16 @@ class ValidationServer:
         replica_count: int = 1,
         read_policy: str | None = None,
     ) -> None:
-        """Adopt a ring view (epoch-guarded; older epochs are rejected).
+        """Install a ring view in process (older epochs are rejected).
 
-        The wire path is the ``ring-config`` op; embedders (the CLI's
-        local-ring mode, tests) call this directly.  Delegates the
-        reconciliation discipline to
+        The local ring (``serve --ring N``) installs its full view this
+        way before its gossip agents start; tests do too.  It starts no
+        agent.  Delegates to
         :meth:`~repro.server.placement.PlacementView.publish`: raises
         :class:`~repro.server.protocol.ProtocolError` with code
         ``wrong-epoch`` when *epoch* does not supersede the view already
-        held (older, or equal with different contents); re-pushing the
-        identical view is idempotent.
+        held (older, or equal with different contents); installing the
+        identical view again is idempotent.
         """
         self._placement.publish(
             epoch, members, replica_count=replica_count,
@@ -873,8 +922,6 @@ class ValidationServer:
             return self._op_health(request)
         if request.op == "metrics":
             return self._op_metrics()
-        if request.op == "ring-config":
-            return self._op_ring_config(request)
         if request.op == "probe":
             # Before the epoch gate: failure detection must keep working
             # while views disagree.
@@ -1028,10 +1075,14 @@ class ValidationServer:
         """The off-loop step: :meth:`_check` per document, in order.
 
         An unexpected failure stays in its document's place, so the rest
-        of a batch run is still answered.
+        of a batch run is still answered.  Once :meth:`stop` has
+        abandoned the run (its batch is cancelled, nobody reads the
+        results) it stops at the next document.
         """
         results: list[TextVerdict | Exception] = []
         for doc_text in docs:
+            if self._abandoned:
+                break
             try:
                 results.append(self._check(dispatcher, doc_text, algorithm))
             except Exception as error:  # noqa: BLE001 - a reply beats a lost run
@@ -1347,19 +1398,40 @@ class ValidationServer:
 
     # -- artifact hand-off ops -----------------------------------------------
 
+    def _install_artifact(self, fingerprint: str, blob: bytes) -> str | None:
+        """Seed one artifact blob; where it went, or ``None`` if rejected.
+
+        The blob is the :mod:`repro.service.store` file format (header +
+        pickle); decoding verifies magic, version, and the embedded
+        fingerprint against *fingerprint*, so a corrupt or mislabeled
+        blob is never a poisoned registry entry.  Shared by
+        ``put-artifact`` and the gossip agent's join prefetch; runs off
+        the event loop in both.
+        """
+        schema = decode_artifact(blob, fingerprint)
+        if schema is None:
+            return None
+        self.registry.put(schema)
+        if self.store is not None:
+            try:
+                self.store.save(schema)
+                return "registry+store"
+            except OSError:
+                pass  # an unwritable store degrades to memory-only seeding
+        return "registry"
+
     async def _op_put_artifact(
         self, request: Request, timings: dict[str, Any]
     ) -> dict[str, Any]:
-        """Seed a compiled artifact shipped by a ring coordinator.
+        """Seed a compiled artifact shipped by a peer's hand-off.
 
-        The payload is the :mod:`repro.service.store` file format (header +
-        pickle), base64-encoded; decoding verifies magic, version, and the
-        embedded fingerprint against the requested one, so a corrupt or
-        mislabeled blob is a structured ``bad-artifact`` error, never a
-        poisoned registry entry.  Unpickling, like the rest of the wire
-        protocol, assumes a trusted network — see the protocol module's
-        trust-model note.  Decode and disk write run off-loop: a
-        multi-megabyte artifact must not stall other connections.
+        The payload is a base64-encoded artifact blob, installed by
+        :meth:`_install_artifact`: a blob failing decoding or fingerprint
+        verification is a structured ``bad-artifact`` error.  Unpickling,
+        like the rest of the wire protocol, assumes a trusted network —
+        see the protocol module's trust-model note.  Decode and disk
+        write run off-loop: a multi-megabyte artifact must not stall
+        other connections.
         """
         assert request.fingerprint is not None and request.artifact is not None
         fingerprint = request.fingerprint
@@ -1370,17 +1442,7 @@ class ValidationServer:
                 blob = base64.b64decode(artifact.encode("ascii"), validate=True)
             except (binascii.Error, UnicodeEncodeError, ValueError):
                 return None
-            schema = decode_artifact(blob, fingerprint)
-            if schema is None:
-                return None
-            self.registry.put(schema)
-            if self.store is not None:
-                try:
-                    self.store.save(schema)
-                    return "registry+store"
-                except OSError:
-                    pass  # an unwritable store degrades to memory-only seeding
-            return "registry"
+            return self._install_artifact(fingerprint, blob)
 
         artifact_watch = Stopwatch()
         stored = await asyncio.to_thread(decode_and_store)
@@ -1400,7 +1462,7 @@ class ValidationServer:
     async def _op_get_artifact(
         self, request: Request, timings: dict[str, Any]
     ) -> dict[str, Any]:
-        """Hand the compiled artifact for a fingerprint to a coordinator.
+        """Hand the compiled artifact for a fingerprint to a peer.
 
         Pickling (and a possible disk load) runs off-loop, like every
         other heavy path in this server.
@@ -1542,12 +1604,12 @@ class ValidationServer:
     def _op_health(self, request: Request | None = None) -> dict[str, Any]:
         """The liveness probe: cheap, payload-free, always answerable.
 
-        Carries the ring view so a client (or coordinator) that learns of
-        a newer epoch from a reply stamp can fetch the full membership
-        with one round trip.  With gossip enabled it is also the gossip
-        exchange: any membership table the request piggybacks is merged
-        first, and the reply carries this view's own — one round trip
-        synchronizes both sides.
+        Carries the ring view so a client that learns of a newer epoch
+        from a reply stamp can fetch the full membership with one round
+        trip.  On a ring shard it is also the gossip exchange: any
+        membership table the request piggybacks is merged first, and the
+        reply carries this view's own — one round trip synchronizes both
+        sides.  A server running no agent merges nothing.
         """
         if (
             self._gossip is not None
@@ -1631,17 +1693,6 @@ class ValidationServer:
             "inflight": self._inflight,
             "queue_depth": max(0, self._inflight - capacity),
         }
-
-    def _op_ring_config(self, request: Request) -> dict[str, Any]:
-        """Adopt a published ring view (the coordinator's push path)."""
-        assert request.epoch is not None and request.members is not None
-        self.set_ring_view(
-            request.epoch,
-            request.members,
-            request.replica_count or 1,
-            read_policy=request.read_policy,
-        )
-        return {"ok": True, "op": "ring-config", "epoch": request.epoch}
 
     def _op_stats(self) -> dict[str, Any]:
         dispatch = dict(self._dispatch_counts)
@@ -1772,6 +1823,14 @@ class ServerThread:
         self._ready.set()
         await self._stop_event.wait()
         await self.server.stop()
+
+    def join_ring(self, seeds: Iterable[Member | str] = ()) -> "ServerThread":
+        """Run :meth:`ValidationServer.join_ring` on the server's loop."""
+        assert self._loop is not None, "start() first"
+        asyncio.run_coroutine_threadsafe(
+            self.server.join_ring(seeds), self._loop
+        ).result()
+        return self
 
     def stop(self) -> None:
         """Request a graceful stop and wait for the thread to finish."""

@@ -491,8 +491,7 @@ class TestRingStatusCli:
                 4, [h.unix_path for h in handles], 2
             )
         try:
-            # One seed address; the full member list comes from its view
-            # (no coordinator is running anywhere in this test).
+            # One seed address; the full member list comes from its view.
             status = main(
                 ["ring-status", "--discover", handles[0].unix_path]
             )
@@ -527,6 +526,13 @@ class TestServeReplicasCli:
     def test_replicas_must_fit_the_ring(self):
         assert main(["serve", "--ring", "2", "--replicas", "3"]) == 2
         assert main(["serve", "--ring", "2", "--replicas", "0"]) == 2
+        # A standalone server belongs to no ring; a local ring keeps its
+        # bound even when it joins another one.
+        assert main(["serve", "--replicas", "2"]) == 2
+        assert main(
+            ["serve", "--ring", "2", "--replicas", "3",
+             "--gossip-seed", "seed.sock"]
+        ) == 2
 
     def test_batch_replicas_must_be_positive(self, schema, doc_s_file):
         assert main(

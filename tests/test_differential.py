@@ -21,6 +21,7 @@ import pytest
 from repro.baselines.earley_pv import EarleyDocumentChecker
 from repro.core.pv import PVChecker
 from repro.dtd import catalog
+from repro.dtd.random_gen import RandomDTDConfig, random_dtd
 from repro.workloads.corrupt import corrupt_inject, corrupt_rename, corrupt_swap
 from repro.workloads.degrade import degrade
 from repro.workloads.docgen import DocumentGenerator
@@ -34,6 +35,18 @@ DTD_NAMES = (
     "tei-lite",
     "docbook-article",
     "with-any",
+)
+
+#: Seeded random DTDs for the figure5 differential: the catalog alone
+#: never exercised an occupied and a fresh node at one position.
+RANDOM_DTD_CONFIGS = tuple(
+    RandomDTDConfig(
+        elements=8 + i % 9,
+        seed=i,
+        recursion=("none", "weak", "strong")[i % 3],
+        name_prefix=f"t{i}x",
+    )
+    for i in range(60)
 )
 
 
@@ -77,11 +90,16 @@ def test_per_node_agrees_with_whole_document_earley(name):
         assert node_wise == document_wise, (name, index)
 
 
-@pytest.mark.parametrize("name", DTD_NAMES)
+@pytest.mark.parametrize(
+    "name",
+    DTD_NAMES + RANDOM_DTD_CONFIGS,
+    ids=lambda name: name if isinstance(name, str) else f"random-{name.seed}",
+)
 def test_figure5_refined_agrees_on_workloads(name):
     """The refined Figure-5 recognizer matches the exact machine on all
-    generated workloads.  (Verbatim mode has pinned divergences, F-A1.)"""
-    dtd = catalog.load(name)
+    generated workloads, over the catalog and seeded random DTDs.
+    (Verbatim mode has pinned divergences, F-A1.)"""
+    dtd = catalog.load(name) if isinstance(name, str) else random_dtd(name)
     machine_checker = PVChecker(dtd, algorithm="machine")
     figure5_checker = PVChecker(dtd, algorithm="figure5")
     for index, document in enumerate(_variants(dtd, seed=55)):

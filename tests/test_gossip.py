@@ -1,6 +1,8 @@
-"""Tests for coordinator-less membership: delta merges, the gossip
-agent's SWIM lifecycle, the pool quarantine race, and the wire compat
-guarantees (solo servers and gossip-off rings are byte-identical)."""
+"""Tests for ring membership, which gossip alone owns: delta merges, the
+gossip agent's SWIM lifecycle, the pool quarantine race, the wire compat
+guarantees (a standalone server's replies are byte-identical), and ring
+shards end to end: failure detection, joins with prefetch, and the view
+a joiner advertises."""
 
 from __future__ import annotations
 
@@ -571,9 +573,9 @@ class TestServerWireCompat:
         other = str(tmp_path / "other.sock")
         with ServerThread(
             unix_path=str(tmp_path / "pv.sock"),
-            gossip=True,
             gossip_interval=30.0,  # the loop stays out of the way
         ) as handle:
+            handle.join_ring()
             label = handle.unix_path
             with ValidationClient.connect_unix(label) as client:
                 health = client.health()
@@ -695,3 +697,249 @@ class TestRingClientCompat:
             served = ring.router.requests_by_member
             (label,) = served.keys()
             assert ring.router.reported_load(label) is not None
+
+
+# -- ring shards end to end: the one control plane ----------------------------
+
+
+FIGURE1 = """
+<!ELEMENT r (a+)>
+<!ELEMENT a (b?, (c | f), d)>
+<!ELEMENT b (d | f)>
+<!ELEMENT c (#PCDATA)>
+<!ELEMENT d (#PCDATA | e)*>
+<!ELEMENT e EMPTY>
+<!ELEMENT f (c, e)>
+"""
+DOC_OK = "<r><a><b>A quick brown</b><c> fox</c> dog<e></e></a></r>"
+
+#: Fast probe rounds so suspect -> down fits a test timeout.
+INTERVAL = 0.05
+
+
+class _EventRecords:
+    """An event sink keeping every event's fields."""
+
+    def __init__(self) -> None:
+        self.events: list[dict] = []
+
+    def write(self, line: str) -> None:
+        self.events.append(json.loads(line))
+
+    def flush(self) -> None:
+        pass
+
+    def named(self, name: str) -> list[dict]:
+        return [event for event in self.events if event["event"] == name]
+
+
+def _wait_for(predicate, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.02)
+
+
+def _local_ring(tmp_path, count: int, replica_count: int = 1):
+    """A ring started the way ``serve --ring N`` starts one: every shard
+    bound, the full view installed at epoch 1, then the agents."""
+    handles = [
+        ServerThread(
+            unix_path=str(tmp_path / f"shard-{i}.sock"),
+            gossip_interval=INTERVAL,
+            replica_count=replica_count,
+        ).start()
+        for i in range(count)
+    ]
+    paths = [handle.unix_path for handle in handles]
+    for handle in handles:
+        handle.server.set_ring_view(1, paths, replica_count)
+    for handle in handles:
+        handle.join_ring()
+    return handles, paths
+
+
+def _joiner_owning(tmp_path, paths, fingerprints, replica_count=1) -> str:
+    """A joiner socket path that will own at least one of *fingerprints*
+    (placement hashes the path, so it is salted deterministically)."""
+    from repro.server.placement import ShardRing
+
+    for salt in range(256):
+        joiner = str(tmp_path / f"joiner-{salt}.sock")
+        grown = ShardRing([*paths, joiner], replica_count=replica_count)
+        if any(
+            joiner in {member_label(m) for m in grown.owners(fp)}
+            for fp in fingerprints
+        ):
+            return joiner
+    raise AssertionError("no salt produced an owning joiner")
+
+
+class TestRingMembership:
+    def test_a_killed_member_leaves_the_view_and_the_client_follows(
+        self, tmp_path
+    ):
+        handles, paths = _local_ring(tmp_path, 3, replica_count=2)
+        try:
+            with ShardedClient(paths, replica_count=2) as ring:
+                assert ring.check(FIGURE1, DOC_OK)["potentially_valid"]
+                assert ring.epoch == 1
+                victim = member_label(ring.ring.owner(ring.fingerprint(FIGURE1)))
+                index = paths.index(victim)
+                handles[index].stop()
+                survivors = handles[:index] + handles[index + 1:]
+
+                def dropped() -> bool:
+                    return all(
+                        (h.server.placement.epoch or 0) > 1
+                        and victim not in h.server.ring_view[1]
+                        for h in survivors
+                    )
+
+                _wait_for(dropped)
+                _wait_for(
+                    lambda: len(
+                        {h.server.placement.epoch for h in survivors}
+                    ) == 1
+                )
+                epoch = survivors[0].server.placement.epoch
+                reply = ring.check(FIGURE1, DOC_OK)
+                assert reply["potentially_valid"] is True
+                # Replica fan-out made the failover warm, and the client
+                # converged on the epoch the survivors' gossip minted.
+                assert reply["schema"]["registry"] == "hit"
+                assert ring.epoch == epoch
+                assert victim not in ring.ring_stats["members"]
+        finally:
+            for handle in handles:
+                handle.stop()
+
+    def test_a_joiner_serves_its_prefetched_schemas_warm(self, tmp_path):
+        schemas = [schema_text(i) for i in range(8)]
+        handles, paths = _local_ring(tmp_path, 3)
+        records = _EventRecords()
+        joiner = None
+        try:
+            with ShardedClient(paths) as ring:
+                fingerprints = [ring.fingerprint(dtd) for dtd in schemas]
+                for index, dtd in enumerate(schemas):
+                    assert ring.check(dtd, doc_text(index))["ok"]
+            joiner_path = _joiner_owning(tmp_path, paths, fingerprints)
+            joiner = ServerThread(
+                unix_path=joiner_path,
+                gossip_interval=INTERVAL,
+                events=EventLog(records),
+            ).start()
+            joiner.join_ring([paths[0]])
+            [joined] = records.named("member-joined")
+            registry = joiner.server.registry.stats
+            assert joined["member"] == joiner_path
+            assert joined["prefetched"] == registry.size >= 1
+            assert registry.misses == 0
+            everyone = [*paths, joiner_path]
+            _wait_for(
+                lambda: {
+                    (h.server.placement.epoch, len(h.server.placement))
+                    for h in (*handles, joiner)
+                } == {(joiner.server.placement.epoch, 4)}
+            )
+            with ShardedClient(everyone) as ring:
+                owned = [
+                    index for index, fp in enumerate(fingerprints)
+                    if member_label(ring.ring.owner(fp)) == joiner_path
+                ]
+                assert owned
+                for index in owned:
+                    reply = ring.check(schemas[index], doc_text(index))
+                    assert reply["schema"]["registry"] == "hit"
+            assert joiner.server.registry.stats.misses == 0
+        finally:
+            if joiner is not None:
+                joiner.stop()
+            for handle in handles:
+                handle.stop()
+
+    def test_a_join_prefetches_nothing_when_hot_lists_are_empty(
+        self, tmp_path
+    ):
+        handles, paths = _local_ring(tmp_path, 2)
+        records = _EventRecords()
+        joiner = ServerThread(
+            unix_path=str(tmp_path / "joiner.sock"),
+            gossip_interval=INTERVAL,
+            events=EventLog(records),
+        ).start()
+        try:
+            joiner.join_ring([paths[0]])
+            [joined] = records.named("member-joined")
+            assert joined["prefetched"] == 0
+            assert joiner.server.registry.stats.size == 0
+        finally:
+            joiner.stop()
+            for handle in handles:
+                handle.stop()
+
+
+class TestJoinerAdvertisesItsOwnView:
+    def test_a_seeded_joiner_reports_and_routes_its_replicas_and_policy(
+        self, tmp_path
+    ):
+        # `serve --gossip-seed` with --replicas 2 --read-policy
+        # least-inflight: the joiner advertises both, so a client whose
+        # first contact with the ring is the joiner routes at R=2
+        # least-inflight.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src_dir = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        base = str(tmp_path / "ring.sock")
+        joiner = str(tmp_path / "joiner.sock")
+        ring_flags = ["--replicas", "2", "--read-policy", "least-inflight",
+                      "--gossip-interval", str(INTERVAL), "--no-tcp"]
+        serve = [sys.executable, "-m", "repro", "serve"]
+        processes = [
+            subprocess.Popen(
+                [*serve, "--ring", "2", "--unix", base, *ring_flags],
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            )
+        ]
+        try:
+            _wait_for(lambda: os.path.exists(f"{base}.1"), timeout=30)
+            processes.append(
+                subprocess.Popen(
+                    [*serve, "--unix", joiner, "--gossip-seed", f"{base}.0",
+                     *ring_flags],
+                    env=env, stdout=subprocess.DEVNULL,
+                    stderr=subprocess.DEVNULL,
+                )
+            )
+
+            def joined() -> bool:
+                assert processes[1].poll() is None, "the joiner exited"
+                try:
+                    with ValidationClient.connect_unix(joiner) as client:
+                        return len(client.health()["members"] or ()) == 3
+                except OSError:
+                    return False
+
+            _wait_for(joined, timeout=30)
+            with ValidationClient.connect_unix(joiner) as client:
+                health = client.health()
+            assert health["replica_count"] == 2
+            assert health["read_policy"] == "least-inflight"
+            with ShardedClient([joiner]) as ring:
+                assert ring.check(FIGURE1, DOC_OK)["potentially_valid"]
+                assert ring.placement.replica_count == 2
+                assert ring.read_policy == "least-inflight"
+                assert len(ring.placement) == 3
+        finally:
+            for process in processes:
+                process.terminate()
+            for process in processes:
+                process.wait(timeout=10)

@@ -563,33 +563,6 @@ class TestRingMetricsAggregation:
         assert reads == 8
 
 
-class TestCoordinatorScrape:
-    def test_scrape_metrics_totals_and_deltas(self, tmp_path):
-        from repro.server.client import ValidationClient
-        from repro.server.coordinator import RingCoordinator
-
-        with ServerThread(
-            unix_path=str(tmp_path / "shard.sock"), port=0
-        ) as handle:
-            coordinator = RingCoordinator([handle.unix_path], timeout=2.0)
-            try:
-                with ValidationClient.connect_unix(handle.unix_path) as client:
-                    client.check(DTD, DOC)
-                first = coordinator.scrape_metrics()
-                with ValidationClient.connect_unix(handle.unix_path) as client:
-                    client.check(DTD, DOC)
-                second = coordinator.scrape_metrics()
-                status = coordinator.status()
-            finally:
-                coordinator.stop()
-        assert first["totals"]["repro_requests_total"] >= 1
-        assert second["deltas"]["repro_requests_total"] == pytest.approx(
-            second["totals"]["repro_requests_total"]
-            - first["totals"]["repro_requests_total"]
-        )
-        assert status["metrics_deltas"] == second["deltas"]
-
-
 # -- the CLI -----------------------------------------------------------------
 
 

@@ -207,8 +207,8 @@ class TestServerDiscipline:
         assert excinfo.value.details["epoch"] == 3
 
     def test_published_member_order_is_preserved(self):
-        # The coordinator compares pushed views verbatim; the view must
-        # report members exactly as published, not re-sorted.
+        # An installed view is compared verbatim on a re-install; it
+        # must report members exactly as published, not re-sorted.
         view = PlacementView()
         view.publish(1, ["z", "a", "m"])
         assert view.as_tuple() == (1, ["z", "a", "m"], 1)

@@ -597,6 +597,10 @@ class TestServerConstruction:
         with pytest.raises(ValueError):
             ValidationServer(workers=-1)
 
+    def test_unknown_read_policy_rejected(self):
+        with pytest.raises(ValueError):
+            ValidationServer(read_policy="sticky")
+
     def test_unknown_default_algorithm_rejected(self):
         with pytest.raises(ValueError):
             ValidationServer(default_algorithm="quantum")
@@ -625,7 +629,9 @@ class TestHealthOp:
         assert health["uptime_seconds"] >= 0.0
 
     def test_health_reports_the_published_view(self, server_handle, client):
-        client.ring_config(3, ["a.sock", "b.sock"], replica_count=2)
+        server_handle.server.set_ring_view(
+            3, ["a.sock", "b.sock"], replica_count=2
+        )
         health = client.health()
         assert health["epoch"] == 3
         assert health["members"] == ["a.sock", "b.sock"]
@@ -633,15 +639,27 @@ class TestHealthOp:
 
 
 class TestRingConfigOp:
-    def test_replies_are_stamped_after_a_view(self, client):
+    """A held ring view: reply stamps and request epoch gating.
+
+    The view is installed in process with ``set_ring_view``, the way a
+    local ring starts (a ring shard's gossip agent keeps it after).
+    """
+
+    @pytest.fixture
+    def install(self, server_handle):
+        return server_handle.server.set_ring_view
+
+    def test_replies_are_stamped_after_a_view(self, client, install):
         assert "epoch" not in client.check(FIGURE1, DOC_OK)
-        client.ring_config(5, ["a.sock"])
+        install(5, ["a.sock"])
         reply = client.check(FIGURE1, DOC_OK)
         assert reply["epoch"] == 5
         assert client.stats()["server"]["ring_epoch"] == 5
 
-    def test_stale_request_epoch_is_wrong_epoch_with_the_view(self, client):
-        client.ring_config(4, ["a.sock", "b.sock"], replica_count=2)
+    def test_stale_request_epoch_is_wrong_epoch_with_the_view(
+        self, client, install
+    ):
+        install(4, ["a.sock", "b.sock"], replica_count=2)
         with pytest.raises(ServerError) as excinfo:
             client.check(FIGURE1, DOC_OK, epoch=2)
         error = excinfo.value.reply["error"]
@@ -652,44 +670,43 @@ class TestRingConfigOp:
         # The connection survives: a recoverable protocol error.
         assert client.check(FIGURE1, DOC_OK, epoch=4)["potentially_valid"]
 
-    def test_current_and_future_epochs_are_served(self, client):
-        client.ring_config(4, ["a.sock"])
+    def test_current_and_future_epochs_are_served(self, client, install):
+        install(4, ["a.sock"])
         assert client.check(FIGURE1, DOC_OK, epoch=4)["ok"]
-        # A client ahead of this shard (it missed a push) is not gated.
+        # A client ahead of this shard (it missed a change) is not gated.
         assert client.check(FIGURE1, DOC_OK, epoch=9)["ok"]
 
-    def test_epochless_requests_are_always_served(self, client):
-        client.ring_config(7, ["a.sock"])
+    def test_epochless_requests_are_always_served(self, client, install):
+        install(7, ["a.sock"])
         assert client.check(FIGURE1, DOC_OK)["potentially_valid"]
 
-    def test_stale_ring_config_is_rejected(self, client):
-        client.ring_config(6, ["a.sock"])
-        with pytest.raises(ServerError) as excinfo:
-            client.ring_config(2, ["b.sock"])
+    def test_a_stale_view_is_rejected(self, client, install):
+        install(6, ["a.sock"])
+        with pytest.raises(ProtocolError) as excinfo:
+            install(2, ["b.sock"])
         assert excinfo.value.code == "wrong-epoch"
-        assert excinfo.value.reply["error"]["epoch"] == 6
-        # Same epoch re-push is idempotent; newer replaces.
-        assert client.ring_config(6, ["a.sock"])["epoch"] == 6
-        assert client.ring_config(8, ["b.sock"])["epoch"] == 8
+        assert excinfo.value.details["epoch"] == 6
+        # The same view again is idempotent; a newer one replaces it.
+        install(6, ["a.sock"])
+        install(8, ["b.sock"])
         assert client.health()["members"] == ["b.sock"]
 
-    def test_equal_epoch_with_a_different_view_is_rejected(self, client):
-        # Two publishers racing to the same epoch with different member
-        # lists must not silently diverge: the tie is rejected so the
-        # losing publisher leapfrogs to a superseding epoch.
-        client.ring_config(5, ["a.sock", "b.sock"], replica_count=2)
-        with pytest.raises(ServerError) as excinfo:
-            client.ring_config(5, ["a.sock", "c.sock"], replica_count=2)
+    def test_equal_epoch_with_a_different_view_is_rejected(
+        self, client, install
+    ):
+        # One epoch must never name two views.
+        install(5, ["a.sock", "b.sock"], replica_count=2)
+        with pytest.raises(ProtocolError) as excinfo:
+            install(5, ["a.sock", "c.sock"], replica_count=2)
         assert excinfo.value.code == "wrong-epoch"
-        with pytest.raises(ServerError):
-            client.ring_config(5, ["a.sock", "b.sock"], replica_count=1)
-        # The held view is untouched by the rejected pushes.
+        with pytest.raises(ProtocolError):
+            install(5, ["a.sock", "b.sock"], replica_count=1)
+        # The held view is untouched by the rejected installs.
         assert client.health()["members"] == ["a.sock", "b.sock"]
 
-    def test_ring_config_advertises_a_read_policy(self, client):
-        client.ring_config(
-            3, ["a.sock", "b.sock"], replica_count=2,
-            read_policy="round-robin",
+    def test_a_view_advertises_a_read_policy(self, client, install):
+        install(
+            3, ["a.sock", "b.sock"], replica_count=2, read_policy="round-robin"
         )
         health = client.health()
         assert health["read_policy"] == "round-robin"
@@ -699,49 +716,32 @@ class TestRingConfigOp:
             client.check(FIGURE1, DOC_OK, epoch=1)
         assert excinfo.value.reply["error"]["read_policy"] == "round-robin"
 
-    def test_read_policy_absent_until_advertised(self, client):
-        client.ring_config(3, ["a.sock"])
+    def test_read_policy_absent_until_advertised(self, client, install):
+        install(3, ["a.sock"])
         assert client.health()["read_policy"] is None
 
-    def test_same_epoch_with_a_different_read_policy_is_rejected(self, client):
-        client.ring_config(5, ["a.sock"], read_policy="round-robin")
-        with pytest.raises(ServerError) as excinfo:
-            client.ring_config(5, ["a.sock"], read_policy="least-inflight")
+    def test_same_epoch_with_a_different_read_policy_is_rejected(
+        self, client, install
+    ):
+        install(5, ["a.sock"], read_policy="round-robin")
+        with pytest.raises(ProtocolError) as excinfo:
+            install(5, ["a.sock"], read_policy="least-inflight")
         assert excinfo.value.code == "wrong-epoch"
         assert client.health()["read_policy"] == "round-robin"
 
-    def test_unknown_read_policy_is_bad_request(self, client):
-        reply = client.send_raw(
-            protocol.encode(
-                {"op": "ring-config", "epoch": 1, "members": ["a.sock"],
-                 "read_policy": "sticky"}
-            )
-        )
-        assert reply["error"]["code"] == "bad-request"
-
-    def test_ring_config_requires_epoch_and_members(self, client):
-        reply = client.send_raw(
-            protocol.encode({"op": "ring-config", "epoch": 1})
-        )
-        assert reply["error"]["code"] == "bad-request"
-        reply = client.send_raw(
-            protocol.encode({"op": "ring-config", "members": ["a.sock"]})
-        )
-        assert reply["error"]["code"] == "bad-request"
-
     def test_batch_header_with_stale_epoch_errors_then_disconnects(
-        self, server_handle
+        self, server_handle, install
     ):
         with ValidationClient.connect(server_handle.tcp_address) as client:
-            client.ring_config(4, ["a.sock"])
+            install(4, ["a.sock"])
             with pytest.raises(ServerError) as excinfo:
                 client.check_batch(FIGURE1, [DOC_OK], epoch=1)
             assert excinfo.value.code == "wrong-epoch"
             with pytest.raises((ConnectionError, OSError)):
                 client.check(FIGURE1, DOC_OK)
 
-    def test_wrong_epoch_happens_before_any_work(self, client):
-        client.ring_config(4, ["a.sock"])
+    def test_wrong_epoch_happens_before_any_work(self, client, install):
+        install(4, ["a.sock"])
         with pytest.raises(ServerError):
             client.check("<!ELEMENT broken", DOC_OK, epoch=1)
         # The stale epoch answered first: the broken DTD was never parsed,
@@ -855,10 +855,11 @@ class TestVerdictCacheMetrics:
 
 
 class TestFigure5FalseNegative:
-    """``auto`` serves the kernel, never figure5's wrong answers.
+    """``auto`` serves the kernel, and the figure5 oracle agrees.
 
-    Under this DTD (a random ring tenant) the figure5 recognizer rejects
-    a document that is plainly DTD-valid; ``auto`` used to route small
+    Under this DTD (a random ring tenant) the figure5 recognizer used to
+    reject a document that is plainly DTD-valid (an occupied node hid a
+    fresh one at the same position); ``auto`` used to route small
     documents like it to figure5.
     """
 
@@ -889,9 +890,6 @@ class TestFigure5FalseNegative:
         assert replies[0]["potentially_valid"] is True
         assert replies[0]["algorithm"] == "kernel"
 
-    @pytest.mark.xfail(
-        strict=True, reason="known defect of the figure5 oracle (open)"
-    )
     def test_library_figure5_agrees(self):
         from repro.core.pv import PVChecker
         from repro.dtd.parser import parse_dtd
@@ -1132,3 +1130,40 @@ class TestBatchRuns:
         assert stopped < 5.0
         assert rest == b""  # closed without a trailer
         assert handle.server._inflight == 0
+
+    def test_stop_abandons_the_rest_of_a_run(self, monkeypatch):
+        # A 200-item batch arrives in one write and each document takes
+        # 20 ms; when stop()'s drain times out, the run's thread checks at
+        # most the document it is in, not the rest of the run.
+        server = ValidationServer()
+        check = server._check
+        checked: list[float] = []
+
+        def slow(dispatcher, doc_text, algorithm):
+            time.sleep(0.02)
+            checked.append(time.monotonic())
+            return check(dispatcher, doc_text, algorithm)
+
+        monkeypatch.setattr(server, "_check", slow)
+
+        async def main() -> float:
+            await server.start(host="127.0.0.1", port=0)
+            reader, writer = await asyncio.open_connection(*server.tcp_address)
+            writer.write(_batch_stream([DOC_OK] * 200))
+            await writer.drain()
+            while not checked:  # the run is off-loop
+                await asyncio.sleep(0.005)
+            await server.stop(drain_timeout=0.2)
+            stopped = time.monotonic()
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except OSError:
+                pass
+            return stopped
+
+        # asyncio.run waits for the run's thread before it returns.
+        stopped = asyncio.run(main())
+        assert len(checked) < 200
+        assert sum(1 for at in checked if at > stopped) <= 1
+        assert server._inflight == 0
