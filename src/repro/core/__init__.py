@@ -12,6 +12,8 @@
   ``KernelMachine``/``KernelChecker`` running the same GSS semantics over
   them (with an optional native build); the library's production checker,
 * :mod:`repro.core.pv` — Problem PV / Problem ECPV drivers over documents,
+* :mod:`repro.core.stream` — the one document walk every backend runs,
+  fed by the scanner's events or an iterative traversal of a tree,
 * :mod:`repro.core.incremental` — update-time checks (Theorem 2,
   Proposition 3, the O(1) character-data rules, markup insertion as two
   ECPV calls),

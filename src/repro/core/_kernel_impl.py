@@ -43,7 +43,7 @@ positions need no widening logic (pinned by the bitmask-width tests).
 from repro.config import MACHINE_NODE_LIMIT
 from repro.errors import PVError
 
-__all__ = ["KernelMachine", "IMPLEMENTATION"]
+__all__ = ["KernelMachine", "IMPLEMENTATION", "EMISSIONS_LIMIT"]
 
 #: Which build this is; the native copy is patched to say "native".
 IMPLEMENTATION = "pure"
@@ -53,6 +53,12 @@ _ENTRY = -1
 
 #: Node id of the shared stack-bottom sentinel.
 _BOTTOM = 0
+
+#: Most entries one schema's ``emissions`` memo may hold.  A miss that
+#: finds it full clears it first, so a client DTD whose documents keep
+#: reaching new GSS states cannot grow it for the life of the process.
+#: Realistic schemas settle in the hundreds of entries.
+EMISSIONS_LIMIT = 1 << 14
 
 
 def _compute_emissions(tables, position, sym):
@@ -174,6 +180,8 @@ class KernelMachine:
                     survivors = -1
                 else:
                     survivors = closure & tables.match_masks.get(sym, 0)
+                if len(emissions) >= EMISSIONS_LIMIT:
+                    emissions.clear()
                 emissions[fkey] = survivors
             if survivors != -1:
                 self._consumed += 1
@@ -359,6 +367,8 @@ class KernelMachine:
                 cached = _compute_emissions(
                     elements[element_id], (packed & 0x1FFFFF) - 1, sym
                 )
+                if len(emissions) >= EMISSIONS_LIMIT:
+                    emissions.clear()
                 emissions[ekey] = cached
             match_list, cont_list = cached
             if not match_list and not cont_list:

@@ -38,6 +38,7 @@ __all__ = [
     "kernel_machine_for_dtd",
     "NATIVE",
     "IMPLEMENTATION",
+    "EMISSIONS_LIMIT",
 ]
 
 if os.environ.get("REPRO_KERNEL_PURE"):
@@ -58,6 +59,9 @@ else:
 IMPLEMENTATION: str = "native" if NATIVE else "pure"
 
 KernelMachine = _impl.KernelMachine
+
+#: The bound on each schema's shared ``emissions`` memo.
+EMISSIONS_LIMIT: int = _impl.EMISSIONS_LIMIT
 
 
 def kernel_machine_for_dtd(dtd: DTD, element: str | None = None) -> "KernelMachine":

@@ -17,6 +17,12 @@ verifies this decomposition against the whole-document Earley baseline on
 * ``"earley"`` — the per-node content-grammar Earley reference (exact but
   slow; the paper's Section 3.3 baseline).
 
+Every backend answers Problem PV through the one event walk of
+:mod:`repro.core.stream`: ``check_text`` feeds it the scanner's events
+(no tree is built), ``check_document`` an iterative traversal of the
+tree.  The kernel steps its machines inside the walk; the other backends
+answer :meth:`PVChecker.check_content` once per element.
+
 Checkers do not compile schemas themselves: construction resolves the DTD
 through the process-wide :class:`~repro.service.registry.SchemaRegistry`
 (or uses an explicitly supplied
@@ -27,7 +33,7 @@ checkers over one schema pays the analysis/DAG/grammar cost once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Literal, Sequence
+from typing import TYPE_CHECKING, Iterable, Literal, Sequence
 
 from repro.config import CheckerConfig, DEFAULT_CONFIG
 from repro.core.dag import DtdDag
@@ -37,8 +43,9 @@ from repro.dtd.analysis import DTDClass
 from repro.dtd.model import DTD
 from repro.errors import DepthBoundExceeded, UnusableElementError
 from repro.grammar.build import content_nonterminal
+from repro.xmlmodel import parser as xml_parser
 from repro.xmlmodel.delta import content_symbols
-from repro.xmlmodel.fastlex import parser_backend
+from repro.xmlmodel.fastlex import parser_backend, scan_events
 from repro.xmlmodel.tree import XmlDocument, XmlElement
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service -> core)
@@ -48,18 +55,19 @@ __all__ = ["Algorithm", "NodeFailure", "PVVerdict", "PVChecker"]
 
 Algorithm = Literal["machine", "kernel", "figure5", "earley"]
 
-# Resolved on first kernel-backend use: repro.core.kernel subclasses
-# PVChecker, so a top-level import would be circular.
-_kernel_machine_cls = None
+# Resolved on first use: repro.core.stream imports this module, and so
+# does repro.core.kernel (it subclasses PVChecker), so a top-level import
+# would be circular.
+_stream_module = None
 
 
-def _kernel_machine():
-    global _kernel_machine_cls
-    if _kernel_machine_cls is None:
-        from repro.core.kernel import KernelMachine
+def _stream():
+    global _stream_module
+    if _stream_module is None:
+        from repro.core import stream
 
-        _kernel_machine_cls = KernelMachine
-    return _kernel_machine_cls
+        _stream_module = stream
+    return _stream_module
 
 
 @dataclass(frozen=True)
@@ -136,6 +144,17 @@ class PVChecker:
         #: DTD classes thanks to GSS merging) unless the caller explicitly
         #: requested the paper's bounded semantics.
         self.machine_depth: int | None = config.depth_bound
+        # A "no" can only be an artifact of the depth bound when a bound is
+        # actually in force: the default machine is exact and unbounded;
+        # the figure5 backend always carries one; the kernel and Earley
+        # never do.
+        self._depth_bounded = self._is_strong and (
+            algorithm == "figure5"
+            or (algorithm == "machine" and self.machine_depth is not None)
+        )
+        # The walk steps kernel machines itself; every other backend is
+        # asked once per element, at its end tag.
+        self._stepped = algorithm == "kernel"
 
     @classmethod
     def from_compiled(
@@ -158,7 +177,7 @@ class PVChecker:
         if self.algorithm == "machine":
             return PVMachine(self.dag, element, self.machine_depth).recognize(symbols)
         if self.algorithm == "kernel":
-            machine = _kernel_machine()(self.compiled.tables, element)
+            machine = _stream().KernelMachine(self.compiled.tables, element)
             return machine.recognize(symbols)
         if self.algorithm == "figure5":
             recognizer = ECRecognizer(self.dag, element, self.depth)
@@ -175,83 +194,40 @@ class PVChecker:
     # -- Problem PV ------------------------------------------------------------
 
     def check_document(self, document: XmlDocument | XmlElement) -> PVVerdict:
-        """Problem PV: check every node of *document* (Section 4's reduction)."""
+        """Problem PV: check every node of *document* (Section 4's reduction).
+
+        The tree reaches the walk as events from an iterative traversal,
+        so document depth is bounded by memory, not by the interpreter
+        stack.
+        """
         root = document.root if isinstance(document, XmlDocument) else document
-        failures: list[NodeFailure] = []
-        if root.name != self.dtd.root:
-            failures.append(
-                NodeFailure(
-                    path="/",
-                    element=root.name,
-                    symbols=(),
-                    reason=(
-                        f"document root is <{root.name}> but the DTD root is "
-                        f"<{self.dtd.root}>"
-                    ),
-                )
-            )
-            return PVVerdict(False, tuple(failures), depth_limited=False)
-        self._check_subtree(root, f"/{root.name}", failures)
-        verdict_ok = not failures
-        # A "no" can only be an artifact of the depth bound when a bound is
-        # actually in force: the default machine is exact and unbounded;
-        # the figure5 backend always carries one; the kernel and Earley
-        # never do.
-        bounded = (
-            self.algorithm == "figure5"
-            or (self.algorithm == "machine" and self.machine_depth is not None)
-        )
-        depth_limited = bool(failures) and self._is_strong and bounded
-        if depth_limited and self.config.strict_depth:
-            raise DepthBoundExceeded(self.depth)
-        return PVVerdict(verdict_ok, tuple(failures), depth_limited=depth_limited)
+        return self._walk(_stream().tree_events(root), "")
 
     def check_text(self, text: str) -> PVVerdict:
         """Problem PV straight from document text.
 
-        On the kernel backend with the fast parser active this is the
-        fused single-pass hot path (:mod:`repro.core.stream`): no tree is
-        materialized, tag names are interned to table ids as they are
-        scanned, and the verdict — failures included — is identical to
+        The walk consumes the scanner's events for every backend, so no
+        tree is built; the verdict, failures included, is identical to
         ``check_document(parse_xml(text))``, as is every well-formedness
-        error.  Every other backend (and ``REPRO_PARSER=reference``)
-        parses and delegates, byte-for-byte the classic pipeline.
+        error.  Under ``REPRO_PARSER=reference`` it *is* that pipeline,
+        which keeps the reference lexer and the tree exercised.
         """
-        if self.algorithm == "kernel" and parser_backend() == "fast":
-            # Lazy import: stream sits above pv (it needs the kernel).
-            from repro.core.stream import stream_check_document
-
-            return stream_check_document(self.compiled, text)
-        from repro.xmlmodel.parser import parse_xml
-
-        return self.check_document(parse_xml(text))
+        if parser_backend() == "reference":
+            return self.check_document(xml_parser.parse_xml(text))
+        return self._walk(scan_events(text), text)
 
     def is_potentially_valid(self, document: XmlDocument | XmlElement) -> bool:
         """Boolean convenience wrapper over :meth:`check_document`."""
         return self.check_document(document).potentially_valid
 
-    def _check_subtree(
-        self, node: XmlElement, path: str, failures: list[NodeFailure]
-    ) -> None:
-        if node.name not in self.dtd:
-            failures.append(
-                NodeFailure(
-                    path=path,
-                    element=node.name,
-                    symbols=(),
-                    reason=f"element type <{node.name}> is not declared in the DTD",
-                )
-            )
-            return
-        symbols = tuple(content_symbols(node))
-        if not self.check_content(node.name, symbols):
-            failures.append(
-                NodeFailure(
-                    path=path,
-                    element=node.name,
-                    symbols=symbols,
-                    reason="content cannot be completed by tag insertions alone",
-                )
-            )
-        for index, child in enumerate(node.element_children()):
-            self._check_subtree(child, f"{path}/{child.name}[{index}]", failures)
+    def _walk(self, events: Iterable[tuple[int, str, int]], source: str) -> PVVerdict:
+        # The bound method is taken per call: stored on the checker it
+        # would be a reference cycle, and an evicted schema would then
+        # stay in memory until the cyclic collector ran.
+        check_content = None if self._stepped else self.check_content
+        verdict = _stream().check_events(
+            self.compiled, events, source, check_content, self._depth_bounded
+        )
+        if verdict.depth_limited and self.config.strict_depth:
+            raise DepthBoundExceeded(self.depth)
+        return verdict

@@ -1,32 +1,40 @@
-"""Treeless checking: verdicts straight off the event stream.
+"""Problem PV off the event stream: the one document walk.
 
-The classic pipeline materializes an :class:`~repro.xmlmodel.tree.XmlDocument`
-and then walks it node by node, converting each child list through
-``Delta_T``.  For the kernel tier that tree is pure overhead: the merged-GSS
-machine only ever consumes interned symbol ids, one per child, in document
-order — exactly the order :func:`repro.xmlmodel.fastlex.scan_events`
-produces them.  This module fuses the two passes:
+Section 4's reduction makes Problem PV equal to Problem ECPV at every
+element, so a backend needs only each element's ``Delta_T`` child
+sequence, and an event stream delivers those sequences in document
+order.  :func:`check_events` is the walk every backend runs: it holds one
+frame per *open* element and no Python call per document level, so
+document depth is bounded by memory, never by the interpreter stack.
 
-* :func:`stream_check_document` — Problem PV with kernel semantics, one
-  pass over the source text, tag names interned to
-  :class:`~repro.core.tables.CompiledTables` ids as they are scanned.
-  Verdict- and failure-identical to
-  ``PVChecker(algorithm="kernel").check_document(parse_xml(text))``,
-  including every well-formedness diagnostic (the fused pass never stops
-  scanning early, so a malformed suffix still raises exactly as the
-  parse-first pipeline would).
-* :func:`stream_coarse_check` — the coarse pass over the same events,
-  which the ring client's filter runs.  Outcome-identical to
-  :meth:`~repro.core.coarse.CoarseChecker.check_document` on the parsed
-  tree; the *reported* node of a reject may differ (the tree pass visits
-  children in reverse document order), but it is always a node the full
-  check blocks too.
+* **Kernel frames** step a :class:`~repro.core.kernel.KernelMachine` per
+  child as it arrives, tag names interned to
+  :class:`~repro.core.tables.CompiledTables` ids.
+* **Every other backend** (``machine``, ``earley``, ``figure5``) keeps
+  the frame's ``Delta_T`` symbols and is asked once per element, at its
+  end tag, through :meth:`~repro.core.pv.PVChecker.check_content`.
 
-Failure paths are computed lazily by walking the open-frame chain — the
-hot loop never builds path strings for nodes that pass.
+Two feeders drive the walk: :func:`~repro.xmlmodel.fastlex.scan_events`
+over document text (no tree is built, and every well-formedness
+diagnostic is the parser's, because the walk never stops scanning
+early), and :func:`tree_events`, an iterative traversal of a parsed tree.
+:class:`~repro.core.pv.PVChecker` routes ``check_text`` and
+``check_document`` through them; :func:`stream_check_document` is the
+kernel's text entry.  Failures come out in pre-order, nothing is checked
+under an undeclared element or a mismatched root, and failure paths are
+built lazily from the open-frame chain, only for nodes that fail.
+
+:func:`stream_coarse_check` is the coarse pass over the same events,
+which the ring client's filter runs.  It is outcome-identical to
+:meth:`~repro.core.coarse.CoarseChecker.check_document` on the parsed
+tree; the *reported* node of a reject may differ (the tree pass visits
+children in reverse document order), but it is always a node the full
+check blocks too.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.coarse import CoarseSummary, CoarseVerdict
 from repro.core.kernel import KernelMachine
@@ -35,13 +43,19 @@ from repro.errors import XmlSyntaxError
 from repro.service.compiled import CompiledSchema
 from repro.xmlmodel.delta import SIGMA
 from repro.xmlmodel.fastlex import EV_END, EV_START, EV_TEXT, _loc, scan_events
+from repro.xmlmodel.tree import XmlElement, XmlText
 
-__all__ = ["stream_check_document", "stream_coarse_check"]
+__all__ = [
+    "check_events",
+    "stream_check_document",
+    "stream_coarse_check",
+    "tree_events",
+]
 
-# Frame layout for the kernel pass (lists beat attribute access in the
-# inner loop).  ``SYMBOLS is None`` marks a suppressed frame: under an
-# undeclared element or a mismatched root nothing is checked or recorded,
-# matching the tree walker's early returns.
+# Frame layout for the walk (lists beat attribute access in the inner
+# loop).  ``SYMBOLS is None`` marks a suppressed frame: under an
+# undeclared element or a mismatched root nothing is checked or recorded.
+# ``FAILURES`` stays ``None`` until a descendant fails.
 _NAME = 0
 _MACHINE = 1
 _SYMBOLS = 2
@@ -55,6 +69,23 @@ _DEAD = 8
 _CONTENT_REASON = "content cannot be completed by tag insertions alone"
 
 
+class _Unstepped:
+    """The machine slot of a frame whose backend checks it whole.
+
+    Stands in for a :class:`KernelMachine` on ``machine``, ``earley`` and
+    ``figure5`` frames, so the walk steps every frame alike and tests the
+    backend only once per element, at its end tag.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, tables: object, element: str) -> None:
+        pass
+
+    def step(self, sym: int) -> bool:
+        return True
+
+
 def _frame_path(frame: list) -> str:
     """The ``/root/child[i]`` path of *frame*, built only on failure."""
     parts = []
@@ -65,19 +96,63 @@ def _frame_path(frame: list) -> str:
     return "".join(reversed(parts))
 
 
+def tree_events(root: XmlElement) -> Iterator[tuple[int, str, int]]:
+    """The ``scan_events`` stream of the subtree at *root*, iteratively.
+
+    Offsets are ``0``: a tree is well-formed by construction, so the
+    walk never needs a source position for it.
+    """
+    yield EV_START, root.name, 0
+    names = [root.name]
+    pending = [iter(root.children)]
+    while pending:
+        for child in pending[-1]:
+            if isinstance(child, XmlText):
+                yield EV_TEXT, child.text, 0
+            else:
+                yield EV_START, child.name, 0
+                names.append(child.name)
+                pending.append(iter(child.children))
+                break
+        else:
+            pending.pop()
+            yield EV_END, names.pop(), 0
+
+
 def stream_check_document(compiled: CompiledSchema, source: str) -> PVVerdict:
     """Problem PV over *source* with kernel semantics, no tree built."""
+    return check_events(compiled, scan_events(source), source)
+
+
+def check_events(
+    compiled: CompiledSchema,
+    events: Iterable[tuple[int, str, int]],
+    source: str,
+    check_content: Callable[[str, Sequence[str]], bool] | None = None,
+    depth_bounded: bool = False,
+) -> PVVerdict:
+    """Problem PV over one document's ``(kind, payload, offset)`` *events*.
+
+    With *check_content* ``None`` the kernel decides every element as its
+    children arrive.  Otherwise each element's ``Delta_T`` symbols go to
+    ``check_content(element, symbols)`` once, at its end tag.  *source*
+    is the text the offsets index, read only to position a syntax error.
+    When *depth_bounded*, a "no" from the content checks is reported as
+    ``depth_limited``: the caller's backend ran under an insertion-depth
+    bound that may have cut a witness.  A root mismatch never is.
+    """
     tables = compiled.tables
     sid_get = tables.sid.get
     sigma_id = tables.sid[SIGMA]
     dtd_root = compiled.dtd.root
+    new_machine = KernelMachine if check_content is None else _Unstepped
 
     stack: list[list] = []
     root_failures: list[NodeFailure] | None = None
     root_mismatch: NodeFailure | None = None
     root_seen = False
 
-    for kind, payload, offset in scan_events(source):
+    for kind, payload, offset in events:
         if kind == EV_START:
             if stack:
                 parent = stack[-1]
@@ -108,9 +183,9 @@ def stream_check_document(compiled: CompiledSchema, source: str) -> PVVerdict:
                 stack.append(
                     [
                         payload,
-                        KernelMachine(tables, payload),
+                        new_machine(tables, payload),
                         [],
-                        [],
+                        None,
                         None,
                         parent,
                         index,
@@ -140,9 +215,9 @@ def stream_check_document(compiled: CompiledSchema, source: str) -> PVVerdict:
             stack.append(
                 [
                     payload,
-                    KernelMachine(tables, payload),
+                    new_machine(tables, payload),
                     [],
-                    [],
+                    None,
                     None,
                     None,
                     0,
@@ -181,12 +256,18 @@ def stream_check_document(compiled: CompiledSchema, source: str) -> PVVerdict:
                 )
             own = frame[_OWN]
             subtree = frame[_FAILURES]
-            if frame[_SYMBOLS] is not None:
-                if frame[_DEAD] or not frame[_MACHINE].accepts_now():
+            symbols = frame[_SYMBOLS]
+            if symbols is not None:
+                if check_content is None:
+                    failed = frame[_DEAD] or not frame[_MACHINE].accepts_now()
+                else:
+                    symbols = tuple(symbols)
+                    failed = not check_content(payload, symbols)
+                if failed:
                     own = NodeFailure(
                         path=_frame_path(frame),
-                        element=frame[_NAME],
-                        symbols=tuple(frame[_SYMBOLS]),
+                        element=payload,
+                        symbols=tuple(symbols),
                         reason=_CONTENT_REASON,
                     )
             if own is not None:
@@ -198,8 +279,11 @@ def stream_check_document(compiled: CompiledSchema, source: str) -> PVVerdict:
             parent = frame[_PARENT]
             if parent is None:
                 root_failures = subtree or []
-            elif subtree and parent[_FAILURES] is not None:
-                parent[_FAILURES].extend(subtree)
+            elif subtree and parent[_SYMBOLS] is not None:
+                if parent[_FAILURES] is None:
+                    parent[_FAILURES] = subtree
+                else:
+                    parent[_FAILURES].extend(subtree)
     if stack:
         raise XmlSyntaxError(
             f"unclosed element <{stack[-1][_NAME]}>", *_loc(source, len(source))
@@ -209,8 +293,9 @@ def stream_check_document(compiled: CompiledSchema, source: str) -> PVVerdict:
     if root_mismatch is not None:
         return PVVerdict(False, (root_mismatch,), depth_limited=False)
     failures = tuple(root_failures or ())
-    # The kernel tier is exact and unbounded: never depth-limited.
-    return PVVerdict(not failures, failures, depth_limited=False)
+    return PVVerdict(
+        not failures, failures, depth_limited=depth_bounded and bool(failures)
+    )
 
 
 # Frame layout for the coarse pass: [name, bit, seen, symbols, accept,

@@ -109,8 +109,10 @@ class CompiledTables:
         Runtime-only memo shared by every :class:`KernelMachine` over
         these tables: packed ``(element, position, symbol)`` key → the
         key's emission lists (match indices, descend ``(index, child)``
-        pairs), which are document-independent.  Bounded by positions ×
-        symbols; never pickled (artifacts stay deterministic), starts
+        pairs), which are document-independent; flat-regime entries are
+        keyed by whole position *sets*, so the kernel clears the memo
+        when a miss finds :data:`~repro.core.kernel.EMISSIONS_LIMIT`
+        entries.  Never pickled (artifacts stay deterministic), starts
         empty in every unpickling process.
     """
 

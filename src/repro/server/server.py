@@ -485,6 +485,7 @@ class ValidationServer:
         self._m_traced = m.counter("repro_traced_requests_total")
         self._g_inflight = m.gauge("repro_inflight")
         self._g_connections = m.gauge("repro_connections")
+        self._g_kernel_memo = m.gauge("repro_kernel_memo_entries")
         self.registry.attach_metrics(m)
         if self.store is not None:
             self.store.attach_observability(metrics=m, events=self.events)
@@ -1742,6 +1743,7 @@ class ValidationServer:
         """
         self._g_inflight.set(self._inflight)
         self._g_connections.set(len(self._conn_tasks))
+        self._g_kernel_memo.set(self.registry.kernel_memo_entries)
         if self._verdict_cache is not None:
             stats = self._verdict_cache.stats
             for outcome, key in (

@@ -6,8 +6,7 @@ contract lives in ``docs/BACKENDS.md``, kept in lockstep with
 
 * ``kernel`` — the machine's merged-GSS semantics over dense integer
   tables; exact for every DTD class with the smallest exact constant,
-  and fused with the scanner (:mod:`repro.core.stream`) so no tree is
-  built,
+  and stepped per child as the scanner's events arrive,
 * ``figure5`` — the paper's greedy recognizer; its verdict for PV-strong
   recursive DTDs is only "within depth D",
 * ``machine`` — the exact GSS machine over object graphs; the semantics
@@ -18,9 +17,10 @@ contract lives in ``docs/BACKENDS.md``, kept in lockstep with
 :meth:`BackendDispatcher.check_text` is the only code that turns document
 text into a served verdict: the server (threads and process pool), the
 batch checker (inline and pool workers) and ``repro check`` all call it.
-``auto`` resolves to the fused kernel; an explicit algorithm runs through
-:meth:`~repro.core.pv.PVChecker.check_text` too, which parses a tree for
-every backend but the kernel.  Repeats are served from a
+``auto`` resolves to the kernel; an explicit algorithm runs through
+:meth:`~repro.core.pv.PVChecker.check_text` too.  Every backend checks
+off the scanner's events in the one walk of :mod:`repro.core.stream`,
+so no tree is built.  Repeats are served from a
 :class:`~repro.service.cache.VerdictCache` keyed by ``(fingerprint,
 digest, resolved backend)``, so ``auto`` and ``kernel`` share entries.
 

@@ -267,6 +267,15 @@ class SchemaRegistry:
         with self._lock:
             return len(self._entries)
 
+    @property
+    def kernel_memo_entries(self) -> int:
+        """Entries in the kernel ``emissions`` memos of the resident schemas."""
+        with self._lock:
+            schemas = list(self._entries.values())
+        return sum(
+            len(schema.tables.emissions) for schema in schemas if schema.has_tables
+        )
+
     def __contains__(self, dtd: object) -> bool:
         if not isinstance(dtd, DTD):
             return False

@@ -27,6 +27,9 @@ FIGURE1 = """
 <!ELEMENT f (c, e)>
 """
 
+#: Not potentially valid under FIGURE1: ``<c>`` holds only character data.
+NOT_PV = "<r><a><c><e/></c></a></r>"
+
 #: Example 5's T1: PV-strong recursive (a may require unboundedly deep wraps).
 STRONG = "<!ELEMENT a (a | b*)><!ELEMENT b EMPTY>"
 
@@ -172,22 +175,26 @@ class TestTextPipeline:
     @pytest.mark.skipif(
         parser_backend() != "fast", reason="the reference parser builds trees"
     )
-    def test_audit_slice_parses_a_tree_only_for_the_audited_document(
-        self, monkeypatch
-    ):
-        parsed: list[str] = []
-        original = xml_parser.parse_xml
+    def test_no_backend_parses_a_tree(self, monkeypatch):
+        """Every algorithm checks off the event stream, audits included."""
+        one, two, bad = "<r><a>one</a></r>", "<r><a>two</a></r>", NOT_PV
+        kernel_checker = PVChecker(parse_dtd(FIGURE1), algorithm="kernel")
+        expected = {
+            text: kernel_checker.check_document(parse_xml(text))
+            for text in (one, two, bad)
+        }
 
-        def counting(text):
-            parsed.append(text)
-            return original(text)
+        def refuse(text):
+            raise AssertionError(f"parse_xml called on {text!r}")
 
-        monkeypatch.setattr(xml_parser, "parse_xml", counting)
+        monkeypatch.setattr(xml_parser, "parse_xml", refuse)
         dispatcher = BackendDispatcher(parse_dtd(FIGURE1), audit_every=2)
-        kernel = dispatcher.check_text("<r><a>one</a></r>")
-        audited = dispatcher.check_text("<r><a>two</a></r>")
+        kernel = dispatcher.check_text(one)
+        audited = dispatcher.check_text(two)
         assert (kernel.algorithm, audited.algorithm) == ("kernel", "earley")
-        assert parsed == ["<r><a>two</a></r>"]
-        assert audited.verdict == PVChecker(
-            parse_dtd(FIGURE1), algorithm="kernel"
-        ).check_document(parse_xml("<r><a>two</a></r>"))
+        assert kernel.verdict == expected[one]
+        assert audited.verdict == expected[two]
+        for algorithm in ("kernel", "machine", "figure5", "earley"):
+            checked = dispatcher.check_text(bad, algorithm)
+            assert checked.error is None, (algorithm, checked.error)
+            assert checked.verdict == expected[bad], algorithm

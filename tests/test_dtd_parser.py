@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.kernel import KernelChecker
 from repro.dtd.ast import Choice, Name, Opt, Seq, Star, to_text
 from repro.dtd.model import (
     AnyContent,
@@ -18,6 +19,7 @@ from repro.errors import (
     DTDSyntaxError,
     UnknownElementError,
 )
+from repro.service.compiled import compile_schema
 
 FIGURE1 = """
 <!ELEMENT r (a+)>
@@ -170,3 +172,18 @@ class TestSizeMeasures:
     def test_k_at_least_m_minus_empties(self):
         dtd = parse_dtd(FIGURE1)
         assert dtd.occurrence_count >= dtd.element_count - 1
+
+
+class TestDeepContentModels:
+    def test_groups_nested_400_deep_compile_and_check(self):
+        """Analysing and compiling a content model recurse per group level.
+        A client DTD this deep (~1.6 KB) is answered only because
+        ``repro.core.completion`` raises the interpreter's recursion limit
+        at import; at the default limit of 1,000 it raises
+        ``RecursionError``."""
+        model = "(a," * 400 + "a" + ")" * 400
+        text = f"<!ELEMENT r {model}>\n<!ELEMENT a EMPTY>"
+        dtd = parse_dtd(text)
+        checker = KernelChecker(dtd, compiled=compile_schema(dtd))
+        assert checker.check_text("<r><a/><a/></r>").potentially_valid
+        assert not checker.check_text("<r><r/></r>").potentially_valid

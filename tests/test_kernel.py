@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.dag import build_dag
 from repro.core.kernel import (
+    EMISSIONS_LIMIT,
     IMPLEMENTATION,
     NATIVE,
     KernelChecker,
@@ -105,6 +106,27 @@ class TestCompiledTables:
         assert revived.emissions == {}
         # ...and the revived tables still drive verdicts.
         assert KernelMachine(revived, "r").recognize(["a"])
+
+
+    def test_emissions_memo_stays_bounded(self):
+        """A DTD whose children cannot be inserted reaches new flat states
+        with almost every document; the memo is cleared at its bound
+        instead of growing for the life of the process."""
+        dtd = parse_dtd(
+            "<!ELEMENT r ((a|b)*, a" + ", (a|b)" * 14 + ")>"
+            "<!ELEMENT a (q)> <!ELEMENT b (q)> <!ELEMENT q (q)>"
+        )
+        schema = compile_schema(dtd)
+        checker = KernelChecker(dtd, compiled=schema)
+        rng = random.Random(170)
+        peak = 0
+        for _ in range(1000):
+            children = "".join(rng.choice(("<a/>", "<b/>")) for _ in range(60))
+            checker.check_text(f"<r>{children}</r>")
+            peak = max(peak, len(schema.tables.emissions))
+        assert peak <= EMISSIONS_LIMIT
+        # The unbounded memo would have passed the bound well before this.
+        assert peak > EMISSIONS_LIMIT // 2
 
 
 class TestWideBitmasks:

@@ -334,6 +334,16 @@ class TestServerMetricsOp:
         }
         assert names <= CATALOG_NAMES
 
+    def test_scrape_reports_the_kernel_memo(self, client):
+        assert client.check(DTD, DOC)["potentially_valid"] is True
+        reply = client.metrics()
+        gauges = {
+            entry["name"]: entry["value"] for entry in reply["metrics"]["gauges"]
+        }
+        # The check stepped the kernel, which memoizes every round.
+        assert gauges["repro_kernel_memo_entries"] >= 1
+        assert "repro_kernel_memo_entries " in reply["prometheus"]
+
     def test_untraced_replies_carry_no_trace(self, client):
         assert "trace" not in client.check(DTD, DOC)
 

@@ -7,13 +7,14 @@ Three seams guard the E19 speedups, and each gets a differential here:
   name, text, attributes, line, and column — including every syntax
   error's message and position (malformed tags delegate to a positioned
   reference cursor precisely so the diagnostics stay the reference's).
-* **Treeless checking** — the streaming kernel pass
-  (:func:`repro.core.stream.stream_check_document`, reached through
-  ``PVChecker.check_text``) must return the tree checker's verdict
-  *failure-for-failure*, and the streaming coarse pass must classify
-  every document into the same ``accept``/``reject``/``uncertain``
-  outcome (the rejected *node* may differ — tree traversal order is the
-  only thing the outcomes never depended on).
+* **Treeless checking** — the one event walk
+  (:mod:`repro.core.stream`), fed by the scanner or by a tree, must
+  return the verdict of an independent explicit-stack tree oracle
+  (:func:`_oracle`) *failure-for-failure* on every backend, and the
+  streaming coarse pass must classify every document into the same
+  ``accept``/``reject``/``uncertain`` outcome (the rejected *node* may
+  differ — tree traversal order is the only thing the outcomes never
+  depended on).
 * **The memo cache** — :class:`repro.service.cache.VerdictCache` keyed by
   ``(fingerprint, digest, mode)`` must replay verdicts exactly, and the
   surfaces threaded through it (dispatcher, batch, server) must answer
@@ -31,14 +32,16 @@ import pytest
 
 import corpusgen
 from repro.core.coarse import CoarseChecker
-from repro.core.pv import PVChecker
+from repro.core.pv import NodeFailure, PVChecker
 from repro.core.stream import stream_check_document, stream_coarse_check
 from repro.dtd import catalog
+from repro.dtd.analysis import DTDClass
 from repro.errors import ReproError
 from repro.service.batch import BatchChecker
 from repro.service.cache import VerdictCache
 from repro.service.dispatch import BackendDispatcher
 from repro.service.registry import DEFAULT_REGISTRY
+from repro.xmlmodel.delta import content_symbols
 from repro.xmlmodel.fastlex import (
     PARSER_ENV,
     active_tokenizer,
@@ -188,6 +191,88 @@ def test_stream_kernel_verdicts_identical_to_tree(name):
         assert streamed.depth_limited == treed.depth_limited
         # The public fused entry point takes the same shortcut.
         assert checker.check_text(text).failures == treed.failures
+
+
+def _oracle(checker: PVChecker, text: str) -> tuple:
+    """Problem PV by an explicit-stack pre-order traversal of the parsed
+    tree, calling ``check_content`` once per node: a second, independent
+    implementation of the walk's failure list, undeclared-element
+    suppression, root check and ``depth_limited``."""
+    try:
+        root = parse_xml(text).root
+    except ReproError as error:
+        return (None, (), None, str(error))
+    dtd = checker.dtd
+    if root.name != dtd.root:
+        reason = f"document root is <{root.name}> but the DTD root is <{dtd.root}>"
+        return (False, (NodeFailure("/", root.name, (), reason),), False, None)
+    failures = []
+    stack = [(root, f"/{root.name}")]
+    while stack:
+        node, path = stack.pop()
+        if node.name not in dtd:
+            reason = f"element type <{node.name}> is not declared in the DTD"
+            failures.append(NodeFailure(path, node.name, (), reason))
+            continue
+        symbols = tuple(content_symbols(node))
+        try:
+            ok = checker.check_content(node.name, symbols)
+        except ReproError as error:
+            return (None, (), None, str(error))
+        if not ok:
+            reason = "content cannot be completed by tag insertions alone"
+            failures.append(NodeFailure(path, node.name, symbols, reason))
+        children = node.element_children()
+        for index in reversed(range(len(children))):
+            child = children[index]
+            stack.append((child, f"{path}/{child.name}[{index}]"))
+    bounded = checker.analysis.dtd_class is DTDClass.PV_STRONG_RECURSIVE and (
+        checker.algorithm == "figure5"
+        or (checker.algorithm == "machine" and checker.machine_depth is not None)
+    )
+    return (not failures, tuple(failures), bool(failures) and bounded, None)
+
+
+def _answer(check, argument) -> tuple:
+    try:
+        verdict = check(argument)
+    except ReproError as error:
+        return (None, (), None, str(error))
+    return (verdict.potentially_valid, verdict.failures, verdict.depth_limited, None)
+
+
+@pytest.mark.parametrize("algorithm", ("kernel", "machine", "figure5", "earley"))
+@pytest.mark.parametrize("name", DTD_NAMES + ("example5-T1",))
+def test_every_backend_matches_the_tree_oracle(name, algorithm):
+    """``check_text`` and ``check_document`` == the oracle, on every backend.
+
+    ``example5-T1`` is PV-strong recursive, so figure5's "no" answers
+    there are ``depth_limited``.
+    """
+    dtd = catalog.load(name)
+    checker = PVChecker(dtd, algorithm=algorithm)
+    texts = _corpus_texts(name)
+    root = dtd.root
+    texts += [
+        texts[0][:-1],
+        texts[0].replace("</", "<", 1),
+        texts[0] + texts[0],
+        f"<not-{root}><{root}/></not-{root}>",
+        f"<{root}><undeclared><{root}/>text</undeclared></{root}>",
+    ]
+    answers = {"depth_limited": 0, "no": 0, "error": 0}
+    for text in texts:
+        expected = _oracle(checker, text)
+        assert _answer(checker.check_text, text) == expected, text[:120]
+        if expected[3] is None:
+            tree = parse_xml(text)
+            assert _answer(checker.check_document, tree) == expected, text[:120]
+        answers["depth_limited"] += expected[2] is True
+        answers["no"] += expected[0] is False
+        answers["error"] += expected[3] is not None
+    assert answers["no"] >= 2 and answers["error"] >= 3
+    if name == "example5-T1" and algorithm == "figure5":
+        assert answers["depth_limited"] > 0
 
 
 @pytest.mark.parametrize("name", DTD_NAMES)

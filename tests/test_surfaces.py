@@ -12,6 +12,11 @@ verdict cache) and the ring client.  Replies are compared on
 The ring client's coarse filter is the one sanctioned difference: a
 filtered document keeps its verdict, and a filtered reject names one
 node the full check also blocks rather than all of them.
+
+Every served algorithm also answers a document 100,000 elements deep
+and one 1,200 siblings wide, in the library and on the served ``check``
+op: the one event walk holds a frame per open element, never a Python
+call per level.
 """
 
 from __future__ import annotations
@@ -21,19 +26,32 @@ from functools import lru_cache
 import pytest
 
 import corpusgen
-from repro.core.pv import PVChecker
+from repro.core.pv import NodeFailure, PVChecker
 from repro.dtd import catalog
+from repro.dtd.parser import parse_dtd
 from repro.dtd.serialize import dtd_to_text
 from repro.errors import ReproError
 from repro.server.client import ValidationClient
 from repro.server.ring import ShardedClient
 from repro.server.server import ServerThread
 from repro.service.batch import BatchChecker
+from repro.service.dispatch import BackendDispatcher
+from repro.xmlmodel.delta import SIGMA
+from repro.xmlmodel.parser import parse_xml
 from repro.xmlmodel.serialize import to_xml
 
 DTD_NAMES = ("paper-figure1", "example5-T1", "manuscript")
 SEED = 13
 DOCS_PER_DTD = 12
+
+#: Every algorithm a ``check`` request may name.
+SERVED_ALGORITHMS = ("auto", "kernel", "machine", "earley", "figure5")
+
+DEEP = 100_000
+DEEP_DTD = "<!ELEMENT r (x*)>\n<!ELEMENT x (x*)>"
+#: Siblings of a wide document; Earley is quadratic in them (~1 s here).
+WIDE = 1_200
+WIDE_DTD = "<!ELEMENT r (x*)>\n<!ELEMENT x (#PCDATA)>"
 
 
 def _malformed(text: str) -> list[str]:
@@ -193,3 +211,66 @@ def _reply(client, dtd_text, text, root, algorithm=None) -> dict:
         payload["algorithm"] = algorithm
     client.send(payload)
     return client.recv()
+
+
+def _nested(depth: int, core: str = "") -> str:
+    return "<r>" + "<x>" * depth + core + "</x>" * depth + "</r>"
+
+
+def _library_answers(dtd_text: str, text: str) -> list[tuple[str, str, tuple]]:
+    """``(algorithm, route, answer)`` for every served algorithm, through
+    ``check_text`` and ``check_document(parse_xml(...))``."""
+    dispatcher = BackendDispatcher(parse_dtd(dtd_text))
+    out = []
+    for algorithm in SERVED_ALGORITHMS:
+        checked = dispatcher.check_text(text, algorithm)
+        answer = (
+            _from_error(checked.error) if checked.error is not None
+            else _from_verdict(checked.verdict)
+        )
+        out.append((algorithm, "check_text", answer))
+    tree = parse_xml(text)
+    for algorithm in SERVED_ALGORITHMS:
+        if algorithm == "auto":
+            verdict = dispatcher.check_document(tree).verdict
+        else:
+            verdict = dispatcher.checker_for(algorithm).check_document(tree)
+        out.append((algorithm, "check_document", _from_verdict(verdict)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "dtd_text, text",
+    [(DEEP_DTD, _nested(DEEP)), (WIDE_DTD, "<r>" + "<x>t</x>" * WIDE + "</r>")],
+    ids=["deep", "wide"],
+)
+def test_every_algorithm_answers_deep_and_wide_documents(tmp_path, dtd_text, text):
+    yes = (True, (), False, None)
+    for algorithm, route, answer in _library_answers(dtd_text, text):
+        assert answer == yes, (algorithm, route)
+    with ServerThread(unix_path=str(tmp_path / "pv.sock")) as handle:
+        with ValidationClient.connect_unix(handle.unix_path) as client:
+            for algorithm in SERVED_ALGORITHMS:
+                reply = _reply(client, dtd_text, text, "r", algorithm=algorithm)
+                assert _from_reply(reply) == yes, (algorithm, reply.get("error"))
+            assert client.stats()["server"]["inflight"] == 0
+
+
+def test_every_algorithm_reports_the_deepest_failure():
+    """Character data in the deepest ``<x>`` (content ``x*``) is the one
+    failure, and every algorithm names it by the same path.  Half of
+    ``DEEP`` keeps the test short and stays well past the process's
+    20,000-frame recursion limit."""
+    depth = DEEP // 2
+    failure = NodeFailure(
+        "/r" + "/x[0]" * depth,
+        "x",
+        (SIGMA,),
+        "content cannot be completed by tag insertions alone",
+    )
+    dispatcher = BackendDispatcher(parse_dtd(DEEP_DTD))
+    for algorithm in SERVED_ALGORITHMS:
+        checked = dispatcher.check_text(_nested(depth, "t"), algorithm)
+        assert checked.error is None, (algorithm, checked.error)
+        assert checked.verdict.failures == (failure,), algorithm
+
