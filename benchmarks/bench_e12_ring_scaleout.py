@@ -34,14 +34,8 @@ from __future__ import annotations
 
 import os
 import random
-import socket
-import subprocess
-import sys
-import time
-from pathlib import Path
 
-import repro
-from repro.bench.harness import Table, throughput, time_callable
+from repro.bench.harness import Table, spawn_server, stop_servers, throughput, time_callable
 from repro.dtd import catalog
 from repro.dtd.parser import parse_dtd
 from repro.dtd.serialize import dtd_to_text
@@ -92,48 +86,6 @@ def _corpus() -> list[tuple[str, str | None, list[str]]]:
     return batches
 
 
-def _spawn_server(unix_path: str) -> subprocess.Popen:
-    """One ``python -m repro serve`` subprocess on a Unix socket."""
-    src_dir = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--no-tcp", "--unix", unix_path],
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-    deadline = time.monotonic() + 30.0
-    while time.monotonic() < deadline:
-        if process.poll() is not None:
-            raise RuntimeError(
-                f"server exited with {process.returncode} before binding"
-            )
-        if os.path.exists(unix_path):
-            probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            try:
-                probe.connect(unix_path)
-                return process
-            except OSError:
-                pass
-            finally:
-                probe.close()
-        time.sleep(0.02)
-    process.terminate()
-    raise RuntimeError(f"server on {unix_path} did not come up in time")
-
-
-def _stop(processes: list[subprocess.Popen]) -> None:
-    for process in processes:
-        process.terminate()
-    for process in processes:
-        try:
-            process.wait(timeout=10)
-        except subprocess.TimeoutExpired:  # pragma: no cover - last resort
-            process.kill()
-            process.wait(timeout=10)
-
-
 def _registry_misses(unix_path: str) -> int:
     with ValidationClient.connect_unix(unix_path) as client:
         return client.stats()["registry"]["misses"]
@@ -181,9 +133,9 @@ def test_e12_ring_scaleout(benchmark, tmp_path):
     total_docs = sum(len(docs) for _dtd, _root, docs in batches)
     single_path = str(tmp_path / "single.sock")
     shard_paths = _spread_shard_paths(tmp_path, batches)
-    processes = [_spawn_server(single_path)]
+    processes = [spawn_server(single_path)]
     try:
-        processes.extend(_spawn_server(path) for path in shard_paths)
+        processes.extend(spawn_server(path) for path in shard_paths)
 
         # -- arms 1+2: one server, sequential checks vs streaming batches ----
         with ValidationClient.connect_unix(single_path) as client:
@@ -236,7 +188,7 @@ def test_e12_ring_scaleout(benchmark, tmp_path):
             handoffs = ring.ring_stats["handoffs"]
         final_misses = [_registry_misses(path) for path in shard_paths]
     finally:
-        _stop(processes)
+        stop_servers(processes)
 
     table = Table(
         "E12: ring scale-out (8 schemas, mixed corpus, subprocess servers)",

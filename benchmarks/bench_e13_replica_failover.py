@@ -29,14 +29,9 @@ from __future__ import annotations
 import os
 import random
 import signal
-import socket
-import subprocess
-import sys
 import time
-from pathlib import Path
 
-import repro
-from repro.bench.harness import Table, throughput
+from repro.bench.harness import Table, spawn_server, stop_servers, throughput
 from repro.dtd import catalog
 from repro.dtd.parser import parse_dtd
 from repro.dtd.serialize import dtd_to_text
@@ -83,54 +78,6 @@ def _corpus() -> list[tuple[str, str | None, list[str]]]:
             texts.append(to_xml(degraded))
         batches.append((dtd_to_text(dtd), dtd.root, texts))
     return batches
-
-
-def _spawn_server(unix_path: str, seeds: list[str]) -> subprocess.Popen:
-    """One ring shard, joining the ring of *seeds* by gossip."""
-    src_dir = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-    process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve", "--no-tcp",
-            "--unix", unix_path, "--replicas", str(REPLICAS),
-            "--gossip-interval", str(GOSSIP_INTERVAL),
-            "--gossip-seed", ",".join(seeds),
-        ],
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-    deadline = time.monotonic() + 30.0
-    while time.monotonic() < deadline:
-        if process.poll() is not None:
-            raise RuntimeError(
-                f"server exited with {process.returncode} before binding"
-            )
-        if os.path.exists(unix_path):
-            probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            try:
-                probe.connect(unix_path)
-                return process
-            except OSError:
-                pass
-            finally:
-                probe.close()
-        time.sleep(0.02)
-    process.terminate()
-    raise RuntimeError(f"server on {unix_path} did not come up in time")
-
-
-def _stop(processes: list[subprocess.Popen]) -> None:
-    for process in processes:
-        if process.poll() is None:
-            process.terminate()
-    for process in processes:
-        try:
-            process.wait(timeout=10)
-        except subprocess.TimeoutExpired:  # pragma: no cover - last resort
-            process.kill()
-            process.wait(timeout=10)
 
 
 def _registry(unix_path: str) -> dict:
@@ -198,8 +145,13 @@ def test_e13_replica_failover(benchmark, tmp_path):
         for dtd, root, _docs in batches
     ]
     shard_paths, joiner_path = _pick_paths(tmp_path, fingerprints)
+    # Every shard joins the ring of the others by gossip.
+    flags = ("--replicas", str(REPLICAS), "--gossip-interval", str(GOSSIP_INTERVAL))
     processes = [
-        _spawn_server(path, [p for p in shard_paths if p != path])
+        spawn_server(
+            path, *flags,
+            "--gossip-seed", ",".join(p for p in shard_paths if p != path),
+        )
         for path in shard_paths
     ]
     try:
@@ -260,7 +212,9 @@ def test_e13_replica_failover(benchmark, tmp_path):
             # prefetches from them and announces itself, and every live
             # member agrees on one epoch before any traffic.
             _await_converged(survivors)
-            processes.append(_spawn_server(joiner_path, survivors))
+            processes.append(
+                spawn_server(joiner_path, *flags, "--gossip-seed", ",".join(survivors))
+            )
             _await_converged([*survivors, joiner_path])
             joined = _registry(joiner_path)
             prefetched = joined["size"]
@@ -275,7 +229,7 @@ def test_e13_replica_failover(benchmark, tmp_path):
                 joiner_requests = client.stats()["server"]["requests"]
             ring_stats = ring.ring_stats
     finally:
-        _stop(processes)
+        stop_servers(processes)
 
     table = Table(
         "E13: replica failover (3-shard ring, R=2, subprocess servers)",

@@ -27,14 +27,9 @@ CI smoke job.
 from __future__ import annotations
 
 import os
-import socket
-import subprocess
-import sys
 import time
-from pathlib import Path
 
-import repro
-from repro.bench.harness import Table, throughput
+from repro.bench.harness import Table, spawn_server, stop_servers, throughput
 from repro.dtd import catalog
 from repro.dtd.parser import parse_dtd
 from repro.dtd.serialize import dtd_to_text
@@ -84,54 +79,6 @@ def _corpus() -> list[tuple[str, str | None, list[str]]]:
              _documents(dtd, 1450 + index, COLD_DOCS))
         )
     return batches
-
-
-def _spawn_server(unix_path: str, seeds: list[str]) -> subprocess.Popen:
-    """One ring shard, joining the ring of *seeds* by gossip."""
-    src_dir = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-    process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve", "--no-tcp",
-            "--unix", unix_path, "--replicas", str(REPLICAS),
-            "--gossip-interval", str(GOSSIP_INTERVAL),
-            "--gossip-seed", ",".join(seeds),
-        ],
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-    deadline = time.monotonic() + 30.0
-    while time.monotonic() < deadline:
-        if process.poll() is not None:
-            raise RuntimeError(
-                f"server exited with {process.returncode} before binding"
-            )
-        if os.path.exists(unix_path):
-            probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            try:
-                probe.connect(unix_path)
-                return process
-            except OSError:
-                pass
-            finally:
-                probe.close()
-        time.sleep(0.02)
-    process.terminate()
-    raise RuntimeError(f"server on {unix_path} did not come up in time")
-
-
-def _stop(processes: list[subprocess.Popen]) -> None:
-    for process in processes:
-        if process.poll() is None:
-            process.terminate()
-    for process in processes:
-        try:
-            process.wait(timeout=10)
-        except subprocess.TimeoutExpired:  # pragma: no cover - last resort
-            process.kill()
-            process.wait(timeout=10)
 
 
 def _shard_stats(unix_path: str) -> dict:
@@ -184,8 +131,13 @@ def test_e14_balanced_reads(benchmark, tmp_path):
         parse_dtd(batches[0][0], root=batches[0][1])
     )
     shard_paths = [str(tmp_path / f"shard-{i}.sock") for i in range(SHARDS)]
+    # Every shard joins the ring of the others by gossip.
     processes = [
-        _spawn_server(path, [p for p in shard_paths if p != path])
+        spawn_server(
+            path, "--replicas", str(REPLICAS),
+            "--gossip-interval", str(GOSSIP_INTERVAL),
+            "--gossip-seed", ",".join(p for p in shard_paths if p != path),
+        )
         for path in shard_paths
     ]
     try:
@@ -233,7 +185,7 @@ def test_e14_balanced_reads(benchmark, tmp_path):
                 )
             )
     finally:
-        _stop(processes)
+        stop_servers(processes)
 
     owner_shares = [balanced_share[owner] for owner in hot_owners]
     table = Table(

@@ -26,12 +26,10 @@ remain are exactly where the kernel's advantage is smallest.
 
 from __future__ import annotations
 
-import math
 import os
 import random
-from time import perf_counter
 
-from repro.bench.harness import Table, throughput
+from repro.bench.harness import Table, interleaved_best, throughput
 from repro.core.kernel import IMPLEMENTATION
 from repro.core.pv import PVChecker
 from repro.bench.scenarios import degraded_document
@@ -50,23 +48,6 @@ ROUNDS = 3 if FAST else 5
 #: corpora keep only the small documents, so the bar relaxes with them.
 REQUIRED_RATIO = 1.8 if FAST else 3.0
 PER_CORPUS_FLOOR = 1.5 if FAST else 2.0
-
-
-def _interleaved_best(workloads: dict[str, object], rounds: int) -> dict[str, float]:
-    """Best-of-*rounds* seconds per workload, alternating within each round.
-
-    Interleaving means a slow patch on the box hits every backend of that
-    round equally instead of biasing whichever happened to run then.
-    """
-    for fn in workloads.values():  # one untimed warmup apiece
-        fn()
-    best = {name: math.inf for name in workloads}
-    for _ in range(rounds):
-        for name, fn in workloads.items():
-            started = perf_counter()
-            fn()
-            best[name] = min(best[name], perf_counter() - started)
-    return best
 
 
 def _e1_documents(dtd):
@@ -113,7 +94,7 @@ def test_e15_kernel_throughput(benchmark, manuscript_dtd):
             checker.check_document(document)
 
     for corpus_name, documents in corpora.items():
-        best = _interleaved_best(
+        best = interleaved_best(
             {
                 "machine": lambda docs=tuple(documents): run(machine, docs),
                 "kernel": lambda docs=tuple(documents): run(kernel, docs),

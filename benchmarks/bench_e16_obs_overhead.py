@@ -29,12 +29,10 @@ exceeds 5%.
 
 from __future__ import annotations
 
-import math
 import os
 import random
-from time import perf_counter
 
-from repro.bench.harness import Table, throughput
+from repro.bench.harness import Table, interleaved_best, throughput
 from repro.bench.scenarios import degraded_document
 from repro.dtd.serialize import dtd_to_text
 from repro.obs.metrics import MetricsRegistry, counter_value
@@ -54,19 +52,6 @@ ROUNDS = 3 if FAST else 5
 #: The FAST corpora finish in fractions of a millisecond per document,
 #: where scheduler jitter swamps the instruments' few lock acquires.
 MAX_OVERHEAD = 1.25 if FAST else 1.05
-
-
-def _interleaved_best(workloads: dict[str, object], rounds: int) -> dict[str, float]:
-    """Best-of-*rounds* seconds per workload, alternating within each round."""
-    for fn in workloads.values():  # one untimed warmup apiece
-        fn()
-    best = {name: math.inf for name in workloads}
-    for _ in range(rounds):
-        for name, fn in workloads.items():
-            started = perf_counter()
-            fn()
-            best[name] = min(best[name], perf_counter() - started)
-    return best
 
 
 def _corpus(dtd) -> list[str]:
@@ -107,7 +92,7 @@ def test_e16_obs_overhead(benchmark, manuscript_dtd, tmp_path):
             # would make the timing comparison meaningless.
             assert drive(on_client) == drive(off_client)
 
-            best = _interleaved_best(
+            best = interleaved_best(
                 {
                     "instrumented": lambda: drive(on_client),
                     "stripped": lambda: drive(off_client),

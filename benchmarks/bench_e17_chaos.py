@@ -26,14 +26,9 @@ job.
 from __future__ import annotations
 
 import os
-import socket
-import subprocess
-import sys
 import time
-from pathlib import Path
 
-import repro
-from repro.bench.harness import Table, throughput
+from repro.bench.harness import Table, spawn_server, stop_servers, throughput
 from repro.dtd import catalog
 from repro.dtd.parser import parse_dtd
 from repro.dtd.serialize import dtd_to_text
@@ -80,60 +75,6 @@ def _corpus() -> list[tuple[str, str | None, list[str]]]:
              _documents(dtd, 1750 + index, COLD_DOCS))
         )
     return batches
-
-
-def _subprocess_env() -> dict[str, str]:
-    src_dir = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-    return env
-
-
-def _spawn_shard(unix_path: str, seeds: list[str]) -> subprocess.Popen:
-    command = [
-        sys.executable, "-m", "repro", "serve", "--no-tcp",
-        "--unix", unix_path,
-        "--replicas", str(REPLICAS), "--read-policy", "least-inflight",
-        "--gossip-interval", str(GOSSIP_INTERVAL),
-    ]
-    if seeds:
-        command += ["--gossip-seed", ",".join(seeds)]
-    process = subprocess.Popen(
-        command,
-        env=_subprocess_env(),
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-    deadline = time.monotonic() + 30.0
-    while time.monotonic() < deadline:
-        if process.poll() is not None:
-            raise RuntimeError(
-                f"shard exited with {process.returncode} before binding"
-            )
-        if os.path.exists(unix_path):
-            probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            try:
-                probe.connect(unix_path)
-                return process
-            except OSError:
-                pass
-            finally:
-                probe.close()
-        time.sleep(0.02)
-    process.terminate()
-    raise RuntimeError(f"shard on {unix_path} did not come up in time")
-
-
-def _stop(processes: list[subprocess.Popen]) -> None:
-    for process in processes:
-        if process.poll() is None:
-            process.terminate()
-    for process in processes:
-        try:
-            process.wait(timeout=10)
-        except subprocess.TimeoutExpired:  # pragma: no cover - last resort
-            process.kill()
-            process.wait(timeout=10)
 
 
 def _health(unix_path: str) -> dict:
@@ -207,8 +148,13 @@ def test_e17_chaos(benchmark, tmp_path):
     half = len(hot_docs) // 2
     hot_fingerprint = schema_fingerprint(parse_dtd(hot_dtd, root=hot_root))
     shard_paths = [str(tmp_path / f"shard-{i}.sock") for i in range(SHARDS)]
+    # Every shard joins the ring of the others by gossip.
     processes = {
-        path: _spawn_shard(path, [p for p in shard_paths if p != path])
+        path: spawn_server(
+            path, "--replicas", str(REPLICAS), "--read-policy", "least-inflight",
+            "--gossip-interval", str(GOSSIP_INTERVAL),
+            "--gossip-seed", ",".join(p for p in shard_paths if p != path),
+        )
         for path in shard_paths
     }
     table = Table(
@@ -284,7 +230,7 @@ def test_e17_chaos(benchmark, tmp_path):
                 lambda: ring.check(hot_dtd, hot_docs[0], root=hot_root)
             )
     finally:
-        _stop(list(processes.values()))
+        stop_servers(processes.values())
 
     total_docs = sum(len(docs) for _dtd, _root, docs in batches)
     chaos_docs = len(hot_docs) + total_docs

@@ -31,17 +31,15 @@ bars for the CI smoke job; the equivalence bar never relaxes.
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 from pathlib import Path
-from time import perf_counter
 
 # The corpus generators live with the tests they were built for.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 import corpusgen  # noqa: E402
-from repro.bench.harness import Table, throughput  # noqa: E402
+from repro.bench.harness import Table, interleaved_best, throughput  # noqa: E402
 from repro.core.pv import PVChecker  # noqa: E402
 from repro.service.batch import BatchChecker  # noqa: E402
 from repro.service.cache import VerdictCache  # noqa: E402
@@ -62,19 +60,6 @@ ROUNDS = 3 if FAST else 5
 REQUIRED_FUSION_RATIO = 1.5 if FAST else 2.0
 #: The cache bar on the 50%-repeat corpus.
 REQUIRED_CACHED_RATIO = 3.0 if FAST else 5.0
-
-
-def _interleaved_best(workloads: dict[str, object], rounds: int) -> dict[str, float]:
-    """Best-of-*rounds* seconds per workload, alternating within rounds."""
-    for fn in workloads.values():  # one untimed warmup apiece
-        fn()
-    best = {name: math.inf for name in workloads}
-    for _ in range(rounds):
-        for name, fn in workloads.items():
-            started = perf_counter()
-            fn()
-            best[name] = min(best[name], perf_counter() - started)
-    return best
 
 
 def _corpus_texts(dtd) -> list[str]:
@@ -143,7 +128,7 @@ def test_e19_parse_fusion(benchmark, manuscript_dtd):
             )
             batch.check_texts(repeats)
 
-        best = _interleaved_best(
+        best = interleaved_best(
             {
                 "reference": reference_pass,
                 "fused": fused_pass,

@@ -41,6 +41,7 @@ Layer map (bottom-up):
 from repro.config import CheckerConfig, DEFAULT_CONFIG, DEFAULT_DEPTH_BOUND
 from repro.core.classify import ClassificationReport, classify_dtd
 from repro.core.completion import (
+    CompletionDepthError,
     CompletionError,
     CompletionResult,
     complete_document,
@@ -125,6 +126,7 @@ __all__ = [
     "complete_document",
     "CompletionResult",
     "CompletionError",
+    "CompletionDepthError",
     # service layer
     "CompiledSchema",
     "compile_schema",

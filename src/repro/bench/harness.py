@@ -11,16 +11,34 @@ Checkers used in benchmarks are sourced from the process-wide schema
 registry via :func:`checker_for`, so timing loops measure *checking*, not
 accidental per-iteration schema recompilation; the cold-compilation cost
 itself is measured explicitly by the E10 batch-throughput benchmark.
+
+The served benchmarks run real ``python -m repro serve`` processes:
+:func:`spawn_server` starts one and returns once it accepts connections,
+and :func:`stop_servers` ends them.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import socket
+import subprocess
+import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from pathlib import Path
+from typing import Callable, Iterable, Sequence
 
-__all__ = ["time_callable", "Table", "fit_power_law", "checker_for", "throughput"]
+__all__ = [
+    "time_callable",
+    "interleaved_best",
+    "Table",
+    "fit_power_law",
+    "checker_for",
+    "throughput",
+    "spawn_server",
+    "stop_servers",
+]
 
 
 def checker_for(dtd, algorithm: str = "machine", config=None):
@@ -58,6 +76,78 @@ def time_callable(
         elapsed = time.perf_counter() - started
         best = min(best, elapsed)
     return best
+
+
+def interleaved_best(
+    workloads: dict[str, Callable[[], object]], rounds: int
+) -> dict[str, float]:
+    """Best-of-*rounds* seconds per workload, alternating within each round.
+
+    Interleaving means a slow patch on the box hits every workload of that
+    round equally instead of biasing whichever happened to run then.
+    """
+    for fn in workloads.values():  # one untimed warmup apiece
+        fn()
+    best = {name: math.inf for name in workloads}
+    for _ in range(rounds):
+        for name, fn in workloads.items():
+            started = time.perf_counter()
+            fn()
+            best[name] = min(best[name], time.perf_counter() - started)
+    return best
+
+
+def spawn_server(unix_path: str, *flags: str) -> subprocess.Popen:
+    """One ``python -m repro serve`` subprocess on the Unix socket *unix_path*.
+
+    *flags* are extra ``serve`` flags.  The child imports this checkout's
+    ``repro``; output is discarded.  Returns once the socket accepts a
+    connection; raises :class:`RuntimeError` if the process exits first
+    or does not bind within 30 s.
+    """
+    env = dict(os.environ)
+    src_dir = str(Path(__file__).resolve().parents[2])  # holds the repro package
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--no-tcp", "--unix", unix_path,
+         *flags],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        if process.poll() is not None:
+            raise RuntimeError(
+                f"server exited with {process.returncode} before binding"
+            )
+        if os.path.exists(unix_path):
+            probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            try:
+                probe.connect(unix_path)
+                return process
+            except OSError:
+                pass
+            finally:
+                probe.close()
+        time.sleep(0.02)
+    process.terminate()
+    process.wait(timeout=10)
+    raise RuntimeError(f"server on {unix_path} did not come up in time")
+
+
+def stop_servers(processes: Iterable[subprocess.Popen]) -> None:
+    """Terminate every process still running, then reap them all."""
+    processes = list(processes)
+    for process in processes:
+        if process.poll() is None:
+            process.terminate()
+    for process in processes:
+        try:
+            process.wait(timeout=10)
+        except subprocess.TimeoutExpired:  # pragma: no cover - last resort
+            process.kill()
+            process.wait(timeout=10)
 
 
 @dataclass

@@ -39,7 +39,8 @@ Ten commands wrap the library for shell use:
 ``serve``
     Run the long-lived NDJSON validation server (TCP and/or a Unix
     socket) over one warm schema registry, optionally backed by the
-    persistent artifact store and a process pool.  ``--ring N`` starts a
+    persistent artifact store; verdicts run on the server's threads, so
+    more cores take more shard processes.  ``--ring N`` starts a
     local ring of N shard servers (consecutive ports / suffixed socket
     paths, one registry and store partition each) for development and
     smoke testing of the sharded topology; every shard of a ring runs a
@@ -331,7 +332,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     servers = [
         ValidationServer(
             store=shard_store(index),
-            workers=args.workers,
             default_algorithm=args.algorithm,
             events=events,
             slow_ms=args.slow_ms,
@@ -880,12 +880,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--unix", default=None, metavar="PATH", help="also serve a Unix socket"
     )
     serve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="process-pool size for verdicts (0 = threads in-process)",
-    )
-    serve.add_argument(
         "--store",
         nargs="?",
         const=str(default_store_dir()),
@@ -1102,9 +1096,6 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
     if args.handler is _cmd_batch and args.admission == "on" and not args.ring:
         print("error: --admission requires --ring", file=sys.stderr)
-        return USAGE_ERROR
-    if args.handler is _cmd_serve and args.workers < 0:
-        print("error: --workers must be >= 0", file=sys.stderr)
         return USAGE_ERROR
     if args.handler is _cmd_serve and args.ring < 1:
         print("error: --ring must be >= 1", file=sys.stderr)

@@ -49,7 +49,13 @@ from repro.grammar.cfg import Grammar, Production
 from repro.xmlmodel.delta import SIGMA
 from repro.xmlmodel.tree import XmlDocument, XmlElement, XmlNode, XmlText
 
-__all__ = ["CompletionError", "CompletionResult", "complete_document", "complete_element"]
+__all__ = [
+    "CompletionDepthError",
+    "CompletionError",
+    "CompletionResult",
+    "complete_document",
+    "complete_element",
+]
 
 
 class CompletionError(ReproError):
@@ -61,6 +67,23 @@ class CompletionError(ReproError):
         super().__init__(
             f"no completion exists for <{element}> at {path}: "
             "the content cannot be completed by tag insertions alone"
+        )
+
+
+class CompletionDepthError(ReproError):
+    """The document nests deeper than completion can follow.
+
+    Completion recurses once per document level (and per token of a
+    content span), so a deep enough document reaches the interpreter's
+    recursion limit.  That says nothing about potential validity: this is
+    not a :class:`CompletionError`.
+    """
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        super().__init__(
+            "document nests too deep to complete: completion recurses per "
+            f"level and reached the recursion limit ({limit} frames)"
         )
 
 
@@ -367,9 +390,16 @@ def _collect(node: _Node, plan: list[_PlanItem]) -> None:
 
 
 def complete_element(dtd: DTD, element: XmlElement) -> tuple[XmlElement, int]:
-    """Complete the subtree rooted at *element*; returns (new tree, insertions)."""
+    """Complete the subtree rooted at *element*; returns (new tree, insertions).
+
+    Raises :class:`CompletionDepthError` when the subtree nests deeper
+    than the recursion limit lets completion follow.
+    """
     completer = _Completer(dtd)
-    completed = completer.complete(element, f"/{element.name}")
+    try:
+        completed = completer.complete(element, f"/{element.name}")
+    except RecursionError:
+        raise CompletionDepthError(sys.getrecursionlimit()) from None
     return completed, completer.inserted
 
 
@@ -377,7 +407,8 @@ def complete_document(dtd: DTD, document: XmlDocument) -> CompletionResult:
     """Compute a valid extension of *document* (Definition 2's ``Ext``).
 
     Raises :class:`CompletionError` when (and only when) the document is not
-    potentially valid.  The returned document preserves all original nodes,
+    potentially valid, and :class:`CompletionDepthError` when it nests too
+    deep to complete.  The returned document preserves all original nodes,
     their order and their character data; only new element wrappers are
     added — exactly the paper's notion of extension.
     """

@@ -148,22 +148,93 @@ class CompiledTables:
         )
 
 
-def _silent_closure(tables: PositionTables, position: int) -> frozenset[int]:
-    """The machine's ``_silent_closure`` computed eagerly for one position."""
+def _silent_closures(tables: PositionTables, size: int) -> list[int]:
+    """Every silent closure of one automaton as a bitmask, ENTRY's first.
+
+    A position's closure is its follow set plus the follow set of every
+    insertable position reachable from it through insertable positions
+    only: the positions the machine's ``_silent_closure`` makes eligible
+    for the next token.  One pass computes them all.  Each insertable
+    position's *reach* (its follow mask OR its insertable successors'
+    reach) is shared by its strongly connected component of the follow
+    graph restricted to insertable positions; Tarjan's algorithm, run
+    with an explicit stack, finishes the components in reverse
+    topological order, so each component's reach is one union over
+    reaches already known.  A closure is then its follow mask OR the
+    reach of each insertable successor.
+    """
     if tables.automaton is None:
-        return frozenset()
-    start = set(tables.children(position))
-    eligible = set(start)
-    stack = [index for index in start if tables.insertable[index]]
-    seen = set(stack)
-    while stack:
-        index = stack.pop()
-        for successor in tables.children(index):
-            eligible.add(successor)
-            if tables.insertable[successor] and successor not in seen:
-                seen.add(successor)
-                stack.append(successor)
-    return frozenset(eligible)
+        return [0]
+    insertable = tables.insertable
+    follow = [_mask(tables.children(index)) for index in range(size)]
+    silent = [
+        [succ for succ in tables.children(index) if insertable[succ]]
+        if insertable[index]
+        else []
+        for index in range(size)
+    ]
+    reach = [0] * size
+    order = [-1] * size  # Tarjan's discovery index; -1 = unvisited
+    low = [0] * size
+    on_stack = [False] * size
+    component: list[int] = []
+    visited = 0
+    for root in range(size):
+        if not insertable[root] or order[root] >= 0:
+            continue
+        order[root] = low[root] = visited
+        visited += 1
+        component.append(root)
+        on_stack[root] = True
+        work = [(root, 0)]
+        while work:
+            node, edge = work[-1]
+            if edge < len(silent[node]):
+                work[-1] = (node, edge + 1)
+                succ = silent[node][edge]
+                if order[succ] < 0:
+                    order[succ] = low[succ] = visited
+                    visited += 1
+                    component.append(succ)
+                    on_stack[succ] = True
+                    work.append((succ, 0))
+                elif on_stack[succ]:
+                    low[node] = min(low[node], order[succ])
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] != order[node]:
+                continue
+            # *node* roots a finished component: every component it
+            # reaches finished before it, so their reach is final, and
+            # members' reach (still 0) adds nothing to the union.
+            members = []
+            while True:
+                member = component.pop()
+                on_stack[member] = False
+                members.append(member)
+                if member == node:
+                    break
+            mask = 0
+            for member in members:
+                mask |= follow[member]
+                for succ in silent[member]:
+                    mask |= reach[succ]
+            for member in members:
+                reach[member] = mask
+
+    def closure(position: int, mask: int) -> int:
+        for succ in tables.children(position):
+            if insertable[succ]:
+                mask |= reach[succ]
+        return mask
+
+    closures = [closure(ENTRY, _mask(tables.children(ENTRY)))]
+    for index in range(size):
+        closures.append(closure(index, follow[index]))
+    return closures
 
 
 def _mask(indices) -> int:
@@ -189,9 +260,7 @@ def compile_tables(dag: DtdDag) -> CompiledTables:
         automaton = tables.automaton
         size = automaton.size if automaton is not None else 0
 
-        closures = [_mask(_silent_closure(tables, ENTRY))]
-        for index in range(size):
-            closures.append(_mask(_silent_closure(tables, index)))
+        closures = _silent_closures(tables, size)
 
         pos_label = array("l")
         pos_elem = array("l")

@@ -7,9 +7,8 @@ process serving traffic:
   (requests ``check``/``classify``/``validate``/``stats``; structured,
   recoverable errors).
 * :mod:`repro.server.server` — :class:`ValidationServer` (TCP and Unix
-  sockets, CPU-bound verdicts on threads or a process pool seeded with
-  compiled artifacts by fingerprint, graceful draining shutdown) and
-  :class:`ServerThread` (a server on its own event-loop thread).
+  sockets, CPU-bound verdicts on threads, graceful draining shutdown)
+  and :class:`ServerThread` (a server on its own event-loop thread).
 * :mod:`repro.server.client` — :class:`ValidationClient`, the blocking
   NDJSON client (pipelining, streaming ``check-batch``, artifact
   transfer) used by tests, the benchmarks, and the CI smoke jobs.
@@ -73,19 +72,13 @@ from repro.server.ring import (
 )
 from repro.server.router import DEFAULT_READ_POLICY, Router
 from repro.server.scheduler import CorpusScheduler
-from repro.server.server import (
-    HANDLED_OPS,
-    ArtifactMissError,
-    ServerThread,
-    ValidationServer,
-)
+from repro.server.server import HANDLED_OPS, ServerThread, ValidationServer
 
 __all__ = [
     "ValidationServer",
     "ServerThread",
     "ValidationClient",
     "ServerError",
-    "ArtifactMissError",
     "ShardRing",
     "ShardedClient",
     "ShardUnavailableError",

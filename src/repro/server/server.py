@@ -15,25 +15,16 @@ work is CPU-bound and runs off-loop.  Every ``check`` and every
 ``check-batch`` item runs the one text→verdict pipeline,
 :meth:`~repro.service.dispatch.BackendDispatcher.check_text`, on a
 thread (``asyncio.to_thread``) over a per-fingerprint dispatcher that
-shares the server's verdict cache.  A ``check`` is one thread hop; a
-batch takes one hop per *run*, every item line that has arrived since
-the batch last looked, and answers the run with one write:
-
-* ``workers == 0`` — the verdict is computed on that thread.  The
-  artifact is shared in-process; fine for tests and modest loads.
-* ``workers > 0`` — the dispatcher's backend step runs on a
-  :class:`ProcessPoolExecutor` whose workers hold their own
-  fingerprint-keyed dispatchers.  A task message normally carries only
-  ``(fingerprint, document)``; the compiled artifact itself is shipped
-  (pickled) to the pool **only when a worker reports a miss**, and
-  workers with a disk store load by fingerprint without any shipping at
-  all.  This is the batch layer's ship-the-artifact-once discipline
-  extended to a long-lived pool.
+shares the server's verdict cache and the in-process artifact.  A
+``check`` is one thread hop; a batch takes one hop per *run*, every
+item line that has arrived since the batch last looked, and answers
+the run with one write.  Parallelism across processes comes from ring
+shards, not from inside one server.
 
 Shutdown is graceful by default: :meth:`ValidationServer.stop` closes the
 listeners, lets every in-flight request finish and its response flush,
-then tears down connections and the pool.  A batch run still off-loop
-when the drain times out is abandoned between documents.
+then tears down connections.  A batch run still off-loop when the drain
+times out is abandoned between documents.
 
 Ring membership
 ---------------
@@ -56,19 +47,16 @@ import base64
 import binascii
 import errno
 import os
-import pickle
 import socket
 import stat
 import threading
 from collections import Counter, OrderedDict
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from time import monotonic
 from typing import Any, Iterable
 
 from repro.config import CheckerConfig, DEFAULT_CONFIG
 from repro.core.classify import classify_dtd
 from repro.core.coarse import encode_coarse
-from repro.core.pv import PVVerdict
 from repro.dtd.parser import parse_dtd
 from repro.errors import ReproError
 from repro.obs.events import EventLog
@@ -87,7 +75,7 @@ from repro.service.store import ArtifactStore, decode_artifact, encode_artifact
 from repro.validity.validator import DTDValidator
 from repro.xmlmodel.parser import parse_xml
 
-__all__ = ["ValidationServer", "ServerThread", "ArtifactMissError", "HANDLED_OPS"]
+__all__ = ["ValidationServer", "ServerThread", "HANDLED_OPS"]
 
 #: Every op :class:`ValidationServer` dispatches.  Kept in lockstep with
 #: :data:`repro.server.protocol.OPS` (and with ``docs/PROTOCOL.md``) by a
@@ -126,22 +114,13 @@ _HOT_COUNTER_SIZE = 4096
 #: requests skip DTD re-parsing entirely.
 _TEXT_INDEX_SIZE = 1024
 
-#: Bound on each pool worker's fingerprint-keyed dispatcher cache.
-_POOL_CACHE_SIZE = 64
-
-#: Above this many fingerprints the shipped-hint set is reset; correctness
-#: is unaffected (a wrongly assumed-shipped artifact triggers the
-#: ArtifactMissError retry, which always ships).
-_SHIPPED_HINT_SIZE = 4096
-
 
 class _BoundedCache(OrderedDict):
     """A small LRU mapping: inserting past *maxsize* evicts the oldest.
 
-    The server and its pool workers key derived objects (dispatchers,
-    validators) by schema fingerprint; without a
-    bound, every schema ever served would stay pinned in memory and
-    defeat the registry's LRU budget.
+    The server keys derived objects (dispatchers, validators) by schema
+    fingerprint; without a bound, every schema ever served would stay
+    pinned in memory and defeat the registry's LRU budget.
     """
 
     def __init__(self, maxsize: int) -> None:
@@ -288,74 +267,6 @@ def _remove_stale_unix_socket(path: str) -> None:
         probe.close()
 
 
-class ArtifactMissError(Exception):
-    """A pool worker does not hold the artifact for this fingerprint.
-
-    Crosses the process boundary as the worker's way of asking the server
-    to ship the pickled artifact along with the retry.
-    """
-
-    def __init__(self, fingerprint: str) -> None:
-        super().__init__(fingerprint)
-        self.fingerprint = fingerprint
-
-
-# -- pool-worker state -------------------------------------------------------
-#
-# One dispatcher cache per worker process, keyed by fingerprint.
-# Module-level so the initializer and task function pickle by reference.
-
-_POOL_STORE: ArtifactStore | None = None
-_POOL_DISPATCHERS: "_BoundedCache" = _BoundedCache(_POOL_CACHE_SIZE)
-
-
-def _init_pool_worker(store_dir: str | None) -> None:
-    global _POOL_STORE
-    _POOL_STORE = ArtifactStore(store_dir) if store_dir else None
-
-
-def _pool_verdict(
-    fingerprint: str,
-    blob: bytes | None,
-    doc_text: str,
-    algorithm: str,
-    config: CheckerConfig,
-) -> PVVerdict:
-    """Run the backend step of one check in a pool worker."""
-    dispatcher = _POOL_DISPATCHERS.get(fingerprint)
-    if dispatcher is None:
-        schema = pickle.loads(blob) if blob is not None else None
-        if schema is None and _POOL_STORE is not None:
-            schema = _POOL_STORE.load(fingerprint)
-        if schema is None:
-            raise ArtifactMissError(fingerprint)
-        dispatcher = BackendDispatcher(schema, config=config)
-        _POOL_DISPATCHERS[fingerprint] = dispatcher
-    try:
-        return dispatcher.checker_for(algorithm).check_text(doc_text)
-    except ReproError as error:
-        # Re-raised plain: subclasses with custom constructors do not
-        # survive the trip back through pickle.
-        raise ReproError(str(error)) from None
-
-
-class _PoolDispatcher(BackendDispatcher):
-    """A dispatcher whose backend step runs on the server's process pool.
-
-    Resolution, the verdict cache and the decision log stay in the
-    server process, so one cache fronts both execution modes.
-    """
-
-    def __init__(self, server: "ValidationServer", schema: CompiledSchema) -> None:
-        super().__init__(
-            schema, config=server.config, verdict_cache=server._verdict_cache
-        )
-        self._server = server
-
-    def _verdict(self, algorithm: str, text: str) -> PVVerdict:
-        return self._server._pool_verdict(self.schema, text, algorithm)
-
-
 class ValidationServer:
     """A long-running NDJSON potential-validity service.
 
@@ -379,12 +290,8 @@ class ValidationServer:
         The warm artifact cache shared by every connection.  A fresh one
         is created when omitted (optionally backed by *store*).
     store:
-        Persistent artifact store.  Attached to the registry (so restarts
-        skip recompilation) and, when a process pool is used, passed to
-        workers so they can load artifacts by fingerprint from disk.
-    workers:
-        ``0`` checks on threads in this process; ``N > 0`` uses a process
-        pool of that size.
+        Persistent artifact store.  Attached to the registry, so restarts
+        skip recompilation.
     default_algorithm:
         Backend when a request names none; ``"auto"`` (the default)
         resolves to the fused kernel.
@@ -409,7 +316,6 @@ class ValidationServer:
         self,
         registry: SchemaRegistry | None = None,
         store: ArtifactStore | None = None,
-        workers: int = 0,
         config: CheckerConfig = DEFAULT_CONFIG,
         default_algorithm: str = "auto",
         metrics: MetricsRegistry | None = None,
@@ -421,8 +327,6 @@ class ValidationServer:
         replica_count: int = 1,
         read_policy: str | None = None,
     ) -> None:
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
         if verdict_cache < 0:
             raise ValueError("verdict_cache must be >= 0 (0 disables)")
         if gossip_interval <= 0:
@@ -441,7 +345,6 @@ class ValidationServer:
             registry.attach_store(store)
         self.registry = registry
         self.store = store if store is not None else registry.store
-        self.workers = workers
         self.config = config
         self.default_algorithm = default_algorithm
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -494,11 +397,6 @@ class ValidationServer:
         )
         # The cache counts its own traffic; scrapes add what is new since.
         self._cache_seen = {"hits": 0, "misses": 0, "evictions": 0}
-        self._pool: ProcessPoolExecutor | None = None
-        # Pool requests run on threads: the lock guards rebuilding a
-        # broken pool and the shipped-artifact hints.
-        self._pool_lock = threading.Lock()
-        self._shipped: set[str] = set()
         # Derived-object caches hold compiled artifacts alive; bounding
         # them by the registry's own budget keeps a long-lived server's
         # memory proportional to maxsize, not to every schema ever seen.
@@ -518,6 +416,9 @@ class ValidationServer:
         # Verdict work currently executing off-loop — the load signal a
         # "least-inflight" routing client balances on, surfaced in stats.
         self._inflight = 0
+        # The CPUs verdict work can use: inflight work past them waits
+        # (the load stamp's queue_depth).
+        self._capacity = os.cpu_count() or 1
         self._started_at: float | None = None
         # Per-fingerprint request counts: the "hot" list a joining shard's
         # prefetch is computed from.
@@ -560,8 +461,6 @@ class ValidationServer:
         self._closing = asyncio.Event()
         self._abandoned = False
         self._started_at = monotonic()
-        if self.workers > 0 and self._pool is None:
-            self._pool = self._make_pool()
         if host is not None:
             server = await asyncio.start_server(
                 self._on_connection,
@@ -644,10 +543,6 @@ class ValidationServer:
             self._abandoned = bool(pending)
         for task in list(self._conn_tasks):
             task.cancel()
-        if self._pool is not None:
-            pool = self._pool
-            self._pool = None
-            await asyncio.to_thread(pool.shutdown, True)
         if self._unix_path is not None:
             # Leave nothing behind: a lingering socket path would force
             # the next start() through the stale-socket probe (and, on a
@@ -995,12 +890,9 @@ class ValidationServer:
         """The per-fingerprint dispatcher (built on the event loop)."""
         dispatcher = self._dispatchers.get(schema.fingerprint)
         if dispatcher is None:
-            if self.workers > 0:
-                dispatcher = _PoolDispatcher(self, schema)
-            else:
-                dispatcher = BackendDispatcher(
-                    schema, config=self.config, verdict_cache=self._verdict_cache
-                )
+            dispatcher = BackendDispatcher(
+                schema, config=self.config, verdict_cache=self._verdict_cache
+            )
             self._dispatchers[schema.fingerprint] = dispatcher
         return dispatcher
 
@@ -1124,66 +1016,6 @@ class ValidationServer:
     def _coarse_stamp(self, schema: CompiledSchema) -> str:
         """The base64 coarse summary a ``"coarse": true`` reply carries."""
         return base64.b64encode(encode_coarse(schema.coarse)).decode("ascii")
-
-    def _make_pool(self) -> ProcessPoolExecutor:
-        store_dir = str(self.store.directory) if self.store is not None else None
-        return ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_init_pool_worker,
-            initargs=(store_dir,),
-        )
-
-    def _pool_verdict(
-        self, schema: CompiledSchema, doc_text: str, algorithm: str
-    ) -> PVVerdict:
-        """Run a backend on the pool, shipping the artifact only on a miss.
-
-        Called on a request's thread.  A broken pool (a worker OOM-killed
-        or SIGKILLed poisons the whole :class:`ProcessPoolExecutor`) is
-        rebuilt once per request instead of condemning the long-running
-        server to answer ``internal`` forever.
-        """
-        fingerprint = schema.fingerprint
-        for attempt in (1, 2):
-            pool = self._pool
-            assert pool is not None
-            blob = (
-                None
-                if fingerprint in self._shipped
-                else pickle.dumps(schema, protocol=pickle.HIGHEST_PROTOCOL)
-            )
-            try:
-                try:
-                    verdict = pool.submit(
-                        _pool_verdict, fingerprint, blob, doc_text, algorithm,
-                        self.config,
-                    ).result()
-                except ArtifactMissError:
-                    # A different worker picked up the task than the one(s)
-                    # seeded earlier; retry once with the artifact attached.
-                    verdict = pool.submit(
-                        _pool_verdict, fingerprint,
-                        pickle.dumps(schema, protocol=pickle.HIGHEST_PROTOCOL),
-                        doc_text, algorithm, self.config,
-                    ).result()
-            except BrokenExecutor:
-                if attempt == 2:
-                    raise
-                with self._pool_lock:
-                    if self._pool is pool:
-                        pool.shutdown(wait=False)
-                        self._shipped.clear()  # fresh workers hold no artifacts
-                        self._pool = self._make_pool()
-                continue
-            with self._pool_lock:
-                self._shipped.add(fingerprint)
-                if len(self._shipped) > _SHIPPED_HINT_SIZE:
-                    # The hint only avoids redundant shipping; resetting
-                    # it is always safe because a wrong "shipped"
-                    # assumption is healed by the ArtifactMissError retry.
-                    self._shipped.clear()
-            return verdict
-        raise AssertionError("unreachable")  # pragma: no cover
 
     # -- the streaming batch op ----------------------------------------------
 
@@ -1686,13 +1518,12 @@ class ValidationServer:
         """The server-truth load stamp success replies carry.
 
         ``inflight`` is verdict work currently executing; ``queue_depth``
-        is the portion beyond worker capacity — what a new request would
-        wait behind.
+        is the portion beyond the server's CPU count — what a new request
+        would wait behind.
         """
-        capacity = self.workers or (os.cpu_count() or 1)
         return {
             "inflight": self._inflight,
-            "queue_depth": max(0, self._inflight - capacity),
+            "queue_depth": max(0, self._inflight - self._capacity),
         }
 
     def _op_stats(self) -> dict[str, Any]:
@@ -1711,7 +1542,6 @@ class ValidationServer:
                 "batch_items": self._batch_items,
                 "inflight": self._inflight,
                 "connections": len(self._conn_tasks),
-                "workers": self.workers,
                 "default_algorithm": self.default_algorithm,
                 "ring_epoch": self._placement.epoch,
                 "hot_limit": self.hot_limit,

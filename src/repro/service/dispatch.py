@@ -15,8 +15,8 @@ contract lives in ``docs/BACKENDS.md``, kept in lockstep with
   cross-check.
 
 :meth:`BackendDispatcher.check_text` is the only code that turns document
-text into a served verdict: the server (threads and process pool), the
-batch checker (inline and pool workers) and ``repro check`` all call it.
+text into a served verdict: the server (on its threads), the batch
+checker (inline and pool workers) and ``repro check`` all call it.
 ``auto`` resolves to the kernel; an explicit algorithm runs through
 :meth:`~repro.core.pv.PVChecker.check_text` too.  Every backend checks
 off the scanner's events in the one walk of :mod:`repro.core.stream`,
@@ -245,17 +245,14 @@ class BackendDispatcher:
                 return TextVerdict(verdict, error, algorithm, True, 0.0, reason)
         started = perf_counter()
         try:
-            verdict, error = self._verdict(algorithm, text), None
+            verdict = self.checker_for(algorithm).check_text(text)  # type: ignore[arg-type]
+            error = None
         except ReproError as failure:
             verdict, error = None, str(failure)
         seconds = perf_counter() - started
         if cache is not None:
             cache.put(key, (verdict, error))
         return TextVerdict(verdict, error, algorithm, False, seconds, reason)
-
-    def _verdict(self, algorithm: str, text: str) -> PVVerdict:
-        """Run *algorithm* over *text* (overridden to run it elsewhere)."""
-        return self.checker_for(algorithm).check_text(text)  # type: ignore[arg-type]
 
     def check_document(
         self, document: XmlDocument | XmlElement

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import Table, fit_power_law, time_callable
+from repro.bench.harness import (
+    Table,
+    fit_power_law,
+    interleaved_best,
+    spawn_server,
+    stop_servers,
+    time_callable,
+)
 from repro.bench.scenarios import degraded_document, valid_document
 from repro.dtd import catalog
 from repro.validity.validator import DTDValidator
@@ -23,6 +30,37 @@ class TestTimeCallable:
 
         time_callable(fn, repeat=3, warmup=2)
         assert len(calls) == 5
+
+
+class TestInterleavedBest:
+    def test_one_warmup_then_alternating_rounds(self):
+        calls: list[str] = []
+        best = interleaved_best(
+            {"a": lambda: calls.append("a"), "b": lambda: calls.append("b")},
+            rounds=3,
+        )
+        assert calls == ["a", "b"] * 4
+        assert set(best) == {"a", "b"}
+        assert all(0 <= seconds < 1 for seconds in best.values())
+
+
+class TestServeProcesses:
+    def test_spawned_server_answers_until_stopped(self, tmp_path):
+        from repro.server.client import ValidationClient
+
+        path = str(tmp_path / "pv.sock")
+        process = spawn_server(path, "--verdict-cache", "8")
+        try:
+            with ValidationClient.connect_unix(path) as client:
+                stats = client.stats()["server"]
+            assert stats["verdict_cache"] is not None  # the extra flag took
+        finally:
+            stop_servers([process])
+        assert process.returncode is not None
+
+    def test_server_that_exits_before_binding_raises(self, tmp_path):
+        with pytest.raises(RuntimeError, match="exited with 2"):
+            spawn_server(str(tmp_path / "pv.sock"), "--ring", "0")
 
 
 class TestTable:

@@ -101,6 +101,35 @@ class TestComplete:
         assert main(["complete", schema, doc_w_file]) == 1
         assert "no completion" in capsys.readouterr().err
 
+    def test_too_deep_is_a_structured_error(self, tmp_path):
+        """Completion recurses per level; a document deeper than it can
+        follow is a usage error naming the limit, not a traceback.  Run
+        as a real process: the exit code and stderr are the contract."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        schema = tmp_path / "x.dtd"
+        schema.write_text("<!ELEMENT r (x*)><!ELEMENT x (x*)>")
+        doc = tmp_path / "deep.xml"
+        depth = 12_000
+        doc.write_text("<r>" + "<x>" * depth + "</x>" * depth + "</r>")
+        env = dict(os.environ)
+        src_dir = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "complete", str(schema), str(doc)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines[-3:]
+        assert "recursion limit" in lines[0]
+
 
 class TestVersion:
     def test_version_flag(self, capsys):
@@ -111,8 +140,10 @@ class TestVersion:
 
 
 class TestServeCli:
-    def test_negative_workers(self):
-        assert main(["serve", "--workers", "-1"]) == 2
+    def test_workers_is_not_a_serve_flag(self, capsys):
+        """Verdicts run on the server's threads; processes are shards."""
+        assert main(["serve", "--workers", "2"]) == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
     def test_no_tcp_without_unix(self):
         assert main(["serve", "--no-tcp"]) == 2

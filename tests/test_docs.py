@@ -239,13 +239,21 @@ class TestOperationsDocAccuracy:
         assert not unknown, f"docs reference unknown CLI command(s): {unknown}"
 
     def test_serve_flags_named_in_docs_exist(self):
+        """Every flag on a ``repro serve`` line of the docs parses.
+
+        Reads the files the command test above reads; a backslash
+        continuation belongs to the line it continues.
+        """
         from repro.cli import _build_parser
 
         parser = _build_parser()
-        text = (DOCS / "OPERATIONS.md").read_text()
+        text = "".join(
+            (DOCS / name).read_text()
+            for name in ("OPERATIONS.md", "ARCHITECTURE.md")
+        ) + (DOCS.parent / "README.md").read_text()
         serve_flags = {
             flag
-            for line in text.splitlines()
+            for line in text.replace("\\\n", " ").splitlines()
             if "repro serve" in line
             for flag in re.findall(r"(--[a-z-]+)", line)
         }

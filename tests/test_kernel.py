@@ -17,7 +17,7 @@ from itertools import product
 
 import pytest
 
-from repro.core.dag import build_dag
+from repro.core.dag import ENTRY, build_dag
 from repro.core.kernel import (
     EMISSIONS_LIMIT,
     IMPLEMENTATION,
@@ -32,11 +32,13 @@ from repro.core.tables import CompiledTables, compile_tables
 from repro.dtd import catalog
 from repro.dtd.model import PCDATA
 from repro.dtd.parser import parse_dtd
+from repro.dtd.random_gen import random_dtd
 from repro.service.compiled import compile_schema
 from repro.service.store import decode_artifact, encode_artifact
 from repro.workloads.degrade import degrade
 from repro.workloads.docgen import DocumentGenerator
 from repro.xmlmodel.delta import SIGMA
+from test_differential import RANDOM_DTD_CONFIGS
 
 DIFFERENTIAL_DTDS = (
     "paper-figure1",
@@ -127,6 +129,79 @@ class TestCompiledTables:
         assert peak <= EMISSIONS_LIMIT
         # The unbounded memo would have passed the bound well before this.
         assert peak > EMISSIONS_LIMIT // 2
+
+
+def _dfs_closure(tables, position: int) -> int:
+    """One silent closure by a fresh DFS from *position*: the oracle.
+
+    Every follow position is eligible, and so is every follow position
+    of an insertable position reached through insertable positions.
+    """
+    if tables.automaton is None:
+        return 0
+    eligible = set(tables.children(position))
+    stack = [index for index in eligible if tables.insertable[index]]
+    seen = set(stack)
+    while stack:
+        index = stack.pop()
+        for successor in tables.children(index):
+            eligible.add(successor)
+            if tables.insertable[successor] and successor not in seen:
+                seen.add(successor)
+                stack.append(successor)
+    return sum(1 << index for index in eligible)
+
+
+def _assert_closures_match_the_dfs(dtd) -> int:
+    """Compare every element's closures; the number of automata compared."""
+    dag = build_dag(dtd)
+    compiled = compile_tables(dag)
+    for element in compiled.elements:
+        name = compiled.symbols[element.element_id]
+        tables = dag.dag(name).exact_tables
+        expected = [_dfs_closure(tables, ENTRY)] + [
+            _dfs_closure(tables, index) for index in range(element.size)
+        ]
+        assert list(element.closures) == expected, name
+    return len(compiled.elements)
+
+
+class TestSilentClosures:
+    """``compile_tables`` computes all closures of an automaton in one
+    pass over its insertable components; each must equal the per-position
+    DFS it replaced, so tables, artifacts and verdicts stay the same."""
+
+    @pytest.mark.parametrize("name", catalog.catalog_names())
+    def test_catalog_closures_match_the_dfs(self, name):
+        assert _assert_closures_match_the_dfs(catalog.load(name))
+
+    def test_random_dtd_closures_match_the_dfs(self):
+        compared = sum(
+            _assert_closures_match_the_dfs(random_dtd(config))
+            for config in RANDOM_DTD_CONFIGS
+        )
+        assert compared >= len(RANDOM_DTD_CONFIGS) * 8
+
+    def test_long_optional_sequence_matches_the_dfs(self):
+        """``r (a?, ×300)``: each position's closure is every later one,
+        the shape on which a DFS per position costs cubic time."""
+        dtd = parse_dtd(
+            "<!ELEMENT r (%s)><!ELEMENT a EMPTY>" % ", ".join(["a?"] * 300)
+        )
+        _assert_closures_match_the_dfs(dtd)
+        closures = _tables(dtd).element("r").closures
+        assert closures[0] == (1 << 300) - 1
+        assert closures[300] == 0
+
+    def test_cycles_through_insertable_positions_match_the_dfs(self):
+        """Starred groups put insertable positions on follow cycles, so a
+        component holds several positions that share one reach."""
+        dtd = parse_dtd(
+            "<!ELEMENT r ((a, b?)*, (c | (a?, b)+)*, d?, (b, c?)+)>"
+            "<!ELEMENT a EMPTY><!ELEMENT b (#PCDATA)>"
+            "<!ELEMENT c (a?)><!ELEMENT d (e)><!ELEMENT e (e)>"
+        )
+        _assert_closures_match_the_dfs(dtd)
 
 
 class TestWideBitmasks:

@@ -375,42 +375,6 @@ class TestStoreBackedServer:
         assert store.load(fingerprint) is not None
 
 
-class TestProcessPoolServer:
-    def test_pool_answers_match_inline(self):
-        with ServerThread(host="127.0.0.1", workers=2) as handle:
-            with ValidationClient.connect(handle.tcp_address) as client:
-                replies = [
-                    client.check(FIGURE1, doc, algorithm="machine")
-                    for doc in (DOC_OK, DOC_BAD, DOC_OK, DOC_BAD)
-                ]
-        assert [r["potentially_valid"] for r in replies] == [
-            True, False, True, False,
-        ]
-
-    def test_pool_bad_document_is_structured(self):
-        with ServerThread(host="127.0.0.1", workers=1) as handle:
-            with ValidationClient.connect(handle.tcp_address) as client:
-                with pytest.raises(ServerError) as excinfo:
-                    client.check(FIGURE1, "<r><a></r>")
-                assert excinfo.value.code == "bad-document"
-                # And the pool still serves afterwards.
-                assert client.check(FIGURE1, DOC_OK)["potentially_valid"]
-
-    def test_broken_pool_is_rebuilt(self):
-        import os
-        from concurrent.futures import BrokenExecutor
-
-        with ServerThread(host="127.0.0.1", workers=1) as handle:
-            with ValidationClient.connect(handle.tcp_address) as client:
-                assert client.check(FIGURE1, DOC_OK)["potentially_valid"]
-                # Kill the worker out from under the server, poisoning
-                # the executor the way an OOM-kill would.
-                with pytest.raises(BrokenExecutor):
-                    handle.server._pool.submit(os._exit, 1).result()
-                # The next request rebuilds the pool and still answers.
-                assert client.check(FIGURE1, DOC_OK)["potentially_valid"]
-
-
 def _one_shot_server(respond) -> tuple[str, int, threading.Thread]:
     """A fake TCP server: accept one connection, run *respond*, close."""
     listener = socket.create_server(("127.0.0.1", 0))
@@ -593,10 +557,6 @@ class TestUnixSocketLifecycle:
 
 
 class TestServerConstruction:
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError):
-            ValidationServer(workers=-1)
-
     def test_unknown_read_policy_rejected(self):
         with pytest.raises(ValueError):
             ValidationServer(read_policy="sticky")

@@ -5,8 +5,8 @@ Every surface runs the one text→verdict pipeline
 seeded corpus — valid documents, single-mutation corruptions and
 malformed texts over three catalog DTDs — must come back identical from
 the library, the batch checker (inline and pooled), the served ``check``
-and ``check-batch`` ops (threads and a process pool, cold and from the
-verdict cache) and the ring client.  Replies are compared on
+and ``check-batch`` ops (cold and from the verdict cache) and the ring
+client.  Replies are compared on
 ``potentially_valid``, the failures, ``depth_limited`` and the error.
 
 The ring client's coarse filter is the one sanctioned difference: a
@@ -132,9 +132,8 @@ def test_batch_checker_matches_the_library(workers):
         assert answers == expected()[name], name
 
 
-@pytest.mark.parametrize("workers", [0, 1])
-def test_served_check_and_batch_match_the_library(tmp_path, workers):
-    with ServerThread(unix_path=str(tmp_path / "pv.sock"), workers=workers) as handle:
+def test_served_check_and_batch_match_the_library(tmp_path):
+    with ServerThread(unix_path=str(tmp_path / "pv.sock")) as handle:
         with ValidationClient.connect_unix(handle.unix_path) as client:
             for name, dtd_text, root, texts in corpus():
                 checks = [
@@ -147,10 +146,9 @@ def test_served_check_and_batch_match_the_library(tmp_path, workers):
                 assert trailer["errors"] == 3
 
 
-@pytest.mark.parametrize("workers", [0, 1])
-def test_verdict_cache_replays_every_reply(tmp_path, workers):
+def test_verdict_cache_replays_every_reply(tmp_path):
     with ServerThread(
-        unix_path=str(tmp_path / "pv.sock"), workers=workers, verdict_cache=4096
+        unix_path=str(tmp_path / "pv.sock"), verdict_cache=4096
     ) as handle:
         with ValidationClient.connect_unix(handle.unix_path) as client:
             for name, dtd_text, root, texts in corpus():
