@@ -90,7 +90,6 @@ from pathlib import Path
 
 from repro.core.classify import classify_dtd
 from repro.core.completion import CompletionError, complete_document
-from repro.core.pv import PVChecker
 from repro.dtd.model import DTD
 from repro.dtd.parser import parse_dtd
 from repro.errors import ReproError
@@ -111,7 +110,7 @@ USAGE_ERROR = 2
 #: Runtime failures (bind errors, unwritable stores) exit with this status.
 RUNTIME_ERROR = 1
 
-_ALGORITHMS = ("machine", "kernel", "figure5", "earley")
+_ALGORITHMS = ("machine", "kernel", "figure5", "earley", "auto")
 
 # Mirrors repro.server.protocol.READ_POLICIES without importing the
 # server stack at CLI-parse time (a test keeps the two in lockstep).
@@ -196,7 +195,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         return _cmd_batch_ring(args)
     schema = DEFAULT_REGISTRY.get(_load_dtd(args.schema, args.root))
     checker = BatchChecker(
-        schema, algorithm=args.algorithm or "machine", workers=args.workers
+        schema, algorithm=args.algorithm or "auto", workers=args.workers
     )
     result = checker.check_paths(args.documents)
     for item in result.items:
@@ -680,10 +679,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     def run_check() -> None:
         nonlocal all_ok
-        checker = PVChecker(dtd, algorithm=args.algorithm)
+        dispatcher = BackendDispatcher(dtd)
         for _ in range(args.repeat):
             for text in texts:
-                if not checker.check_text(text).potentially_valid:
+                checked = dispatcher.check_text(text, args.algorithm)
+                if checked.error is not None:
+                    raise ReproError(checked.error)
+                if not checked.verdict.potentially_valid:
                     all_ok = False
 
     def run_batch() -> None:
@@ -755,8 +757,8 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--algorithm",
         choices=_ALGORITHMS,
-        default="machine",
-        help="checking backend (default: the exact machine)",
+        default="auto",
+        help="checking backend (default: auto, the kernel)",
     )
     check.set_defaults(handler=_cmd_check)
 
@@ -771,8 +773,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=_ALGORITHMS,
         default=None,
         help=(
-            "checking backend for every document (default: machine; with "
-            "--ring, the shards' default)"
+            "checking backend for every document (default: auto, the "
+            "kernel; with --ring, the shards' default)"
         ),
     )
     batch.add_argument(
@@ -839,8 +841,8 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--algorithm",
         choices=_ALGORITHMS,
-        default="machine",
-        help="checking backend to profile",
+        default="auto",
+        help="checking backend to profile (default: auto, the kernel)",
     )
     profile.add_argument(
         "--top",
@@ -892,7 +894,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--algorithm",
-        choices=(*_ALGORITHMS, "auto"),
+        choices=_ALGORITHMS,
         default="auto",
         help="backend for requests that name none (default: auto, the kernel)",
     )

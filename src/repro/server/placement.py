@@ -47,9 +47,9 @@ from __future__ import annotations
 import hashlib
 import threading
 from bisect import bisect_right
-from collections import OrderedDict
 from typing import Any, Iterable
 
+from repro.lru import LRU
 from repro.server.protocol import ProtocolError
 
 __all__ = [
@@ -322,7 +322,7 @@ class PlacementView:
         self._epoch = epoch
         self._read_policy = read_policy
         self._refreshes = 0
-        self._memo: OrderedDict[str, tuple[Member, ...]] = OrderedDict()
+        self._memo: LRU[str, tuple[Member, ...]] = LRU(_OWNERS_MEMO_SIZE)
         self._memo_version = self._ring.version
         # The gossip membership table: label -> (status, incarnation).
         # ``alive`` and ``suspect`` members are in the ring; ``down``
@@ -394,14 +394,11 @@ class PlacementView:
                 self._memo_version = ring.version
             cached = self._memo.get(key)
             if cached is not None:
-                self._memo.move_to_end(key)
                 return list(cached)
         preference = ring.preference(key)
         with self._lock:
             if self._ring is ring and ring.version == self._memo_version:
-                self._memo[key] = tuple(preference)
-                while len(self._memo) > _OWNERS_MEMO_SIZE:
-                    self._memo.popitem(last=False)
+                self._memo.put(key, tuple(preference))
         return preference
 
     def primary(self, key: str) -> Member:

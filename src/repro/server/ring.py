@@ -47,12 +47,12 @@ from __future__ import annotations
 
 import base64
 import threading
-from collections import OrderedDict
 from typing import Any, Callable, Iterable
 
 from repro.core.coarse import CoarseChecker, decode_coarse
 from repro.dtd.parser import parse_dtd
 from repro.errors import ReproError
+from repro.lru import LRU
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry, Stopwatch, merge_snapshots
 from repro.obs.trace import TraceContext
@@ -201,13 +201,15 @@ class ShardedClient:
         self._m_failovers = self.telemetry.counter("repro_ring_failovers_total")
         self._lock = threading.Lock()
         self._holders: dict[str, set[str]] = {}
-        self._fingerprints: OrderedDict[tuple[str, str | None], str] = OrderedDict()
+        self._fingerprints: LRU[tuple[str, str | None], str] = LRU(
+            _FINGERPRINT_MEMO_SIZE
+        )
         self._handoffs = 0
         self._handoff_bytes = 0
         self._failovers = 0
         self._compiles_observed = 0
         self.coarse_filter = bool(coarse_filter)
-        self._coarse: OrderedDict[str, CoarseChecker] = OrderedDict()
+        self._coarse: LRU[str, CoarseChecker] = LRU(_COARSE_CACHE_SIZE)
         self._coarse_filtered = 0
         self._server_cache_hits = 0
 
@@ -273,16 +275,13 @@ class ShardedClient:
         with self._lock:
             cached = self._fingerprints.get(key)
             if cached is not None:
-                self._fingerprints.move_to_end(key)
                 return cached
         try:
             fingerprint = schema_fingerprint(parse_dtd(dtd, root=root))
         except ReproError as error:
             raise ProtocolError("bad-dtd", str(error))
         with self._lock:
-            self._fingerprints[key] = fingerprint
-            while len(self._fingerprints) > _FINGERPRINT_MEMO_SIZE:
-                self._fingerprints.popitem(last=False)
+            self._fingerprints.put(key, fingerprint)
         return fingerprint
 
     # -- epoch chasing -------------------------------------------------------
@@ -607,7 +606,6 @@ class ShardedClient:
         with self._lock:
             checker = self._coarse.get(fingerprint)
             if checker is not None:
-                self._coarse.move_to_end(fingerprint)
                 return checker
         for member in self.router.candidates(fingerprint):
             coarse_client: ValidationClient | None = None
@@ -627,12 +625,11 @@ class ShardedClient:
         return None
 
     def _remember_coarse(self, fingerprint: str, summary: Any) -> CoarseChecker:
-        checker = CoarseChecker(summary)
         with self._lock:
-            checker = self._coarse.setdefault(fingerprint, checker)
-            self._coarse.move_to_end(fingerprint)
-            while len(self._coarse) > _COARSE_CACHE_SIZE:
-                self._coarse.popitem(last=False)
+            checker = self._coarse.get(fingerprint)
+            if checker is None:
+                checker = CoarseChecker(summary)
+                self._coarse.put(fingerprint, checker)
         return checker
 
     def _adopt_coarse_stamp(

@@ -38,10 +38,11 @@ explicit policy always wins over the advertised one.
 from __future__ import annotations
 
 import threading
-from collections import Counter, OrderedDict
+from collections import Counter
 from time import monotonic
 from typing import Any
 
+from repro.lru import LRU
 from repro.server.placement import Member, PlacementView, member_label
 from repro.server.pool import ConnectionPool
 from repro.server.protocol import READ_POLICIES
@@ -92,7 +93,7 @@ class Router:
         self._lock = threading.Lock()
         self._inflight: Counter[str] = Counter()
         self._requests: Counter[str] = Counter()
-        self._rotation: OrderedDict[str, int] = OrderedDict()
+        self._rotation: LRU[str, int] = LRU(_ROTATION_SIZE)
         #: Whether ``least-inflight`` trusts fresh server-reported load
         #: stamps over client-local counters.  Public so benchmarks can
         #: build a client-counter-only control group.
@@ -165,10 +166,7 @@ class Router:
         if policy == "round-robin":
             with self._lock:
                 turn = self._rotation.get(fingerprint, 0)
-                self._rotation[fingerprint] = turn + 1
-                self._rotation.move_to_end(fingerprint)
-                while len(self._rotation) > _ROTATION_SIZE:
-                    self._rotation.popitem(last=False)
+                self._rotation.put(fingerprint, turn + 1)
             start = turn % len(live)
             return live[start:] + live[:start]
         if policy == "least-inflight":

@@ -10,8 +10,11 @@ domain socket.
 
 Execution model
 ---------------
-The event loop owns all registry and schema-resolution state; verdict
-work is CPU-bound and runs off-loop.  Every ``check`` and every
+The event loop owns the schema-resolution state (the text memo, the
+dispatchers); compiles and verdicts are CPU-bound and run off-loop.  A
+DTD text the server has not resolved before is parsed and loaded or
+compiled in one thread hop, shared by concurrent requests for that
+text.  Every ``check`` and every
 ``check-batch`` item runs the one text→verdict pipeline,
 :meth:`~repro.service.dispatch.BackendDispatcher.check_text`, on a
 thread (``asyncio.to_thread``) over a per-fingerprint dispatcher that
@@ -50,15 +53,16 @@ import os
 import socket
 import stat
 import threading
-from collections import Counter, OrderedDict
+from collections import Counter
 from time import monotonic
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.config import CheckerConfig, DEFAULT_CONFIG
 from repro.core.classify import classify_dtd
 from repro.core.coarse import encode_coarse
 from repro.dtd.parser import parse_dtd
 from repro.errors import ReproError
+from repro.lru import LRU
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry, Stopwatch
 from repro.obs.promtext import render as render_prometheus
@@ -113,31 +117,6 @@ _HOT_COUNTER_SIZE = 4096
 #: Bound on the (dtd text, root) -> fingerprint memo that lets warm
 #: requests skip DTD re-parsing entirely.
 _TEXT_INDEX_SIZE = 1024
-
-
-class _BoundedCache(OrderedDict):
-    """A small LRU mapping: inserting past *maxsize* evicts the oldest.
-
-    The server keys derived objects (dispatchers, validators) by schema
-    fingerprint; without a bound, every schema ever served would stay
-    pinned in memory and defeat the registry's LRU budget.
-    """
-
-    def __init__(self, maxsize: int) -> None:
-        super().__init__()
-        self.maxsize = maxsize
-
-    def __setitem__(self, key: Any, value: Any) -> None:
-        super().__setitem__(key, value)
-        self.move_to_end(key)
-        while len(self) > self.maxsize:
-            self.popitem(last=False)
-
-    def get(self, key: Any, default: Any = None) -> Any:
-        value = super().get(key, default)
-        if key in self:
-            self.move_to_end(key)
-        return value
 
 
 #: Sentinel :meth:`ValidationServer._read_line` returns for an over-limit
@@ -397,12 +376,17 @@ class ValidationServer:
         )
         # The cache counts its own traffic; scrapes add what is new since.
         self._cache_seen = {"hits": 0, "misses": 0, "evictions": 0}
-        # Derived-object caches hold compiled artifacts alive; bounding
-        # them by the registry's own budget keeps a long-lived server's
-        # memory proportional to maxsize, not to every schema ever seen.
-        self._dispatchers: _BoundedCache = _BoundedCache(registry.maxsize)
-        self._validators: _BoundedCache = _BoundedCache(registry.maxsize)
-        self._text_index: OrderedDict[tuple[str, str | None], str] = OrderedDict()
+        # Dispatchers hold compiled artifacts alive; bounding them by the
+        # registry's own budget keeps a long-lived server's memory
+        # proportional to maxsize, not to every schema ever seen.
+        self._dispatchers: LRU[str, BackendDispatcher] = LRU(registry.maxsize)
+        self._text_index: LRU[tuple[str, str | None], str] = LRU(_TEXT_INDEX_SIZE)
+        # Cold resolutions in flight per (DTD text, root); a request for
+        # the same text waits on the first one's hop.  The future's
+        # result is the bad-dtd error every waiter answers, or None.
+        self._resolving: dict[
+            tuple[str, str | None], asyncio.Future[ProtocolError | None]
+        ] = {}
         self._dispatch_counts: Counter[str] = Counter()
         self._servers: list[asyncio.AbstractServer] = []
         self._conn_tasks: set[asyncio.Task] = set()
@@ -416,9 +400,14 @@ class ValidationServer:
         # Verdict work currently executing off-loop — the load signal a
         # "least-inflight" routing client balances on, surfaced in stats.
         self._inflight = 0
-        # The CPUs verdict work can use: inflight work past them waits
-        # (the load stamp's queue_depth).
-        self._capacity = os.cpu_count() or 1
+        # The CPUs verdict work can use (this process's affinity, where
+        # the platform reports it): inflight work past them waits (the
+        # load stamp's queue_depth).
+        self._capacity = (
+            len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1
+        )
         self._started_at: float | None = None
         # Per-fingerprint request counts: the "hot" list a joining shard's
         # prefetch is computed from.
@@ -715,18 +704,8 @@ class ValidationServer:
                 request = protocol.decode_request(line)
             request_id = request.id
             response = await self._dispatch_request(request, timings)
-        except ProtocolError as error:
-            self._errors += 1
-            self._m_errors.get(error.code, self._m_errors["internal"]).inc()
-            return protocol.error_payload(
-                error.code, error.message, id=request_id, details=error.details
-            )
         except Exception as error:  # noqa: BLE001 - a reply beats a disconnect
-            self._errors += 1
-            self._m_errors["internal"].inc()
-            return protocol.error_payload(
-                "internal", f"{type(error).__name__}: {error}", id=request_id
-            )
+            return self._error_reply(error, request_id)
         # The reply stamp and the latency histogram read one Stopwatch,
         # so the two can never disagree.
         response["elapsed_ms"] = watch.elapsed_ms
@@ -745,6 +724,23 @@ class ValidationServer:
         if request_id is not None:
             response["id"] = request_id
         return response
+
+    def _error_reply(self, error: Exception, request_id: Any) -> dict[str, Any]:
+        """The counted error reply for a request that raised *error*.
+
+        A :class:`ProtocolError` answers with its own code; anything else
+        is ``internal``, naming the exception.
+        """
+        self._errors += 1
+        if isinstance(error, ProtocolError):
+            self._m_errors.get(error.code, self._m_errors["internal"]).inc()
+            return protocol.error_payload(
+                error.code, error.message, id=request_id, details=error.details
+            )
+        self._m_errors["internal"].inc()
+        return protocol.error_payload(
+            "internal", f"{type(error).__name__}: {error}", id=request_id
+        )
 
     # -- instrumentation helpers ---------------------------------------------
 
@@ -833,7 +829,7 @@ class ValidationServer:
             return await self._op_get_coarse(request, timings)
         assert request.dtd is not None  # decode_request guarantees it
         parse_watch = Stopwatch()
-        schema, disposition = self._resolve_schema(request.dtd, request.root)
+        schema, disposition = await self._resolve_schema(request.dtd, request.root)
         timings["parse"] = parse_watch.seconds
         self._count_hot(schema.fingerprint)
         if request.op == "check":
@@ -844,40 +840,59 @@ class ValidationServer:
             return await self._op_validate(request, schema, disposition, timings)
         raise ProtocolError("unsupported-op", f"unhandled op {request.op!r}")
 
-    def _resolve_schema(
+    async def _resolve_schema(
         self, dtd_text: str, root: str | None
     ) -> tuple[CompiledSchema, str]:
         """The compiled artifact for *dtd_text* plus how it was obtained.
 
-        The text-level memo makes the warm path textual: a repeated request
-        body never re-parses its DTD, never re-serializes for hashing —
-        one dict probe and one registry probe.  Runs on the event loop, so
-        the memo and hit accounting need no extra locking.
+        The warm path stays on the event loop: one text-memo probe and one
+        counted registry lookup, so a repeated request body never
+        re-parses its DTD.  The cold path (:meth:`_resolve_text`: parse,
+        then the registry, which may load or compile) is one thread hop,
+        so a large client DTD does not stall the shard's other
+        connections.  Concurrent cold requests for one text wait on the
+        first one's hop and then take the warm path, answering as if they
+        had come one after another: one ``miss``, then ``hit``s.
         """
         key = (dtd_text, root)
-        fingerprint = self._text_index.get(key)
-        if fingerprint is not None:
-            schema = self.registry.lookup(fingerprint, count=True)
-            if schema is not None:
-                self._text_index.move_to_end(key)
-                return schema, "hit"
+        while True:
+            fingerprint = self._text_index.get(key)
+            if fingerprint is not None:
+                schema = self.registry.lookup(fingerprint, count=True)
+                if schema is not None:
+                    return schema, "hit"
+            resolving = self._resolving.get(key)
+            if resolving is None:
+                break
+            # Shielded: a waiter's cancellation must not cancel the others'.
+            bad_dtd = await asyncio.shield(resolving)
+            if bad_dtd is not None:
+                raise bad_dtd
+        resolving = asyncio.get_running_loop().create_future()
+        self._resolving[key] = resolving
+        bad_dtd = None
+        try:
+            schema, disposition = await asyncio.to_thread(
+                self._resolve_text, dtd_text, root
+            )
+        except ProtocolError as error:
+            bad_dtd = error
+            raise
+        finally:
+            del self._resolving[key]
+            resolving.set_result(bad_dtd)
+        self._text_index.put(key, schema.fingerprint)
+        return schema, disposition
+
+    def _resolve_text(
+        self, dtd_text: str, root: str | None
+    ) -> tuple[CompiledSchema, str]:
+        """The cold path, off-loop: parse *dtd_text*, resolve it."""
         try:
             dtd = parse_dtd(dtd_text, root=root)
         except ReproError as error:
             raise ProtocolError("bad-dtd", str(error))
-        before = self.registry.stats
-        schema = self.registry.get(dtd)
-        after = self.registry.stats
-        if after.store_hits > before.store_hits:
-            disposition = "store"
-        elif after.misses > before.misses:
-            disposition = "miss"
-        else:
-            disposition = "hit"
-        self._text_index[key] = schema.fingerprint
-        while len(self._text_index) > _TEXT_INDEX_SIZE:
-            self._text_index.popitem(last=False)
-        return schema, disposition
+        return self.registry.resolve(dtd)
 
     def _schema_fields(
         self, schema: CompiledSchema, disposition: str
@@ -887,13 +902,19 @@ class ValidationServer:
     # -- ops -----------------------------------------------------------------
 
     def _dispatcher(self, schema: CompiledSchema) -> BackendDispatcher:
-        """The per-fingerprint dispatcher (built on the event loop)."""
+        """The dispatcher over *schema* (built on the event loop).
+
+        A cached dispatcher is reused only while it holds the very
+        artifact the registry returned: once the registry has evicted
+        and recompiled a schema, the old dispatcher's artifact is no
+        longer the one served or counted.
+        """
         dispatcher = self._dispatchers.get(schema.fingerprint)
-        if dispatcher is None:
+        if dispatcher is None or dispatcher.schema is not schema:
             dispatcher = BackendDispatcher(
                 schema, config=self.config, verdict_cache=self._verdict_cache
             )
-            self._dispatchers[schema.fingerprint] = dispatcher
+            self._dispatchers.put(schema.fingerprint, dispatcher)
         return dispatcher
 
     async def _run_check(
@@ -1043,40 +1064,17 @@ class ValidationServer:
         watch = Stopwatch()
         self._batches += 1
         batch_timings: dict[str, Any] = {}
-        schema: CompiledSchema | None = None
-        disposition = "miss"
         try:
             self._check_epoch(request)
             assert request.dtd is not None  # decode_request guarantees it
             parse_watch = Stopwatch()
-            schema, disposition = self._resolve_schema(request.dtd, request.root)
+            schema, disposition = await self._resolve_schema(
+                request.dtd, request.root
+            )
             batch_timings["parse"] = parse_watch.seconds
             dispatcher = self._dispatcher(schema)
-        except ProtocolError as error:
-            self._errors += 1
-            self._m_errors.get(error.code, self._m_errors["internal"]).inc()
-            writer.write(
-                protocol.encode(
-                    protocol.error_payload(
-                        error.code, error.message, id=request.id,
-                        details=error.details,
-                    )
-                )
-            )
-            await writer.drain()
-            return False
         except Exception as error:  # noqa: BLE001 - a reply beats a disconnect
-            self._errors += 1
-            self._m_errors["internal"].inc()
-            writer.write(
-                protocol.encode(
-                    protocol.error_payload(
-                        "internal",
-                        f"{type(error).__name__}: {error}",
-                        id=request.id,
-                    )
-                )
-            )
+            writer.write(protocol.encode(self._error_reply(error, request.id)))
             await writer.drain()
             return False
         assert self._closing is not None
@@ -1292,16 +1290,18 @@ class ValidationServer:
             "stored": stored,
         }
 
-    async def _op_get_artifact(
-        self, request: Request, timings: dict[str, Any]
-    ) -> dict[str, Any]:
-        """Hand the compiled artifact for a fingerprint to a peer.
+    async def _encode_held(
+        self,
+        fingerprint: str,
+        encode: Callable[[CompiledSchema], bytes],
+        timings: dict[str, Any],
+    ) -> bytes:
+        """*encode* applied to the artifact held for *fingerprint*.
 
-        Pickling (and a possible disk load) runs off-loop, like every
-        other heavy path in this server.
+        The registry first, then the store (a loaded artifact is seeded
+        into the registry); when neither holds it, ``artifact-miss``.
+        The lookup, a possible disk load and the encoding run off-loop.
         """
-        assert request.fingerprint is not None
-        fingerprint = request.fingerprint
 
         def load_and_encode() -> bytes | None:
             schema = self.registry.lookup(fingerprint)
@@ -1311,7 +1311,7 @@ class ValidationServer:
                     self.registry.put(schema)
             if schema is None:
                 return None
-            return encode_artifact(schema)
+            return encode(schema)
 
         artifact_watch = Stopwatch()
         blob = await asyncio.to_thread(load_and_encode)
@@ -1321,10 +1321,22 @@ class ValidationServer:
                 "artifact-miss",
                 f"no artifact held for fingerprint {fingerprint!r}",
             )
+        return blob
+
+    async def _op_get_artifact(
+        self, request: Request, timings: dict[str, Any]
+    ) -> dict[str, Any]:
+        """Hand the compiled artifact for a fingerprint to a peer.
+
+        Pickling (and a possible disk load) runs off-loop, like every
+        other heavy path in this server.
+        """
+        assert request.fingerprint is not None
+        blob = await self._encode_held(request.fingerprint, encode_artifact, timings)
         return {
             "ok": True,
             "op": "get-artifact",
-            "fingerprint": fingerprint,
+            "fingerprint": request.fingerprint,
             "artifact": base64.b64encode(blob).decode("ascii"),
             "bytes": len(blob),
         }
@@ -1340,30 +1352,13 @@ class ValidationServer:
         off-loop.
         """
         assert request.fingerprint is not None
-        fingerprint = request.fingerprint
-
-        def load_and_encode() -> bytes | None:
-            schema = self.registry.lookup(fingerprint)
-            if schema is None and self.store is not None:
-                schema = self.store.load(fingerprint)
-                if schema is not None:
-                    self.registry.put(schema)
-            if schema is None:
-                return None
-            return encode_coarse(schema.coarse)
-
-        artifact_watch = Stopwatch()
-        blob = await asyncio.to_thread(load_and_encode)
-        timings["artifact"] = artifact_watch.seconds
-        if blob is None:
-            raise ProtocolError(
-                "artifact-miss",
-                f"no artifact held for fingerprint {fingerprint!r}",
-            )
+        blob = await self._encode_held(
+            request.fingerprint, lambda schema: encode_coarse(schema.coarse), timings
+        )
         return {
             "ok": True,
             "op": "get-coarse",
-            "fingerprint": fingerprint,
+            "fingerprint": request.fingerprint,
             "coarse": base64.b64encode(blob).decode("ascii"),
             "bytes": len(blob),
         }
@@ -1402,10 +1397,9 @@ class ValidationServer:
                 document = parse_xml(request.doc)  # type: ignore[arg-type]
             except ReproError as error:
                 return {"error": ("bad-document", str(error))}
-            validator = self._validators.get(schema.fingerprint)
-            if validator is None:
-                validator = DTDValidator(schema.dtd)
-                self._validators[schema.fingerprint] = validator
+            # Built per request: its automata are memoized per DTD by
+            # repro.validity.validator, so a validator costs microseconds.
+            validator = DTDValidator(schema.dtd)
             verdict_watch = Stopwatch()
             report = validator.validate(document)
             return {

@@ -34,7 +34,7 @@ from time import perf_counter
 from typing import Iterable, Sequence
 
 from repro.config import CheckerConfig, DEFAULT_CONFIG
-from repro.core.pv import Algorithm, PVVerdict
+from repro.core.pv import PVVerdict
 from repro.dtd.model import DTD
 from repro.service.cache import VerdictCache
 from repro.service.compiled import CompiledSchema
@@ -145,7 +145,7 @@ class BatchResult:
 # pickling of the initializer and task function resolves by reference.
 
 _WORKER_DISPATCHER: BackendDispatcher | None = None
-_WORKER_ALGORITHM: str = "machine"
+_WORKER_ALGORITHM: str = "auto"
 _WORKER_REGISTRY: SchemaRegistry | None = None
 
 
@@ -189,8 +189,8 @@ class BatchChecker:
         A :class:`CompiledSchema`, or a bare :class:`DTD` which is resolved
         through *registry* (the process default unless overridden).
     algorithm:
-        Backend for every document
-        (``machine``/``kernel``/``figure5``/``earley``, or ``auto``).
+        Backend for every document: ``auto`` (the default, the kernel) or
+        ``machine``/``kernel``/``figure5``/``earley``.
     workers:
         Pool size.  ``1`` (the default) checks inline in this process;
         ``N > 1`` forks a pool whose workers each receive the compiled
@@ -205,7 +205,7 @@ class BatchChecker:
     def __init__(
         self,
         schema: CompiledSchema | DTD,
-        algorithm: Algorithm = "machine",
+        algorithm: str = "auto",
         workers: int = 1,
         config: CheckerConfig = DEFAULT_CONFIG,
         registry: SchemaRegistry | None = None,
@@ -216,7 +216,7 @@ class BatchChecker:
         if isinstance(schema, DTD):
             schema = (registry or DEFAULT_REGISTRY).get(schema)
         self.schema = schema
-        self.algorithm: Algorithm = algorithm
+        self.algorithm = algorithm
         self.workers = workers
         self.config = config
         if isinstance(verdict_cache, int):
@@ -321,7 +321,7 @@ class BatchChecker:
 def check_batch(
     dtd: DTD | CompiledSchema,
     documents: Sequence[XmlDocument],
-    algorithm: Algorithm = "machine",
+    algorithm: str = "auto",
     workers: int = 1,
     config: CheckerConfig = DEFAULT_CONFIG,
 ) -> BatchResult:

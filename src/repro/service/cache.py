@@ -15,16 +15,18 @@ is :meth:`repro.service.dispatch.BackendDispatcher.check_text`; values
 are its ``(verdict, error)`` pairs, which the cache never inspects.
 
 One instance is shared across threads (``ValidationServer`` consults it
-from every connection); a single lock guards the ordered dict, and the
-hit/miss/eviction counters feed ``repro_verdict_cache_total``.
+from every connection); a single lock guards the :class:`~repro.lru.LRU`
+and the hit/miss/eviction counters that feed
+``repro_verdict_cache_total``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from collections import OrderedDict
 from typing import Any, Hashable
+
+from repro.lru import LRU
 
 __all__ = ["VerdictCache"]
 
@@ -35,10 +37,8 @@ class VerdictCache:
     __slots__ = ("maxsize", "_entries", "_lock", "hits", "misses", "evictions")
 
     def __init__(self, maxsize: int) -> None:
-        if maxsize < 1:
-            raise ValueError(f"cache size must be positive, got {maxsize}")
+        self._entries: LRU[Hashable, Any] = LRU(maxsize)
         self.maxsize = maxsize
-        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -61,20 +61,16 @@ class VerdictCache:
             if entry is None:
                 self.misses += 1
                 return None
-            self._entries.move_to_end(key)
             self.hits += 1
             return entry
 
     def put(self, key: Hashable, value: Any) -> bool:
         """Store *value*; returns True when an older entry was evicted."""
         with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            if len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
+            evicted = self._entries.put(key, value)
+            if evicted:
                 self.evictions += 1
-                return True
-            return False
+            return evicted
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -8,10 +8,10 @@ the process-wide :data:`DEFAULT_REGISTRY` backs every
 verdicts for N documents against one schema compiles that schema exactly
 once, regardless of how many checkers, sessions, or batch runs it creates.
 
-The cache is a bounded LRU (recently *used*, not recently inserted: a hit
-refreshes the entry) guarded by a lock, and it keeps running statistics —
-hits, misses, evictions, and cumulative compile seconds — that the batch
-CLI and the E10 benchmark report.
+The cache is a bounded :class:`~repro.lru.LRU` (recently *used*, not
+recently inserted: a hit refreshes the entry) guarded by a lock, and it
+keeps running statistics — hits, misses, evictions, and cumulative
+compile seconds — that the batch CLI and the E10 benchmark report.
 
 A registry may additionally be backed by a persistent
 :class:`~repro.service.store.ArtifactStore`: an in-memory miss then tries
@@ -23,12 +23,12 @@ from disk without recompiling anything.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.dtd.model import DTD
 from repro.dtd.parser import parse_dtd
+from repro.lru import LRU
 from repro.service.compiled import CompiledSchema, compile_schema, schema_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store -> compiled)
@@ -125,11 +125,9 @@ class SchemaRegistry:
     def __init__(
         self, maxsize: int = 64, store: "ArtifactStore | None" = None
     ) -> None:
-        if maxsize <= 0:
-            raise ValueError("registry maxsize must be positive")
+        self._entries: LRU[str, CompiledSchema] = LRU(maxsize)
         self.maxsize = maxsize
         self.store = store
-        self._entries: OrderedDict[str, CompiledSchema] = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -170,14 +168,23 @@ class SchemaRegistry:
         The cache key is the content hash, so structurally equal DTDs —
         including independently parsed copies — share one artifact.
         """
+        return self.resolve(dtd)[0]
+
+    def resolve(self, dtd: DTD) -> tuple[CompiledSchema, str]:
+        """:meth:`get`, plus how the artifact was found.
+
+        The disposition is ``"hit"`` (held in memory), ``"store"`` (loaded
+        from the persistent store) or ``"miss"`` (compiled) — the
+        counter this lookup moved, which a served reply reports as its
+        ``registry`` field.
+        """
         fingerprint = schema_fingerprint(dtd)
         with self._lock:
             cached = self._entries.get(fingerprint)
             if cached is not None:
                 self._hits += 1
                 self._count_event("hit")
-                self._entries.move_to_end(fingerprint)
-                return cached
+                return cached, "hit"
         # Disk, then compile, both outside the lock: either can be slow and
         # must not serialize unrelated lookups.  A racing load/compile of
         # the same DTD wastes work but stays correct (first insert wins).
@@ -190,32 +197,29 @@ class SchemaRegistry:
                 self.store.save(schema)
             except OSError:
                 pass  # an unwritable store degrades to memory-only caching
-        return self._insert(fingerprint, schema, source="compile")
+        return self._insert(fingerprint, schema, source="miss")
 
     def _insert(
         self, fingerprint: str, schema: CompiledSchema, source: str
-    ) -> CompiledSchema:
+    ) -> tuple[CompiledSchema, str]:
         with self._lock:
             existing = self._entries.get(fingerprint)
             if existing is not None:
                 if source != "seed":
                     self._hits += 1
                     self._count_event("hit")
-                self._entries.move_to_end(fingerprint)
-                return existing
+                return existing, "hit"
             if source == "store":
                 self._store_hits += 1
                 self._count_event("store_hit")
-            elif source == "compile":
+            elif source == "miss":
                 self._misses += 1
                 self._count_event("miss")
                 self._compile_seconds += schema.compile_seconds
-            self._entries[fingerprint] = schema
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
+            if self._entries.put(fingerprint, schema):
                 self._evictions += 1
                 self._count_event("eviction")
-        return schema
+        return schema, source
 
     def put(self, schema: CompiledSchema) -> CompiledSchema:
         """Seed an already-compiled artifact (counts neither hit nor miss).
@@ -224,7 +228,7 @@ class SchemaRegistry:
         subsequent lookups in the worker are honest warm hits.  Returns the
         retained artifact (an already-cached equal one wins).
         """
-        return self._insert(schema.fingerprint, schema, source="seed")
+        return self._insert(schema.fingerprint, schema, source="seed")[0]
 
     def get_text(
         self, text: str, root: str | None = None, name: str = "dtd"
@@ -245,7 +249,6 @@ class SchemaRegistry:
         with self._lock:
             cached = self._entries.get(fingerprint)
             if cached is not None:
-                self._entries.move_to_end(fingerprint)
                 if count:
                     self._hits += 1
                     self._count_event("hit")
@@ -271,7 +274,7 @@ class SchemaRegistry:
     def kernel_memo_entries(self) -> int:
         """Entries in the kernel ``emissions`` memos of the resident schemas."""
         with self._lock:
-            schemas = list(self._entries.values())
+            schemas = self._entries.values()
         return sum(
             len(schema.tables.emissions) for schema in schemas if schema.has_tables
         )

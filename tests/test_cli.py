@@ -86,9 +86,26 @@ class TestCheck:
         assert "NOT potentially valid" in out
         assert "/r/a[0]" in out
 
-    @pytest.mark.parametrize("algorithm", ["kernel", "machine", "figure5", "earley"])
+    @pytest.mark.parametrize(
+        "algorithm", ["auto", "kernel", "machine", "figure5", "earley"]
+    )
     def test_algorithms(self, schema, doc_s_file, algorithm):
         assert main(["check", schema, doc_s_file, "--algorithm", algorithm]) == 0
+
+
+class TestProfile:
+    def test_check_mode_defaults_to_auto(self, schema, doc_s_file, capsys):
+        assert main(["profile", schema, doc_s_file, "--top", "3"]) == 0
+        assert "algorithm auto" in capsys.readouterr().err
+
+    def test_a_rejected_document_exits_one(self, schema, doc_w_file):
+        assert main(["profile", schema, doc_w_file, "--algorithm", "machine"]) == 1
+
+    def test_a_malformed_document_is_a_usage_error(self, schema, tmp_path, capsys):
+        path = tmp_path / "broken.xml"
+        path.write_text("<r><a>")
+        assert main(["profile", schema, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestComplete:

@@ -8,6 +8,7 @@ import gc
 import json
 import os
 import socket
+import sys
 import threading
 import time
 import warnings
@@ -287,6 +288,77 @@ class TestConcurrentClients:
         assert stats["registry"]["hits"] >= 29
         assert stats["registry"]["hit_rate"] > 0.9
         assert registry.stats.size == 1
+
+
+#: Three small schemas (and a valid document each) to churn a registry.
+_CHURN = [
+    (f"<!ELEMENT s{i} (t{i}*)><!ELEMENT t{i} (#PCDATA)>",
+     f"<s{i}><t{i}>x</t{i}></s{i}>")
+    for i in range(3)
+]
+
+
+class TestServerCachesFollowTheRegistry:
+    def test_a_recompiled_schema_is_served_over_its_new_artifact(self):
+        # check A, check B, classify C, classify D evicts A from a
+        # two-entry registry; classify does not touch the dispatchers,
+        # so A's dispatcher survives.  The second check of A recompiles
+        # it and must be served over the registry's new artifact, whose
+        # kernel memo the scrape then counts.
+        registry = SchemaRegistry(maxsize=2)
+        with ServerThread(host="127.0.0.1", registry=registry) as handle:
+            with ValidationClient.connect(handle.tcp_address) as client:
+                first = client.check(FIGURE1, DOC_OK)
+                client.check(*_CHURN[0])
+                client.classify(_CHURN[1][0])
+                client.classify(_CHURN[2][0])
+                again = client.check(FIGURE1, DOC_OK)
+                scrape = client.metrics()["metrics"]
+        assert first["schema"]["registry"] == again["schema"]["registry"] == "miss"
+        fingerprint = again["schema"]["fingerprint"]
+        schema = registry.lookup(fingerprint)
+        assert handle.server._dispatchers.get(fingerprint).schema is schema
+        gauges = {entry["name"]: entry["value"] for entry in scrape["gauges"]}
+        assert len(schema.tables.emissions) >= 1
+        assert gauges["repro_kernel_memo_entries"] == len(schema.tables.emissions)
+
+    def test_concurrent_validates_under_registry_churn_never_fail(self):
+        # Regression: validators were cached in a dict that the server's
+        # threads mutated without a lock, and a validate racing another
+        # could be answered "internal: KeyError".  The race is rare, so
+        # a short switch interval widens it; a racy server fails this
+        # test only by chance, but any failure is a real one.
+        interval = sys.getswitchinterval()
+        replies: list[dict] = []
+        sys.setswitchinterval(1e-6)
+        try:
+            with ServerThread(
+                host="127.0.0.1", registry=SchemaRegistry(maxsize=1)
+            ) as handle:
+
+                def worker(offset: int) -> None:
+                    with ValidationClient.connect(handle.tcp_address) as client:
+                        payloads = [
+                            {"op": "validate", "dtd": dtd, "doc": doc}
+                            for dtd, doc in (
+                                _CHURN[(offset + i) % 3] for i in range(400)
+                            )
+                        ]
+                        replies.extend(client.pipeline(payloads))
+
+                threads = [
+                    threading.Thread(target=worker, args=(i,)) for i in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(replies) == 2400
+        assert [reply for reply in replies if not reply["ok"]] == []
+        assert all(reply["valid"] for reply in replies)
 
 
 class _SlowServer(ValidationServer):
@@ -756,6 +828,14 @@ class TestInflightGauge:
             server._check = original
             release.set()
 
+    def test_queue_depth_counts_the_cpus_the_process_may_use(self, monkeypatch):
+        # A shard pinned to one CPU queues its second document, whatever
+        # the host's CPU count.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        server = ValidationServer()
+        server._inflight = 2
+        assert server._load_fields() == {"inflight": 2, "queue_depth": 1}
+
 
 class TestHotFingerprints:
     def test_stats_rank_fingerprints_by_request_count(self, client):
@@ -913,12 +993,15 @@ class TestBatchRuns:
 
     @pytest.fixture
     def hops(self, monkeypatch):
-        """The functions sent off-loop with ``asyncio.to_thread``."""
+        """The functions sent off-loop with ``asyncio.to_thread``, but for
+        the batch DTD's cold resolution (each test's server is fresh, so
+        its first sight of the DTD is one more hop, before any run)."""
         sent: list = []
         to_thread = asyncio.to_thread
 
         async def counting(func, /, *args, **kwargs):
-            sent.append(func)
+            if func.__name__ != "_resolve_text":
+                sent.append(func)
             return await to_thread(func, *args, **kwargs)
 
         monkeypatch.setattr(asyncio, "to_thread", counting)

@@ -283,6 +283,7 @@ class TestBatchCli:
         captured = capsys.readouterr()
         assert captured.out.count("potentially valid") == len(paths)
         assert "docs/s" in captured.err
+        assert "algorithm=auto" in captured.err  # the CLI default
 
     def test_failing_document_sets_exit_one(self, corpus, tmp_path, capsys):
         schema, paths = corpus

@@ -393,6 +393,20 @@ class TestRegistryIntegration:
         assert registry.stats.misses == 1
         assert registry.lookup(schema.fingerprint) is schema
 
+    def test_resolve_reports_each_disposition(self, tmp_path):
+        registry = SchemaRegistry(store=ArtifactStore(tmp_path / "artifacts"))
+        dtd = parse_dtd(FIGURE1)
+        compiled, disposition = registry.resolve(dtd)
+        assert disposition == "miss" and registry.stats.misses == 1
+        assert registry.resolve(dtd) == (compiled, "hit")
+        assert registry.stats.hits == 1
+        registry.clear()
+        loaded, disposition = registry.resolve(dtd)
+        assert disposition == "store" and registry.stats.store_hits == 1
+        assert loaded.fingerprint == compiled.fingerprint
+        stats = registry.stats
+        assert (stats.misses, stats.hits, stats.store_hits) == (1, 1, 1)
+
     def test_attach_store_later(self, tmp_path):
         registry = SchemaRegistry()
         registry.get(parse_dtd(FIGURE1))
