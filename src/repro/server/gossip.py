@@ -378,18 +378,7 @@ class GossipAgent:
         member = self._pool.address(label)
         if member is None:
             member = parse_member(label)
-        client = None
-        try:
-            with self._pool.lock(member):
-                client = self._pool.client(member)
-                try:
-                    return fn(client)
-                except (ProtocolError, ServerError):
-                    self._pool.discard(member, client)
-                    raise
-        except OSError:
-            self._pool.mark_down(member, client)
-            raise
+        return self._pool.request(member, fn)
 
     # -- lifecycle sweeps ----------------------------------------------------
 

@@ -6,8 +6,9 @@ one lock per member (a blocking NDJSON connection serves one request at
 a time), and the up/down marks that routing consults.  Both the data
 plane (:class:`~repro.server.ring.ShardedClient` and its
 :class:`~repro.server.scheduler.CorpusScheduler`) and the control plane
-(each shard's :class:`~repro.server.gossip.GossipAgent`) lease connections
-from it, so reconnect/mark-down behavior is defined exactly once.
+(each shard's :class:`~repro.server.gossip.GossipAgent`) make every
+round trip through its one lease, :meth:`ConnectionPool.request`, so
+reconnect, mark-down and discard behavior is defined exactly once.
 
 The pool also remembers every address it has ever been told about,
 keyed by label.  Ring membership may shrink (scale-in), but a departed
@@ -18,13 +19,15 @@ come from — placement and reachability are separate facts.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable
+from typing import Callable, Iterable, TypeVar
 
 from repro.obs.events import EventLog
 from repro.server.client import ValidationClient
 from repro.server.placement import Member, member_label
 
 __all__ = ["ConnectionPool"]
+
+T = TypeVar("T")
 
 
 class ConnectionPool:
@@ -41,11 +44,10 @@ class ConnectionPool:
         Optional :class:`~repro.obs.events.EventLog`; liveness
         transitions emit ``member-down`` / ``member-up`` events.
 
-    Usage discipline: hold :meth:`lock` for the member across the whole
-    request — acquire the client inside it, run the round trip, release.
-    That serializes requests per connection (the NDJSON protocol is one
-    request per reply on a plain socket) while distinct members proceed
-    concurrently.
+    Every round trip goes through :meth:`request`, which holds the
+    member's lock across the whole exchange.  That serializes requests
+    per connection (the NDJSON protocol is one request per reply on a
+    plain socket) while distinct members proceed concurrently.
     """
 
     def __init__(
@@ -169,6 +171,34 @@ class ConnectionPool:
 
     # -- connections ---------------------------------------------------------
 
+    def request(
+        self, member: Member, fn: Callable[[ValidationClient], T]
+    ) -> T:
+        """One round trip on *member*'s pooled connection: ``fn(client)``.
+
+        The one lease of the ring stack.  It holds the member's lock and
+        takes (or opens) its connection, and the connection is reused
+        only after a clean round trip.  A transport failure
+        (:class:`OSError`, timeouts and refused connects included) marks
+        the member down and closes that connection.  Any other exception
+        — a structured error reply, a garbled reply, a rejected batch
+        header the server hung up after — may leave unread reply lines
+        on the socket, so the connection is discarded without a down
+        mark.  Either way the exception propagates.
+        """
+        with self.lock(member):
+            client: ValidationClient | None = None
+            try:
+                client = self.client(member)
+                return fn(client)
+            except OSError:
+                self.mark_down(member, client)
+                raise
+            except BaseException:
+                if client is not None:
+                    self.discard(member, client)
+                raise
+
     def lock(self, member: Member) -> threading.Lock:
         """The per-member connection lock (created on first use)."""
         label = member_label(member)
@@ -181,7 +211,8 @@ class ConnectionPool:
     def client(self, member: Member) -> ValidationClient:
         """The live connection for *member*, connecting on first use.
 
-        Caller must hold :meth:`lock` for the member.
+        Caller must hold :meth:`lock` for the member; :meth:`request`
+        does both.
         """
         label = member_label(member)
         with self._lock:
@@ -205,9 +236,10 @@ class ConnectionPool:
     def discard(self, member: Member, client: ValidationClient) -> None:
         """Evict and close a connection without marking the member down.
 
-        Used after a ``wrong-epoch`` answer: the shard is alive and
-        healthy (it just answered), but a rejected batch header closes
-        the connection server-side, so the cached client must go.
+        :meth:`request` calls it after any non-transport failure: the
+        shard is alive (it just answered), but the connection may hold
+        unread replies or have been closed server-side, so the cached
+        client must go.
         **Caller must hold the member's connection lock** — that is what
         guarantees no other thread is mid-request on this client, so
         closing it here cannot abort a healthy peer call (the hazard

@@ -226,7 +226,12 @@ class ProtocolError(Exception):
     *details*, when given, is merged into the wire error object — the
     mechanism ``wrong-epoch`` uses to carry the current ring view
     (``epoch``/``members``/``replica_count``) alongside code and message.
+    :attr:`op` is the request's op when :func:`decode_request` got that
+    far (it is never sent): a ``check-batch`` header that fails to
+    decode still loses the batch framing.
     """
+
+    op: str | None = None
 
     def __init__(
         self, code: str, message: str, details: dict[str, Any] | None = None
@@ -284,64 +289,70 @@ def decode_request(line: str | bytes) -> Request:
             "unsupported-op",
             f"op must be one of {', '.join(OPS)} (got {op!r})",
         )
-    for key in ("dtd", "doc", "root", "fingerprint", "artifact", "trace",
-                "target"):
-        value = payload.get(key)
-        if value is not None and not isinstance(value, str):
-            raise ProtocolError("bad-request", f"{key!r} must be a string")
-    trace = payload.get("trace")
-    if trace is not None and not trace:
-        raise ProtocolError("bad-request", "'trace' must be a non-empty string")
-    algorithm = payload.get("algorithm")
-    if algorithm is not None and algorithm not in ALGORITHMS:
-        raise ProtocolError(
-            "bad-request",
-            f"algorithm must be one of {', '.join(ALGORITHMS)} (got {algorithm!r})",
+    # Every later defect still names the op: a check-batch header that
+    # fails here loses the batch framing all the same.
+    try:
+        for key in ("dtd", "doc", "root", "fingerprint", "artifact", "trace",
+                    "target"):
+            value = payload.get(key)
+            if value is not None and not isinstance(value, str):
+                raise ProtocolError("bad-request", f"{key!r} must be a string")
+        trace = payload.get("trace")
+        if trace is not None and not trace:
+            raise ProtocolError("bad-request", "'trace' must be a non-empty string")
+        algorithm = payload.get("algorithm")
+        if algorithm is not None and algorithm not in ALGORITHMS:
+            raise ProtocolError(
+                "bad-request",
+                f"algorithm must be one of {', '.join(ALGORITHMS)} (got {algorithm!r})",
+            )
+        count = payload.get("count")
+        if count is not None and (isinstance(count, bool) or not isinstance(count, int)
+                                 or count < 0):
+            raise ProtocolError("bad-request", "'count' must be a non-negative integer")
+        epoch = payload.get("epoch")
+        if epoch is not None and (isinstance(epoch, bool) or not isinstance(epoch, int)
+                                  or epoch < 0):
+            raise ProtocolError("bad-request", "'epoch' must be a non-negative integer")
+        gossip = payload.get("gossip")
+        if gossip is not None and not isinstance(gossip, dict):
+            raise ProtocolError("bad-request", "'gossip' must be an object")
+        coarse = payload.get("coarse")
+        if coarse is not None and not isinstance(coarse, bool):
+            raise ProtocolError("bad-request", "'coarse' must be a boolean")
+        request = Request(
+            op=op,
+            dtd=payload.get("dtd"),
+            doc=payload.get("doc"),
+            algorithm=algorithm,
+            root=payload.get("root"),
+            fingerprint=payload.get("fingerprint"),
+            artifact=payload.get("artifact"),
+            coarse=coarse,
+            count=count,
+            epoch=epoch,
+            gossip=gossip,
+            target=payload.get("target"),
+            trace=trace,
+            id=payload.get("id"),
         )
-    count = payload.get("count")
-    if count is not None and (isinstance(count, bool) or not isinstance(count, int)
-                             or count < 0):
-        raise ProtocolError("bad-request", "'count' must be a non-negative integer")
-    epoch = payload.get("epoch")
-    if epoch is not None and (isinstance(epoch, bool) or not isinstance(epoch, int)
-                              or epoch < 0):
-        raise ProtocolError("bad-request", "'epoch' must be a non-negative integer")
-    gossip = payload.get("gossip")
-    if gossip is not None and not isinstance(gossip, dict):
-        raise ProtocolError("bad-request", "'gossip' must be an object")
-    coarse = payload.get("coarse")
-    if coarse is not None and not isinstance(coarse, bool):
-        raise ProtocolError("bad-request", "'coarse' must be a boolean")
-    request = Request(
-        op=op,
-        dtd=payload.get("dtd"),
-        doc=payload.get("doc"),
-        algorithm=algorithm,
-        root=payload.get("root"),
-        fingerprint=payload.get("fingerprint"),
-        artifact=payload.get("artifact"),
-        coarse=coarse,
-        count=count,
-        epoch=epoch,
-        gossip=gossip,
-        target=payload.get("target"),
-        trace=trace,
-        id=payload.get("id"),
-    )
-    if request.op in SCHEMA_OPS and request.dtd is None:
-        raise ProtocolError("bad-request", f"op {op!r} requires 'dtd'")
-    if request.op in ("check", "validate") and request.doc is None:
-        raise ProtocolError("bad-request", f"op {op!r} requires 'doc'")
-    if (
-        request.op in ("put-artifact", "get-artifact", "get-coarse")
-        and request.fingerprint is None
-    ):
-        raise ProtocolError("bad-request", f"op {op!r} requires 'fingerprint'")
-    if request.op == "put-artifact" and request.artifact is None:
-        raise ProtocolError("bad-request", "op 'put-artifact' requires 'artifact'")
-    if request.op == "probe" and not request.target:
-        raise ProtocolError("bad-request", "op 'probe' requires 'target'")
-    return request
+        if request.op in SCHEMA_OPS and request.dtd is None:
+            raise ProtocolError("bad-request", f"op {op!r} requires 'dtd'")
+        if request.op in ("check", "validate") and request.doc is None:
+            raise ProtocolError("bad-request", f"op {op!r} requires 'doc'")
+        if (
+            request.op in ("put-artifact", "get-artifact", "get-coarse")
+            and request.fingerprint is None
+        ):
+            raise ProtocolError("bad-request", f"op {op!r} requires 'fingerprint'")
+        if request.op == "put-artifact" and request.artifact is None:
+            raise ProtocolError("bad-request", "op 'put-artifact' requires 'artifact'")
+        if request.op == "probe" and not request.target:
+            raise ProtocolError("bad-request", "op 'probe' requires 'target'")
+        return request
+    except ProtocolError as error:
+        error.op = op
+        raise
 
 
 def decode_batch_item(line: str | bytes) -> BatchItem:

@@ -306,8 +306,7 @@ class ShardedClient:
         if current is not None and stamped <= current:
             return
         try:
-            with self.pool.lock(member):
-                view = self.pool.client(member).health()
+            view = self.pool.request(member, lambda client: client.health())
         except (OSError, ServerError, ProtocolError):
             view = None  # best-effort; fall back to the stamp alone
         if view is not None and self._adopt_view(view):
@@ -326,6 +325,7 @@ class ShardedClient:
         fn: Callable[[ValidationClient, int | None], Any],
         handoff: bool = True,
         trace: TraceContext | None = None,
+        member: Member | None = None,
     ) -> Any:
         """Run *fn* against a live replica picked by the read policy,
         failing over down the preference list; hand the artifact over
@@ -334,47 +334,48 @@ class ShardedClient:
         refreshes the ring from the error object and re-resolves
         (bounded), so membership changes never require a client
         restart.  With a :class:`~repro.obs.trace.TraceContext` every
-        attempted member becomes one hop record on the context."""
+        attempted member becomes one hop record on the context.
+
+        A pinned *member* is a one-candidate call with no failover: a
+        transport failure marks it down and raises
+        :class:`ShardUnavailableError`, so the corpus scheduler can
+        re-queue the window onto the survivors."""
         last_error: Exception | None = None
         for _refresh in range(_MAX_EPOCH_REFRESHES):
-            candidates = self.router.candidates(fingerprint)
+            candidates = (
+                [member] if member is not None
+                else self.router.candidates(fingerprint)
+            )
             owner = candidates[0]
             stale = False
-            for member in candidates:
-                label = member_label(member)
+            for candidate in candidates:
+                label = member_label(candidate)
                 if handoff:
-                    self._ensure_artifact(member, fingerprint)
-                client: ValidationClient | None = None
+                    self._ensure_artifact(candidate, fingerprint)
                 wrong_epoch: ServerError | None = None
                 epoch = self.placement.epoch
                 hop = trace.begin_hop(label) if trace is not None else None
-                self.router.begin(member)
+                self.router.begin(candidate)
                 served = False
                 try:
-                    with self.pool.lock(member):
-                        client = self.pool.client(member)
-                        try:
-                            result = fn(client, epoch)
-                            served = True
-                        except ServerError as error:
-                            if error.code != "wrong-epoch":
-                                raise
-                            # The shard holds a newer view; its error
-                            # object carries the refresh.  Drop the
-                            # connection while still holding the member
-                            # lock (a batch header rejection closes it
-                            # server-side, and no peer thread can be
-                            # mid-request on it under the lock).
-                            self.pool.discard(member, client)
-                            wrong_epoch = error
+                    result = self.pool.request(
+                        candidate, lambda client: fn(client, epoch)
+                    )
+                    served = True
                 except OSError as error:  # covers ConnectionError and timeouts
-                    self.pool.mark_down(member, client)
                     if hop is not None and trace is not None:
                         trace.fail_hop(hop, error)
                     last_error = error
                     continue
+                except ServerError as error:
+                    if error.code != "wrong-epoch":
+                        raise
+                    # The shard holds a newer view; its error object
+                    # carries the refresh (the lease already dropped the
+                    # connection the rejected batch header closed).
+                    wrong_epoch = error
                 finally:
-                    self.router.finish(member, served=served)
+                    self.router.finish(candidate, served=served)
                 if wrong_epoch is not None:
                     if hop is not None and trace is not None:
                         trace.fail_hop(hop, "wrong-epoch")
@@ -384,7 +385,7 @@ class ShardedClient:
                     break  # re-resolve placement under the new view
                 if hop is not None and trace is not None:
                     trace.end_hop(hop, result)
-                if member is not owner:
+                if candidate is not owner:
                     with self._lock:
                         self._failovers += 1
                     self._m_failovers.inc()
@@ -394,15 +395,15 @@ class ShardedClient:
                         member=label,
                         owner=member_label(owner),
                     )
-                compiled = self._note_schema(label, result)
-                self._note_load(member, result)
-                self._note_cached(result)
-                if compiled and self.placement.replica_count > 1:
+                if (
+                    self._note_reply(candidate, result)
+                    and self.placement.replica_count > 1
+                ):
                     # The one honest compile just happened: fan the
                     # artifact out to the rest of the replica set now, so
                     # killing this shard later loses nothing.
                     self._replicate(fingerprint)
-                self._maybe_refresh(member, result)
+                self._maybe_refresh(candidate, result)
                 return result
             if not stale:
                 break
@@ -412,62 +413,53 @@ class ShardedClient:
             fingerprint=fingerprint,
         )
 
-    def _note_load(self, member: Member, result: Any) -> None:
-        """Feed a reply's server-reported load stamp into the router.
+    def _note_reply(self, member: Member, result: Any) -> bool:
+        """Learn from a success reply; ``True`` when it shows the shard
+        compiled the schema just now.
 
-        Servers holding a ring view stamp ``{"inflight", "queue_depth"}``
-        into every success reply (and batch trailer); ``least-inflight``
-        scores on these in preference to client-local counters.
+        *result* is one reply, or a batch's ``(item_replies, trailer)``
+        tuple, whose trailer carries the stamps.  Three stamps are read:
+        the server-reported load (``{"inflight", "queue_depth"}``, which
+        ``least-inflight`` scores on in preference to client-local
+        counters), the ``"cached": true`` of every reply a server with
+        ``--verdict-cache`` answered from its memo cache, and the schema
+        the reply names, whose shard is recorded as a holder of its
+        artifact.
         """
-        reply = result[1] if isinstance(result, tuple) else result
-        load = reply.get("load") if isinstance(reply, dict) else None
-        if not isinstance(load, dict):
-            return
-        inflight = load.get("inflight")
-        if isinstance(inflight, int):
+        replies, reply = (
+            result if isinstance(result, tuple) else ((result,), result)
+        )
+        if not isinstance(reply, dict):
+            return False
+        load = reply.get("load")
+        if isinstance(load, dict) and isinstance(load.get("inflight"), int):
             queue_depth = load.get("queue_depth")
             self.router.note_load(
                 member,
-                inflight,
+                load["inflight"],
                 queue_depth if isinstance(queue_depth, int) else 0,
             )
-
-    def _note_cached(self, result: Any) -> None:
-        """Tally server-side verdict-cache hits stamped on replies.
-
-        A server running with ``--verdict-cache`` stamps ``"cached":
-        true`` on every reply it answered from its memo cache — single
-        ``check`` replies and ``check-batch-item`` replies alike (for a
-        batch, *result* is the ``(item_replies, trailer)`` tuple).
-        """
-        replies = result[0] if isinstance(result, tuple) else (result,)
         hits = sum(
             1
-            for reply in replies
-            if isinstance(reply, dict) and reply.get("cached")
+            for item in replies
+            if isinstance(item, dict) and item.get("cached")
         )
-        if hits:
-            with self._lock:
-                self._server_cache_hits += hits
-
-    def _note_schema(self, label: str, result: Any) -> bool:
-        """Record which shard holds the schema a reply names; ``True``
-        when the reply shows the shard compiled it just now."""
-        reply = result[1] if isinstance(result, tuple) else result
-        schema = reply.get("schema") if isinstance(reply, dict) else None
-        if not isinstance(schema, dict):
-            return False
-        fingerprint = schema.get("fingerprint")
-        if not isinstance(fingerprint, str):
-            return False
+        schema = reply.get("schema")
+        fingerprint = (
+            schema.get("fingerprint") if isinstance(schema, dict) else None
+        )
+        compiled = False
         with self._lock:
-            holders = self._holders.setdefault(fingerprint, set())
-            holders.add(label)
-            if schema.get("registry") == "miss":
-                # The shard compiled: the one compile this schema gets.
-                self._compiles_observed += 1
-                return True
-        return False
+            self._server_cache_hits += hits
+            if isinstance(fingerprint, str):
+                self._holders.setdefault(fingerprint, set()).add(
+                    member_label(member)
+                )
+                if schema.get("registry") == "miss":
+                    # The shard compiled: the one compile this schema gets.
+                    self._compiles_observed += 1
+                    compiled = True
+        return compiled
 
     def _replicate(self, fingerprint: str) -> None:
         """Fan the compiled artifact out to every replica of *fingerprint*.
@@ -499,14 +491,14 @@ class ShardedClient:
             source_member = self._member_by_label(source)
             if source_member is None:
                 continue
-            source_client: ValidationClient | None = None
             try:
-                with self.pool.lock(source_member):
-                    source_client = self.pool.client(source_member)
-                    blob = source_client.get_artifact(fingerprint)
+                blob = self.pool.request(
+                    source_member,
+                    lambda client: client.get_artifact(fingerprint),
+                )
                 break
             except OSError:
-                self.pool.mark_down(source_member, source_client)
+                continue  # the lease marked the holder down
             except ProtocolError:
                 return  # garbled transfer: let the target compile
             except Exception:
@@ -516,8 +508,9 @@ class ShardedClient:
         if blob is None:
             return
         try:
-            with self.pool.lock(member):
-                self.pool.client(member).put_artifact(fingerprint, blob)
+            self.pool.request(
+                member, lambda client: client.put_artifact(fingerprint, blob)
+            )
         except Exception:  # noqa: BLE001 - best-effort transfer
             return  # the routed call will fail over / compile as needed
         with self._lock:
@@ -608,16 +601,14 @@ class ShardedClient:
             if checker is not None:
                 return checker
         for member in self.router.candidates(fingerprint):
-            coarse_client: ValidationClient | None = None
             try:
-                with self.pool.lock(member):
-                    coarse_client = self.pool.client(member)
-                    blob = coarse_client.get_coarse(fingerprint)
-            except OSError:
-                self.pool.mark_down(member, coarse_client)
+                blob = self.pool.request(
+                    member, lambda client: client.get_coarse(fingerprint)
+                )
+            except (OSError, ServerError, ProtocolError):
+                # Unreachable (the lease marked it down), artifact-miss,
+                # or a garbled reply: try the next.
                 continue
-            except (ServerError, ProtocolError):
-                continue  # artifact-miss (or a garbled reply): try the next
             summary = decode_coarse(blob)
             if summary is None:
                 continue
@@ -797,6 +788,7 @@ class ShardedClient:
         root: str | None = None,
         trace: bool | str = False,
         coarse: bool | None = None,
+        member: Member | None = None,
     ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
         """Stream a whole corpus for one schema to a live owning replica.
 
@@ -804,7 +796,9 @@ class ShardedClient:
         scheduler build on: one member, picked by the read policy, with
         failover down the preference list.  With ``trace`` the batch
         **trailer** carries the hop records (per-item replies carry
-        lightweight per-item spans).
+        lightweight per-item spans).  A pinned *member* is how the
+        scheduler places a window: no failover, and a transport failure
+        raises :class:`ShardUnavailableError` (see :meth:`_call`).
         """
         fingerprint = self.fingerprint(dtd, root)
         ctx = TraceContext.make(trace)
@@ -816,70 +810,9 @@ class ShardedClient:
                 trace=trace_id, coarse=coarse,
             ),
             trace=ctx,
+            member=member,
         )
         return ctx.attach(result) if ctx is not None else result
-
-    def batch_on_member(
-        self,
-        member: Member,
-        dtd: str,
-        docs: list[str],
-        algorithm: str | None = None,
-        root: str | None = None,
-        fingerprint: str | None = None,
-    ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
-        """Stream one ``check-batch`` window to a **specific** member.
-
-        The direct-placement primitive the
-        :class:`~repro.server.scheduler.CorpusScheduler` spreads windows
-        with: artifact hand-off, epoch stamping, in-flight accounting,
-        and ``wrong-epoch`` adoption all apply, but there is no
-        failover — a transport failure marks the member down and raises,
-        so the scheduler can re-queue the window onto survivors.
-        """
-        if fingerprint is None:
-            fingerprint = self.fingerprint(dtd, root)
-        label = member_label(member)
-        wrong_epoch: ServerError | None = None
-        for _refresh in range(_MAX_EPOCH_REFRESHES):
-            self._ensure_artifact(member, fingerprint)
-            epoch = self.placement.epoch
-            client: ValidationClient | None = None
-            wrong_epoch = None
-            self.router.begin(member)
-            served = False
-            try:
-                with self.pool.lock(member):
-                    client = self.pool.client(member)
-                    try:
-                        result = client.check_batch(
-                            dtd, docs, algorithm=algorithm, root=root,
-                            epoch=epoch,
-                        )
-                        served = True
-                    except ServerError as error:
-                        if error.code != "wrong-epoch":
-                            raise
-                        self.pool.discard(member, client)
-                        wrong_epoch = error
-            except OSError:
-                self.pool.mark_down(member, client)
-                raise
-            finally:
-                self.router.finish(member, served=served)
-            if wrong_epoch is None:
-                self._note_schema(label, result)
-                self._note_load(member, result)
-                self._note_cached(result)
-                self._maybe_refresh(member, result)
-                return result
-            # The member is alive and just taught us the newer view;
-            # adopt it (clearing cached placement) and retry right here —
-            # servers gate on epoch, not ownership.
-            self._adopt_view(wrong_epoch.reply.get("error") or {})
-        raise ConnectionError(
-            f"shard {label} kept answering wrong-epoch: {wrong_epoch}"
-        )
 
     def check_corpus(
         self,
@@ -918,13 +851,11 @@ class ShardedClient:
         shards: dict[str, Any] = {}
         for member in self.placement.members:
             label = member_label(member)
-            stats_client: ValidationClient | None = None
             try:
-                with self.pool.lock(member):
-                    stats_client = self.pool.client(member)
-                    shards[label] = stats_client.stats()
+                shards[label] = self.pool.request(
+                    member, lambda client: client.stats()
+                )
             except OSError:
-                self.pool.mark_down(member, stats_client)
                 shards[label] = None
         return {"shards": shards, "ring": self.ring_stats}
 
@@ -942,13 +873,11 @@ class ShardedClient:
         reachable: list[dict[str, Any]] = []
         for member in self.placement.members:
             label = member_label(member)
-            metrics_client: ValidationClient | None = None
             try:
-                with self.pool.lock(member):
-                    metrics_client = self.pool.client(member)
-                    reply = metrics_client.metrics()
+                reply = self.pool.request(
+                    member, lambda client: client.metrics()
+                )
             except OSError:
-                self.pool.mark_down(member, metrics_client)
                 shards[label] = None
                 continue
             snapshot = reply.get("metrics") or {}

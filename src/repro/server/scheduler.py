@@ -33,10 +33,13 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.server.placement import member_label
+from repro.server.placement import Member, member_label
 from repro.server.protocol import READ_POLICIES
+
+if TYPE_CHECKING:
+    from repro.server.ring import ShardedClient
 
 __all__ = ["DEFAULT_WINDOW", "CorpusScheduler"]
 
@@ -45,18 +48,6 @@ __all__ = ["DEFAULT_WINDOW", "CorpusScheduler"]
 #: re-queue on replica death), large enough that the per-window batch
 #: round trip stays amortized.
 DEFAULT_WINDOW = 16
-
-
-def _routed_batch(client: Any) -> Any:
-    """The client's single-stream batch primitive.
-
-    :meth:`ShardedClient.check_batch` delegates *to* this scheduler for
-    balanced policies, so the scheduler must call the underlying
-    single-stream :meth:`~repro.server.ring.ShardedClient.routed_batch`
-    — never back into ``check_batch``.  Fakes and older clients without
-    ``routed_batch`` fall back to ``check_batch`` unchanged.
-    """
-    return getattr(client, "routed_batch", client.check_batch)
 
 
 def _failure_entry(error: Exception) -> tuple[None, dict[str, Any]]:
@@ -80,11 +71,13 @@ class CorpusScheduler:
     Parameters
     ----------
     client:
-        The :class:`~repro.server.ring.ShardedClient` to drive.  The
-        scheduler uses its fingerprint memo, its single-stream
-        ``routed_batch`` (seed windows and last-resort failover) and its
-        ``batch_on_member`` (direct window placement), so every
-        artifact-movement and epoch rule stays in one place.
+        The :class:`~repro.server.ring.ShardedClient` that builds the
+        scheduler.  The scheduler uses its fingerprint memo and its
+        single-stream ``routed_batch`` — routed for seed windows and
+        last-resort failover, pinned with ``member=`` to place a window
+        — never ``check_batch``, which delegates *to* the scheduler.
+        Every artifact-movement and epoch rule stays in the client's
+        one routed call.
     policy:
         Read policy for this corpus; ``None`` follows the client's
         router policy.
@@ -94,7 +87,7 @@ class CorpusScheduler:
 
     def __init__(
         self,
-        client: Any,
+        client: ShardedClient,
         policy: str | None = None,
         window: int = DEFAULT_WINDOW,
     ) -> None:
@@ -163,7 +156,7 @@ class CorpusScheduler:
             for index in indexes:
                 dtd, docs, batch_root = normalized[index]
                 try:
-                    results[index] = _routed_batch(client)(
+                    results[index] = client.routed_batch(
                         dtd, docs, algorithm=algorithm, root=batch_root
                     )
                 except Exception as error:  # noqa: BLE001 - surfaced in place
@@ -231,7 +224,7 @@ class CorpusScheduler:
         # window — balanced reads must add zero compiles.
         seed_count = min(self.window, len(docs))
         try:
-            seed_replies, seed_trailer = _routed_batch(client)(
+            seed_replies, seed_trailer = client.routed_batch(
                 dtd, docs[:seed_count], algorithm=algorithm, root=root
             )
         except Exception as error:  # noqa: BLE001 - surfaced in place
@@ -268,67 +261,45 @@ class CorpusScheduler:
     ) -> Exception | None:
         """Drain *windows* over every live owner; ``None`` on success.
 
-        Work-stealing workers, one per live owner: each pulls the next
-        window, runs it on its own shard, and repeats.  A worker whose
-        shard dies re-queues its window for the survivors and exits; a
-        non-transport server rejection aborts the batch (retrying it
-        elsewhere would loop forever).  Windows left over after every
-        owner died fall back to the client's routed path, which fails
-        over beyond the replica set.
+        Work-stealing workers, one per live owner: each runs its window
+        on its own shard, pulls the next, and repeats.  Every worker is
+        handed its first window before any worker starts, so each
+        worker's owner serves a window whatever order the threads run in.
+        A worker whose shard dies re-queues its window for the survivors
+        and exits; a non-transport server rejection aborts the batch
+        (retrying it elsewhere would loop forever).  Windows left over
+        after every owner died fall back to the client's routed path,
+        which fails over beyond the replica set.
         """
         client = self._client
         lock = threading.Lock()
         rejection: list[Exception] = []
-        # Telemetry is optional: the scheduler drives any client with
-        # the routed-batch surface, including test fakes without the
-        # observability attributes.
-        telemetry = getattr(client, "telemetry", None)
-        events = getattr(client, "events", None)
-        requeues = (
-            telemetry.counter("repro_ring_requeues_total")
-            if telemetry is not None else None
-        )
-        steals = (
-            telemetry.counter("repro_ring_steals_total")
-            if telemetry is not None else None
-        )
-        placement = getattr(client, "placement", None)
-        primary_label = (
-            member_label(placement.primary(fingerprint))
-            if placement is not None else None
-        )
+        requeues = client.telemetry.counter("repro_ring_requeues_total")
+        steals = client.telemetry.counter("repro_ring_steals_total")
+        primary_label = member_label(client.placement.primary(fingerprint))
 
-        def worker(member: Any) -> None:
+        def worker(member: Member, window: tuple[int, list[str]]) -> None:
             label = member_label(member)
             while True:
-                with lock:
-                    if rejection or not windows:
-                        return
-                    offset, window_docs = windows.popleft()
+                offset, window_docs = window
                 try:
-                    window_replies, trailer = client.batch_on_member(
-                        member,
-                        dtd,
-                        window_docs,
-                        algorithm=algorithm,
-                        root=root,
-                        fingerprint=fingerprint,
+                    window_replies, trailer = client.routed_batch(
+                        dtd, window_docs, algorithm=algorithm, root=root,
+                        member=member,
                     )
                 except (ConnectionError, OSError):
                     # The shard died mid-corpus: hand the window back to
                     # the survivors (zero failed checks) and retire this
-                    # worker — batch_on_member already marked it down.
+                    # worker — the client already marked it down.
                     with lock:
-                        windows.appendleft((offset, window_docs))
-                    if requeues is not None:
-                        requeues.inc()
-                    if events is not None:
-                        events.emit(
-                            "window-requeued",
-                            member=label,
-                            offset=offset,
-                            docs=len(window_docs),
-                        )
+                        windows.appendleft(window)
+                    requeues.inc()
+                    client.events.emit(
+                        "window-requeued",
+                        member=label,
+                        offset=offset,
+                        docs=len(window_docs),
+                    )
                     return
                 except Exception as error:  # noqa: BLE001 - surfaced in place
                     # A non-transport rejection (a ServerError, a garbled
@@ -338,19 +309,23 @@ class CorpusScheduler:
                     with lock:
                         rejection.append(error)
                     return
-                if steals is not None and primary_label is not None:
-                    if label != primary_label:
-                        steals.inc()
+                if label != primary_label:
+                    steals.inc()
                 with lock:
                     replies[offset : offset + len(window_replies)] = (
                         window_replies
                     )
                     trailers.append(trailer)
+                    if rejection or not windows:
+                        return
+                    window = windows.popleft()
 
         owners = client.router.owners(fingerprint)
         workers = [
-            threading.Thread(target=worker, args=(member,), daemon=True)
-            for member in owners[: max(1, min(len(owners), len(windows)))]
+            threading.Thread(
+                target=worker, args=(member, windows.popleft()), daemon=True
+            )
+            for member in owners[: min(len(owners), len(windows))]
         ]
         for thread in workers:
             thread.start()
@@ -364,7 +339,7 @@ class CorpusScheduler:
         while windows:
             offset, window_docs = windows.popleft()
             try:
-                window_replies, trailer = _routed_batch(client)(
+                window_replies, trailer = client.routed_batch(
                     dtd, window_docs, algorithm=algorithm, root=root
                 )
             except Exception as error:  # noqa: BLE001 - surfaced in place

@@ -616,15 +616,10 @@ class ValidationServer:
                 if line is None:  # EOF, shutdown, or an unrecoverable read
                     break
                 if line is _OVERLONG:
-                    writer.write(
-                        protocol.encode(
-                            protocol.error_payload(
-                                "bad-request",
-                                f"request line exceeds {protocol.MAX_LINE_BYTES} bytes",
-                            )
-                        )
-                    )
-                    await writer.drain()
+                    await self._lose_framing(writer, ProtocolError(
+                        "bad-request",
+                        f"request line exceeds {protocol.MAX_LINE_BYTES} bytes",
+                    ))
                     break
                 if not line.strip():
                     continue  # blank keep-alive lines are ignored
@@ -636,6 +631,12 @@ class ValidationServer:
                 try:
                     request = protocol.decode_request(line)
                 except ProtocolError as error:
+                    if error.op == "check-batch":
+                        # A header that fails to decode is a bad header:
+                        # its item lines may already be on the stream.
+                        self._requests += 1
+                        await self._lose_framing(writer, error)
+                        break
                     decode_error = error
                 if request is not None and request.op == "check-batch":
                     self._requests += 1
@@ -724,6 +725,18 @@ class ValidationServer:
         if request_id is not None:
             response["id"] = request_id
         return response
+
+    async def _lose_framing(
+        self,
+        writer: asyncio.StreamWriter,
+        error: Exception,
+        request_id: Any = None,
+    ) -> None:
+        """Answer a defect that loses the framing with one counted error
+        reply; the caller then closes the connection (PROTOCOL.md batch
+        framing rule 5)."""
+        writer.write(protocol.encode(self._error_reply(error, request_id)))
+        await writer.drain()
 
     def _error_reply(self, error: Exception, request_id: Any) -> dict[str, Any]:
         """The counted error reply for a request that raised *error*.
@@ -1074,8 +1087,7 @@ class ValidationServer:
             batch_timings["parse"] = parse_watch.seconds
             dispatcher = self._dispatcher(schema)
         except Exception as error:  # noqa: BLE001 - a reply beats a disconnect
-            writer.write(protocol.encode(self._error_reply(error, request.id)))
-            await writer.drain()
+            await self._lose_framing(writer, error, request.id)
             return False
         assert self._closing is not None
         algorithm = request.algorithm or self.default_algorithm
@@ -1103,15 +1115,10 @@ class ValidationServer:
             feed.close()
             closing.cancel()
         if feed.end == "overlong":
-            writer.write(
-                protocol.encode(
-                    protocol.error_payload(
-                        "bad-request",
-                        f"batch item line exceeds {protocol.MAX_LINE_BYTES} bytes",
-                    )
-                )
-            )
-            await writer.drain()
+            await self._lose_framing(writer, ProtocolError(
+                "bad-request",
+                f"batch item line exceeds {protocol.MAX_LINE_BYTES} bytes",
+            ))
             return False  # the stream cannot be re-framed
         if feed.end != "done":
             return False  # hangup mid-batch

@@ -885,6 +885,63 @@ class TestCheckCorpusFailures:
             assert trailer["error"]["code"] == "unreachable"
 
 
+# -- one lease per shard round trip ------------------------------------------
+
+
+class TestRoundTripLease:
+    """Every shard round trip goes through ``ConnectionPool.request``: a
+    pooled connection is reused only after a clean round trip."""
+
+    def test_a_rejected_batch_header_does_not_desync_later_checks(
+        self, tmp_path
+    ):
+        # The bad header is answered, and the item lines already sent
+        # behind it must never be answered on a connection the client
+        # reuses: each later check reads its own reply.
+        shard = ServerThread(
+            unix_path=str(tmp_path / "shard.sock"), port=0
+        ).start()
+        try:
+            with ShardedClient([shard.unix_path]) as ring:
+                with pytest.raises(ServerError) as excinfo:
+                    ring.check_batch(FIGURE1, [DOC_OK] * 3, algorithm="bogus")
+                assert excinfo.value.code == "bad-request"
+                for _ in range(3):
+                    reply = ring.check(FIGURE1, DOC_OK)
+                    assert reply["op"] == "check"
+                    assert reply["potentially_valid"] is True
+                stats = ring.ring_stats
+        finally:
+            shard.stop()
+        assert stats["down"] == []  # the shard answered: it is not down
+        assert stats["failovers"] == 0
+
+    def test_a_pinned_batch_to_a_stopped_shard_does_not_fail_over(
+        self, tmp_path
+    ):
+        stopped, live = (
+            ServerThread(
+                unix_path=str(tmp_path / f"shard-{i}.sock"), port=0
+            ).start()
+            for i in range(2)
+        )
+        dead_path = stopped.unix_path
+        stopped.stop()
+        try:
+            with ShardedClient(
+                [dead_path, live.unix_path], replica_count=2, timeout=2.0
+            ) as ring:
+                with pytest.raises(ShardUnavailableError):
+                    ring.routed_batch(FIGURE1, [DOC_OK], member=dead_path)
+                stats = ring.ring_stats
+        finally:
+            live.stop()
+        assert stats["down"] == [dead_path]
+        assert stats["requests_by_member"] == {}
+        assert stats["failovers"] == 0
+        assert live.server._requests == 0  # the other member never heard
+
+
 # -- the client-side coarse pre-filter ---------------------------------------
 
 

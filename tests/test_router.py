@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.server.client import ServerError
 from repro.server.placement import PlacementView, member_label
 from repro.server.pool import ConnectionPool
+from repro.server.protocol import ProtocolError
 from repro.server.router import DEFAULT_READ_POLICY, Router
 
 MEMBERS = ["a.sock", "b.sock", "c.sock", "d.sock"]
@@ -273,6 +275,64 @@ class TestConnectionPool:
             pool.discard("a.sock", client)
         assert client.closed
         assert pool.is_down("a.sock") is False
+
+    def test_request_keeps_the_connection_after_a_clean_round_trip(self):
+        made = []
+
+        def connect(member, timeout):
+            made.append(_FakeClient())
+            return made[-1]
+
+        pool = ConnectionPool(connect=connect)
+        assert pool.request("a.sock", lambda client: client) is made[0]
+        assert pool.request("a.sock", lambda client: client) is made[0]
+        assert len(made) == 1 and not made[0].closed
+
+    @pytest.mark.parametrize(
+        "error",
+        [ServerError("bad-request", "no"), ProtocolError("bad-reply", "garbled")],
+    )
+    def test_request_discards_on_a_failed_reply_without_a_down_mark(
+        self, error
+    ):
+        made = []
+
+        def connect(member, timeout):
+            made.append(_FakeClient())
+            return made[-1]
+
+        def fail(client):
+            raise error
+
+        pool = ConnectionPool(connect=connect)
+        with pytest.raises(type(error)):
+            pool.request("a.sock", fail)
+        assert made[0].closed
+        assert pool.is_down("a.sock") is False
+        # The next round trip opens a fresh connection.
+        assert pool.request("a.sock", lambda client: client) is made[1]
+
+    def test_request_marks_down_and_closes_on_a_transport_failure(self):
+        pool = ConnectionPool(connect=lambda member, timeout: _FakeClient())
+        leased = []
+
+        def fail(client):
+            leased.append(client)
+            raise ConnectionResetError("peer reset")
+
+        with pytest.raises(OSError):
+            pool.request("a.sock", fail)
+        assert leased[0].closed
+        assert pool.is_down("a.sock") is True
+
+    def test_request_marks_down_when_the_connect_fails(self):
+        def refuse(member, timeout):
+            raise ConnectionRefusedError("nobody home")
+
+        pool = ConnectionPool(connect=refuse)
+        with pytest.raises(OSError):
+            pool.request("a.sock", lambda client: client)
+        assert pool.is_down("a.sock") is True
 
     def test_addresses_are_remembered_by_label(self):
         pool = ConnectionPool(connect=lambda member, timeout: _FakeClient())

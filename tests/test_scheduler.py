@@ -8,10 +8,13 @@ reproduces the classic placement byte-for-byte.
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
+from repro.server import scheduler
 from repro.server.ring import ShardedClient, member_label
 from repro.server.server import ServerThread
 
@@ -189,6 +192,50 @@ class TestBalancedSpread:
                     )
                 assert excinfo.value.code == "bad-dtd"
             assert ring.ring_stats["requests_by_member"] == {}
+
+
+class _SerialThread:
+    """A thread whose ``start()`` runs its target to completion: the
+    worst interleaving for a work-stealing spread."""
+
+    def __init__(self, target, args=(), daemon=None):
+        self._target = target
+        self._args = args
+
+    def start(self) -> None:
+        self._target(*self._args)
+
+    def join(self) -> None:
+        pass
+
+
+class TestFirstWindows:
+    def test_every_owner_serves_a_window_whatever_the_thread_order(
+        self, monkeypatch, shard_paths
+    ):
+        # Each owner's worker gets its first window before any worker
+        # starts, so even a first worker that drains the queue before
+        # the second one runs leaves the second owner a window.
+        monkeypatch.setattr(
+            scheduler,
+            "threading",
+            SimpleNamespace(Thread=_SerialThread, Lock=threading.Lock),
+        )
+        docs = [DOC_OK] * 64  # a 16-document seed window, then 3 windows
+        with ShardedClient(
+            shard_paths, replica_count=2, read_policy="round-robin"
+        ) as ring:
+            replies, trailer = ring.check_batch(FIGURE1, docs)
+            fingerprint = ring.fingerprint(FIGURE1)
+            owners = [member_label(m) for m in ring.ring.owners(fingerprint)]
+            requests = ring.ring_stats["requests_by_member"]
+        assert trailer["windows"] == 4
+        assert all(reply["potentially_valid"] for reply in replies)
+        # The seed window went to one owner; beyond it, each owner
+        # served at least one window.
+        assert sorted(requests) == sorted(owners)
+        assert sum(requests.values()) == 4
+        assert min(requests.values()) >= 2
 
 
 class TestReplicaDeathMidCorpus:

@@ -19,6 +19,7 @@ from repro.core.coarse import decode_coarse
 from repro.core.pv import PVChecker
 from repro.dtd.parser import parse_dtd
 from repro.errors import ReproError
+from repro.obs.metrics import counter_value
 from repro.server import protocol
 from repro.server.client import ServerError, ValidationClient
 from repro.server.protocol import ProtocolError, decode_request
@@ -538,6 +539,18 @@ class TestClientWireDefects:
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
+def assert_bad_requests_counted(address, count: int) -> None:
+    """A fresh connection's ``stats`` and scrape count *count* errors,
+    each a ``bad-request``."""
+    with ValidationClient.connect(address) as client:
+        assert client.stats()["server"]["errors"] == count
+        snapshot = client.metrics()["metrics"]
+    assert counter_value(snapshot, "repro_errors_total") == count
+    assert counter_value(
+        snapshot, "repro_errors_total", code="bad-request"
+    ) == count
+
+
 class TestOverLimitRequests:
     """MAX_LINE_BYTES exceeded -> structured error, then disconnect."""
 
@@ -559,6 +572,7 @@ class TestOverLimitRequests:
                 # documented disconnect.
                 with pytest.raises(ConnectionError):
                     client.request({"op": "stats"})
+            assert_bad_requests_counted(handle.tcp_address, 1)
 
     def test_within_limit_still_fine(self, small_limit):
         with ServerThread(host="127.0.0.1", port=0) as handle:
@@ -578,6 +592,28 @@ class TestOverLimitRequests:
                 assert reply["error"]["code"] == "bad-request"
                 with pytest.raises(ConnectionError):
                     client.request({"op": "stats"})
+            assert_bad_requests_counted(handle.tcp_address, 1)
+
+
+class TestUndecodableBatchHeader:
+    def test_one_error_reply_then_eof(self):
+        # A check-batch header that fails to decode is a bad header
+        # (framing rule 5): its item lines are never read as requests.
+        with ServerThread(host="127.0.0.1", port=0) as handle:
+            with ValidationClient.connect(handle.tcp_address) as client:
+                client.send(
+                    {"op": "check-batch", "dtd": FIGURE1,
+                     "algorithm": "bogus", "count": 2},
+                    flush=False,
+                )
+                client.send({"doc": DOC_OK}, flush=False)
+                client.send({"doc": DOC_OK})
+                reply = client.recv()
+                assert reply["ok"] is False
+                assert reply["error"]["code"] == "bad-request"
+                with pytest.raises(ConnectionError):
+                    client.recv()  # EOF: no reply to either item line
+            assert_bad_requests_counted(handle.tcp_address, 1)
 
 
 class TestUnixSocketLifecycle:
