@@ -10,11 +10,11 @@ actually makes.
 Three bars on the same skewed corpus:
 
 1. **Equivalence** — document by document, the fused path
-   (``PVChecker.check_text`` under the default ``REPRO_PARSER=fast``:
-   regex tokenizer → interned tag events → streaming kernel, no tree)
-   returns exactly the verdict of the reference pipeline
-   (``REPRO_PARSER=reference`` character lexer → tree →
-   ``check_document``), failure tuples included.
+   (``PVChecker.check_text``: regex scanner → interned tag events →
+   streaming kernel, no tree) returns exactly the verdict of the
+   reference pipeline (the character lexer's tokens built into a tree by
+   ``corpusgen.reference_parse`` → ``check_document``), failure tuples
+   included.
 2. **Fusion throughput** — text-to-verdict on the kernel tier, the
    fused path clears **2×** the reference pipeline, single core,
    interleaved best-of-rounds (the E15 measurement discipline).
@@ -44,8 +44,6 @@ from repro.core.pv import PVChecker  # noqa: E402
 from repro.service.batch import BatchChecker  # noqa: E402
 from repro.service.cache import VerdictCache  # noqa: E402
 from repro.service.registry import DEFAULT_REGISTRY  # noqa: E402
-from repro.xmlmodel.fastlex import PARSER_ENV  # noqa: E402
-from repro.xmlmodel.parser import parse_xml  # noqa: E402
 from repro.xmlmodel.serialize import to_xml  # noqa: E402
 
 FAST = bool(os.environ.get("REPRO_BENCH_FAST"))
@@ -80,103 +78,86 @@ def test_e19_parse_fusion(benchmark, manuscript_dtd):
     schema = DEFAULT_REGISTRY.get(manuscript_dtd)
     texts = _corpus_texts(manuscript_dtd)
     checker = PVChecker(manuscript_dtd, algorithm="kernel")
-    saved = os.environ.get(PARSER_ENV)
+    reference_parse = corpusgen.reference_parse
 
-    def use(backend: str) -> None:
-        os.environ[PARSER_ENV] = backend
+    # 1. Equivalence first: the fused path must reproduce the reference
+    # pipeline's verdicts failure-for-failure.
+    reference_verdicts = [
+        checker.check_document(reference_parse(text)) for text in texts
+    ]
+    for text, expected in zip(texts, reference_verdicts):
+        fused = checker.check_text(text)
+        assert fused.potentially_valid == expected.potentially_valid
+        assert fused.failures == expected.failures
 
-    try:
-        # 1. Equivalence first: the fused path must reproduce the
-        # reference pipeline's verdicts failure-for-failure.
-        use("reference")
-        reference_verdicts = [
-            checker.check_document(parse_xml(text)) for text in texts
-        ]
-        use("fast")
-        for text, expected in zip(texts, reference_verdicts):
-            fused = checker.check_text(text)
-            assert fused.potentially_valid == expected.potentially_valid
-            assert fused.failures == expected.failures
+    # 2/3. Parse-inclusive throughput, single core (the harness
+    # interleaves the arms); the cached arm rebuilds its cache every
+    # round so only the within-run repeat rate is measured.
+    repeats = texts + texts  # the 50%-repeat corpus
 
-        # 2/3. Parse-inclusive throughput, single core.  Each workload
-        # selects its own parser seam (the harness interleaves them);
-        # the cached arm rebuilds its cache every round so only the
-        # within-run repeat rate is measured.
-        repeats = texts + texts  # the 50%-repeat corpus
+    def reference_pass() -> None:
+        for text in texts:
+            checker.check_document(reference_parse(text))
 
-        def reference_pass() -> None:
-            use("reference")
-            for text in texts:
-                checker.check_document(parse_xml(text))
+    def fused_pass() -> None:
+        for text in texts:
+            checker.check_text(text)
 
-        def fused_pass() -> None:
-            use("fast")
-            for text in texts:
-                checker.check_text(text)
+    def reference_repeat_pass() -> None:
+        for text in repeats:
+            checker.check_document(reference_parse(text))
 
-        def reference_repeat_pass() -> None:
-            use("reference")
-            for text in repeats:
-                checker.check_document(parse_xml(text))
-
-        def cached_repeat_pass() -> None:
-            use("fast")
-            batch = BatchChecker(
-                schema,
-                algorithm="kernel",
-                verdict_cache=VerdictCache(len(texts)),
-            )
-            batch.check_texts(repeats)
-
-        best = interleaved_best(
-            {
-                "reference": reference_pass,
-                "fused": fused_pass,
-                "reference-repeat": reference_repeat_pass,
-                "cached-repeat": cached_repeat_pass,
-            },
-            rounds=ROUNDS,
+    def cached_repeat_pass() -> None:
+        batch = BatchChecker(
+            schema,
+            algorithm="kernel",
+            verdict_cache=VerdictCache(len(texts)),
         )
-        fusion_ratio = best["reference"] / best["fused"]
-        cached_ratio = best["reference-repeat"] / best["cached-repeat"]
+        batch.check_texts(repeats)
 
-        table = Table(
-            "E19: fused parse→verdict vs reference pipeline "
-            "(manuscript DTD, kernel tier, parse-inclusive, single core)",
-            ["arm", "docs", "seconds", "docs/s", "ratio"],
-        )
-        table.add_row(
-            "reference", len(texts), best["reference"],
-            throughput(len(texts), best["reference"]), 1.0,
-        )
-        table.add_row(
-            "fused", len(texts), best["fused"],
-            throughput(len(texts), best["fused"]), fusion_ratio,
-        )
-        table.add_row(
-            "reference 50% rep", len(repeats), best["reference-repeat"],
-            throughput(len(repeats), best["reference-repeat"]), 1.0,
-        )
-        table.add_row(
-            "cached 50% rep", len(repeats), best["cached-repeat"],
-            throughput(len(repeats), best["cached-repeat"]), cached_ratio,
-        )
-        table.print()
+    best = interleaved_best(
+        {
+            "reference": reference_pass,
+            "fused": fused_pass,
+            "reference-repeat": reference_repeat_pass,
+            "cached-repeat": cached_repeat_pass,
+        },
+        rounds=ROUNDS,
+    )
+    fusion_ratio = best["reference"] / best["fused"]
+    cached_ratio = best["reference-repeat"] / best["cached-repeat"]
 
-        assert fusion_ratio >= REQUIRED_FUSION_RATIO, (
-            f"fused path only {fusion_ratio:.2f}x the reference pipeline "
-            f"(required {REQUIRED_FUSION_RATIO}x on {len(texts)} documents)"
-        )
-        assert cached_ratio >= REQUIRED_CACHED_RATIO, (
-            f"verdict cache only {cached_ratio:.2f}x the reference pipeline "
-            f"on the 50%-repeat corpus (required {REQUIRED_CACHED_RATIO}x)"
-        )
+    table = Table(
+        "E19: fused parse→verdict vs reference pipeline "
+        "(manuscript DTD, kernel tier, parse-inclusive, single core)",
+        ["arm", "docs", "seconds", "docs/s", "ratio"],
+    )
+    table.add_row(
+        "reference", len(texts), best["reference"],
+        throughput(len(texts), best["reference"]), 1.0,
+    )
+    table.add_row(
+        "fused", len(texts), best["fused"],
+        throughput(len(texts), best["fused"]), fusion_ratio,
+    )
+    table.add_row(
+        "reference 50% rep", len(repeats), best["reference-repeat"],
+        throughput(len(repeats), best["reference-repeat"]), 1.0,
+    )
+    table.add_row(
+        "cached 50% rep", len(repeats), best["cached-repeat"],
+        throughput(len(repeats), best["cached-repeat"]), cached_ratio,
+    )
+    table.print()
 
-        # Headline number: the fused text→verdict sweep.
-        use("fast")
-        benchmark(fused_pass)
-    finally:
-        if saved is None:
-            os.environ.pop(PARSER_ENV, None)
-        else:
-            os.environ[PARSER_ENV] = saved
+    assert fusion_ratio >= REQUIRED_FUSION_RATIO, (
+        f"fused path only {fusion_ratio:.2f}x the reference pipeline "
+        f"(required {REQUIRED_FUSION_RATIO}x on {len(texts)} documents)"
+    )
+    assert cached_ratio >= REQUIRED_CACHED_RATIO, (
+        f"verdict cache only {cached_ratio:.2f}x the reference pipeline "
+        f"on the 50%-repeat corpus (required {REQUIRED_CACHED_RATIO}x)"
+    )
+
+    # Headline number: the fused text→verdict sweep.
+    benchmark(fused_pass)

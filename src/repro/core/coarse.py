@@ -45,10 +45,9 @@ import pickle
 from dataclasses import dataclass
 
 from repro.core.dag import DtdDag
-from repro.dtd import ast
 from repro.dtd.ast import Choice, ContentNode, Name, Opt, PCData, Plus, Seq, Star
 from repro.dtd.model import DTD, PCDATA, AnyContent, MixedContent
-from repro.xmlmodel.delta import SIGMA, content_symbols
+from repro.xmlmodel.delta import SIGMA
 from repro.xmlmodel.tree import XmlDocument, XmlElement
 
 __all__ = [
@@ -372,160 +371,28 @@ def compile_coarse(dag: DtdDag) -> CoarseSummary:
 class CoarseChecker:
     """Applies a :class:`CoarseSummary` to documents in one linear pass.
 
-    The pass visits each element once, converts its children through
-    ``Delta_T`` exactly like the full checkers, and stops at the first
-    definite reject.  Paths use the same format as
-    :class:`~repro.core.pv.PVChecker` failures, so a reject names the
-    node the full check fails on.
+    The pass is the event walk
+    :func:`~repro.core.stream.check_coarse_events`: it converts each
+    element's children through ``Delta_T`` exactly like the full checkers
+    as they arrive and keeps the first definite reject.  Paths use the
+    same format as :class:`~repro.core.pv.PVChecker` failures, so a reject
+    names a node the full check fails on.  A tree and its text get the
+    same verdict, node and reason.
     """
 
     def __init__(self, summary: CoarseSummary) -> None:
         self.summary = summary
 
     def check_document(self, document: XmlDocument | XmlElement) -> CoarseVerdict:
+        """The coarse pass over a parsed tree, fed by an iterative traversal."""
+        # Lazy import: stream imports this module for the verdict types.
+        from repro.core.stream import check_coarse_events, tree_events
+
         root = document.root if isinstance(document, XmlDocument) else document
-        summary = self.summary
-        if root.name != summary.root:
-            return CoarseVerdict(
-                "reject",
-                path="/",
-                element=root.name,
-                reason=(
-                    f"document root is <{root.name}> but the DTD root is "
-                    f"<{summary.root}>"
-                ),
-            )
-        pcdata_bit = summary.pcdata_bit
-        first_uncertain: CoarseVerdict | None = None
-        stack: list[tuple[XmlElement, str]] = [(root, f"/{root.name}")]
-        while stack:
-            node, path = stack.pop()
-            bit = summary.element_bit(node.name)
-            if bit is None:
-                return CoarseVerdict(
-                    "reject",
-                    path=path,
-                    element=node.name,
-                    reason=(
-                        f"element type <{node.name}> is not declared in the DTD"
-                    ),
-                )
-            verdict = self._check_content(node, path, bit)
-            if verdict is not None:
-                if verdict.outcome == "reject":
-                    return verdict
-                if first_uncertain is None:
-                    first_uncertain = verdict
-            for idx, child in enumerate(node.element_children()):
-                stack.append((child, f"{path}/{child.name}[{idx}]"))
-        if first_uncertain is not None:
-            return first_uncertain
-        return CoarseVerdict(
-            "accept", reason="every node's children already spell a word"
-        )
+        return check_coarse_events(self.summary, tree_events(root), "")
 
     def check_text(self, source: str) -> CoarseVerdict:
-        """The coarse pass straight from document text.
+        """The coarse pass straight from document text, no tree built."""
+        from repro.core.stream import stream_coarse_check
 
-        With the fast parser active this consumes the event stream
-        directly (:func:`repro.core.stream.stream_coarse_check`) —
-        outcome-identical to parsing first, though a reject may name a
-        different node (the tree pass visits children in reverse
-        document order).  ``REPRO_PARSER=reference`` parses and
-        delegates.
-        """
-        from repro.xmlmodel.fastlex import parser_backend
-
-        if parser_backend() == "fast":
-            # Lazy import: stream imports this module for the verdict types.
-            from repro.core.stream import stream_coarse_check
-
-            return stream_coarse_check(self.summary, source)
-        from repro.xmlmodel.parser import parse_xml
-
-        return self.check_document(parse_xml(source))
-
-    def _check_content(
-        self, node: XmlElement, path: str, bit: int
-    ) -> CoarseVerdict | None:
-        """``None`` for node accept, else the reject/uncertain verdict."""
-        summary = self.summary
-        symbols = content_symbols(node)
-        if not symbols:
-            if (summary.empty_ok >> bit) & 1:
-                return None
-            return CoarseVerdict(
-                "reject",
-                path=path,
-                element=node.name,
-                reason=(
-                    f"the empty content of <{node.name}> cannot be completed "
-                    "by tag insertions alone"
-                ),
-            )
-        allowed = summary.allowed[bit]
-        accepts = summary.accepts[bit]
-        bounds = summary.counts[bit]
-        pcdata_bit = summary.pcdata_bit
-        seen: dict[int, int] = {}
-        node_accept = True
-        for symbol in symbols:
-            token_bit = pcdata_bit if symbol == SIGMA else summary.element_bit(symbol)
-            if token_bit is None or not (allowed >> token_bit) & 1:
-                if symbol == SIGMA:
-                    reason = (
-                        f"character data can never occur inside <{node.name}> "
-                        "(no insertion chain embeds it)"
-                    )
-                elif token_bit is None:
-                    reason = (
-                        f"child <{symbol}> is not declared in the DTD, so the "
-                        f"content of <{node.name}> can never complete"
-                    )
-                else:
-                    reason = (
-                        f"<{symbol}> can never occur inside <{node.name}> "
-                        "(no insertion chain embeds it)"
-                    )
-                return CoarseVerdict(
-                    "reject", path=path, element=node.name, reason=reason
-                )
-            tally = seen.get(token_bit, 0) + 1
-            seen[token_bit] = tally
-            limit = bounds.get(token_bit)
-            if limit is not None and tally > limit:
-                what = (
-                    "character-data runs"
-                    if token_bit == pcdata_bit
-                    else f"<{symbol}> children"
-                )
-                return CoarseVerdict(
-                    "reject",
-                    path=path,
-                    element=node.name,
-                    reason=(
-                        f"{tally} {what} exceed the most any completable "
-                        f"content of <{node.name}> embeds ({limit})"
-                    ),
-                )
-            if not (accepts >> token_bit) & 1:
-                node_accept = False
-        total = summary.totals[bit]
-        if total is not None and len(symbols) > total:
-            return CoarseVerdict(
-                "reject",
-                path=path,
-                element=node.name,
-                reason=(
-                    f"{len(symbols)} children exceed the most any completable "
-                    f"content of <{node.name}> embeds ({total})"
-                ),
-            )
-        if node_accept:
-            return None
-        return CoarseVerdict(
-            "uncertain",
-            path=path,
-            element=node.name,
-            reason="children may need insertions; escalating to a full backend",
-        )
+        return stream_coarse_check(self.summary, source)

@@ -43,9 +43,8 @@ from repro.dtd.analysis import DTDClass
 from repro.dtd.model import DTD
 from repro.errors import DepthBoundExceeded, UnusableElementError
 from repro.grammar.build import content_nonterminal
-from repro.xmlmodel import parser as xml_parser
 from repro.xmlmodel.delta import content_symbols
-from repro.xmlmodel.fastlex import parser_backend, scan_events
+from repro.xmlmodel.fastlex import scan_events
 from repro.xmlmodel.tree import XmlDocument, XmlElement
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service -> core)
@@ -209,11 +208,8 @@ class PVChecker:
         The walk consumes the scanner's events for every backend, so no
         tree is built; the verdict, failures included, is identical to
         ``check_document(parse_xml(text))``, as is every well-formedness
-        error.  Under ``REPRO_PARSER=reference`` it *is* that pipeline,
-        which keeps the reference lexer and the tree exercised.
+        error.
         """
-        if parser_backend() == "reference":
-            return self.check_document(xml_parser.parse_xml(text))
         return self._walk(scan_events(text), text)
 
     def is_potentially_valid(self, document: XmlDocument | XmlElement) -> bool:

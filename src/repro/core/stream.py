@@ -24,12 +24,10 @@ kernel's text entry.  Failures come out in pre-order, nothing is checked
 under an undeclared element or a mismatched root, and failure paths are
 built lazily from the open-frame chain, only for nodes that fail.
 
-:func:`stream_coarse_check` is the coarse pass over the same events,
-which the ring client's filter runs.  It is outcome-identical to
-:meth:`~repro.core.coarse.CoarseChecker.check_document` on the parsed
-tree; the *reported* node of a reject may differ (the tree pass visits
-children in reverse document order), but it is always a node the full
-check blocks too.
+:func:`check_coarse_events` is the coarse pass over the same events,
+with the same two feeders: :func:`stream_coarse_check` over text (the
+ring client's filter runs it) and
+:meth:`~repro.core.coarse.CoarseChecker.check_document` over a tree.
 """
 
 from __future__ import annotations
@@ -46,6 +44,7 @@ from repro.xmlmodel.fastlex import EV_END, EV_START, EV_TEXT, _loc, scan_events
 from repro.xmlmodel.tree import XmlElement, XmlText
 
 __all__ = [
+    "check_coarse_events",
     "check_events",
     "stream_check_document",
     "stream_coarse_check",
@@ -312,13 +311,23 @@ _C_CHILDREN = 7
 
 
 def stream_coarse_check(summary: CoarseSummary, source: str) -> CoarseVerdict:
-    """The coarse pass over *source*, no tree built.
+    """The coarse pass over *source*, no tree built."""
+    return check_coarse_events(summary, scan_events(source), source)
 
-    Outcome-identical to the tree :class:`~repro.core.coarse.CoarseChecker`
-    (a reject here implies a reject there and vice versa); the reported
-    node may differ because the tree pass visits children in reverse
-    document order.  Well-formedness errors raise exactly as the
-    parse-first pipeline would — a pending verdict never swallows one.
+
+def check_coarse_events(
+    summary: CoarseSummary,
+    events: Iterable[tuple[int, str, int]],
+    source: str,
+) -> CoarseVerdict:
+    """The coarse pass over one document's ``(kind, payload, offset)`` *events*.
+
+    :class:`~repro.core.coarse.CoarseChecker` feeds it a tree through
+    :func:`tree_events`, and :func:`stream_coarse_check` feeds it text,
+    so both report the same verdict, node and reason for the same
+    document.  Well-formedness errors raise exactly as the parse-first
+    pipeline would (a pending verdict never swallows one); *source* is
+    the text the offsets index, read only to position a syntax error.
     """
     pcdata_bit = summary.pcdata_bit
     element_bit = summary.element_bit
@@ -334,7 +343,7 @@ def stream_coarse_check(summary: CoarseSummary, source: str) -> CoarseVerdict:
     root_seen = False
 
     def child_token(frame: list, token_bit: int | None, symbol: str) -> None:
-        """Apply one ``Delta_T`` token to *frame* (the tree loop, inlined)."""
+        """Apply one ``Delta_T`` token to *frame*."""
         nonlocal reject
         bit = frame[_C_BIT]
         name = frame[_C_NAME]
@@ -382,7 +391,7 @@ def stream_coarse_check(summary: CoarseSummary, source: str) -> CoarseVerdict:
         if not (accepts_masks[bit] >> token_bit) & 1:
             frame[_C_ACCEPT] = False
 
-    for kind, payload, offset in scan_events(source):
+    for kind, payload, offset in events:
         if kind == EV_START:
             if not stack:
                 if root_seen:

@@ -109,6 +109,20 @@ class ShardUnavailableError(ServerError, ConnectionError):
         self.fingerprint = fingerprint
 
 
+def _get_coarse(client: ValidationClient, fingerprint: str) -> bytes | None:
+    """``get-coarse`` on *client*, ``None`` for an ``artifact-miss``.
+
+    That reply is one whole line, so the connection is still in sync and
+    the lease keeps it, where an exception would discard it.
+    """
+    try:
+        return client.get_coarse(fingerprint)
+    except ServerError as error:
+        if error.code == "artifact-miss":
+            return None
+        raise
+
+
 class ShardedClient:
     """A blocking routing client over a replicated validation ring.
 
@@ -603,13 +617,13 @@ class ShardedClient:
         for member in self.router.candidates(fingerprint):
             try:
                 blob = self.pool.request(
-                    member, lambda client: client.get_coarse(fingerprint)
+                    member, lambda client: _get_coarse(client, fingerprint)
                 )
             except (OSError, ServerError, ProtocolError):
-                # Unreachable (the lease marked it down), artifact-miss,
-                # or a garbled reply: try the next.
+                # Unreachable (the lease marked it down), another error
+                # reply, or a garbled reply: try the next.
                 continue
-            summary = decode_coarse(blob)
+            summary = None if blob is None else decode_coarse(blob)
             if summary is None:
                 continue
             return self._remember_coarse(fingerprint, summary)

@@ -605,6 +605,9 @@ class ValidationServer:
         task = asyncio.ensure_future(self._handle_connection(reader, writer))
         self._conn_tasks.add(task)
         task.add_done_callback(self._conn_tasks.discard)
+        # A task cancelled before its first step never enters the
+        # handler's ``finally``: close the writer however the task ends.
+        task.add_done_callback(lambda _task: writer.close())
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

@@ -1,51 +1,39 @@
-"""Regex-scanner tokenizer: the fast half of the ``REPRO_PARSER`` seam.
+"""The document scanner: XML text to ``(kind, payload, offset)`` events.
 
-Two surfaces over the same scanning core:
+:func:`scan_events` is the one scanner every text path reads.  It yields
+bare tuples (no token objects, no attribute dicts, no line/column
+bookkeeping): the checking walks of :mod:`repro.core.stream` consume them
+directly, and :func:`repro.xmlmodel.parser.parse_xml` builds its tree
+from them, re-reading a start tag's attributes at the event's offset
+(:func:`tag_attributes`).  Positions are recomputed from an offset only
+when an error must be raised.
 
-* :func:`tokenize_xml_fast` — a drop-in replacement for
-  :func:`repro.xmlmodel.lexer.tokenize_xml`, token-identical (including
-  error messages and their line/column positions) but driven by compiled
-  regular expressions instead of a per-character cursor loop.  Any tag
-  construct the fast patterns do not recognise is handed to the reference
-  scanner at the same position, so the hard cases (entities in attribute
-  values, zero-whitespace attribute runs, every malformed-tag diagnostic)
-  are *by construction* the reference's behavior, not a reimplementation.
-* :func:`scan_events` — the fused hot path.  It yields bare
-  ``(kind, payload, offset)`` tuples (no token objects, no attribute
-  dicts, no line/column bookkeeping) for event-driven checking in
-  :mod:`repro.core.stream`; positions are recomputed from the offset only
-  when an error must be raised.
-
-The seam itself is :func:`parser_backend` / :func:`active_tokenizer`,
-reading ``REPRO_PARSER`` per call: ``reference`` selects the original
-character-at-a-time lexer, anything else (including unset) selects the
-fast scanner.  ``tests/test_parse_fusion.py`` pins the two token streams
-against each other over the fuzz corpus.
+Compiled regular expressions scan whole tags and text runs.  Any tag
+construct the fast patterns do not recognise is handed to the reference
+character lexer (:mod:`repro.xmlmodel.lexer`) at the same position, so the
+hard cases (entities in attribute values, zero-whitespace attribute runs,
+every malformed-tag diagnostic) are *by construction* the reference's
+behavior, not a reimplementation.  That lexer's whole token stream is the
+oracle: ``tests/test_parse_fusion.py`` pins the events and every error,
+message and position included, against it.
 """
 
 from __future__ import annotations
 
-import os
 import re
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.errors import XmlSyntaxError
 from repro.xmlmodel import lexer as _ref
-from repro.xmlmodel.lexer import XmlToken, XmlTokenKind, tokenize_xml
+from repro.xmlmodel.lexer import XmlToken, XmlTokenKind
 
 __all__ = [
     "EV_START",
     "EV_END",
     "EV_TEXT",
-    "PARSER_ENV",
-    "active_tokenizer",
-    "parser_backend",
     "scan_events",
-    "tokenize_xml_fast",
+    "tag_attributes",
 ]
-
-#: Environment variable naming the tokenizer: ``reference`` or ``fast``.
-PARSER_ENV = "REPRO_PARSER"
 
 _NAME = r"[A-Za-z_:][A-Za-z0-9._:\-]*"
 _S = r"[ \t\r\n]"
@@ -64,17 +52,6 @@ EV_END = 1
 EV_TEXT = 2
 
 
-def parser_backend() -> str:
-    """The active tokenizer name: ``"reference"`` or ``"fast"`` (default)."""
-    value = os.environ.get(PARSER_ENV, "").strip().lower()
-    return "reference" if value == "reference" else "fast"
-
-
-def active_tokenizer() -> Callable[[str], Iterator[XmlToken]]:
-    """The token stream the parser should consume, per ``REPRO_PARSER``."""
-    return tokenize_xml if parser_backend() == "reference" else tokenize_xml_fast
-
-
 def _loc(source: str, offset: int) -> tuple[int, int]:
     """(line, column) of *offset*, computed from scratch (error paths only)."""
     line = source.count("\n", 0, offset) + 1
@@ -82,200 +59,30 @@ def _loc(source: str, offset: int) -> tuple[int, int]:
     return line, offset - newline
 
 
-def _attributes(blob: str) -> tuple[tuple[str, str], ...]:
-    """Decode the attribute blob of a fast-matched start tag."""
+def _reference_tag(source: str, offset: int) -> tuple[XmlToken, int]:
+    """The reference lexer's token for the tag at *offset*, and its end."""
+    cursor = _ref._Cursor(source)
+    cursor.position = offset
+    cursor.line, cursor.column = _loc(source, offset)
+    token = _ref._scan_tag(cursor)  # raises the reference diagnostics
+    return token, cursor.position
+
+
+def tag_attributes(source: str, offset: int) -> tuple[tuple[str, str], ...]:
+    """The attributes of the start tag :func:`scan_events` reported at *offset*.
+
+    Read as the scan read the tag: with the fast pattern when it
+    matches, else with the reference lexer.
+    """
+    match = _START_TAG.match(source, offset)
+    if match is None:
+        return _reference_tag(source, offset)[0].attributes
+    blob = match.group(2)
+    if not blob:
+        return ()
     return tuple(
-        (match.group(1), match.group(2)[1:-1]) for match in _ATTR.finditer(blob)
+        (item.group(1), item.group(2)[1:-1]) for item in _ATTR.finditer(blob)
     )
-
-
-def tokenize_xml_fast(source: str) -> Iterator[XmlToken]:
-    """Yield exactly the tokens of :func:`tokenize_xml`, regex-driven."""
-    pos = 0
-    length = len(source)
-    # Incremental line/column tracker: every token needs a position, so
-    # amortise the newline counting instead of rescanning the prefix.
-    anchor = 0
-    line = 1
-    line_start = 0
-
-    def advance(offset: int) -> tuple[int, int]:
-        nonlocal anchor, line, line_start
-        if offset > anchor:
-            added = source.count("\n", anchor, offset)
-            if added:
-                line += added
-                line_start = source.rfind("\n", anchor, offset) + 1
-            anchor = offset
-        return line, offset - line_start + 1
-
-    def delegate() -> XmlToken:
-        """Hand the tag at *pos* to the reference scanner, then resync."""
-        nonlocal pos, anchor, line, line_start
-        at_line, at_column = advance(pos)
-        cursor = _ref._Cursor(source)
-        cursor.position = pos
-        cursor.line = at_line
-        cursor.column = at_column
-        token = _ref._scan_tag(cursor)  # raises the reference diagnostics
-        pos = anchor = cursor.position
-        line = cursor.line
-        line_start = cursor.position - (cursor.column - 1)
-        return token
-
-    text_pieces: list[str] = []
-    text_line, text_column = 1, 1
-
-    while pos < length:
-        char = source[pos]
-        if char == "<":
-            if source.startswith("<!--", pos):
-                if text_pieces:
-                    yield XmlToken(
-                        XmlTokenKind.TEXT,
-                        text="".join(text_pieces),
-                        line=text_line,
-                        column=text_column,
-                    )
-                    text_pieces = []
-                end = source.find("-->", pos)
-                if end < 0:
-                    at_line, at_column = advance(pos)
-                    raise XmlSyntaxError("unterminated comment", at_line, at_column)
-                pos = end + 3
-                continue
-            if source.startswith("<![CDATA[", pos):
-                if not text_pieces:
-                    text_line, text_column = advance(pos)
-                end = source.find("]]>", pos + 9)
-                if end < 0:
-                    at_line, at_column = advance(pos)
-                    raise XmlSyntaxError(
-                        "unterminated CDATA section", at_line, at_column
-                    )
-                text_pieces.append(source[pos + 9 : end])
-                pos = end + 3
-                continue
-            if source.startswith("<?", pos):
-                if text_pieces:
-                    yield XmlToken(
-                        XmlTokenKind.TEXT,
-                        text="".join(text_pieces),
-                        line=text_line,
-                        column=text_column,
-                    )
-                    text_pieces = []
-                end = source.find("?>", pos)
-                if end < 0:
-                    at_line, at_column = advance(pos)
-                    raise XmlSyntaxError(
-                        "unterminated processing instruction", at_line, at_column
-                    )
-                pos = end + 2
-                continue
-            if source.startswith("<!DOCTYPE", pos):
-                if text_pieces:
-                    yield XmlToken(
-                        XmlTokenKind.TEXT,
-                        text="".join(text_pieces),
-                        line=text_line,
-                        column=text_column,
-                    )
-                    text_pieces = []
-                depth = 0
-                scan = pos
-                while scan < length:
-                    item = source[scan]
-                    scan += 1
-                    if item == "[":
-                        depth += 1
-                    elif item == "]":
-                        depth -= 1
-                    elif item == ">" and depth <= 0:
-                        break
-                else:
-                    at_line, at_column = advance(length)
-                    raise XmlSyntaxError("unterminated DOCTYPE", at_line, at_column)
-                pos = scan
-                continue
-            if text_pieces:
-                yield XmlToken(
-                    XmlTokenKind.TEXT,
-                    text="".join(text_pieces),
-                    line=text_line,
-                    column=text_column,
-                )
-                text_pieces = []
-            match = _START_TAG.match(source, pos)
-            if match is not None:
-                at_line, at_column = advance(pos)
-                kind = (
-                    XmlTokenKind.EMPTY_TAG if match.group(3) else XmlTokenKind.START_TAG
-                )
-                yield XmlToken(
-                    kind,
-                    name=match.group(1),
-                    attributes=_attributes(match.group(2)),
-                    line=at_line,
-                    column=at_column,
-                )
-                pos = match.end()
-                continue
-            match = _END_TAG.match(source, pos)
-            if match is not None:
-                at_line, at_column = advance(pos)
-                yield XmlToken(
-                    XmlTokenKind.END_TAG,
-                    name=match.group(1),
-                    line=at_line,
-                    column=at_column,
-                )
-                pos = match.end()
-                continue
-            yield delegate()
-            continue
-        if char == "&":
-            if not text_pieces:
-                text_line, text_column = advance(pos)
-            end = source.find(";", pos + 1)
-            if end < 0 or end - (pos + 1) > 10:
-                at_line, at_column = advance(pos)
-                raise XmlSyntaxError(
-                    "unterminated entity reference", at_line, at_column
-                )
-            body = source[pos + 1 : end]
-            if body.startswith("#x") or body.startswith("#X"):
-                text_pieces.append(chr(int(body[2:], 16)))
-            elif body.startswith("#"):
-                text_pieces.append(chr(int(body[1:])))
-            elif body in _ref._ENTITIES:
-                text_pieces.append(_ref._ENTITIES[body])
-            else:
-                at_line, at_column = advance(pos)
-                raise XmlSyntaxError(f"unknown entity &{body};", at_line, at_column)
-            pos = end + 1
-            continue
-        # A maximal plain-text run: jump straight to the next markup start.
-        if not text_pieces:
-            text_line, text_column = advance(pos)
-        lt = source.find("<", pos)
-        amp = source.find("&", pos)
-        stop = length
-        if lt >= 0:
-            stop = lt
-        if 0 <= amp < stop:
-            stop = amp
-        text_pieces.append(source[pos:stop])
-        pos = stop
-    if text_pieces:
-        yield XmlToken(
-            XmlTokenKind.TEXT,
-            text="".join(text_pieces),
-            line=text_line,
-            column=text_column,
-        )
-    at_line, at_column = advance(length)
-    yield XmlToken(XmlTokenKind.EOF, line=at_line, column=at_column)
 
 
 def scan_events(source: str) -> Iterator[tuple[int, str, int]]:
@@ -291,17 +98,6 @@ def scan_events(source: str) -> Iterator[tuple[int, str, int]]:
     length = len(source)
     text_pieces: list[str] = []
     text_offset = 0
-
-    def delegate() -> XmlToken:
-        nonlocal pos
-        at_line, at_column = _loc(source, pos)
-        cursor = _ref._Cursor(source)
-        cursor.position = pos
-        cursor.line = at_line
-        cursor.column = at_column
-        token = _ref._scan_tag(cursor)
-        pos = cursor.position
-        return token
 
     while pos < length:
         char = source[pos]
@@ -374,7 +170,7 @@ def scan_events(source: str) -> Iterator[tuple[int, str, int]]:
                 yield EV_END, match.group(1), start
                 pos = match.end()
                 continue
-            token = delegate()
+            token, pos = _reference_tag(source, pos)
             if token.kind is XmlTokenKind.END_TAG:
                 yield EV_END, token.name, start
             else:

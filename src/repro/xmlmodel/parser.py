@@ -3,13 +3,16 @@
 Checks exactly the well-formedness constraints the paper's "XML string"
 notion requires: properly nested matching tags and a single root element.
 Character data outside the root is rejected unless it is all whitespace.
+
+The tree is built from the one scanner's events
+(:func:`~repro.xmlmodel.fastlex.scan_events`) with an explicit stack, so
+document depth is bounded by memory, not by the interpreter stack.
 """
 
 from __future__ import annotations
 
 from repro.errors import XmlSyntaxError
-from repro.xmlmodel.fastlex import active_tokenizer
-from repro.xmlmodel.lexer import XmlTokenKind
+from repro.xmlmodel.fastlex import EV_START, EV_TEXT, _loc, scan_events, tag_attributes
 from repro.xmlmodel.tree import XmlDocument, XmlElement, XmlText
 
 __all__ = ["parse_xml", "parse_fragment"]
@@ -24,8 +27,7 @@ def parse_xml(source: str) -> XmlDocument:
     >>> doc.content()
     'hi there'
     """
-    root = _parse(source, fragment=False)
-    return XmlDocument(root)
+    return XmlDocument(_parse(source))
 
 
 def parse_fragment(source: str) -> XmlElement:
@@ -34,54 +36,49 @@ def parse_fragment(source: str) -> XmlElement:
     Identical to :func:`parse_xml` but returns the detached element, which
     is convenient when building larger trees in tests and workloads.
     """
-    return _parse(source, fragment=True)
+    return _parse(source)
 
 
-def _parse(source: str, fragment: bool) -> XmlElement:
+def _parse(source: str) -> XmlElement:
     root: XmlElement | None = None
     stack: list[XmlElement] = []
-    for token in active_tokenizer()(source):
-        if token.kind is XmlTokenKind.TEXT:
-            if not stack:
-                if token.text.strip():
-                    raise XmlSyntaxError(
-                        "character data outside the root element",
-                        token.line,
-                        token.column,
-                    )
-                continue
-            stack[-1].append(XmlText(token.text))
-        elif token.kind in (XmlTokenKind.START_TAG, XmlTokenKind.EMPTY_TAG):
-            element = XmlElement(token.name, attributes=dict(token.attributes))
+    for kind, payload, offset in scan_events(source):
+        if kind == EV_TEXT:
+            if stack:
+                stack[-1].append(XmlText(payload))
+            elif payload.strip():
+                raise XmlSyntaxError(
+                    "character data outside the root element", *_loc(source, offset)
+                )
+        elif kind == EV_START:
+            element = XmlElement(
+                payload, attributes=dict(tag_attributes(source, offset))
+            )
             if stack:
                 stack[-1].append(element)
             elif root is None:
                 root = element
             else:
                 raise XmlSyntaxError(
-                    f"multiple root elements: second root <{token.name}>",
-                    token.line,
-                    token.column,
+                    f"multiple root elements: second root <{payload}>",
+                    *_loc(source, offset),
                 )
-            if token.kind is XmlTokenKind.START_TAG:
-                stack.append(element)
-        elif token.kind is XmlTokenKind.END_TAG:
+            stack.append(element)
+        else:  # EV_END, which an empty tag yields right after its EV_START
             if not stack:
                 raise XmlSyntaxError(
-                    f"unmatched end tag </{token.name}>", token.line, token.column
+                    f"unmatched end tag </{payload}>", *_loc(source, offset)
                 )
             open_element = stack.pop()
-            if open_element.name != token.name:
+            if open_element.name != payload:
                 raise XmlSyntaxError(
-                    f"end tag </{token.name}> does not match open <{open_element.name}>",
-                    token.line,
-                    token.column,
+                    f"end tag </{payload}> does not match open <{open_element.name}>",
+                    *_loc(source, offset),
                 )
-        else:  # EOF
-            if stack:
-                raise XmlSyntaxError(
-                    f"unclosed element <{stack[-1].name}>", token.line, token.column
-                )
+    if stack:
+        raise XmlSyntaxError(
+            f"unclosed element <{stack[-1].name}>", *_loc(source, len(source))
+        )
     if root is None:
         raise XmlSyntaxError("document has no root element")
     return root

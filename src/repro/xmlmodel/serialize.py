@@ -8,25 +8,28 @@ predefined entities escaped in text and attribute values.
 
 from __future__ import annotations
 
-from repro.xmlmodel.tree import XmlDocument, XmlElement, XmlNode, XmlText
+from repro.xmlmodel.tree import XmlDocument, XmlNode, XmlText
 
 __all__ = ["to_xml", "escape_text"]
 
-_TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
-_ATTR_ESCAPES = {"&": "&amp;", "<": "&lt;", '"': "&quot;"}
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+_ATTR_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", '"': "&quot;"})
 
 
 def escape_text(text: str) -> str:
     """Escape character data for inclusion in XML text content."""
-    return "".join(_TEXT_ESCAPES.get(char, char) for char in text)
+    return text.translate(_TEXT_ESCAPES)
 
 
 def _escape_attribute(value: str) -> str:
-    return "".join(_ATTR_ESCAPES.get(char, char) for char in value)
+    return value.translate(_ATTR_ESCAPES)
 
 
 def to_xml(node: XmlNode | XmlDocument, self_closing: bool = False) -> str:
     """Render *node* (or a whole document) as XML text.
+
+    The walk keeps an explicit stack, so document depth is bounded by
+    memory, not by the interpreter stack.
 
     Parameters
     ----------
@@ -37,24 +40,25 @@ def to_xml(node: XmlNode | XmlDocument, self_closing: bool = False) -> str:
         ``<a></a>``.
     """
     if isinstance(node, XmlDocument):
-        return to_xml(node.root, self_closing=self_closing)
+        node = node.root
     parts: list[str] = []
-    _render(node, parts, self_closing)
+    # A node still to render, or the end tag of an element whose
+    # children sit above it on the stack.
+    pending: list[XmlNode | str] = [node]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, XmlText):
+            parts.append(escape_text(item.text))
+        else:
+            parts.append(f"<{item.name}")
+            for name, value in item.attributes.items():
+                parts.append(f' {name}="{_escape_attribute(value)}"')
+            if not item.children:
+                parts.append("/>" if self_closing else f"></{item.name}>")
+            else:
+                parts.append(">")
+                pending.append(f"</{item.name}>")
+                pending.extend(reversed(item.children))
     return "".join(parts)
-
-
-def _render(node: XmlNode, parts: list[str], self_closing: bool) -> None:
-    if isinstance(node, XmlText):
-        parts.append(escape_text(node.text))
-        return
-    assert isinstance(node, XmlElement)
-    parts.append(f"<{node.name}")
-    for name, value in node.attributes.items():
-        parts.append(f' {name}="{_escape_attribute(value)}"')
-    if not node.children and self_closing:
-        parts.append("/>")
-        return
-    parts.append(">")
-    for child in node.children:
-        _render(child, parts, self_closing)
-    parts.append(f"</{node.name}>")

@@ -18,6 +18,9 @@ distribution:
   misclassify first.
 * :func:`mixed_corpus` — the skewed valid/corrupt mix (provenance
   labelled per document) the differential suites run on.
+* :func:`reference_parse` — the reference parser: the character lexer's
+  tokens built into a tree, the oracle ``parse_xml`` is pinned against
+  and E19's reference arm.
 
 Everything is deterministic in ``seed``; nothing here asserts — verdicts
 belong to the tests and benchmarks that consume the corpus.
@@ -29,8 +32,10 @@ import random
 from typing import Iterator
 
 from repro.dtd.model import DTD
+from repro.errors import XmlSyntaxError
 from repro.workloads.corrupt import corrupt_inject, corrupt_rename, corrupt_swap
 from repro.workloads.docgen import DocumentGenerator
+from repro.xmlmodel.lexer import XmlTokenKind, tokenize_xml
 from repro.xmlmodel.tree import XmlDocument, XmlElement, XmlText
 
 __all__ = [
@@ -39,6 +44,7 @@ __all__ = [
     "valid_documents",
     "mutate",
     "mixed_corpus",
+    "reference_parse",
 ]
 
 #: Every single-mutation corruption :func:`mutate` knows how to apply.
@@ -202,3 +208,61 @@ def corpus_documents(
     """Just the documents of a labelled corpus, in order."""
     for document, _provenance in corpus:
         yield document
+
+
+# -- the reference parser ----------------------------------------------------
+
+
+def reference_parse(source: str) -> XmlDocument:
+    """*source* parsed by the reference character lexer's token stream.
+
+    Independent of the scanner ``parse_xml`` reads: the same
+    well-formedness rules over :func:`~repro.xmlmodel.lexer.tokenize_xml`,
+    each error positioned at its token.
+    """
+    root: XmlElement | None = None
+    stack: list[XmlElement] = []
+    for token in tokenize_xml(source):
+        if token.kind is XmlTokenKind.TEXT:
+            if not stack:
+                if token.text.strip():
+                    raise XmlSyntaxError(
+                        "character data outside the root element",
+                        token.line,
+                        token.column,
+                    )
+                continue
+            stack[-1].append(XmlText(token.text))
+        elif token.kind in (XmlTokenKind.START_TAG, XmlTokenKind.EMPTY_TAG):
+            element = XmlElement(token.name, attributes=dict(token.attributes))
+            if stack:
+                stack[-1].append(element)
+            elif root is None:
+                root = element
+            else:
+                raise XmlSyntaxError(
+                    f"multiple root elements: second root <{token.name}>",
+                    token.line,
+                    token.column,
+                )
+            if token.kind is XmlTokenKind.START_TAG:
+                stack.append(element)
+        elif token.kind is XmlTokenKind.END_TAG:
+            if not stack:
+                raise XmlSyntaxError(
+                    f"unmatched end tag </{token.name}>", token.line, token.column
+                )
+            open_element = stack.pop()
+            if open_element.name != token.name:
+                raise XmlSyntaxError(
+                    f"end tag </{token.name}> does not match open <{open_element.name}>",
+                    token.line,
+                    token.column,
+                )
+        elif stack:  # EOF
+            raise XmlSyntaxError(
+                f"unclosed element <{stack[-1].name}>", token.line, token.column
+            )
+    if root is None:
+        raise XmlSyntaxError("document has no root element")
+    return XmlDocument(root)

@@ -4,16 +4,15 @@ The coarse pass (:mod:`repro.core.coarse`) is only allowed three answers,
 and only one of them is cheap to get wrong silently: a *definite* outcome
 (``accept`` / ``reject``) that a full backend would reverse.  This suite
 pushes seeded mixed corpora (valid documents plus single-mutation
-corruptions from :mod:`corpusgen`) through the coarse checker — both the
-tree pass and the streamed pass over the serialized text, which is what
-the ring client's filter runs — **and** every exact backend, asserting:
+corruptions from :mod:`corpusgen`) through the coarse checker — both
+feeders of its one walk, the tree and the serialized text (which is what
+the ring client's filter runs) — **and** every exact backend, asserting:
 
 * a definite coarse outcome always matches the kernel, machine, and
   Earley verdicts (``uncertain`` promises nothing and is skipped),
 * a coarse ``reject`` names a ``(path, element)`` at which the full
   checker also reports a blocked node — the filter loses no diagnostic
-  precision (the two passes may name different nodes; each must be
-  blocked),
+  precision,
 * the corpus is not vacuous: the coarse stage actually rejects a healthy
   share of the corrupted documents (a regression to all-``uncertain``
   would otherwise pass every agreement test while gutting the pipeline).
@@ -59,8 +58,8 @@ BACKENDS = ("kernel", "machine", "earley")
 SEED = int(os.environ.get("REPRO_FUZZ_SEED", "2006"))
 DOCS_PER_DTD = int(os.environ.get("REPRO_FUZZ_DOCS", "30"))
 
-#: (DTD, coarse pass) pairs.  The tree pass keeps the bare DTD name as
-#: its test id; the streamed pass over the serialized text is ``-streamed``.
+#: (DTD, feeder) pairs.  The tree feeder keeps the bare DTD name as its
+#: test id; the serialized text is ``-streamed``.
 PASSES = [pytest.param(name, "tree", id=name) for name in DTD_NAMES] + [
     pytest.param(name, "streamed", id=f"{name}-streamed") for name in DTD_NAMES
 ]

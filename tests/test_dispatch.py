@@ -13,7 +13,6 @@ from repro.dtd.parser import parse_dtd
 from repro.service.cache import VerdictCache
 from repro.service.dispatch import BackendDispatcher
 from repro.workloads.docgen import DocumentGenerator
-from repro.xmlmodel.fastlex import parser_backend
 from repro.xmlmodel.parser import parse_xml
 from repro.xmlmodel.serialize import to_xml
 
@@ -172,9 +171,6 @@ class TestTextPipeline:
         stats = dispatcher.verdict_cache.stats
         assert stats["hits"] + stats["misses"] == total
 
-    @pytest.mark.skipif(
-        parser_backend() != "fast", reason="the reference parser builds trees"
-    )
     def test_no_backend_parses_a_tree(self, monkeypatch):
         """Every algorithm checks off the event stream, audits included."""
         one, two, bad = "<r><a>one</a></r>", "<r><a>two</a></r>", NOT_PV

@@ -1,27 +1,33 @@
 """The fused parse→verdict hot path never changes an answer.
 
-Three seams guard the E19 speedups, and each gets a differential here:
+Document text has one scanner, :func:`repro.xmlmodel.fastlex.scan_events`;
+the reference character lexer (:mod:`repro.xmlmodel.lexer`) is its
+fallback for hard tags and its oracle.  Each seam gets a differential:
 
-* **Tokenizer** — :func:`repro.xmlmodel.fastlex.tokenize_xml_fast` must
-  yield *exactly* the tokens of the reference character lexer — kind,
-  name, text, attributes, line, and column — including every syntax
-  error's message and position (malformed tags delegate to a positioned
-  reference cursor precisely so the diagnostics stay the reference's).
+* **Scanner** — the fast tokenizer's events must be *exactly* the
+  reference lexer's tokens mapped to events: kind, name, text, the start
+  tags' attributes, and each position (``_loc`` of the event's offset
+  against the token's line and column), including every error's type,
+  message and position.
+* **Tree builder** — :func:`~repro.xmlmodel.parser.parse_xml` builds its
+  tree from those events; it must return the tree of the reference
+  parser (:func:`corpusgen.reference_parse`, the lexer's tokens built
+  into a tree) node for node, attributes and unmerged text nodes
+  included, or raise its exact error.
 * **Treeless checking** — the one event walk
   (:mod:`repro.core.stream`), fed by the scanner or by a tree, must
   return the verdict of an independent explicit-stack tree oracle
   (:func:`_oracle`) *failure-for-failure* on every backend, and the
-  streaming coarse pass must classify every document into the same
-  ``accept``/``reject``/``uncertain`` outcome (the rejected *node* may
-  differ — tree traversal order is the only thing the outcomes never
-  depended on).
+  coarse pass must report the same verdict (outcome, node and reason)
+  from a tree as from its text.
 * **The memo cache** — :class:`repro.service.cache.VerdictCache` keyed by
   ``(fingerprint, digest, mode)`` must replay verdicts exactly, and the
   surfaces threaded through it (dispatcher, batch, server) must answer
   repeats from it without changing a single verdict field.
 
 Corpora come from :mod:`corpusgen`; ``REPRO_FUZZ_SEED`` and
-``REPRO_FUZZ_DOCS`` scale the run exactly as in the admission suite.
+``REPRO_FUZZ_DOCS`` scale the run exactly as in the admission suite (CI's
+``scanner-differential`` job runs this module at 200 documents per DTD).
 """
 
 from __future__ import annotations
@@ -43,30 +49,39 @@ from repro.service.dispatch import BackendDispatcher
 from repro.service.registry import DEFAULT_REGISTRY
 from repro.xmlmodel.delta import content_symbols
 from repro.xmlmodel.fastlex import (
-    PARSER_ENV,
-    active_tokenizer,
-    parser_backend,
-    tokenize_xml_fast,
+    EV_END,
+    EV_START,
+    EV_TEXT,
+    _loc,
+    scan_events,
+    tag_attributes,
 )
-from repro.xmlmodel.lexer import XmlSyntaxError, tokenize_xml
+from repro.xmlmodel.lexer import XmlTokenKind, tokenize_xml
 from repro.xmlmodel.parser import parse_xml
 from repro.xmlmodel.serialize import to_xml
+from repro.xmlmodel.tree import XmlText
 
 DTD_NAMES = ("paper-figure1", "play", "dictionary", "manuscript", "with-any")
+#: The admission suite's pool: the catalog names plus the paper's
+#: recursive examples.
+POOL_NAMES = DTD_NAMES + ("example5-T1", "example6-T2")
 
 SEED = int(os.environ.get("REPRO_FUZZ_SEED", "2006"))
 DOCS_PER_DTD = int(os.environ.get("REPRO_FUZZ_DOCS", "24"))
 
 
-def _corpus_texts(name: str) -> list[str]:
-    dtd = catalog.load(name)
+def _corpus(name: str) -> list:
     corpus = corpusgen.mixed_corpus(
-        dtd, DOCS_PER_DTD, seed=SEED, corrupt_fraction=0.6
+        catalog.load(name), DOCS_PER_DTD, seed=SEED, corrupt_fraction=0.6
     )
-    return [to_xml(document) for document, _provenance in corpus]
+    return list(corpusgen.corpus_documents(corpus))
 
 
-# -- tokenizer differential --------------------------------------------------
+def _corpus_texts(name: str) -> list[str]:
+    return [to_xml(document) for document in _corpus(name)]
+
+
+# -- scanner differential ----------------------------------------------------
 
 #: Handcrafted sources covering every lexer construct and quirk: CDATA
 #: merging into adjacent text, empty CDATA, entity forms, attribute
@@ -94,7 +109,7 @@ HANDCRAFTED = (
     "<r><a/><a></a><a x='y'/></r>",
 )
 
-#: Sources the lexer must reject — the fast scanner has to raise the
+#: Sources the lexer must reject — the scanner has to raise the
 #: byte-identical message at the byte-identical position.
 MALFORMED = (
     "<r",
@@ -117,61 +132,124 @@ MALFORMED = (
 )
 
 
-def _token_tuple(token):
-    return (
-        token.kind,
-        token.name,
-        token.text,
-        token.attributes,
-        token.line,
-        token.column,
-    )
+#: Well-formed token streams that are not documents: the tree builder's
+#: own errors, each positioned at the offending token.
+NOT_DOCUMENTS = (
+    "",
+    "  \n",
+    "stray<r/>",
+    "<r/>stray",
+    "<r/><r/>",
+    "<r></a>",
+    "</r>",
+    "<r><a></r>",
+    "<r><a>",
+    "<r>\n<a>",
+)
+
+
+def _error(error: Exception) -> tuple:
+    """An error's type, message and position (``&#xZZ;`` raises a bare
+    ValueError, which has no position)."""
+    where = (getattr(error, "line", None), getattr(error, "column", None))
+    return type(error), str(error), where
+
+
+def _outcome(events) -> tuple:
+    """Everything *events* yields, then its error, or ``None`` when it
+    ends cleanly."""
+    seen = []
+    try:
+        for event in events:
+            seen.append(event)
+    except Exception as error:
+        return seen, _error(error)
+    return seen, None
+
+
+def _scanned(source: str):
+    """``scan_events``, each offset as its (line, column), each start tag
+    with the attributes :func:`tag_attributes` re-reads at its offset."""
+    for kind, payload, offset in scan_events(source):
+        attributes = tag_attributes(source, offset) if kind == EV_START else ()
+        yield kind, payload, attributes, _loc(source, offset)
+
+
+def _reference_events(source: str):
+    """The reference lexer's tokens mapped to events."""
+    for token in tokenize_xml(source):
+        where = (token.line, token.column)
+        if token.kind is XmlTokenKind.TEXT:
+            yield EV_TEXT, token.text, (), where
+        elif token.kind is XmlTokenKind.END_TAG:
+            yield EV_END, token.name, (), where
+        elif token.kind is not XmlTokenKind.EOF:
+            yield EV_START, token.name, token.attributes, where
+            if token.kind is XmlTokenKind.EMPTY_TAG:
+                yield EV_END, token.name, (), where
 
 
 @pytest.mark.parametrize("source", HANDCRAFTED)
 def test_fast_tokenizer_matches_reference_handcrafted(source):
-    fast = [_token_tuple(t) for t in tokenize_xml_fast(source)]
-    reference = [_token_tuple(t) for t in tokenize_xml(source)]
-    assert fast == reference
+    scanned = _outcome(_scanned(source))
+    assert scanned == _outcome(_reference_events(source))
+    assert scanned[1] is None
 
 
 @pytest.mark.parametrize("source", MALFORMED)
 def test_fast_tokenizer_matches_reference_errors(source):
-    # ``&#xZZ;`` raises a bare ValueError in the reference lexer, so the
-    # comparison is over exception type + message, with the position
-    # checked whenever the error is a positioned syntax error.
-    with pytest.raises(Exception) as reference:
-        list(tokenize_xml(source))
-    with pytest.raises(Exception) as fast:
-        list(tokenize_xml_fast(source))
-    assert type(fast.value) is type(reference.value)
-    assert str(fast.value) == str(reference.value)
-    if isinstance(reference.value, XmlSyntaxError):
-        assert (fast.value.line, fast.value.column) == (
-            reference.value.line,
-            reference.value.column,
+    scanned = _outcome(_scanned(source))
+    assert scanned == _outcome(_reference_events(source))
+    assert scanned[1] is not None
+
+
+@pytest.mark.parametrize("name", POOL_NAMES)
+def test_fast_tokenizer_matches_reference_on_corpus(name):
+    for text in _corpus_texts(name):
+        assert _outcome(_scanned(text)) == _outcome(_reference_events(text)), (
+            f"event divergence on: {text[:120]!r}"
         )
 
 
-@pytest.mark.parametrize("name", DTD_NAMES)
-def test_fast_tokenizer_matches_reference_on_corpus(name):
+# -- tree builder differential -----------------------------------------------
+
+
+def _tree_shape(document) -> list:
+    """Pre-order (kind, name or text, attributes) of every node, with an
+    end marker per element, so text nodes are compared unmerged."""
+    shape = []
+    pending = [document.root]
+    while pending:
+        node = pending.pop()
+        if node is None:
+            shape.append(("end",))
+        elif isinstance(node, XmlText):
+            shape.append(("text", node.text))
+        else:
+            shape.append(("element", node.name, tuple(node.attributes.items())))
+            pending.append(None)
+            pending.extend(reversed(node.children))
+    return shape
+
+
+def _parsed(parse, source: str) -> tuple:
+    try:
+        return _tree_shape(parse(source)), None
+    except Exception as error:
+        return None, _error(error)
+
+
+@pytest.mark.parametrize("source", HANDCRAFTED + MALFORMED + NOT_DOCUMENTS)
+def test_parse_xml_matches_the_reference_parser(source):
+    assert _parsed(parse_xml, source) == _parsed(corpusgen.reference_parse, source)
+
+
+@pytest.mark.parametrize("name", POOL_NAMES)
+def test_parse_xml_matches_the_reference_parser_on_corpus(name):
     for text in _corpus_texts(name):
-        fast = [_token_tuple(t) for t in tokenize_xml_fast(text)]
-        reference = [_token_tuple(t) for t in tokenize_xml(text)]
-        assert fast == reference, f"token divergence on: {text[:120]!r}"
-
-
-def test_parser_seam_selects_reference(monkeypatch):
-    """``REPRO_PARSER=reference`` routes parsing through the old lexer."""
-    monkeypatch.setenv(PARSER_ENV, "reference")
-    assert parser_backend() == "reference"
-    assert active_tokenizer() is tokenize_xml
-    document = parse_xml("<r><a>x</a></r>")
-    assert document.root.name == "r"
-    monkeypatch.setenv(PARSER_ENV, "fast")
-    assert active_tokenizer() is tokenize_xml_fast
-    monkeypatch.delenv(PARSER_ENV)
-    assert parser_backend() == "fast"
+        parsed = _parsed(parse_xml, text)
+        assert parsed[1] is None
+        assert parsed == _parsed(corpusgen.reference_parse, text), text[:120]
 
 
 # -- treeless checking differential ------------------------------------------
@@ -275,16 +353,18 @@ def test_every_backend_matches_the_tree_oracle(name, algorithm):
         assert answers["depth_limited"] > 0
 
 
-@pytest.mark.parametrize("name", DTD_NAMES)
+@pytest.mark.parametrize("name", POOL_NAMES)
 def test_stream_coarse_outcomes_identical_to_tree(name):
-    dtd = catalog.load(name)
-    schema = DEFAULT_REGISTRY.get(dtd)
+    """The coarse pass's two feeders give one verdict: a corpus tree, its
+    text, and the text parsed back agree on outcome, node and reason."""
+    schema = DEFAULT_REGISTRY.get(catalog.load(name))
     coarse = CoarseChecker(schema.coarse)
-    for text in _corpus_texts(name):
-        streamed = stream_coarse_check(schema.coarse, text)
-        treed = coarse.check_document(parse_xml(text))
-        assert streamed.outcome == treed.outcome, text[:120]
-        assert coarse.check_text(text).outcome == treed.outcome
+    for document in _corpus(name):
+        text = to_xml(document)
+        treed = coarse.check_document(document)
+        assert coarse.check_text(text) == treed, text[:120]
+        assert stream_coarse_check(schema.coarse, text) == treed
+        assert coarse.check_document(parse_xml(text)) == treed
 
 
 @pytest.mark.parametrize(

@@ -1008,6 +1008,48 @@ class TestCoarseFilter:
             assert replies[1]["potentially_valid"] is True
             assert ring.ring_stats["coarse_cached"] == 1
 
+    def test_a_cold_probe_keeps_the_pooled_connection(self, tmp_path):
+        # Before any shard holds a schema's artifact, both owners answer
+        # the get-coarse probe with artifact-miss.  That reply is one
+        # whole line, so each pooled connection stays in use: one connect
+        # per shard for five cold schemas.
+        handles = [
+            ServerThread(unix_path=str(tmp_path / f"shard-{i}.sock"), port=0).start()
+            for i in range(2)
+        ]
+        connects = Counter()
+
+        def connect(member, timeout):
+            connects[member_label(member)] += 1
+            return ValidationClient.connect(member, timeout=timeout)
+
+        try:
+            with ShardedClient(
+                [handle.unix_path for handle in handles],
+                replica_count=2,
+                read_policy="round-robin",
+                connect=connect,
+                coarse_filter=True,
+            ) as ring:
+                for index in range(5):
+                    reject = f"<r{index}><zz></zz></r{index}>"
+                    for _ in range(2):
+                        replies, _trailer = ring.check_batch(
+                            schema_text(index), [doc_text(index), reject]
+                        )
+                        assert [r["potentially_valid"] for r in replies] == [
+                            True,
+                            False,
+                        ]
+                stats = ring.ring_stats
+        finally:
+            for handle in handles:
+                handle.stop()
+        assert sum(connects.values()) == 2, connects
+        assert stats["down"] == []
+        assert stats["coarse_cached"] == 5
+        assert stats["coarse_filtered"] == 5  # each second batch's reject
+
     def test_filter_is_bypassed_for_explicit_algorithms(self, shard_paths):
         with ShardedClient(shard_paths, coarse_filter=True) as ring:
             ring.check_batch(FIGURE1, [DOC_OK])  # prime the summary cache

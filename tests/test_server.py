@@ -616,6 +616,36 @@ class TestUndecodableBatchHeader:
             assert_bad_requests_counted(handle.tcp_address, 1)
 
 
+class TestConnectionTasks:
+    def test_a_connection_cancelled_before_its_first_step_is_closed(self):
+        # stop() cancels the connection tasks still pending.  A task
+        # cancelled before its first step never runs the handler, whose
+        # ``finally`` closes the writer, so the task's end must close it.
+        server = ValidationServer()
+        ours, peer = socket.socketpair()
+
+        async def main() -> bool:
+            reader, writer = await asyncio.open_connection(sock=ours)
+            server._on_connection(reader, writer)
+            (task,) = server._conn_tasks
+            task.cancel()
+            for _ in range(3):  # the task ends, its callbacks run
+                await asyncio.sleep(0)
+            assert task.cancelled()
+            return writer.transport.is_closing()
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            try:
+                closed = asyncio.run(main())
+            finally:
+                peer.close()
+            gc.collect()
+        assert closed
+        assert not server._conn_tasks
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 class TestUnixSocketLifecycle:
     """Stale socket paths must not brick a restarted server (satellite)."""
 

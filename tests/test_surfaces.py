@@ -34,7 +34,7 @@ from repro.errors import ReproError
 from repro.server.client import ValidationClient
 from repro.server.ring import ShardedClient
 from repro.server.server import ServerThread
-from repro.service.batch import BatchChecker
+from repro.service.batch import BatchChecker, check_batch
 from repro.service.dispatch import BackendDispatcher
 from repro.xmlmodel.delta import SIGMA
 from repro.xmlmodel.parser import parse_xml
@@ -252,6 +252,18 @@ def test_every_algorithm_answers_deep_and_wide_documents(tmp_path, dtd_text, tex
                 reply = _reply(client, dtd_text, text, "r", algorithm=algorithm)
                 assert _from_reply(reply) == yes, (algorithm, reply.get("error"))
             assert client.stats()["server"]["inflight"] == 0
+
+
+def test_a_deep_tree_renders_and_batch_checks():
+    """``to_xml`` renders with an explicit stack: a tree ``DEEP`` levels
+    deep round-trips, and ``check_batch``, which renders its documents,
+    answers."""
+    text = _nested(DEEP)
+    tree = parse_xml(text)
+    assert to_xml(tree) == text
+    (item,) = check_batch(parse_dtd(DEEP_DTD), [tree]).items
+    assert item.error is None
+    assert item.ok
 
 
 def test_every_algorithm_reports_the_deepest_failure():
