@@ -41,19 +41,14 @@ __all__ = [
 ]
 
 
-def checker_for(dtd, algorithm: str = "machine", config=None):
+def checker_for(dtd, algorithm: str = "machine"):
     """A :class:`~repro.core.pv.PVChecker` for *dtd* — the benchmark-facing
     name for plain construction, which already resolves through the default
     schema registry (so timing loops never recompile per iteration).
     """
-    from repro.config import DEFAULT_CONFIG
     from repro.core.pv import PVChecker
 
-    return PVChecker(
-        dtd,
-        config=DEFAULT_CONFIG if config is None else config,
-        algorithm=algorithm,
-    )
+    return PVChecker(dtd, algorithm=algorithm)
 
 
 def throughput(count: int, seconds: float) -> float:

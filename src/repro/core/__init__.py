@@ -9,11 +9,13 @@
   stack; the semantics reference for the kernel,
 * :mod:`repro.core.tables` / :mod:`repro.core.kernel` — the machine's
   automata compiled to dense integer tables with bitmask state sets, and
-  ``KernelMachine``/``KernelChecker`` running the same GSS semantics over
-  them (with an optional native build); the library's production checker,
+  ``KernelMachine`` running the same GSS semantics over them (with an
+  optional native build); the library's production checker, selected
+  with ``PVChecker(dtd, algorithm="kernel")``,
 * :mod:`repro.core.pv` — Problem PV / Problem ECPV drivers over documents,
 * :mod:`repro.core.stream` — the one document walk every backend runs,
-  fed by the scanner's events or an iterative traversal of a tree,
+  fed by the scanner's events or a tree's
+  :func:`~repro.xmlmodel.tree.walk`,
 * :mod:`repro.core.incremental` — update-time checks (Theorem 2,
   Proposition 3, the O(1) character-data rules, markup insertion as two
   ECPV calls),
@@ -27,7 +29,7 @@
 from repro.core.pv import PVChecker, PVVerdict
 from repro.core.recognizer import ECRecognizer
 from repro.core.machine import PVMachine
-from repro.core.kernel import KernelChecker, KernelMachine
+from repro.core.kernel import KernelMachine
 from repro.core.tables import CompiledTables, compile_tables
 from repro.core.classify import classify_dtd, ClassificationReport
 from repro.core.witness import minimal_instance
@@ -38,7 +40,6 @@ __all__ = [
     "PVVerdict",
     "ECRecognizer",
     "PVMachine",
-    "KernelChecker",
     "KernelMachine",
     "CompiledTables",
     "compile_tables",

@@ -27,11 +27,10 @@ The editorial workflow checks each *operation*, not the whole document:
 
 from __future__ import annotations
 
-from repro.config import CheckerConfig, DEFAULT_CONFIG
 from repro.core.pv import PVChecker
 from repro.dtd.model import DTD, PCDATA
 from repro.xmlmodel.delta import SIGMA, content_symbols
-from repro.xmlmodel.tree import XmlElement
+from repro.xmlmodel.tree import XmlElement, XmlText
 
 __all__ = [
     "IncrementalChecker",
@@ -63,18 +62,12 @@ class IncrementalChecker:
     first and apply after.
     """
 
-    def __init__(
-        self,
-        dtd: DTD,
-        config: CheckerConfig = DEFAULT_CONFIG,
-        *,
-        compiled=None,
-    ) -> None:
+    def __init__(self, dtd: DTD, *, compiled=None) -> None:
         self.dtd = dtd
         #: ``compiled`` is an optional pre-fetched
         #: :class:`~repro.service.compiled.CompiledSchema`; without one the
         #: checker resolves the DTD through the default schema registry.
-        self.checker = PVChecker(dtd, config=config, compiled=compiled)
+        self.checker = PVChecker(dtd, compiled=compiled)
 
     # -- character data ------------------------------------------------------
 
@@ -111,15 +104,16 @@ class IncrementalChecker:
         # Inserting next to existing character data extends that run: after
         # the Delta_T collapse it is indistinguishable from a text update,
         # which is always safe (Theorem 2).
-        from repro.xmlmodel.tree import XmlText
-
         for neighbour in (child_index - 1, child_index):
             if 0 <= neighbour < len(parent.children):
                 node = parent.children[neighbour]
                 if isinstance(node, XmlText) and node.text:
                     return True
+        # The boundary indexes the whole sequence: with empty text nodes
+        # at the insertion point, Delta_T of the children before it plus
+        # Delta_T of those after it is not that sequence.
         symbols = content_symbols(parent)
-        boundary = _symbol_boundary(parent, child_index)
+        boundary = len(content_symbols(parent, 0, child_index))
         with_sigma = symbols[:boundary] + [SIGMA] + symbols[boundary:]
         return self.checker.check_content(parent.name, with_sigma)
 
@@ -142,68 +136,13 @@ class IncrementalChecker:
         """
         if name not in self.dtd:
             return False
-        inner = _slice_symbols(parent, start, end)
+        inner = content_symbols(parent, start, end)
         if not self.checker.check_content(name, inner):
             return False
-        outer = _replaced_symbols(parent, start, end, name)
+        # The new element ends any character-data run, so the parent's
+        # sequence is the two sides' Delta_T around it.
+        outer = (
+            content_symbols(parent, 0, start) + [name] + content_symbols(parent, end)
+        )
         return self.checker.check_content(parent.name, outer)
 
-
-def _symbol_boundary(parent: XmlElement, child_index: int) -> int:
-    """Map a child index to its position in the ``Delta_T`` symbol sequence."""
-    symbols_before = content_symbols_prefix(parent, child_index)
-    return len(symbols_before)
-
-
-def content_symbols_prefix(parent: XmlElement, child_index: int) -> list[str]:
-    """``Delta_T`` of the first *child_index* children only."""
-    from repro.xmlmodel.tree import XmlText
-
-    symbols: list[str] = []
-    for child in parent.children[:child_index]:
-        if isinstance(child, XmlText):
-            if child.text and (not symbols or symbols[-1] != SIGMA):
-                symbols.append(SIGMA)
-        else:
-            symbols.append(child.name)
-    return symbols
-
-
-def _slice_symbols(parent: XmlElement, start: int, end: int) -> list[str]:
-    """``Delta_T`` restricted to children ``[start:end)``."""
-    from repro.xmlmodel.tree import XmlText
-
-    symbols: list[str] = []
-    for child in parent.children[start:end]:
-        if isinstance(child, XmlText):
-            if child.text and (not symbols or symbols[-1] != SIGMA):
-                symbols.append(SIGMA)
-        else:
-            symbols.append(child.name)
-    return symbols
-
-
-def _replaced_symbols(
-    parent: XmlElement, start: int, end: int, name: str
-) -> list[str]:
-    """Parent's ``Delta_T`` with children ``[start:end)`` replaced by ``name``."""
-    from repro.xmlmodel.tree import XmlText
-
-    symbols: list[str] = []
-
-    def push_text(child) -> None:
-        if child.text and (not symbols or symbols[-1] != SIGMA):
-            symbols.append(SIGMA)
-
-    for index, child in enumerate(parent.children):
-        if index == start:
-            symbols.append(name)
-        if start <= index < end:
-            continue
-        if isinstance(child, XmlText):
-            push_text(child)
-        else:
-            symbols.append(child.name)
-    if start == len(parent.children):
-        symbols.append(name)
-    return symbols

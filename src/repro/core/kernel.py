@@ -1,4 +1,4 @@
-"""The table-driven verdict kernel: dispatch seam and checker surface.
+"""The table-driven verdict kernel and its native-build seam.
 
 The kernel is the fourth (and fastest) backend of the exactness ladder:
 the merged-GSS semantics of :class:`~repro.core.machine.PVMachine`
@@ -23,18 +23,11 @@ is installed (the CI job uses this to prove both paths agree).
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING
 
-from repro.config import CheckerConfig, DEFAULT_CONFIG
-from repro.core.pv import PVChecker
 from repro.dtd.model import DTD
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service -> core)
-    from repro.service.compiled import CompiledSchema
 
 __all__ = [
     "KernelMachine",
-    "KernelChecker",
     "kernel_machine_for_dtd",
     "NATIVE",
     "IMPLEMENTATION",
@@ -78,31 +71,3 @@ def kernel_machine_for_dtd(dtd: DTD, element: str | None = None) -> "KernelMachi
     tables = compile_tables(build_dag(dtd))
     return KernelMachine(tables, element if element is not None else dtd.root)
 
-
-class KernelChecker(PVChecker):
-    """A :class:`PVChecker` pinned to the kernel backend.
-
-    Identical result surface (``check_content`` / ``check_document`` /
-    ``PVVerdict``); exists so callers holding a compiled artifact can ask
-    for the fast exact backend without threading algorithm strings.
-    """
-
-    def __init__(
-        self,
-        dtd: DTD,
-        config: CheckerConfig = DEFAULT_CONFIG,
-        *,
-        compiled: "CompiledSchema | None" = None,
-    ) -> None:
-        super().__init__(dtd, config=config, algorithm="kernel", compiled=compiled)
-
-    @classmethod
-    def from_compiled(
-        cls,
-        compiled: "CompiledSchema",
-        config: CheckerConfig = DEFAULT_CONFIG,
-        algorithm: str = "kernel",
-    ) -> "KernelChecker":
-        if algorithm != "kernel":
-            raise ValueError("KernelChecker only runs the kernel backend")
-        return cls(compiled.dtd, config=config, compiled=compiled)

@@ -17,12 +17,13 @@ document depth is bounded by memory, never by the interpreter stack.
 Two feeders drive the walk: :func:`~repro.xmlmodel.fastlex.scan_events`
 over document text (no tree is built, and every well-formedness
 diagnostic is the parser's, because the walk never stops scanning
-early), and :func:`tree_events`, an iterative traversal of a parsed tree.
-:class:`~repro.core.pv.PVChecker` routes ``check_text`` and
-``check_document`` through them; :func:`stream_check_document` is the
-kernel's text entry.  Failures come out in pre-order, nothing is checked
-under an undeclared element or a mismatched root, and failure paths are
-built lazily from the open-frame chain, only for nodes that fail.
+early), and :func:`tree_events`, a parsed tree's
+:func:`~repro.xmlmodel.tree.walk`.  :class:`~repro.core.pv.PVChecker`
+routes ``check_text`` and ``check_document`` through them;
+:func:`stream_check_document` is the kernel's text entry.  Failures come
+out in pre-order, nothing is checked under an undeclared element or a
+mismatched root, and failure paths are built lazily from the open-frame
+chain, only for nodes that fail.
 
 :func:`check_coarse_events` is the coarse pass over the same events,
 with the same two feeders: :func:`stream_coarse_check` over text (the
@@ -41,7 +42,7 @@ from repro.errors import XmlSyntaxError
 from repro.service.compiled import CompiledSchema
 from repro.xmlmodel.delta import SIGMA
 from repro.xmlmodel.fastlex import EV_END, EV_START, EV_TEXT, _loc, scan_events
-from repro.xmlmodel.tree import XmlElement, XmlText
+from repro.xmlmodel.tree import XmlElement, walk
 
 __all__ = [
     "check_coarse_events",
@@ -96,26 +97,13 @@ def _frame_path(frame: list) -> str:
 
 
 def tree_events(root: XmlElement) -> Iterator[tuple[int, str, int]]:
-    """The ``scan_events`` stream of the subtree at *root*, iteratively.
+    """The ``scan_events`` stream of the subtree at *root*, off its walk.
 
     Offsets are ``0``: a tree is well-formed by construction, so the
     walk never needs a source position for it.
     """
-    yield EV_START, root.name, 0
-    names = [root.name]
-    pending = [iter(root.children)]
-    while pending:
-        for child in pending[-1]:
-            if isinstance(child, XmlText):
-                yield EV_TEXT, child.text, 0
-            else:
-                yield EV_START, child.name, 0
-                names.append(child.name)
-                pending.append(iter(child.children))
-                break
-        else:
-            pending.pop()
-            yield EV_END, names.pop(), 0
+    for kind, node in walk(root):
+        yield kind, node.text if kind == EV_TEXT else node.name, 0
 
 
 def stream_check_document(compiled: CompiledSchema, source: str) -> PVVerdict:

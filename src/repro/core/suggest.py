@@ -22,11 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import CheckerConfig, DEFAULT_CONFIG
 from repro.core.incremental import IncrementalChecker
 from repro.dtd.model import DTD, PCDATA
-from repro.xmlmodel.delta import SIGMA
-from repro.xmlmodel.tree import XmlElement, XmlText
+from repro.xmlmodel.delta import SIGMA, content_symbols
+from repro.xmlmodel.tree import XmlElement
 
 __all__ = ["WrapSuggestion", "MarkupSuggester"]
 
@@ -46,22 +45,12 @@ class WrapSuggestion:
 class MarkupSuggester:
     """Computes admissible markup insertions for editor UIs."""
 
-    def __init__(self, dtd: DTD, config: CheckerConfig = DEFAULT_CONFIG) -> None:
+    def __init__(self, dtd: DTD) -> None:
         self.dtd = dtd
-        self.checker = IncrementalChecker(dtd, config=config)
+        self.checker = IncrementalChecker(dtd)
         self.analysis = self.checker.checker.analysis
 
     # -- candidate filtering ----------------------------------------------------
-
-    def _wrapped_symbols(self, parent: XmlElement, start: int, end: int) -> list[str]:
-        symbols: list[str] = []
-        for child in parent.children[start:end]:
-            if isinstance(child, XmlText):
-                if child.text and (not symbols or symbols[-1] != SIGMA):
-                    symbols.append(SIGMA)
-            else:
-                symbols.append(child.name)
-        return symbols
 
     def _candidate_names(
         self, parent: XmlElement, symbols: list[str]
@@ -101,7 +90,7 @@ class MarkupSuggester:
         incremental check (assuming the document is currently potentially
         valid, per Section 4's locality argument).
         """
-        symbols = self._wrapped_symbols(parent, start, end)
+        symbols = content_symbols(parent, start, end)
         names: list[str] = []
         for name in self._candidate_names(parent, symbols):
             if self.checker.check_markup_insert(parent, start, end, name):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.config import CheckerConfig, DEFAULT_CONFIG
 from repro.core.incremental import IncrementalChecker
 from repro.dtd.model import DTD
 from repro.editor.document import apply_operation, invert, resolve_element
@@ -77,7 +76,6 @@ class EditingSession:
         self,
         dtd: DTD,
         document: XmlDocument,
-        config: CheckerConfig = DEFAULT_CONFIG,
         strict: bool = True,
         *,
         compiled=None,
@@ -85,7 +83,7 @@ class EditingSession:
         self.dtd = dtd
         self.document = document
         self.strict = strict
-        self.checker = IncrementalChecker(dtd, config=config, compiled=compiled)
+        self.checker = IncrementalChecker(dtd, compiled=compiled)
         self.stats = SessionStats()
         self._undo: list[EditOperation] = []
         verdict = self.checker.checker.check_document(document)

@@ -57,9 +57,9 @@ from collections import Counter
 from time import monotonic
 from typing import Any, Callable, Iterable
 
-from repro.config import CheckerConfig, DEFAULT_CONFIG
 from repro.core.classify import classify_dtd
 from repro.core.coarse import encode_coarse
+from repro.dtd.model import DTD
 from repro.dtd.parser import parse_dtd
 from repro.errors import ReproError
 from repro.lru import LRU
@@ -76,7 +76,7 @@ from repro.service.compiled import CompiledSchema
 from repro.service.dispatch import BackendDispatcher, TextVerdict
 from repro.service.registry import SchemaRegistry
 from repro.service.store import ArtifactStore, decode_artifact, encode_artifact
-from repro.validity.validator import DTDValidator
+from repro.validity.validator import DTDValidator, ValidationReport
 from repro.xmlmodel.parser import parse_xml
 
 __all__ = ["ValidationServer", "ServerThread", "HANDLED_OPS"]
@@ -295,7 +295,6 @@ class ValidationServer:
         self,
         registry: SchemaRegistry | None = None,
         store: ArtifactStore | None = None,
-        config: CheckerConfig = DEFAULT_CONFIG,
         default_algorithm: str = "auto",
         metrics: MetricsRegistry | None = None,
         events: EventLog | None = None,
@@ -324,7 +323,6 @@ class ValidationServer:
             registry.attach_store(store)
         self.registry = registry
         self.store = store if store is not None else registry.store
-        self.config = config
         self.default_algorithm = default_algorithm
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.events = events if events is not None else EventLog()
@@ -927,9 +925,7 @@ class ValidationServer:
         """
         dispatcher = self._dispatchers.get(schema.fingerprint)
         if dispatcher is None or dispatcher.schema is not schema:
-            dispatcher = BackendDispatcher(
-                schema, config=self.config, verdict_cache=self._verdict_cache
-            )
+            dispatcher = BackendDispatcher(schema, verdict_cache=self._verdict_cache)
             self._dispatchers.put(schema.fingerprint, dispatcher)
         return dispatcher
 
@@ -941,7 +937,7 @@ class ValidationServer:
         timings: dict[str, Any],
     ) -> TextVerdict:
         """One served verdict, a one-document hop; raises ``bad-document``."""
-        [checked], timings["queue"] = await self._off_loop(
+        [checked], timings["queue"] = await self._check_run(
             self._dispatcher(schema), [doc_text], algorithm
         )
         if isinstance(checked, Exception):
@@ -952,31 +948,39 @@ class ValidationServer:
         return checked
 
     async def _off_loop(
+        self, count: int, work: Callable[..., Any], *args: Any
+    ) -> tuple[Any, float]:
+        """Run ``work(*args)`` in one thread hop: its result, the hop's seconds.
+
+        Brackets the hop with the ``inflight`` gauge, which counts each of
+        the hop's *count* documents (the increments run on the event loop,
+        so no lock is needed): the stats-visible load signal a
+        ``least-inflight`` routing client balances on.
+        """
+        self._inflight += count
+        self._g_inflight.set(self._inflight)
+        hop = Stopwatch()
+        try:
+            return await asyncio.to_thread(work, *args), hop.seconds
+        finally:
+            self._inflight -= count
+            self._g_inflight.set(self._inflight)
+
+    async def _check_run(
         self, dispatcher: BackendDispatcher, docs: list[str], algorithm: str
     ) -> tuple[list[TextVerdict | Exception], float]:
-        """Check *docs* in one thread hop: their results, per-document queue.
+        """Check *docs* in one hop: their results, per-document queue.
 
-        Brackets the hop with the ``inflight`` gauge, which counts each
-        document (the increments run on the event loop, so no lock is
-        needed): the stats-visible load signal a ``least-inflight``
-        routing client balances on.  The hop's wall clock minus the
-        verdict seconds is the queue-wait phase, spread evenly over the
-        documents.
+        The hop's wall clock minus the verdict seconds is the queue-wait
+        phase, spread evenly over the documents.
         """
-        self._inflight += len(docs)
-        self._g_inflight.set(self._inflight)
-        off_loop = Stopwatch()
-        try:
-            results = await asyncio.to_thread(
-                self._check_all, dispatcher, docs, algorithm
-            )
-        finally:
-            self._inflight -= len(docs)
-            self._g_inflight.set(self._inflight)
+        results, hop = await self._off_loop(
+            len(docs), self._check_all, dispatcher, docs, algorithm
+        )
         verdict_seconds = sum(
             result.seconds for result in results if isinstance(result, TextVerdict)
         )
-        return results, max(0.0, off_loop.seconds - verdict_seconds) / len(docs)
+        return results, max(0.0, hop - verdict_seconds) / len(docs)
 
     def _tally(self, checked: TextVerdict, timings: dict[str, Any]) -> None:
         """Record one check's verdict phase and dispatch count.
@@ -1166,7 +1170,7 @@ class ValidationServer:
         """One run of item lines to its encoded replies and error count.
 
         The items are decoded on the loop and all of their documents are
-        checked in one hop (:meth:`_off_loop`).  *first* is the index of
+        checked in one hop (:meth:`_check_run`).  *first* is the index of
         the run's first item.
         """
         self._requests += len(run)
@@ -1182,7 +1186,7 @@ class ValidationServer:
         results: list[TextVerdict | Exception] = []
         queue = 0.0
         if docs:
-            results, queue = await self._off_loop(dispatcher, docs, algorithm)
+            results, queue = await self._check_run(dispatcher, docs, algorithm)
         checked = iter(results)
         replies: list[bytes] = []
         errors = 0
@@ -1401,42 +1405,32 @@ class ValidationServer:
         timings: dict[str, Any],
     ) -> dict[str, Any]:
         assert request.doc is not None
-
-        def run() -> dict[str, Any]:
-            try:
-                document = parse_xml(request.doc)  # type: ignore[arg-type]
-            except ReproError as error:
-                return {"error": ("bad-document", str(error))}
-            # Built per request: its automata are memoized per DTD by
-            # repro.validity.validator, so a validator costs microseconds.
-            validator = DTDValidator(schema.dtd)
-            verdict_watch = Stopwatch()
-            report = validator.validate(document)
-            return {
-                "valid": report.valid,
-                "issues": [str(issue) for issue in report.issues],
-                "timings": {"verdict": verdict_watch.seconds},
-            }
-
-        self._inflight += 1
-        self._g_inflight.set(self._inflight)
-        try:
-            fields = await asyncio.to_thread(run)
-        finally:
-            self._inflight -= 1
-            self._g_inflight.set(self._inflight)
-        inner = fields.pop("timings", None)
-        if inner is not None:
-            timings["verdict"] = inner["verdict"]
-        error = fields.pop("error", None)
-        if error is not None:
-            raise ProtocolError(*error)
+        (report, timings["verdict"]), _hop = await self._off_loop(
+            1, self._validate, schema.dtd, request.doc
+        )
         return {
             "ok": True,
             "op": "validate",
-            **fields,
+            "valid": report.valid,
+            "issues": [str(issue) for issue in report.issues],
             "schema": self._schema_fields(schema, disposition),
         }
+
+    @staticmethod
+    def _validate(dtd: DTD, doc_text: str) -> tuple[ValidationReport, float]:
+        """Parse and validate one document off-loop: its report, seconds.
+
+        Raises ``bad-document`` when *doc_text* does not parse.
+        """
+        try:
+            document = parse_xml(doc_text)
+        except ReproError as error:
+            raise ProtocolError("bad-document", str(error))
+        # Built per request: its automata are memoized per DTD by
+        # repro.validity.validator, so a validator costs microseconds.
+        watch = Stopwatch()
+        report = DTDValidator(dtd).validate(document)
+        return report, watch.seconds
 
     def _op_health(self, request: Request | None = None) -> dict[str, Any]:
         """The liveness probe: cheap, payload-free, always answerable.

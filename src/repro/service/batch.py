@@ -33,7 +33,6 @@ from pathlib import Path
 from time import perf_counter
 from typing import Iterable, Sequence
 
-from repro.config import CheckerConfig, DEFAULT_CONFIG
 from repro.core.pv import PVVerdict
 from repro.dtd.model import DTD
 from repro.service.cache import VerdictCache
@@ -149,16 +148,14 @@ _WORKER_ALGORITHM: str = "auto"
 _WORKER_REGISTRY: SchemaRegistry | None = None
 
 
-def _init_worker(
-    schema: CompiledSchema, algorithm: str, config: CheckerConfig
-) -> None:
+def _init_worker(schema: CompiledSchema, algorithm: str) -> None:
     global _WORKER_DISPATCHER, _WORKER_ALGORITHM, _WORKER_REGISTRY
     # A fresh registry (never the fork-inherited process default, whose
     # counters belong to the parent) seeded with the shipped artifact:
     # its statistics then describe exactly this worker's cache traffic.
     _WORKER_REGISTRY = SchemaRegistry()
     _WORKER_REGISTRY.put(schema)
-    _WORKER_DISPATCHER = BackendDispatcher(schema, config=config)
+    _WORKER_DISPATCHER = BackendDispatcher(schema)
     _WORKER_ALGORITHM = algorithm
 
 
@@ -207,7 +204,6 @@ class BatchChecker:
         schema: CompiledSchema | DTD,
         algorithm: str = "auto",
         workers: int = 1,
-        config: CheckerConfig = DEFAULT_CONFIG,
         registry: SchemaRegistry | None = None,
         verdict_cache: VerdictCache | int | None = None,
     ) -> None:
@@ -218,7 +214,6 @@ class BatchChecker:
         self.schema = schema
         self.algorithm = algorithm
         self.workers = workers
-        self.config = config
         if isinstance(verdict_cache, int):
             verdict_cache = VerdictCache(verdict_cache) if verdict_cache > 0 else None
         self.verdict_cache = verdict_cache
@@ -268,9 +263,7 @@ class BatchChecker:
         worker_stats: tuple[RegistryStats, ...] = ()
         if self.workers == 1 or len(tasks) <= 1:
             used_workers = 1
-            dispatcher = BackendDispatcher(
-                self.schema, config=self.config, verdict_cache=self.verdict_cache
-            )
+            dispatcher = BackendDispatcher(self.schema, verdict_cache=self.verdict_cache)
             items = [
                 _item(index, label, dispatcher.check_text(text, self.algorithm))
                 for index, label, text in tasks
@@ -304,7 +297,7 @@ class BatchChecker:
         with context.Pool(
             processes=self.workers,
             initializer=_init_worker,
-            initargs=(self.schema, self.algorithm, self.config),
+            initargs=(self.schema, self.algorithm),
         ) as pool:
             outcomes = list(pool.map(_check_one, tasks, chunksize=chunksize))
         items = [item for item, _pid, _stats in outcomes]
@@ -323,8 +316,7 @@ def check_batch(
     documents: Sequence[XmlDocument],
     algorithm: str = "auto",
     workers: int = 1,
-    config: CheckerConfig = DEFAULT_CONFIG,
 ) -> BatchResult:
     """One-call convenience: batch-check *documents* against *dtd*."""
-    checker = BatchChecker(dtd, algorithm=algorithm, workers=workers, config=config)
+    checker = BatchChecker(dtd, algorithm=algorithm, workers=workers)
     return checker.check_documents(documents)

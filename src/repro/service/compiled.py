@@ -162,17 +162,11 @@ class CompiledSchema:
         """Whether the coarse summary is present (no rebuild needed)."""
         return self._coarse is not None
 
-    def checker(self, algorithm: str = "machine", config=None):
+    def checker(self, algorithm: str = "machine"):
         """A :class:`~repro.core.pv.PVChecker` backed by this artifact."""
-        from repro.config import DEFAULT_CONFIG
         from repro.core.pv import PVChecker
 
-        return PVChecker(
-            self.dtd,
-            config=DEFAULT_CONFIG if config is None else config,
-            algorithm=algorithm,  # type: ignore[arg-type]
-            compiled=self,
-        )
+        return PVChecker(self.dtd, algorithm=algorithm, compiled=self)  # type: ignore[arg-type]
 
     # -- pickling ----------------------------------------------------------
 

@@ -36,7 +36,6 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from time import perf_counter
 
-from repro.config import CheckerConfig, DEFAULT_CONFIG
 from repro.core.pv import Algorithm, PVChecker, PVVerdict
 from repro.dtd.model import DTD
 from repro.errors import ReproError
@@ -175,7 +174,6 @@ class BackendDispatcher:
     def __init__(
         self,
         schema: CompiledSchema | DTD,
-        config: CheckerConfig = DEFAULT_CONFIG,
         registry: SchemaRegistry | None = None,
         log_size: int = 256,
         verdict_cache: VerdictCache | int | None = None,
@@ -188,7 +186,6 @@ class BackendDispatcher:
         if isinstance(schema, DTD):
             schema = (registry or DEFAULT_REGISTRY).get(schema)
         self.schema = schema
-        self.config = config
         self.audit_every = audit_every
         if isinstance(verdict_cache, int):
             verdict_cache = VerdictCache(verdict_cache) if verdict_cache > 0 else None
@@ -267,7 +264,7 @@ class BackendDispatcher:
         with self._lock:
             checker = self._checkers.get(algorithm)
         if checker is None:
-            checker = self.schema.checker(algorithm, self.config)
+            checker = self.schema.checker(algorithm)
             with self._lock:
                 checker = self._checkers.setdefault(algorithm, checker)
         return checker

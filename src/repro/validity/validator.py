@@ -18,6 +18,10 @@ Character data placement follows XML validity:
 * *children* — character data is forbidden, except whitespace-only runs,
   which the spec treats as ignorable markup spacing,
 * *mixed* / ``ANY`` — character data is always legal.
+
+The document is read in one :func:`~repro.xmlmodel.tree.walk`, so its
+depth is bounded by memory; an issue's path is built from the chain of
+open elements only when that element has an issue.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ from repro.dtd.model import (
     MixedContent,
 )
 from repro.grammar.glushkov import GlushkovAutomaton, build_glushkov
-from repro.xmlmodel.tree import XmlDocument, XmlElement, XmlText
+from repro.xmlmodel.fastlex import EV_END, EV_START, EV_TEXT
+from repro.xmlmodel.tree import XmlDocument, XmlElement, XmlText, walk
 
 __all__ = ["ValidationIssue", "ValidationReport", "DTDValidator"]
 
@@ -95,7 +100,41 @@ class DTDValidator:
                     ),
                 )
             )
-        self._check(root, f"/{root.name}", issues)
+        # Per open element: its name, its index among its parent's
+        # element children and how many element children it has so far.
+        chain: list[list] = []
+        skipped = 0  # levels into an undeclared element, left unchecked
+        for kind, node in walk(root):
+            if kind == EV_TEXT:
+                continue
+            if skipped:
+                skipped += 1 if kind == EV_START else -1
+                continue
+            if kind == EV_END:
+                chain.pop()
+                continue
+            if chain:
+                chain.append([node.name, chain[-1][2], 0])
+                chain[-2][2] += 1
+            else:
+                chain.append([node.name, None, 0])
+            declared = node.name in self.dtd
+            messages = (
+                self.validate_element_content(node)
+                if declared
+                else [f"element type <{node.name}> is not declared"]
+            )
+            if messages:
+                path = "".join(
+                    f"/{name}" if index is None else f"/{name}[{index}]"
+                    for name, index, _count in chain
+                )
+                issues.extend(
+                    ValidationIssue(path, node.name, message) for message in messages
+                )
+            if not declared:
+                chain.pop()
+                skipped = 1
         return ValidationReport(valid=not issues, issues=tuple(issues))
 
     def is_valid(self, document: XmlDocument | XmlElement) -> bool:
@@ -103,82 +142,42 @@ class DTDValidator:
 
     def validate_element_content(self, node: XmlElement) -> list[str]:
         """Check one node's content in isolation; returns human messages."""
-        issues: list[ValidationIssue] = []
-        self._check_content(node, f"/{node.name}", issues)
-        return [issue.message for issue in issues]
-
-    # -- internals ----------------------------------------------------------------
-
-    def _check(
-        self, node: XmlElement, path: str, issues: list[ValidationIssue]
-    ) -> None:
-        if node.name not in self.dtd:
-            issues.append(
-                ValidationIssue(
-                    path=path,
-                    element=node.name,
-                    message=f"element type <{node.name}> is not declared",
-                )
-            )
-            return
-        self._check_content(node, path, issues)
-        for index, child in enumerate(node.element_children()):
-            self._check(child, f"{path}/{child.name}[{index}]", issues)
-
-    def _check_content(
-        self, node: XmlElement, path: str, issues: list[ValidationIssue]
-    ) -> None:
         content = self.dtd[node.name].content
         if isinstance(content, EmptyContent):
             if node.children:
-                issues.append(
-                    ValidationIssue(
-                        path,
-                        node.name,
-                        f"<{node.name}> is declared EMPTY but has content",
-                    )
-                )
-            return
+                return [f"<{node.name}> is declared EMPTY but has content"]
+            return []
         if isinstance(content, (AnyContent, MixedContent)):
             allowed = (
                 frozenset(self.dtd.element_names())
                 if isinstance(content, AnyContent)
                 else frozenset(content.names)
             )
-            for child in node.element_children():
-                if child.name not in allowed:
-                    issues.append(
-                        ValidationIssue(
-                            path,
-                            node.name,
-                            f"<{child.name}> is not permitted inside "
-                            f"<{node.name}>",
-                        )
-                    )
-            return
+            return [
+                f"<{child.name}> is not permitted inside <{node.name}>"
+                for child in node.element_children()
+                if child.name not in allowed
+            ]
         assert isinstance(content, ChildrenContent)
-        for child in node.children:
-            if isinstance(child, XmlText) and child.text.strip():
-                issues.append(
-                    ValidationIssue(
-                        path,
-                        node.name,
-                        f"character data is not permitted inside <{node.name}> "
-                        "(element content)",
-                    )
-                )
-                break
+        messages = []
+        if any(
+            isinstance(child, XmlText) and child.text.strip()
+            for child in node.children
+        ):
+            messages.append(
+                f"character data is not permitted inside <{node.name}> "
+                "(element content)"
+            )
         labels = [child.name for child in node.element_children()]
         if not self._matches(self._automata[node.name], labels):
-            issues.append(
-                ValidationIssue(
-                    path,
-                    node.name,
-                    f"children of <{node.name}> "
-                    f"({' '.join(labels) if labels else 'none'}) do not match "
-                    "its content model",
-                )
+            messages.append(
+                f"children of <{node.name}> "
+                f"({' '.join(labels) if labels else 'none'}) do not match "
+                "its content model"
             )
+        return messages
+
+    # -- internals ----------------------------------------------------------------
 
     @staticmethod
     def _matches(automaton: GlushkovAutomaton | None, labels: list[str]) -> bool:

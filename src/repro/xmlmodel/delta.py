@@ -23,7 +23,8 @@ Symbol conventions
 from __future__ import annotations
 
 from repro.dtd.model import PCDATA
-from repro.xmlmodel.tree import XmlDocument, XmlElement, XmlNode, XmlText
+from repro.xmlmodel.fastlex import EV_END, EV_START
+from repro.xmlmodel.tree import XmlDocument, XmlElement, XmlNode, XmlText, walk
 
 __all__ = [
     "SIGMA",
@@ -73,21 +74,16 @@ def delta_symbols(
     if isinstance(node, XmlDocument):
         node = node.root
     output: list[str] = []
-    _delta(node, output, ignore_whitespace)
+    for kind, item in walk(node):
+        if kind == EV_START:
+            output.append(start_tag(item.name))
+        elif kind == EV_END:
+            output.append(end_tag(item.name))
+        elif _significant(item.text, ignore_whitespace) and (
+            not output or output[-1] != SIGMA
+        ):
+            output.append(SIGMA)
     return output
-
-
-def _delta(node: XmlNode, output: list[str], ignore_whitespace: bool) -> None:
-    if isinstance(node, XmlText):
-        if _significant(node.text, ignore_whitespace):
-            if not output or output[-1] != SIGMA:
-                output.append(SIGMA)
-        return
-    assert isinstance(node, XmlElement)
-    output.append(start_tag(node.name))
-    for child in node.children:
-        _delta(child, output, ignore_whitespace)
-    output.append(end_tag(node.name))
 
 
 def delta_tokens(
@@ -98,22 +94,29 @@ def delta_tokens(
 
 
 def content_symbols(
-    element: XmlElement, ignore_whitespace: bool = False
+    element: XmlElement,
+    start: int = 0,
+    end: int | None = None,
+    ignore_whitespace: bool = False,
 ) -> list[str]:
-    """Apply ``Delta_T`` to *element* and strip the enclosing root tags.
+    """Apply ``Delta_T`` to children ``[start:end)`` of *element*.
 
     Returns the child-symbol sequence consumed by the ECPV recognizers:
     each element child contributes its name, each maximal run of
-    character-data children contributes one :data:`SIGMA`.
+    character-data children contributes one :data:`SIGMA`.  The default
+    range is every child: ``Delta_T`` of *element* with the enclosing
+    root tags stripped.
 
     >>> from repro.xmlmodel.parser import parse_xml
     >>> doc = parse_xml(
     ...     "<a><b>A quick brown</b><e></e><c> fox jumps</c> dog</a>")
     >>> content_symbols(doc.root)
     ['b', 'e', 'c', '#PCDATA']
+    >>> content_symbols(doc.root, 1, 3)
+    ['e', 'c']
     """
     symbols: list[str] = []
-    for child in element.children:
+    for child in element.children[start:end]:
         if isinstance(child, XmlText):
             if _significant(child.text, ignore_whitespace):
                 if not symbols or symbols[-1] != SIGMA:

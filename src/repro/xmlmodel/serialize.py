@@ -8,7 +8,8 @@ predefined entities escaped in text and attribute values.
 
 from __future__ import annotations
 
-from repro.xmlmodel.tree import XmlDocument, XmlNode, XmlText
+from repro.xmlmodel.fastlex import EV_START, EV_TEXT
+from repro.xmlmodel.tree import XmlDocument, XmlNode, walk
 
 __all__ = ["to_xml", "escape_text"]
 
@@ -28,8 +29,8 @@ def _escape_attribute(value: str) -> str:
 def to_xml(node: XmlNode | XmlDocument, self_closing: bool = False) -> str:
     """Render *node* (or a whole document) as XML text.
 
-    The walk keeps an explicit stack, so document depth is bounded by
-    memory, not by the interpreter stack.
+    Renders off :func:`~repro.xmlmodel.tree.walk`, so document depth is
+    bounded by memory, not by the interpreter stack.
 
     Parameters
     ----------
@@ -42,23 +43,14 @@ def to_xml(node: XmlNode | XmlDocument, self_closing: bool = False) -> str:
     if isinstance(node, XmlDocument):
         node = node.root
     parts: list[str] = []
-    # A node still to render, or the end tag of an element whose
-    # children sit above it on the stack.
-    pending: list[XmlNode | str] = [node]
-    while pending:
-        item = pending.pop()
-        if isinstance(item, str):
-            parts.append(item)
-        elif isinstance(item, XmlText):
+    for kind, item in walk(node):
+        if kind == EV_TEXT:
             parts.append(escape_text(item.text))
-        else:
+        elif kind == EV_START:
             parts.append(f"<{item.name}")
             for name, value in item.attributes.items():
                 parts.append(f' {name}="{_escape_attribute(value)}"')
-            if not item.children:
-                parts.append("/>" if self_closing else f"></{item.name}>")
-            else:
-                parts.append(">")
-                pending.append(f"</{item.name}>")
-                pending.extend(reversed(item.children))
+            parts.append("/>" if self_closing and not item.children else ">")
+        elif item.children or not self_closing:
+            parts.append(f"</{item.name}>")
     return "".join(parts)

@@ -19,6 +19,11 @@ no role in any algorithm (paper footnote 3).  Adjacent text children are
 *not* auto-merged on construction — the ``delta`` operators collapse runs of
 character data exactly as the paper's ``delta_T`` does, so keeping the raw
 segmentation lets tests exercise that collapse.
+
+Every traversal of a tree is :func:`walk`, one iterative pass in document
+order: the helpers below, ``delta_T``, serialization, the validator and
+the checking walk's tree feeder all read its events, so tree depth is
+bounded by memory, not by the interpreter stack.
 """
 
 from __future__ import annotations
@@ -26,8 +31,9 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from repro.errors import XmlStructureError
+from repro.xmlmodel.fastlex import EV_END, EV_START, EV_TEXT
 
-__all__ = ["XmlText", "XmlElement", "XmlNode", "XmlDocument"]
+__all__ = ["XmlText", "XmlElement", "XmlNode", "XmlDocument", "walk"]
 
 
 class XmlText:
@@ -142,44 +148,42 @@ class XmlElement:
 
     def iter_elements(self) -> Iterator["XmlElement"]:
         """Yield this element and all descendant elements in document order."""
-        yield self
-        for child in self.children:
-            if isinstance(child, XmlElement):
-                yield from child.iter_elements()
+        for kind, node in walk(self):
+            if kind == EV_START:
+                yield node
 
     def content(self) -> str:
         """Concatenated character data in document order (paper ``content(w)``)."""
-        parts: list[str] = []
-        for child in self.children:
-            if isinstance(child, XmlText):
-                parts.append(child.text)
-            else:
-                parts.append(child.content())
-        return "".join(parts)
+        return "".join(node.text for kind, node in walk(self) if kind == EV_TEXT)
 
     def depth(self) -> int:
         """Depth of the subtree rooted here (a leaf element has depth 1)."""
-        best = 0
-        for child in self.children:
-            if isinstance(child, XmlElement):
-                best = max(best, child.depth())
-        return best + 1
+        depth = deepest = 0
+        for kind, _node in walk(self):
+            if kind == EV_START:
+                depth += 1
+                deepest = max(deepest, depth)
+            elif kind == EV_END:
+                depth -= 1
+        return deepest
 
     def node_count(self) -> int:
         """Number of nodes (elements + text) in this subtree, inclusive."""
-        total = 1
-        for child in self.children:
-            if isinstance(child, XmlElement):
-                total += child.node_count()
-            else:
-                total += 1
-        return total
+        return sum(1 for kind, _node in walk(self) if kind != EV_END)
 
     def copy(self) -> "XmlElement":
         """Deep copy of this subtree (detached)."""
-        clone = XmlElement(self.name, attributes=dict(self.attributes))
-        for child in self.children:
-            clone.append(child.copy())
+        clones: list[XmlElement] = []
+        for kind, node in walk(self):
+            if kind == EV_START:
+                clone = XmlElement(node.name, attributes=node.attributes)
+                if clones:
+                    clones[-1].append(clone)
+                clones.append(clone)
+            elif kind == EV_TEXT:
+                clones[-1].append(XmlText(node.text))
+            else:
+                clone = clones.pop()
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -187,6 +191,34 @@ class XmlElement:
 
 
 XmlNode = XmlText | XmlElement
+
+
+def walk(node: XmlNode) -> Iterator[tuple[int, XmlNode]]:
+    """Yield ``(kind, node)`` for every node of *node*'s subtree, in document order.
+
+    An element yields ``EV_START`` before its children and ``EV_END``
+    after them; a text node yields ``EV_TEXT`` once (the event kinds of
+    :func:`~repro.xmlmodel.fastlex.scan_events`).  The walk keeps one
+    child iterator per open element on an explicit stack, so no Python
+    call is made per level.
+    """
+    if isinstance(node, XmlText):
+        yield EV_TEXT, node
+        return
+    yield EV_START, node
+    stack = [(node, iter(node.children))]
+    while stack:
+        element, children = stack[-1]
+        for child in children:
+            if isinstance(child, XmlText):
+                yield EV_TEXT, child
+            else:
+                yield EV_START, child
+                stack.append((child, iter(child.children)))
+                break
+        else:
+            stack.pop()
+            yield EV_END, element
 
 
 class XmlDocument:

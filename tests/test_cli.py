@@ -74,6 +74,33 @@ class TestValidate:
         assert main(["validate", schema, str(path)]) == 0
         assert "valid" in capsys.readouterr().out
 
+    def test_a_100000_deep_document_is_valid(self, tmp_path):
+        """The validator reads the tree in one iterative walk: a document
+        five times deeper than the process's raised recursion limit
+        validates.  Run as a real process: the exit code is the
+        contract."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        schema = tmp_path / "x.dtd"
+        schema.write_text("<!ELEMENT r (x*)><!ELEMENT x (x*)>")
+        doc = tmp_path / "deep.xml"
+        depth = 100_000
+        doc.write_text("<r>" + "<x>" * depth + "</x>" * depth + "</r>")
+        env = dict(os.environ)
+        src_dir = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "validate", str(schema), str(doc)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr[-500:]
+        assert result.stderr == ""
+
 
 class TestCheck:
     def test_potentially_valid(self, schema, doc_s_file, capsys):

@@ -90,6 +90,15 @@ class TestContentSymbols:
         root.append(XmlText("z"))
         assert content_symbols(root) == [SIGMA, "b", SIGMA]
 
+    def test_child_range(self):
+        root = XmlElement("a")
+        for child in (XmlText("x"), XmlText(""), XmlElement("b"), XmlText("y")):
+            root.append(child)
+        assert content_symbols(root, 0, 2) == [SIGMA]
+        assert content_symbols(root, 1, 3) == ["b"]
+        assert content_symbols(root, 2) == ["b", SIGMA]
+        assert content_symbols(root, 4) == []
+
     def test_sigma_is_pcdata_sentinel(self):
         from repro.dtd.model import PCDATA
 

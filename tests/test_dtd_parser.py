@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.kernel import KernelChecker
+from repro.core.pv import PVChecker
 from repro.dtd.ast import Choice, Name, Opt, Seq, Star, to_text
 from repro.dtd.model import (
     AnyContent,
@@ -184,6 +184,6 @@ class TestDeepContentModels:
         model = "(a," * 400 + "a" + ")" * 400
         text = f"<!ELEMENT r {model}>\n<!ELEMENT a EMPTY>"
         dtd = parse_dtd(text)
-        checker = KernelChecker(dtd, compiled=compile_schema(dtd))
+        checker = PVChecker(dtd, algorithm="kernel", compiled=compile_schema(dtd))
         assert checker.check_text("<r><a/><a/></r>").potentially_valid
         assert not checker.check_text("<r><r/></r>").potentially_valid

@@ -22,7 +22,6 @@ from repro.core.kernel import (
     EMISSIONS_LIMIT,
     IMPLEMENTATION,
     NATIVE,
-    KernelChecker,
     KernelMachine,
     kernel_machine_for_dtd,
 )
@@ -119,7 +118,7 @@ class TestCompiledTables:
             "<!ELEMENT a (q)> <!ELEMENT b (q)> <!ELEMENT q (q)>"
         )
         schema = compile_schema(dtd)
-        checker = KernelChecker(dtd, compiled=schema)
+        checker = PVChecker(dtd, algorithm="kernel", compiled=schema)
         rng = random.Random(170)
         peak = 0
         for _ in range(1000):
@@ -302,7 +301,7 @@ class TestArtifactTransport:
 
 class TestKernelChecker:
     def test_is_a_pinned_pv_checker(self, doc_w, doc_s):
-        checker = KernelChecker(catalog.paper_figure1())
+        checker = PVChecker(catalog.paper_figure1(), algorithm="kernel")
         assert checker.algorithm == "kernel"
         # Example 1: s is valid (hence potentially valid); w is not even
         # potentially valid — every backend agrees on both.
@@ -311,13 +310,9 @@ class TestKernelChecker:
 
     def test_from_compiled(self):
         schema = compile_schema(catalog.paper_figure1())
-        checker = KernelChecker.from_compiled(schema)
+        checker = PVChecker.from_compiled(schema, algorithm="kernel")
+        assert checker.compiled is schema
         assert checker.check_content("f", ["c", "e"])
-
-    def test_from_compiled_rejects_other_algorithms(self):
-        schema = compile_schema(catalog.paper_figure1())
-        with pytest.raises(ValueError):
-            KernelChecker.from_compiled(schema, algorithm="machine")
 
 
 def test_implementation_flags_are_consistent():

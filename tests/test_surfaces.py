@@ -16,7 +16,7 @@ node the full check also blocks rather than all of them.
 Every served algorithm also answers a document 100,000 elements deep
 and one 1,200 siblings wide, in the library and on the served ``check``
 op: the one event walk holds a frame per open element, never a Python
-call per level.
+call per level.  Served ``validate`` answers the deep document too.
 """
 
 from __future__ import annotations
@@ -264,6 +264,21 @@ def test_a_deep_tree_renders_and_batch_checks():
     (item,) = check_batch(parse_dtd(DEEP_DTD), [tree]).items
     assert item.error is None
     assert item.ok
+
+
+def test_a_deep_document_validates_when_served(tmp_path):
+    """Served ``validate`` parses and validates off the tree walk: a
+    document ``DEEP`` levels deep answers ``valid`` with no error
+    counted and no verdict left in flight."""
+    with ServerThread(unix_path=str(tmp_path / "pv.sock")) as handle:
+        with ValidationClient.connect_unix(handle.unix_path) as client:
+            client.send({"op": "validate", "dtd": DEEP_DTD, "doc": _nested(DEEP)})
+            reply = client.recv()
+            assert reply["ok"] is True, reply.get("error")
+            assert reply["valid"] is True and reply["issues"] == []
+            server = client.stats()["server"]
+            assert server["errors"] == 0
+            assert server["inflight"] == 0
 
 
 def test_every_algorithm_reports_the_deepest_failure():

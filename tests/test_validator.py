@@ -13,6 +13,9 @@ from repro.validity.validator import DTDValidator
 from repro.workloads.docgen import DocumentGenerator
 from repro.xmlmodel.parser import parse_xml
 
+#: Five times the process's raised recursion limit.
+DEEP = 100_000
+
 
 class TestFigure1Documents:
     def test_paper_valid_extension(self, fig1, doc_w_prime):
@@ -120,3 +123,27 @@ class TestAgainstEarley:
             for seed in range(3):
                 document = DocumentGenerator(dtd, seed=seed).document(30)
                 assert validator.is_valid(document), (name, seed)
+
+
+class TestOneWalk:
+    def test_issues_in_preorder_with_element_sibling_indices(self):
+        dtd = parse_dtd("<!ELEMENT r (a*)><!ELEMENT a (b)><!ELEMENT b EMPTY>")
+        report = DTDValidator(dtd).validate(
+            parse_xml("<r>t<a><b>x</b></a><a><q><b>y</b></q></a></r>")
+        )
+        # The undeclared <q> is reported and its subtree left unchecked.
+        assert [(issue.path, issue.element) for issue in report.issues] == [
+            ("/r", "r"),
+            ("/r/a[0]/b[0]", "b"),
+            ("/r/a[1]", "a"),
+            ("/r/a[1]/q[0]", "q"),
+        ]
+
+    def test_a_100000_deep_document(self):
+        validator = DTDValidator(parse_dtd("<!ELEMENT r (x*)><!ELEMENT x (x*)>"))
+        chain = "<r>" + "<x>" * DEEP + "{}" + "</x>" * DEEP + "</r>"
+        assert validator.validate(parse_xml(chain.format(""))).valid
+        report = validator.validate(parse_xml(chain.format("t")))
+        assert [(issue.path, issue.element) for issue in report.issues] == [
+            ("/r" + "/x[0]" * DEEP, "x")
+        ]

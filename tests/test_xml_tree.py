@@ -5,9 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import XmlStructureError
+from repro.xmlmodel.delta import SIGMA, delta_symbols
+from repro.xmlmodel.fastlex import EV_END, EV_START, EV_TEXT
 from repro.xmlmodel.parser import parse_xml
 from repro.xmlmodel.serialize import to_xml
-from repro.xmlmodel.tree import XmlDocument, XmlElement, XmlText
+from repro.xmlmodel.tree import XmlDocument, XmlElement, XmlText, walk
+
+#: Five times the process's raised recursion limit.
+DEEP = 100_000
 
 
 def build_sample() -> XmlElement:
@@ -113,6 +118,48 @@ class TestQueries:
     def test_element_names(self):
         doc = parse_xml("<a><b></b><b></b><c></c></a>")
         assert doc.element_names() == frozenset({"a", "b", "c"})
+
+    def test_walk_yields_events_in_document_order(self):
+        doc = parse_xml("<a>t<b><c></c></b>u</a>")
+        events = [
+            (kind, node.text if kind == EV_TEXT else node.name)
+            for kind, node in walk(doc.root)
+        ]
+        assert events == [
+            (EV_START, "a"), (EV_TEXT, "t"), (EV_START, "b"), (EV_START, "c"),
+            (EV_END, "c"), (EV_END, "b"), (EV_TEXT, "u"), (EV_END, "a"),
+        ]
+        text = XmlText("v")
+        assert list(walk(text)) == [(EV_TEXT, text)]
+
+
+class TestDeepTrees:
+    """Every traversal is the one iterative walk, so a tree ``DEEP``
+    levels deep answers every query."""
+
+    TEXT = "<r>" + "<x>" * DEEP + "t" + "</x>" * DEEP + "</r>"
+
+    @pytest.fixture(scope="class")
+    def deep(self):
+        return parse_xml(self.TEXT)
+
+    def test_queries(self, deep):
+        assert deep.depth() == DEEP + 1
+        assert deep.node_count() == DEEP + 2
+        assert deep.content() == "t"
+        assert [element.name for element in deep.iter_elements()] == (
+            ["r"] + ["x"] * DEEP
+        )
+
+    def test_copy_round_trips(self, deep):
+        clone = deep.copy()
+        assert clone.root is not deep.root
+        assert to_xml(clone) == self.TEXT
+
+    def test_delta_symbols(self, deep):
+        assert delta_symbols(deep) == (
+            ["<r>"] + ["<x>"] * DEEP + [SIGMA] + ["</x>"] * DEEP + ["</r>"]
+        )
 
 
 class TestDocument:
