@@ -45,8 +45,8 @@ import pickle
 from dataclasses import dataclass
 
 from repro.core.dag import DtdDag
-from repro.dtd.ast import Choice, ContentNode, Name, Opt, PCData, Plus, Seq, Star
-from repro.dtd.model import DTD, PCDATA, AnyContent, MixedContent
+from repro.dtd.ast import Choice, ContentNode, Name, Opt, PCData, Seq, fold
+from repro.dtd.model import PCDATA, AnyContent, MixedContent
 from repro.xmlmodel.delta import SIGMA
 from repro.xmlmodel.tree import XmlDocument, XmlElement
 
@@ -228,36 +228,46 @@ def decode_coarse(blob: bytes) -> CoarseSummary | None:
 # -- compilation -----------------------------------------------------------
 
 
-def _max_weight(node: ContentNode | None, weight: dict[str, int]) -> int:
-    """Max total *weight* over any word of *node*'s language (capped).
+def _weight_program(regex: ContentNode | None) -> list:
+    """*regex* in postorder, recorded once by :func:`~repro.dtd.ast.fold` and
+    replayed by every fixpoint round: a leaf's symbol (an element name or
+    :data:`PCDATA`), or an inner node's ``(type, child count)``."""
+    program: list = []
+
+    def record(node: ContentNode, results: list) -> None:
+        if isinstance(node, (Name, PCData)):
+            program.append(PCDATA if isinstance(node, PCData) else node.name)
+        else:
+            program.append((type(node), len(results)))
+
+    if regex is not None:
+        fold(regex, record)
+    return program
+
+
+def _max_weight(program: list, weight: dict[str, int]) -> int:
+    """Max total *weight* over any word of *program*'s language (capped).
 
     ``weight`` maps each symbol (element name or :data:`PCDATA`) to its
     per-occurrence contribution; star/plus over any positive weight is
     unbounded (:data:`_INF`).  Sums saturate at :data:`_INF`.
     """
-    if node is None:
-        return 0
-    if isinstance(node, Name):
-        return weight[node.name]
-    if isinstance(node, PCData):
-        return weight[PCDATA]
-    if isinstance(node, Seq):
-        total = 0
-        for item in node.items:
-            total += _max_weight(item, weight)
-            if total >= _INF:
-                return _INF
-        return total
-    if isinstance(node, Choice):
-        return max(_max_weight(item, weight) for item in node.items)
-    if isinstance(node, (Star, Plus)):
-        return _INF if _max_weight(node.item, weight) > 0 else 0
-    if isinstance(node, Opt):
-        return _max_weight(node.item, weight)
-    raise TypeError(f"unexpected content node {node!r}")
+    values: list[int] = []
+    for entry in program:
+        if entry.__class__ is str:
+            values.append(weight[entry])
+            continue
+        kind, count = entry
+        if kind is Seq or kind is Choice:
+            items = values[-count:]
+            del values[-count:]
+            values.append(min(sum(items), _INF) if kind is Seq else max(items))
+        elif kind is not Opt and values[-1] > 0:
+            values[-1] = _INF  # e* or e+ over a positive weight
+    return values[-1] if values else 0
 
 
-def _embed_capacity(dtd: DTD, target: str | None) -> dict[str, int]:
+def _embed_capacity(programs: dict[str, list], target: str | None) -> dict[str, int]:
     """Per element: the most *target* tokens any completable content embeds.
 
     A position of a completed word either holds an original token
@@ -268,8 +278,7 @@ def _embed_capacity(dtd: DTD, target: str | None) -> dict[str, int]:
     :data:`COUNT_CAP` saturate to :data:`_INF` (reported as unbounded,
     which is always sound — it only weakens the reject).
     """
-    regexes = {name: dtd.content_regex(name) for name in dtd.element_names()}
-    inserted: dict[str, int] = {name: 0 for name in regexes}
+    inserted: dict[str, int] = {name: 0 for name in programs}
 
     def contribution(symbol: str) -> int:
         direct = 1 if (target is None or symbol == target) else 0
@@ -277,22 +286,17 @@ def _embed_capacity(dtd: DTD, target: str | None) -> dict[str, int]:
         value = max(direct, wrapped)
         return _INF if value >= _INF else value
 
-    changed = True
-    while changed:
-        changed = False
-        weight = {name: contribution(name) for name in regexes}
+    while True:
+        weight = {name: contribution(name) for name in programs}
         weight[PCDATA] = 1 if (target is None or target == PCDATA) else 0
-        for name, regex in regexes.items():
-            value = min(_max_weight(regex, weight), _INF)
-            if value > inserted[name]:
-                inserted[name] = value
-                changed = True
-    capacity: dict[str, int] = {}
-    weight = {name: contribution(name) for name in regexes}
-    weight[PCDATA] = 1 if (target is None or target == PCDATA) else 0
-    for name, regex in regexes.items():
-        capacity[name] = min(_max_weight(regex, weight), _INF)
-    return capacity
+        capacity = {
+            name: min(_max_weight(program, weight), _INF)
+            for name, program in programs.items()
+        }
+        if all(capacity[name] <= inserted[name] for name in programs):
+            return capacity  # the fixpoint: this round raised nothing
+        for name, value in capacity.items():
+            inserted[name] = max(inserted[name], value)
 
 
 def compile_coarse(dag: DtdDag) -> CoarseSummary:
@@ -335,10 +339,11 @@ def compile_coarse(dag: DtdDag) -> CoarseSummary:
 
     # Parikh-style intervals: per element, the finite per-token maxima and
     # the finite total-token maximum (unbounded entries are omitted).
+    programs = {name: _weight_program(dtd.content_regex(name)) for name in names}
     per_token: dict[str, dict[str, int]] = {}
     for token in (*names, PCDATA):
-        per_token[token] = _embed_capacity(dtd, token)
-    total_capacity = _embed_capacity(dtd, None)
+        per_token[token] = _embed_capacity(programs, token)
+    total_capacity = _embed_capacity(programs, None)
 
     counts: list[dict[int, int]] = []
     totals: list[int | None] = []

@@ -176,20 +176,22 @@ def _build_tables(
         _position_insertable(position, analysis.productive)
         for position in automaton.positions
     )
-    # can_finish: backward fixpoint over the follow relation (which may be
-    # cyclic for the exact automaton — the fixpoint handles both).
+    # can_finish: the least fixpoint, settled backward from ``last`` by a
+    # worklist over reversed follow edges (cyclic on the exact automaton).
     can_finish = [index in automaton.last for index in range(automaton.size)]
-    changed = True
-    while changed:
-        changed = False
-        for index in range(automaton.size):
-            if can_finish[index]:
-                continue
-            for successor in automaton.follow[index]:
-                if insertable[successor] and can_finish[successor]:
-                    can_finish[index] = True
-                    changed = True
-                    break
+    predecessors: dict[int, list[int]] = {}
+    for index, successors in automaton.follow.items():
+        if not can_finish[index]:
+            for successor in successors:
+                if insertable[successor]:
+                    predecessors.setdefault(successor, []).append(index)
+    pending = [index for index in predecessors if can_finish[index]]
+    while pending:
+        for index in predecessors.get(pending.pop(), ()):
+            if not can_finish[index]:
+                can_finish[index] = True
+                if insertable[index]:
+                    pending.append(index)
     entry_can_finish = automaton.nullable or any(
         insertable[index] and can_finish[index] for index in automaton.first
     )

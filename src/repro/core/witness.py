@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import itemgetter
 
 from repro.dtd import ast
-from repro.dtd.ast import Choice, ContentNode, Name, Opt, PCData, Plus, Seq, Star
+from repro.dtd.ast import Choice, ContentNode, Name, Plus, Seq, fold
 from repro.dtd.model import DTD
 from repro.errors import UnusableElementError
 from repro.xmlmodel.tree import XmlElement
@@ -49,27 +50,27 @@ def element_costs(dtd: DTD) -> dict[str, float]:
 
 
 def _cheapest_word(node: ContentNode, costs: dict[str, float]) -> list[str]:
-    """Element names of a minimum-cost word of *node* (empty text implied)."""
-    if isinstance(node, PCData):
-        return []  # character data costs nothing; the empty run suffices
-    if isinstance(node, Name):
-        return [node.name]
-    if isinstance(node, Seq):
-        word: list[str] = []
-        for item in node.items:
-            word.extend(_cheapest_word(item, costs))
-        return word
-    if isinstance(node, Choice):
-        best = min(
-            node.items,
-            key=lambda item: ast.min_cost_word(item, costs.__getitem__),
-        )
-        return _cheapest_word(best, costs)
-    if isinstance(node, (Star, Opt)):
-        return []
-    if isinstance(node, Plus):
-        return _cheapest_word(node.item, costs)
-    raise TypeError(f"unexpected content node {node!r}")
+    """Element names of a minimum-cost word of *node* (empty text implied).
+
+    One rule gives each node its :func:`~repro.dtd.ast.min_cost_word` cost
+    and a word of that cost; a choice keeps its first cheapest alternative.
+    """
+
+    def up(current: ContentNode, results: list) -> tuple[float, list[str]]:
+        if isinstance(current, Name):
+            return costs[current.name], [current.name]
+        if isinstance(current, Seq):
+            return (
+                sum(cost for cost, _ in results),
+                [name for _, word in results for name in word],
+            )
+        if isinstance(current, Choice):
+            return min(results, key=itemgetter(0))
+        if isinstance(current, Plus):
+            return results[0]
+        return 0.0, []  # the empty text run, zero iterations of e* or e?
+
+    return fold(node, up)[1]  # type: ignore[index]
 
 
 def minimal_instance(dtd: DTD, element: str | None = None) -> XmlElement:

@@ -27,9 +27,8 @@ from enum import Enum
 from functools import lru_cache
 
 from repro.dtd import ast
-from repro.dtd.ast import Choice, Name, Seq
 from repro.dtd.model import DTD, PCDATA
-from repro.dtd.stargroups import FlatNode, StarGroup, flattened_content
+from repro.dtd.stargroups import flattened_content
 
 __all__ = [
     "DTDClass",
@@ -65,49 +64,6 @@ def _compute_productive(dtd: DTD) -> frozenset[str]:
     return frozenset(productive)
 
 
-def _flat_nullable(node: FlatNode, productive: frozenset[str]) -> bool:
-    """Nullability over flattened models (star-groups always erase)."""
-    if isinstance(node, StarGroup):
-        return True
-    if isinstance(node, Name):
-        return node.name in productive
-    if isinstance(node, Seq):
-        return all(_flat_nullable(item, productive) for item in node.items)
-    if isinstance(node, Choice):
-        return any(_flat_nullable(item, productive) for item in node.items)
-    raise TypeError(f"unexpected flat node {node!r}")
-
-
-def _flat_can_mention(
-    node: FlatNode, target: str, productive: frozenset[str]
-) -> bool:
-    """Like :func:`repro.dtd.ast.can_mention`, but over flattened models and
-    *excluding* mentions that occur inside star-groups.
-
-    This is the edge predicate of the *strong* reachability graph used for
-    Definition 7: a PV-strong self-derivation must avoid star-group
-    positions.
-    """
-    if isinstance(node, StarGroup):
-        return False
-    if isinstance(node, Name):
-        return node.name == target
-    if isinstance(node, Choice):
-        return any(_flat_can_mention(item, target, productive) for item in node.items)
-    if isinstance(node, Seq):
-        for index, item in enumerate(node.items):
-            if not _flat_can_mention(item, target, productive):
-                continue
-            if all(
-                _flat_nullable(other, productive)
-                for position, other in enumerate(node.items)
-                if position != index
-            ):
-                return True
-        return False
-    raise TypeError(f"unexpected flat node {node!r}")
-
-
 def _closure(direct: dict[str, frozenset[str]]) -> dict[str, frozenset[str]]:
     """Transitive closure of *direct* (paths of length >= 1).
 
@@ -115,7 +71,7 @@ def _closure(direct: dict[str, frozenset[str]]) -> dict[str, frozenset[str]]:
     productivity of their own: each inserted intermediate receives real
     content (the rest of the chain), and the requirement that its *sibling*
     positions be silently completable is already encoded in the edge
-    predicate (``can_mention`` with productive-nullability).  The closure
+    predicate (``mentionable`` with productive-nullability).  The closure
     therefore expands through every node.
     """
     closure: dict[str, frozenset[str]] = {}
@@ -223,55 +179,19 @@ class DTDAnalysis:
         return frozenset(self.dtd.element_names()) - self.usable
 
 
-def _build_embed_direct(
-    dtd: DTD, productive: frozenset[str]
-) -> dict[str, frozenset[str]]:
-    nullable = productive.__contains__
-    embed: dict[str, frozenset[str]] = {}
-    for decl in dtd:
-        regex = decl.content.regex(dtd)
-        if regex is None:
-            embed[decl.name] = frozenset()
-            continue
-        targets: set[str] = set()
-        for candidate in ast.element_names(regex):
-            if ast.can_mention(regex, candidate, nullable):
-                targets.add(candidate)
-        if ast.mentions_pcdata(regex) and ast.can_mention(regex, None, nullable):
-            targets.add(PCDATA)
-        embed[decl.name] = frozenset(targets)
-    return embed
+def _mention_edges(dtd: DTD, productive: frozenset[str], model_of) -> dict[str, frozenset[str]]:
+    """Per element: what some completable word of ``model_of(x)`` mentions.
 
-
-def _build_strong_direct(
-    dtd: DTD, productive: frozenset[str]
-) -> dict[str, frozenset[str]]:
-    strong: dict[str, frozenset[str]] = {}
-    for decl in dtd:
-        flat = flattened_content(dtd, decl.name)
-        if flat is None:
-            strong[decl.name] = frozenset()
-            continue
-        candidates = {
-            node.name
-            for node in _iter_flat(flat)
-            if isinstance(node, Name)
-        }
-        strong[decl.name] = frozenset(
-            target
-            for target in candidates
-            if _flat_can_mention(flat, target, productive)
-        )
-    return strong
-
-
-def _iter_flat(node: FlatNode):
-    stack: list[FlatNode] = [node]
-    while stack:
-        current = stack.pop()
-        yield current
-        if isinstance(current, (Seq, Choice)):
-            stack.extend(current.items)  # type: ignore[arg-type]
+    Over the content models these are the embed edges; over the flattened
+    models, where a star-group leaf mentions nothing, they are Definition
+    7's strong edges, so a PV-strong self-derivation avoids star-groups.
+    """
+    edges: dict[str, frozenset[str]] = {}
+    for name in dtd.element_names():
+        model = model_of(name)
+        mentions = () if model is None else ast.mentionable(model, productive.__contains__)
+        edges[name] = frozenset(PCDATA if symbol is None else symbol for symbol in mentions)
+    return edges
 
 
 @lru_cache(maxsize=256)
@@ -286,8 +206,10 @@ def analyze(dtd: DTD) -> DTDAnalysis:
             targets.add(PCDATA)
         direct[decl.name] = frozenset(targets)
 
-    embed_direct = _build_embed_direct(dtd, productive)
-    strong_direct = _build_strong_direct(dtd, productive)
+    embed_direct = _mention_edges(dtd, productive, dtd.content_regex)
+    strong_direct = _mention_edges(
+        dtd, productive, lambda name: flattened_content(dtd, name)
+    )
 
     reach = _closure(direct)
     embed_reach = _closure(embed_direct)

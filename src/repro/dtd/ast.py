@@ -2,19 +2,22 @@
 
 A DTD Element Type Declaration right-hand side (the paper's ``r_x``) is a
 regular expression over element names and ``#PCDATA``.  This module defines
-the immutable AST for those regular expressions together with the structural
-algorithms the rest of the library builds on:
+the immutable AST for those expressions and :func:`fold`, the one traversal
+every bottom-up computation over a content model runs on: the word-existence
+predicates (:func:`language_nullable`, :func:`mentionable`) behind
+productivity (Section 3.3) and embed-reachability (Definition 5), the
+minimal-witness costs (:func:`min_cost_word`, Figure 3 completions),
+:func:`to_text`, and elsewhere the normalizer, the star-group flattening,
+the Glushkov construction, the grammar builders and the coarse summary.
+Like :func:`repro.xmlmodel.tree.walk`, :func:`fold` keeps an explicit
+stack: a rule sees each node on the way down and its children's results
+on the way up, with no Python call per level, so nesting depth is bounded
+by memory, not by the interpreter stack.
 
-* word-existence predicates (:func:`language_nullable`, :func:`can_mention`)
-  used for productivity/usability analysis (paper Section 3.3) and for the
-  embed-reachability refinement of the reachability graph (Definition 5),
-* the minimal-witness dynamic program (:func:`min_cost_word`) used to
-  synthesize the cheapest valid instance of an element (Figure 3 completions),
-* generic traversal helpers shared by the normalizer, the star-group
-  analysis, the Glushkov construction and the grammar builders.
-
-All nodes are frozen dataclasses: structural equality and hashing come for
-free, and sub-expressions can be shared safely.
+Nodes are frozen dataclasses.  A node's hash is computed once, bottom-up,
+and cached; equality compares two preorder walks; a node pickles as its
+flat postorder.  The :class:`StarGroup` leaf of flattened models
+(Proposition 1) is a node too, nullable and mentioning nothing.
 """
 
 from __future__ import annotations
@@ -31,28 +34,75 @@ __all__ = [
     "Star",
     "Plus",
     "Opt",
+    "StarGroup",
     "children",
     "walk",
+    "fold",
     "element_names",
     "mentions_pcdata",
     "language_nullable",
-    "can_mention",
+    "mentionable",
     "min_cost_word",
     "node_size",
     "to_text",
 ]
 
+_new = object.__new__
 
-@dataclass(frozen=True)
-class PCData:
+
+class _Node:
+    """Hashing, equality and pickling shared by every content node."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("_hash")
+        if cached is not None:
+            return cached
+
+        def up(node: ContentNode, results: list) -> int:
+            value = node.__dict__.get("_hash")
+            if value is None:
+                value = node.__dict__["_hash"] = hash((type(node), _label(node), *results))
+            return value
+
+        # A subtree hashed before is not entered again.
+        return fold(self, up, lambda node: "_hash" not in node.__dict__)  # type: ignore[arg-type]
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, _Node):
+            return NotImplemented
+        # A preorder of labels (child counts included) spells one tree.
+        return hash(self) == hash(other) and all(
+            type(mine) is type(theirs) and _label(mine) == _label(theirs)
+            for mine, theirs in zip(walk(self), walk(other))  # type: ignore[arg-type]
+        )
+
+    def __reduce__(self):
+        flat: list = []
+
+        def up(node: ContentNode, results: list) -> None:
+            if isinstance(node, (Seq, Choice, Star, Plus, Opt)):
+                flat.append((_INNER.index(type(node)), len(results)))
+            else:
+                flat.append(None if isinstance(node, PCData) else _label(node))
+
+        fold(self, up)  # type: ignore[arg-type]
+        return _rebuild, (tuple(flat),)
+
+
+@dataclass(frozen=True, eq=False)
+class PCData(_Node):
     """An occurrence of ``#PCDATA`` in a content model."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "PCData()"
 
 
-@dataclass(frozen=True)
-class Name:
+@dataclass(frozen=True, eq=False)
+class Name(_Node):
     """A reference to an element type by name (the paper's ``y`` in ``r_x``)."""
 
     name: str
@@ -61,8 +111,8 @@ class Name:
         return f"Name({self.name!r})"
 
 
-@dataclass(frozen=True)
-class Seq:
+@dataclass(frozen=True, eq=False)
+class Seq(_Node):
     """A comma sequence ``(e1, e2, ..., en)``; requires ``len(items) >= 1``."""
 
     items: tuple["ContentNode", ...]
@@ -72,8 +122,8 @@ class Seq:
             raise ValueError("Seq requires at least one item")
 
 
-@dataclass(frozen=True)
-class Choice:
+@dataclass(frozen=True, eq=False)
+class Choice(_Node):
     """An alternation ``(e1 | e2 | ... | en)``; requires ``len(items) >= 1``."""
 
     items: tuple["ContentNode", ...]
@@ -83,37 +133,97 @@ class Choice:
             raise ValueError("Choice requires at least one item")
 
 
-@dataclass(frozen=True)
-class Star:
+@dataclass(frozen=True, eq=False)
+class Star(_Node):
     """Kleene repetition ``e*`` (zero or more)."""
 
     item: "ContentNode"
 
 
-@dataclass(frozen=True)
-class Plus:
+@dataclass(frozen=True, eq=False)
+class Plus(_Node):
     """Positive repetition ``e+`` (one or more)."""
 
     item: "ContentNode"
 
 
-@dataclass(frozen=True)
-class Opt:
+@dataclass(frozen=True, eq=False)
+class Opt(_Node):
     """Optionality ``e?`` (zero or one)."""
 
     item: "ContentNode"
 
 
+@dataclass(frozen=True, eq=False)
+class StarGroup(_Node):
+    """A flattened star-group leaf: the set of symbols it may repeat.
+
+    ``members`` holds element names, plus the ``#PCDATA`` sentinel
+    (:data:`repro.dtd.model.PCDATA`) when ``#PCDATA`` occurred inside the
+    group; the paper labels star-group DAG nodes with exactly this list.
+    :mod:`repro.dtd.stargroups` builds these leaves.
+    """
+
+    members: frozenset[str]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        listed = ", ".join(sorted(self.members))
+        return f"StarGroup({{{listed}}})"
+
+
 ContentNode = Union[PCData, Name, Seq, Choice, Star, Plus, Opt]
+
+#: Inner node kinds by their index in the pickled flat form.
+_INNER = (Seq, Choice, Star, Plus, Opt)
 
 
 def children(node: ContentNode) -> tuple[ContentNode, ...]:
     """Return the immediate sub-expressions of *node* (empty for leaves)."""
-    if isinstance(node, (Seq, Choice)):
-        return node.items
-    if isinstance(node, (Star, Plus, Opt)):
-        return (node.item,)
+    kind = type(node)
+    if kind is Seq or kind is Choice:
+        return node.items  # type: ignore[union-attr]
+    if kind is Star or kind is Plus or kind is Opt:
+        return (node.item,)  # type: ignore[union-attr]
     return ()
+
+
+def _label(node: ContentNode) -> object:
+    """What tells *node* from another node of its type besides its children."""
+    if isinstance(node, Name):
+        return node.name
+    if isinstance(node, StarGroup):
+        return node.members
+    return len(children(node))
+
+
+def _rebuild(flat: tuple) -> ContentNode:
+    """The node :meth:`_Node.__reduce__` flattened, from its postorder entries.
+
+    An entry is a leaf (an element name, ``None`` for ``#PCDATA``, a
+    star-group's members) or an inner node's ``(kind, child count)``.
+    Like the pickle module, this makes each node empty and sets its field
+    in place, running no constructor.
+    """
+    values: list = []
+    for entry in flat:
+        if entry.__class__ is tuple:
+            kind, count = _INNER[entry[0]], entry[1]
+            node = _new(kind)
+            if kind is Seq or kind is Choice:
+                node.__dict__["items"] = tuple(values[-count:])
+            else:
+                node.__dict__["item"] = values[-1]
+            del values[-count:]
+        elif entry is None:
+            node = _new(PCData)
+        elif entry.__class__ is str:
+            node = _new(Name)
+            node.__dict__["name"] = entry
+        else:
+            node = _new(StarGroup)
+            node.__dict__["members"] = entry
+        values.append(node)
+    return values[0]
 
 
 def walk(node: ContentNode) -> Iterator[ContentNode]:
@@ -123,6 +233,40 @@ def walk(node: ContentNode) -> Iterator[ContentNode]:
         current = stack.pop()
         yield current
         stack.extend(reversed(children(current)))
+
+
+def fold(
+    node: ContentNode,
+    up: Callable[[ContentNode, list], object],
+    down: Callable[[ContentNode], object] | None = None,
+):
+    """Fold *node* bottom-up in one pass, returning ``up``'s result for *node*.
+
+    ``down(n)``, when given, sees every node before its children, in
+    preorder; returning ``False`` skips them.  ``up(n, results)`` sees every
+    node after its children, with their results in order (empty for a leaf
+    or a skipped node), and returns ``n``'s own result.  Each open node's
+    pending children sit on an explicit stack.
+    """
+    kids = children(node) if down is None or down(node) is not False else ()
+    if not kids:
+        return up(node, ())  # type: ignore[arg-type]
+    values: list = []
+    stack = [(node, iter(kids), 0)]
+    while stack:
+        parent, pending, base = stack[-1]
+        for kid in pending:
+            kids = children(kid) if down is None or down(kid) is not False else ()
+            if kids:
+                stack.append((kid, iter(kids), len(values)))
+                break
+            values.append(up(kid, ()))  # type: ignore[arg-type]
+        else:
+            stack.pop()
+            results = values[base:]
+            del values[base:]
+            values.append(up(parent, results))
+    return values[0]
 
 
 def element_names(node: ContentNode) -> frozenset[str]:
@@ -135,10 +279,7 @@ def mentions_pcdata(node: ContentNode) -> bool:
     return any(isinstance(n, PCData) for n in walk(node))
 
 
-def language_nullable(
-    node: ContentNode,
-    name_nullable: Callable[[str], bool],
-) -> bool:
+def language_nullable(node: ContentNode, name_nullable: Callable[[str], bool]) -> bool:
     """Decide whether ``L(node)`` contains a word made only of "nullable" symbols.
 
     *name_nullable(y)* says whether symbol ``y`` counts as erasable for the
@@ -150,70 +291,53 @@ def language_nullable(
     * potential-validity skip analysis — ``name_nullable(y)`` = "a complete
       valid subtree for ``y`` can be inserted", which is the same predicate.
 
-    The recursion is purely structural, so callers handle fixpoints (the
-    mutual recursion through element declarations) themselves.
+    The fold is purely structural, so callers handle fixpoints (the mutual
+    recursion through element declarations) themselves.
     """
-    if isinstance(node, PCData):
-        return True
-    if isinstance(node, Name):
-        return name_nullable(node.name)
-    if isinstance(node, Seq):
-        return all(language_nullable(item, name_nullable) for item in node.items)
-    if isinstance(node, Choice):
-        return any(language_nullable(item, name_nullable) for item in node.items)
-    if isinstance(node, (Star, Opt)):
-        return True
-    if isinstance(node, Plus):
-        return language_nullable(node.item, name_nullable)
-    raise TypeError(f"unexpected content node {node!r}")
+
+    def up(current: ContentNode, results: list) -> bool:
+        if isinstance(current, Name):
+            return name_nullable(current.name)
+        if isinstance(current, Seq):
+            return all(results)
+        if isinstance(current, (Choice, Plus)):
+            return any(results)
+        return True  # #PCDATA, e*, e? and star-groups all admit a word
+
+    return fold(node, up)  # type: ignore[return-value]
 
 
-def can_mention(
-    node: ContentNode,
-    target: str | None,
-    name_nullable: Callable[[str], bool],
-) -> bool:
-    """Decide whether some word of ``L(node)`` over completable symbols mentions *target*.
+def mentionable(
+    node: ContentNode, name_nullable: Callable[[str], bool]
+) -> frozenset[str | None]:
+    """The symbols some word of ``L(node)`` over completable symbols mentions.
 
-    *target* is an element name, or ``None`` to ask about ``#PCDATA``.  A
-    word "mentions" the target when it contains the target symbol itself and
-    every *other* symbol of the word satisfies *name_nullable* (i.e. the
-    rest of the word can be completed into valid subtrees).
-
-    This is the edge predicate of the *embed-reachability* graph: under the
-    paper's standing assumption that every element is usable it coincides
-    with plain syntactic occurrence (Definition 5's ``R_T``), but it stays
-    correct for DTDs with unusable element types.
+    A word "mentions" a symbol (``None`` for ``#PCDATA``) when it contains
+    it and every *other* symbol of the word satisfies *name_nullable*.
+    These are the edges of the *embed-reachability* graph: with every
+    element usable they are Definition 5's syntactic ``R_T`` edges, and
+    they stay exact for DTDs with unusable element types.  One rule gives
+    each node its nullability and its mentions; a sequence keeps an item's
+    mentions only while every other item is nullable.
     """
-    if isinstance(node, PCData):
-        return target is None
-    if isinstance(node, Name):
-        return target is not None and node.name == target
-    if isinstance(node, Choice):
-        return any(can_mention(item, target, name_nullable) for item in node.items)
-    if isinstance(node, Seq):
-        for index, item in enumerate(node.items):
-            if not can_mention(item, target, name_nullable):
-                continue
-            others_ok = all(
-                language_nullable(other, name_nullable)
-                for position, other in enumerate(node.items)
-                if position != index
-            )
-            if others_ok:
-                return True
-        return False
-    if isinstance(node, (Star, Plus, Opt)):
-        # One iteration carries the mention; Star/Opt need nothing else and
-        # Plus is satisfied by that same single iteration.
-        return can_mention(node.item, target, name_nullable)
-    raise TypeError(f"unexpected content node {node!r}")
+
+    def up(current: ContentNode, results: list) -> tuple[bool, frozenset]:
+        if isinstance(current, Name):
+            return name_nullable(current.name), frozenset((current.name,))
+        if isinstance(current, (PCData, StarGroup)):
+            return True, frozenset((None,) if isinstance(current, PCData) else ())
+        if isinstance(current, Plus):
+            return results[0]
+        required = [mentions for nullable, mentions in results if not nullable]
+        if isinstance(current, Seq) and required:
+            return False, required[0] if len(required) == 1 else frozenset()
+        nullable = not isinstance(current, Choice) or len(required) < len(results)
+        return nullable, frozenset().union(*[mentions for _, mentions in results])
+
+    return fold(node, up)[1]  # type: ignore[index]
 
 
-def min_cost_word(
-    node: ContentNode,
-    name_cost: Callable[[str], float],
-) -> float:
+def min_cost_word(node: ContentNode, name_cost: Callable[[str], float]) -> float:
     """Return the minimum total cost of a word in ``L(node)``.
 
     *name_cost(y)* is the cost of symbol ``y`` (``float('inf')`` when ``y``
@@ -222,19 +346,19 @@ def min_cost_word(
     an element is ``1 +`` the min-cost word of its content model, computed
     to fixpoint over the whole DTD.
     """
-    if isinstance(node, PCData):
-        return 0.0
-    if isinstance(node, Name):
-        return name_cost(node.name)
-    if isinstance(node, Seq):
-        return sum(min_cost_word(item, name_cost) for item in node.items)
-    if isinstance(node, Choice):
-        return min(min_cost_word(item, name_cost) for item in node.items)
-    if isinstance(node, (Star, Opt)):
-        return 0.0
-    if isinstance(node, Plus):
-        return min_cost_word(node.item, name_cost)
-    raise TypeError(f"unexpected content node {node!r}")
+
+    def up(current: ContentNode, results: list) -> float:
+        if isinstance(current, Name):
+            return name_cost(current.name)
+        if isinstance(current, Seq):
+            return sum(results)
+        if isinstance(current, Choice):
+            return min(results)
+        if isinstance(current, Plus):
+            return results[0]
+        return 0.0  # #PCDATA, e* and e? admit the empty word
+
+    return fold(node, up)  # type: ignore[return-value]
 
 
 def node_size(node: ContentNode) -> int:
@@ -242,38 +366,38 @@ def node_size(node: ContentNode) -> int:
     return sum(1 for _ in walk(node))
 
 
-def _needs_parens(node: ContentNode) -> bool:
-    return isinstance(node, (Seq, Choice))
+_SUFFIX = {Star: "*", Plus: "+", Opt: "?"}
 
 
 def to_text(node: ContentNode) -> str:
     """Render *node* in DTD syntax (canonical spacing, minimal parentheses)."""
-    if isinstance(node, PCData):
-        return "#PCDATA"
-    if isinstance(node, Name):
-        return node.name
-    if isinstance(node, Seq):
-        return "(" + ", ".join(to_text(item) for item in node.items) + ")"
-    if isinstance(node, Choice):
-        return "(" + " | ".join(to_text(item) for item in node.items) + ")"
-    if isinstance(node, (Star, Plus, Opt)):
-        suffix = {"Star": "*", "Plus": "+", "Opt": "?"}[type(node).__name__]
-        inner = to_text(node.item)
-        if not _needs_parens(node.item) and not isinstance(node.item, (Star, Plus, Opt)):
-            inner = "(" + inner + ")" if isinstance(node.item, PCData) else inner
-        return inner + suffix
-    raise TypeError(f"unexpected content node {node!r}")
+    pieces: list[str] = []
 
+    def down(current: ContentNode) -> None:
+        if isinstance(current, (Seq, Choice)):
+            pieces.append("(")
 
-def seq(*items: ContentNode) -> ContentNode:
-    """Convenience constructor: a :class:`Seq`, collapsing the 1-item case."""
-    if len(items) == 1:
-        return items[0]
-    return Seq(tuple(items))
+    def up(current: ContentNode, starts: list) -> int:
+        # A node's result is the index of its first piece, so a group can
+        # put its separators in front of its later items.
+        if isinstance(current, (Seq, Choice)):
+            separator = ", " if isinstance(current, Seq) else " | "
+            for start in starts[1:]:
+                pieces[start] = separator + pieces[start]
+            pieces.append(")")
+            return starts[0] - 1
+        if type(current) in _SUFFIX:
+            if isinstance(current.item, PCData):  # type: ignore[union-attr]
+                pieces[starts[0]] = "(#PCDATA)"
+            pieces.append(_SUFFIX[type(current)])
+            return starts[0]
+        if isinstance(current, PCData):
+            pieces.append("#PCDATA")
+        elif isinstance(current, Name):
+            pieces.append(current.name)
+        else:
+            raise TypeError(f"unexpected content node {current!r}")
+        return len(pieces) - 1
 
-
-def choice(*items: ContentNode) -> ContentNode:
-    """Convenience constructor: a :class:`Choice`, collapsing the 1-item case."""
-    if len(items) == 1:
-        return items[0]
-    return Choice(tuple(items))
+    fold(node, up, down)
+    return "".join(pieces)

@@ -4,26 +4,17 @@ The paper proves (Corollary 3.1) that for the *potential validity* language
 the ``?`` operator can be removed outright and every ``+`` replaced by ``*``
 without changing ``L(G'_{T,r})`` — a consequence of Theorem 3 (every
 nonterminal of ``G'`` derives the empty string).  All PV machinery
-(star-groups, the DAG model, the recognizers) operates on this normal form;
-the *standard* validator keeps the original models, where ``?``/``+`` of
+(star-groups, the DAG model, the recognizers) operates on this normal form,
+which :func:`repro.dtd.stargroups.flatten` applies on its way; the
+*standard* validator keeps the original models, where ``?``/``+`` of
 course still matter.
 """
 
 from __future__ import annotations
 
-from repro.dtd.ast import (
-    Choice,
-    ContentNode,
-    Name,
-    Opt,
-    PCData,
-    Plus,
-    Seq,
-    Star,
-)
-from repro.dtd.model import DTD
+from repro.dtd.ast import Choice, ContentNode, Opt, Plus, Seq, Star, fold
 
-__all__ = ["normalize_node", "normalized_content"]
+__all__ = ["normalize_node"]
 
 
 def normalize_node(node: ContentNode) -> ContentNode:
@@ -38,29 +29,15 @@ def normalize_node(node: ContentNode) -> ContentNode:
     >>> to_text(normalize_node(model))
     '(b, (c | f)*, d)'
     """
-    if isinstance(node, (PCData, Name)):
-        return node
-    if isinstance(node, Seq):
-        return Seq(tuple(normalize_node(item) for item in node.items))
-    if isinstance(node, Choice):
-        return Choice(tuple(normalize_node(item) for item in node.items))
-    if isinstance(node, Star):
-        return Star(normalize_node(node.item))
-    if isinstance(node, Plus):
-        return Star(normalize_node(node.item))
-    if isinstance(node, Opt):
-        return normalize_node(node.item)
-    raise TypeError(f"unexpected content node {node!r}")
 
+    def up(current: ContentNode, results: list) -> ContentNode:
+        if isinstance(current, (Seq, Choice)):
+            return type(current)(tuple(results))
+        if isinstance(current, (Star, Plus)):
+            return Star(results[0])
+        if isinstance(current, Opt):
+            return results[0]
+        return current  # Name and PCData leaves
 
-def normalized_content(dtd: DTD, name: str) -> ContentNode | None:
-    """The Corollary 3.1 normal form of *name*'s content model.
+    return fold(node, up)  # type: ignore[return-value]
 
-    Returns ``None`` for ``EMPTY`` content.  ``ANY`` and mixed content are
-    first expanded to their regex form (Section 3.1), which is already
-    ``?``/``+`` free, and then normalized for uniformity.
-    """
-    regex = dtd.content_regex(name)
-    if regex is None:
-        return None
-    return normalize_node(regex)

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for DTD element type declarations.
+"""Parser for DTD element type declarations.
 
 Grammar implemented (XML 1.0 productions [45]-[51], paper ref [2]):
 
@@ -129,18 +129,40 @@ class _Parser:
         return MixedContent(tuple(names))
 
     def parse_cp(self) -> ContentNode:
-        token = self.current
-        if token.kind is TokenKind.NAME:
+        """One content particle; open groups wait on an explicit stack.
+
+        A group's separator is ``|`` if the token after its first item is
+        ``|``, else ``,``.
+        """
+        groups: list[list] = []  # per open group: [items so far, separator]
+        while True:
+            token = self.current
+            if token.kind is TokenKind.LPAREN:
+                self.advance()
+                groups.append([[], None])
+                continue
+            if token.kind is not TokenKind.NAME:
+                raise DTDSyntaxError(
+                    f"expected element name or '(', found {token.text!r}",
+                    token.offset,
+                )
             self.advance()
-            node: ContentNode = Name(token.text)
-        elif token.kind is TokenKind.LPAREN:
-            node = self.parse_group()
-        else:
-            raise DTDSyntaxError(
-                f"expected element name or '(', found {token.text!r}",
-                token.offset,
-            )
-        return self._parse_occurrence(node)
+            node = self._parse_occurrence(Name(token.text))
+            while groups:
+                group = groups[-1]
+                group[0].append(node)
+                if group[1] is None:
+                    pipe = self.current.kind is TokenKind.PIPE
+                    group[1] = TokenKind.PIPE if pipe else TokenKind.COMMA
+                if self.current.kind is group[1]:
+                    self.advance()
+                    break  # the group's next item follows
+                self.expect(TokenKind.RPAREN, "')'")
+                items, separator = groups.pop()
+                kind = Choice if separator is TokenKind.PIPE else Seq
+                node = self._parse_occurrence(kind(tuple(items)))
+            else:
+                return node
 
     def _parse_occurrence(self, node: ContentNode) -> ContentNode:
         kind = self.current.kind
@@ -154,23 +176,6 @@ class _Parser:
             self.advance()
             return Plus(node)
         return node
-
-    def parse_group(self) -> ContentNode:
-        self.expect(TokenKind.LPAREN, "'('")
-        first = self.parse_cp()
-        separator = self.current.kind
-        items = [first]
-        if separator is TokenKind.PIPE:
-            while self.current.kind is TokenKind.PIPE:
-                self.advance()
-                items.append(self.parse_cp())
-            self.expect(TokenKind.RPAREN, "')'")
-            return Choice(tuple(items))
-        while self.current.kind is TokenKind.COMMA:
-            self.advance()
-            items.append(self.parse_cp())
-        self.expect(TokenKind.RPAREN, "')'")
-        return Seq(tuple(items))
 
 
 def parse_dtd(source: str, root: str | None = None, name: str = "dtd") -> DTD:

@@ -10,52 +10,35 @@ on *which* symbols a star-group contains, not on its internal expression.
 
 The flattened form is the input of the paper's DAG model (Section 4.2):
 a tree over ``Seq``/``Choice`` whose leaves are either simple ``Name``
-occurrences or opaque :class:`StarGroup` leaves.  Because all ``Star``
-operators are swallowed by the groups, the flattened model is star-free and
-its position graph (the paper's ``DAG_x``) is acyclic.
+occurrences or opaque :class:`~repro.dtd.ast.StarGroup` leaves.  Because
+all ``Star`` operators are swallowed by the groups, the flattened model is
+star-free and its position graph (the paper's ``DAG_x``) is acyclic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from repro.dtd.ast import (
     Choice,
     ContentNode,
     Name,
+    Opt,
     PCData,
     Plus,
-    Opt,
     Seq,
     Star,
-    element_names,
-    mentions_pcdata,
+    StarGroup,
+    fold,
+    walk,
 )
 from repro.dtd.model import DTD, PCDATA
-from repro.dtd.normalize import normalized_content
 
 __all__ = ["StarGroup", "FlatNode", "find_star_groups", "flatten", "flattened_content"]
 
 
-@dataclass(frozen=True)
-class StarGroup:
-    """A flattened star-group leaf: the set of symbols it may repeat.
-
-    ``members`` contains element names, plus the :data:`~repro.dtd.model.PCDATA`
-    sentinel when ``#PCDATA`` occurred inside the group (mixed content).
-    The paper labels star-group DAG nodes with exactly this list.
-    """
-
-    members: frozenset[str]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        listed = ", ".join(sorted(self.members))
-        return f"StarGroup({{{listed}}})"
-
-
 #: A flattened content model node: plain ``Seq``/``Choice`` structure over
-#: ``Name`` occurrences and :class:`StarGroup` leaves.
+#: ``Name`` occurrences and :class:`~repro.dtd.ast.StarGroup` leaves.
 FlatNode = Union[Seq, Choice, Name, StarGroup]
 
 
@@ -75,54 +58,52 @@ def find_star_groups(node: ContentNode) -> list[ContentNode]:
     """
     groups: list[ContentNode] = []
 
-    def visit(current: ContentNode) -> None:
+    def down(current: ContentNode) -> bool | None:
         if isinstance(current, Star):
             groups.append(current)
-            return  # nested stars are subexpressions of this group
-        if isinstance(current, (Seq, Choice)):
-            for item in current.items:
-                visit(item)
-        elif isinstance(current, (Plus, Opt)):  # pragma: no cover - normalized input
-            visit(current.item)
+            return False  # nested stars are subexpressions of this group
+        return None
 
-    visit(node)
+    fold(node, lambda current, results: None, down)
     return groups
 
 
-def _group_members(star: Star) -> frozenset[str]:
-    members: set[str] = set(element_names(star.item))
-    if mentions_pcdata(star.item):
-        members.add(PCDATA)
-    return frozenset(members)
-
-
 def flatten(node: ContentNode) -> FlatNode:
-    """Apply the Proposition 1 flattening to a *normalized* content model.
+    """Apply the Proposition 1 flattening, normalizing on the way.
 
-    Each outermost ``Star`` becomes a :class:`StarGroup` over its member
-    symbols; ``Seq``/``Choice`` structure outside star-groups is preserved;
-    ``Name`` leaves pass through.  ``PCData`` cannot occur outside a star
-    after normalization (XML only allows ``#PCDATA`` in mixed content, which
-    is starred), so encountering one is an internal error.
+    Each outermost ``e*`` (or ``e+``, which Corollary 3.1 normalizes to
+    ``e*``) becomes a :class:`~repro.dtd.ast.StarGroup` over its member
+    symbols; ``e?`` becomes ``e``; ``Seq``/``Choice`` structure outside
+    star-groups is preserved; ``Name`` leaves pass through.  So
+    ``flatten(normalize_node(r))`` and ``flatten(r)`` are equal.
+    ``PCData`` cannot occur outside a star (XML only allows ``#PCDATA``
+    in mixed content, which is starred), so encountering one is an
+    internal error.
     """
-    if isinstance(node, Star):
-        return StarGroup(_group_members(node))
-    if isinstance(node, Name):
-        return node
-    if isinstance(node, Seq):
-        return Seq(tuple(flatten(item) for item in node.items))  # type: ignore[arg-type]
-    if isinstance(node, Choice):
-        return Choice(tuple(flatten(item) for item in node.items))  # type: ignore[arg-type]
-    if isinstance(node, PCData):
-        raise AssertionError(
-            "#PCDATA outside a star-group; content model was not normalized mixed content"
-        )
-    raise AssertionError(f"non-normalized node in flatten: {node!r}")
+
+    def up(current: ContentNode, results: list) -> FlatNode:
+        if isinstance(current, (Star, Plus)):
+            return StarGroup(frozenset(
+                PCDATA if isinstance(symbol, PCData) else symbol.name
+                for symbol in walk(current.item)
+                if isinstance(symbol, (Name, PCData))
+            ))
+        if isinstance(current, Opt):
+            return results[0]
+        if isinstance(current, Name):
+            return current
+        if isinstance(current, (Seq, Choice)):
+            return type(current)(tuple(results))
+        if isinstance(current, PCData):
+            raise AssertionError(
+                "#PCDATA outside a star-group; content model was not mixed content"
+            )
+        raise AssertionError(f"unexpected node in flatten: {current!r}")
+
+    return fold(node, up, lambda current: not isinstance(current, (Star, Plus)))  # type: ignore[return-value]
 
 
 def flattened_content(dtd: DTD, name: str) -> FlatNode | None:
-    """Normalize then flatten the content model of *name* (``None`` for EMPTY)."""
-    normalized = normalized_content(dtd, name)
-    if normalized is None:
-        return None
-    return flatten(normalized)
+    """The flattened content model of *name* (``None`` for EMPTY)."""
+    regex = dtd.content_regex(name)
+    return None if regex is None else flatten(regex)

@@ -21,7 +21,7 @@ grammar, ``S`` for the start symbol.
 
 from __future__ import annotations
 
-from repro.dtd.ast import Choice, ContentNode, Name, Opt, PCData, Plus, Seq, Star
+from repro.dtd.ast import Choice, ContentNode, Name, Opt, PCData, Plus, Seq, Star, fold
 from repro.dtd.model import DTD
 from repro.grammar.cfg import Grammar
 from repro.grammar.ecfg import ECFG, ecfg_to_cfg
@@ -68,25 +68,19 @@ def _token_nonterminal(name: str) -> str:
 
 def _transcribe(node: ContentNode, name_map, pcdata_symbol: str) -> ContentNode:
     """Rewrite a content model into an ECFG regex over grammar symbols."""
-    if isinstance(node, Name):
-        return Name(name_map(node.name))
-    if isinstance(node, PCData):
-        return Name(pcdata_symbol)
-    if isinstance(node, Seq):
-        return Seq(
-            tuple(_transcribe(item, name_map, pcdata_symbol) for item in node.items)
-        )
-    if isinstance(node, Choice):
-        return Choice(
-            tuple(_transcribe(item, name_map, pcdata_symbol) for item in node.items)
-        )
-    if isinstance(node, Star):
-        return Star(_transcribe(node.item, name_map, pcdata_symbol))
-    if isinstance(node, Plus):
-        return Plus(_transcribe(node.item, name_map, pcdata_symbol))
-    if isinstance(node, Opt):
-        return Opt(_transcribe(node.item, name_map, pcdata_symbol))
-    raise TypeError(f"unexpected content node {node!r}")
+
+    def up(current: ContentNode, results: list) -> ContentNode:
+        if isinstance(current, Name):
+            return Name(name_map(current.name))
+        if isinstance(current, PCData):
+            return Name(pcdata_symbol)
+        if isinstance(current, (Seq, Choice)):
+            return type(current)(tuple(results))
+        if isinstance(current, (Star, Plus, Opt)):
+            return type(current)(results[0])
+        raise TypeError(f"unexpected content node {current!r}")
+
+    return fold(node, up)  # type: ignore[return-value]
 
 
 def _element_rules(dtd: DTD) -> dict[str, tuple[ContentNode | None, ...]]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.dtd.ast import Choice, ContentNode, Name, Opt, PCData, Plus, Seq, Star
+from repro.dtd.ast import Choice, ContentNode, Name, Opt, Plus, Seq, Star, fold
 from repro.errors import GrammarError
 from repro.grammar.cfg import Grammar, Production
 
@@ -52,8 +52,9 @@ class ECFG:
     def nonterminals(self) -> frozenset[str]:
         return frozenset(self.rules)
 
-    def rule_count(self) -> int:
-        return sum(len(alternatives) for alternatives in self.rules.values())
+
+#: The aux nonterminal kinds each inner regex node draws, in order.
+_AUX_KINDS = {Seq: (), Choice: ("alt",), Star: ("star",), Opt: ("opt",), Plus: ("plus", "star")}
 
 
 class _Expander:
@@ -76,41 +77,48 @@ class _Expander:
         return Grammar(self._ecfg.start, self._productions)
 
     def _compile(self, node: ContentNode, head: str) -> tuple[str, ...]:
-        """Compile *node* into a symbol sequence, emitting aux productions."""
-        if isinstance(node, Name):
-            return (node.name,)
-        if isinstance(node, PCData):
-            raise GrammarError("PCData leaves are not valid ECFG symbols")
-        if isinstance(node, Seq):
-            body: list[str] = []
-            for item in node.items:
-                body.extend(self._compile(item, head))
-            return tuple(body)
-        if isinstance(node, Choice):
-            aux = self._fresh_name(head, "alt")
-            for item in node.items:
-                self._productions.append(Production(aux, self._compile(item, head)))
-            return (aux,)
-        if isinstance(node, Star):
-            aux = self._fresh_name(head, "star")
-            inner = self._compile(node.item, head)
-            self._productions.append(Production(aux, ()))
-            self._productions.append(Production(aux, inner + (aux,)))
-            return (aux,)
-        if isinstance(node, Opt):
-            aux = self._fresh_name(head, "opt")
-            self._productions.append(Production(aux, ()))
-            self._productions.append(Production(aux, self._compile(node.item, head)))
-            return (aux,)
-        if isinstance(node, Plus):
-            aux = self._fresh_name(head, "plus")
-            star = self._fresh_name(head, "star")
-            inner = self._compile(node.item, head)
-            self._productions.append(Production(star, ()))
-            self._productions.append(Production(star, inner + (star,)))
-            self._productions.append(Production(aux, inner + (star,)))
-            return (aux,)
-        raise GrammarError(f"unexpected regex node {node!r}")
+        """Compile *node* into a symbol sequence, emitting aux productions.
+
+        Aux names are drawn in preorder, and productions are emitted in the
+        order a left-to-right descent meets them: an ``e?`` rule's empty
+        alternative before its item's productions, and each ``|``
+        alternative right after its item's.
+        """
+        emit = self._productions.append
+        opened: list[tuple[ContentNode, tuple[str, ...]]] = []  # with aux names
+
+        def down(current: ContentNode) -> None:
+            kinds = _AUX_KINDS.get(type(current))
+            if kinds is not None:
+                names = tuple(self._fresh_name(head, kind) for kind in kinds)
+                if isinstance(current, Opt):
+                    emit(Production(names[0], ()))
+                opened.append((current, names))
+
+        def up(current: ContentNode, bodies: list) -> tuple[str, ...]:
+            if isinstance(current, Name):
+                body: tuple[str, ...] = (current.name,)
+            elif not opened or opened[-1][0] is not current:
+                raise GrammarError(f"not an ECFG regex node: {current!r}")
+            else:
+                names = opened.pop()[1]
+                body = names[:1]
+                if isinstance(current, Seq):
+                    body = tuple(symbol for item in bodies for symbol in item)
+                elif isinstance(current, Star):
+                    emit(Production(names[0], ()))
+                    emit(Production(names[0], bodies[0] + body))
+                elif isinstance(current, Opt):
+                    emit(Production(names[0], bodies[0]))
+                elif isinstance(current, Plus):
+                    emit(Production(names[1], ()))
+                    emit(Production(names[1], bodies[0] + names[1:]))
+                    emit(Production(names[0], bodies[0] + names[1:]))
+            if opened and isinstance(opened[-1][0], Choice):
+                emit(Production(opened[-1][1][0], body))
+            return body
+
+        return fold(node, up, down)  # type: ignore[return-value]
 
 
 def ecfg_to_cfg(ecfg: ECFG) -> Grammar:

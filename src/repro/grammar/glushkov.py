@@ -13,7 +13,7 @@ Two uses in this library:
   ``follow`` relation is acyclic there — the paper's ``DAG_x``.
 
 Leaves may be :class:`~repro.dtd.ast.Name`, :class:`~repro.dtd.ast.PCData`
-or :class:`~repro.dtd.stargroups.StarGroup`; the automaton labels positions
+or :class:`~repro.dtd.ast.StarGroup`; the automaton labels positions
 with the element name, the :data:`~repro.dtd.model.PCDATA` sentinel, or the
 star-group member set respectively.
 """
@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dtd.ast import Choice, Name, Opt, PCData, Plus, Seq, Star
+from repro.dtd.ast import Choice, Name, Opt, PCData, Plus, Seq, Star, StarGroup, fold
 from repro.dtd.model import PCDATA
-from repro.dtd.stargroups import StarGroup
 
 __all__ = ["Position", "GlushkovAutomaton", "build_glushkov"]
 
@@ -83,71 +82,6 @@ class GlushkovAutomaton:
         return len(self.positions)
 
 
-class _Builder:
-    def __init__(self) -> None:
-        self.positions: list[Position] = []
-        self.follow: dict[int, set[int]] = {}
-
-    def make_position(self, node) -> int:
-        index = len(self.positions)
-        if isinstance(node, Name):
-            position = Position(index, node.name)
-        elif isinstance(node, PCData):
-            position = Position(index, PCDATA)
-        elif isinstance(node, StarGroup):
-            position = Position(index, None, group=node.members)
-        else:  # pragma: no cover - callers dispatch on leaf types
-            raise TypeError(f"not a leaf node: {node!r}")
-        self.positions.append(position)
-        self.follow[index] = set()
-        return index
-
-    def connect(self, sources: frozenset[int], targets: frozenset[int]) -> None:
-        for source in sources:
-            self.follow[source].update(targets)
-
-    def build(self, node) -> tuple[bool, frozenset[int], frozenset[int]]:
-        """Return (nullable, first, last) of *node*, accumulating follow."""
-        if isinstance(node, (Name, PCData, StarGroup)):
-            index = self.make_position(node)
-            singleton = frozenset((index,))
-            return False, singleton, singleton
-        if isinstance(node, Seq):
-            nullable = True
-            first: set[int] = set()
-            last: set[int] = set()
-            for item in node.items:
-                item_nullable, item_first, item_last = self.build(item)
-                self.connect(frozenset(last), item_first)
-                if nullable:
-                    first |= item_first
-                if item_nullable:
-                    last |= item_last
-                else:
-                    last = set(item_last)
-                nullable = nullable and item_nullable
-            return nullable, frozenset(first), frozenset(last)
-        if isinstance(node, Choice):
-            nullable = False
-            first = set()
-            last = set()
-            for item in node.items:
-                item_nullable, item_first, item_last = self.build(item)
-                nullable = nullable or item_nullable
-                first |= item_first
-                last |= item_last
-            return nullable, frozenset(first), frozenset(last)
-        if isinstance(node, (Star, Plus)):
-            item_nullable, item_first, item_last = self.build(node.item)
-            self.connect(item_last, item_first)
-            nullable = True if isinstance(node, Star) else item_nullable
-            return nullable, item_first, item_last
-        if isinstance(node, Opt):
-            _, item_first, item_last = self.build(node.item)
-            return True, item_first, item_last
-        raise TypeError(f"unexpected content node {node!r}")
-
-
 def build_glushkov(node) -> GlushkovAutomaton:
     """Build the position automaton of a content model (or flattened model).
 
@@ -158,12 +92,58 @@ def build_glushkov(node) -> GlushkovAutomaton:
     >>> [auto.positions[i].label for i in sorted(auto.last)]
     ['d']
     """
-    builder = _Builder()
-    nullable, first, last = builder.build(node)
+    positions: list[Position] = []
+    follow: dict[int, set[int]] = {}
+
+    def connect(sources: frozenset[int], targets: frozenset[int]) -> None:
+        for source in sources:
+            follow[source].update(targets)
+
+    def up(current, results: list) -> tuple[bool, frozenset[int], frozenset[int]]:
+        """(nullable, first, last) of *current*, accumulating follow."""
+        if isinstance(current, (Name, PCData, StarGroup)):
+            index = len(positions)
+            if isinstance(current, StarGroup):
+                positions.append(Position(index, None, group=current.members))
+            else:
+                label = PCDATA if isinstance(current, PCData) else current.name
+                positions.append(Position(index, label))
+            follow[index] = set()
+            singleton = frozenset((index,))
+            return False, singleton, singleton
+        if isinstance(current, Seq):
+            nullable = True
+            first: set[int] = set()
+            last: set[int] = set()
+            for item_nullable, item_first, item_last in results:
+                connect(frozenset(last), item_first)
+                if nullable:
+                    first |= item_first
+                if item_nullable:
+                    last |= item_last
+                else:
+                    last = set(item_last)
+                nullable = nullable and item_nullable
+            return nullable, frozenset(first), frozenset(last)
+        if isinstance(current, Choice):
+            return (
+                any(item[0] for item in results),
+                frozenset().union(*[item[1] for item in results]),
+                frozenset().union(*[item[2] for item in results]),
+            )
+        if isinstance(current, (Star, Plus)):
+            item_nullable, item_first, item_last = results[0]
+            connect(item_last, item_first)
+            return isinstance(current, Star) or item_nullable, item_first, item_last
+        if isinstance(current, Opt):
+            return (True, *results[0][1:])
+        raise TypeError(f"unexpected content node {current!r}")
+
+    nullable, first, last = fold(node, up)
     return GlushkovAutomaton(
-        positions=tuple(builder.positions),
+        positions=tuple(positions),
         first=first,
         last=last,
-        follow={index: frozenset(targets) for index, targets in builder.follow.items()},
+        follow={index: frozenset(targets) for index, targets in follow.items()},
         nullable=nullable,
     )

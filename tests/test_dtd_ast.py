@@ -14,10 +14,10 @@ from repro.dtd.ast import (
     Plus,
     Seq,
     Star,
-    can_mention,
     children,
     element_names,
     language_nullable,
+    mentionable,
     mentions_pcdata,
     min_cost_word,
     node_size,
@@ -29,6 +29,10 @@ from repro.dtd.parser import parse_content_spec
 
 def model(text: str):
     return parse_content_spec(text).model
+
+
+def can_mention(node, target, name_nullable) -> bool:
+    return target in mentionable(node, name_nullable)
 
 
 class TestStructure:
@@ -124,6 +128,14 @@ class TestCanMention:
         mixed = Star(Choice((PCData(), Name("a"))))
         assert can_mention(mixed, None, lambda _n: False)
         assert not can_mention(model("(a, b)"), None, lambda _n: True)
+
+    def test_one_fold_gives_every_mention(self):
+        seq = model("(a, b?, (c | d))")
+        assert mentionable(seq, lambda _n: True) == {"a", "b", "c", "d"}
+        # Only the one item that cannot be erased keeps its mentions ...
+        assert mentionable(seq, {"a"}.__contains__) == {"c", "d"}
+        # ... and with two such items nothing is mentionable.
+        assert mentionable(seq, lambda _n: False) == frozenset()
 
 
 class TestMinCostWord:

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 
-from repro.dtd.ast import Name, Seq, Star, to_text
+from repro.dtd.ast import Name, Seq, to_text
 from repro.dtd.model import PCDATA
-from repro.dtd.normalize import normalize_node, normalized_content
+from repro.dtd.normalize import normalize_node
 from repro.dtd.parser import parse_content_spec, parse_dtd
 from repro.dtd.stargroups import (
     StarGroup,
@@ -38,15 +38,6 @@ class TestNormalize:
         original = parse_content_spec("(a?, (b | c)+, d*)").model
         result = normalize_node(original)
         assert element_names(result) == element_names(original)
-
-    def test_normalized_content_empty(self):
-        dtd = parse_dtd("<!ELEMENT x EMPTY>")
-        assert normalized_content(dtd, "x") is None
-
-    def test_normalized_content_mixed(self):
-        dtd = parse_dtd("<!ELEMENT x (#PCDATA | y)*><!ELEMENT y EMPTY>")
-        node = normalized_content(dtd, "x")
-        assert isinstance(node, Star)
 
 
 class TestStarGroups:
@@ -93,6 +84,11 @@ class TestFlatten:
         flat = flattened_content(dtd, "x")
         assert isinstance(flat, StarGroup)
         assert flat.members == frozenset({"x", "y", PCDATA})
+
+    def test_flatten_normalizes_on_the_way(self):
+        for text in ("(a?, (b+ | c), d*)", "((a, b?)+, c?)", "(a | b*)+"):
+            model = parse_content_spec(text).model
+            assert flatten(model) == flatten(normalize_node(model)), text
 
     def test_structure_outside_groups_preserved(self):
         flat = flatten(normalized("(a?, (c | f), d)"))

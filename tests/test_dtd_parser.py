@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.pv import PVChecker
+from repro.dtd.analysis import DTDClass, analyze
 from repro.dtd.ast import Choice, Name, Opt, Seq, Star, to_text
 from repro.dtd.model import (
     AnyContent,
@@ -19,7 +20,8 @@ from repro.errors import (
     DTDSyntaxError,
     UnknownElementError,
 )
-from repro.service.compiled import compile_schema
+from repro.service.compiled import compile_schema, schema_fingerprint
+from repro.service.store import decode_artifact, encode_artifact
 
 FIGURE1 = """
 <!ELEMENT r (a+)>
@@ -174,16 +176,55 @@ class TestSizeMeasures:
         assert dtd.occurrence_count >= dtd.element_count - 1
 
 
+#: Groups nested this deep: 20-40 KB of DTD text, ten times the default
+#: recursion limit of the interpreter.
+DEEP = 10_000
+
+#: One content model per shape, with a document it must accept: a
+#: right-leaning sequence chain ``(a, (a, ...))`` and a starred tower
+#: of one-item groups ``((...(a)...))*``.
+DEEP_MODELS = {
+    "seq": ("(a," * DEEP + "a" + ")" * DEEP, "<r><a/></r>"),
+    "starred": ("(" * DEEP + "a" + ")" * DEEP + "*", "<r><a/><a/></r>"),
+}
+
+
+def _deep_dtd_text(model: str, spaced: bool = False) -> str:
+    if spaced:  # the same model written differently
+        model = model.replace("(", "( ").replace(",", " ,\n ")
+    return f"<!ELEMENT r {model}>\n<!ELEMENT a EMPTY>"
+
+
+@pytest.mark.usefixtures("default_recursion_limit")
 class TestDeepContentModels:
-    def test_groups_nested_400_deep_compile_and_check(self):
-        """Analysing and compiling a content model recurse per group level.
-        A client DTD this deep (~1.6 KB) is answered only because
-        ``repro.core.completion`` raises the interpreter's recursion limit
-        at import; at the default limit of 1,000 it raises
-        ``RecursionError``."""
-        model = "(a," * 400 + "a" + ")" * 400
-        text = f"<!ELEMENT r {model}>\n<!ELEMENT a EMPTY>"
-        dtd = parse_dtd(text)
-        checker = PVChecker(dtd, algorithm="kernel", compiled=compile_schema(dtd))
-        assert checker.check_text("<r><a/><a/></r>").potentially_valid
-        assert not checker.check_text("<r><r/></r>").potentially_valid
+    """Every fold over a content model is one iterative walk, so a client
+    DTD nested far past the recursion limit parses, fingerprints,
+    analyses, compiles, compares, hashes, pickles and checks."""
+
+    @pytest.mark.parametrize("shape", sorted(DEEP_MODELS))
+    def test_groups_nested_10000_deep_compile_and_check(self, shape):
+        model, accepted = DEEP_MODELS[shape]
+        dtd = parse_dtd(_deep_dtd_text(model))
+        fingerprint = schema_fingerprint(dtd)
+        analysis = analyze(dtd)
+        assert analysis.productive == {"r", "a"}
+        assert analysis.dtd_class is DTDClass.NON_RECURSIVE
+        compiled = compile_schema(dtd, fingerprint)
+        for algorithm in ("kernel", "machine", "earley", "figure5"):
+            checker = PVChecker(dtd, algorithm=algorithm, compiled=compiled)
+            assert checker.check_text(accepted).potentially_valid, algorithm
+            assert not checker.check_text("<r><r/></r>").potentially_valid, algorithm
+
+    @pytest.mark.parametrize("shape", sorted(DEEP_MODELS))
+    def test_equal_texts_compare_hash_and_round_trip(self, shape):
+        model, _ = DEEP_MODELS[shape]
+        first = parse_dtd(_deep_dtd_text(model))
+        second = parse_dtd(_deep_dtd_text(model, spaced=True))
+        assert first == second
+        assert hash(first) == hash(second)
+        assert dtd_to_text(first) == dtd_to_text(second)
+        compiled = compile_schema(second)
+        assert compiled.fingerprint == schema_fingerprint(first)
+        revived = decode_artifact(encode_artifact(compiled), compiled.fingerprint)
+        assert revived is not None
+        assert revived.dtd == first and hash(revived.dtd) == hash(first)

@@ -4,7 +4,8 @@ A registry miss parses and compiles the request's DTD.  That cold path
 runs in one thread hop off the event loop, so the shard's other
 connections (``health``, gossip probes, warm checks) keep being
 answered while a large DTD compiles, and concurrent first requests for
-one DTD text wait on that one hop.
+one DTD text wait on that one hop.  A DTD nested far past the
+interpreter's recursion limit is answered like any other.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ SMALL_DTD = "<!ELEMENT r (a*)><!ELEMENT a (#PCDATA)>"
 
 #: Malformed only at its very end, so it is rejected after a full parse.
 BAD_DTD = LARGE_DTD + "<!ELEMENT"
+
+#: 40 KB of DTD whose groups nest 10,000 deep: ``(a, (a, ...))``.
+DEEP_DTD = "<!ELEMENT r " + "(a," * 10_000 + "a" + ")" * 10_000 + "><!ELEMENT a EMPTY>"
 
 
 @pytest.fixture
@@ -137,3 +141,26 @@ def test_every_concurrent_sender_of_a_bad_dtd_gets_bad_dtd(
         client.send(payload)
         assert client.recv()["error"]["code"] == "bad-dtd"
     assert len(parses) == 2
+
+
+@pytest.mark.usefixtures("default_recursion_limit")
+def test_a_dtd_nested_10000_deep_is_answered_cold_and_after_eviction(
+    server_handle,
+):
+    """Every fold over a content model is iterative: the first check
+    parses and compiles the deep DTD, and once 70 other schemas have
+    evicted it from the 64-entry registry, the same text is parsed
+    again and compared with its still-cached analysis."""
+    with ValidationClient.connect(server_handle.tcp_address, timeout=120) as client:
+        first = client.check(DEEP_DTD, "<r><a/></r>")
+        assert first["ok"] and first["potentially_valid"] is True, first
+        for index in range(70):
+            other = f"<!ELEMENT r{index} (a*)><!ELEMENT a EMPTY>"
+            reply = client.check(other, f"<r{index}><a/></r{index}>")
+            assert reply["potentially_valid"] is True, reply
+        again = client.check(DEEP_DTD, "<r><a/></r>")
+        assert again["ok"] and again["potentially_valid"] is True, again
+        assert again["schema"]["registry"] == "miss"  # it was evicted
+        assert again["schema"]["fingerprint"] == first["schema"]["fingerprint"]
+        assert client.check(DEEP_DTD, "<r><r/></r>")["potentially_valid"] is False
+        assert client.stats()["server"]["errors"] == 0

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import copyreg
+import io
 import os
+import pickle
+from dataclasses import fields
 
 import pytest
 
+from repro.dtd.ast import Choice, Name, Opt, PCData, Plus, Seq, Star
 from repro.dtd.parser import parse_dtd
 from repro.service.compiled import CompiledSchema, compile_schema
 from repro.service.registry import SchemaRegistry
@@ -150,16 +155,30 @@ class TestCorruptionTolerance:
         assert store.load(schema.fingerprint) is None
 
 
+class _FieldLayoutPickler(pickle.Pickler):
+    """Pickles content-model nodes the way code before their flat form did.
+
+    Each node was a class reference plus a dict of its fields (``#PCDATA``,
+    which has none, had no state at all), and unpickling restored the
+    fields without running any constructor.
+    """
+
+    def reducer_override(self, obj):
+        if isinstance(obj, (Name, PCData, Seq, Choice, Star, Plus, Opt)):
+            state = {field.name: getattr(obj, field.name) for field in fields(obj)}
+            return copyreg.__newobj__, (type(obj),), state or None
+        return NotImplemented
+
+
 def _write_old_artifact(
     store: ArtifactStore, schema: CompiledSchema, version: int
 ) -> None:
     """An authentic older-format file: versioned header, slimmer pickle.
 
     v1 carried neither the kernel tables nor the coarse summary; v2 added
-    the tables but predates the summary.
+    the tables but predates the summary.  Files of every version were
+    written before content nodes had a flat pickled form.
     """
-    import pickle
-
     old_layout = CompiledSchema(
         dtd=schema.dtd,
         fingerprint=schema.fingerprint,
@@ -167,11 +186,11 @@ def _write_old_artifact(
         dag=schema.dag,
         compile_seconds=schema.compile_seconds,
         tables=schema.tables if version >= 2 else None,
-        coarse=None,
+        coarse=schema.coarse if version >= 3 else None,
     )
-    blob = f"{STORE_MAGIC} {version}\n".encode() + pickle.dumps(
-        old_layout, protocol=pickle.HIGHEST_PROTOCOL
-    )
+    payload = io.BytesIO()
+    _FieldLayoutPickler(payload, protocol=pickle.HIGHEST_PROTOCOL).dump(old_layout)
+    blob = f"{STORE_MAGIC} {version}\n".encode() + payload.getvalue()
     store.directory.mkdir(parents=True, exist_ok=True)
     store.path_for(schema.fingerprint).write_bytes(blob)
 
@@ -204,6 +223,20 @@ class TestFormatUpgrade:
         assert artifact_format_version(blob) == STORE_FORMAT_VERSION
         revived = decode_artifact(blob, schema.fingerprint)
         assert revived is not None and revived.has_tables
+
+    @pytest.mark.parametrize("version", SUPPORTED_FORMAT_VERSIONS)
+    def test_field_layout_nodes_load_compare_and_hash(self, store, schema, version):
+        """Content nodes pickled as field dicts load, compare equal and
+        hash like freshly parsed ones, at every supported version."""
+        _write_old_artifact(store, schema, version)
+        blob = store.path_for(schema.fingerprint).read_bytes()
+        assert b"repro.dtd.ast" in blob and b"_rebuild" not in blob
+        loaded = store.load(schema.fingerprint)
+        assert loaded is not None and store.stats.hits == 1
+        fresh = parse_dtd(FIGURE1)
+        assert loaded.dtd == fresh and hash(loaded.dtd) == hash(fresh)
+        assert {loaded.dtd: "cached"}[fresh] == "cached"
+        assert loaded.checker("kernel").check_content("r", ["a"])
 
     def test_upgraded_artifact_serves_the_kernel_backend(self, store, schema):
         _write_v1_artifact(store, schema)
