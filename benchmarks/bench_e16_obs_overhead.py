@@ -3,9 +3,10 @@
 The observability layer (:mod:`repro.obs`) instruments every request the
 server handles: per-op counters, per-phase and per-backend latency
 histograms, inflight gauges.  Its claim is that with tracing off this
-costs nearly nothing — instrument sites hold pre-resolved metric
-handles, so the steady-state price of a counted request is a few lock
-acquires and integer adds.  This benchmark puts a number on "nearly":
+costs nearly nothing — a count some object already keeps is read at
+scrape time, and the rest go through pre-resolved metric handles, so
+the steady-state price of a counted request is a few lock acquires and
+adds.  This benchmark puts a number on "nearly":
 the same corpora as E15 (the E1 degraded size sweep plus the E10
 editorial corpus), streamed over ``check-batch`` through two identically
 configured servers —

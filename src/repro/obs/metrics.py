@@ -2,10 +2,13 @@
 
 Design constraints, in order:
 
-1. **Hot-path cost.**  Instrument sites hold a metric handle and call
-   ``inc()``/``observe()`` — one lock acquire and one integer add.  The
-   registry lookup (name + labels -> handle) happens once, at wiring
-   time, not per request.
+1. **One count per event.**  A count some object already keeps (the
+   schema registry's hits, a server's dispatch counts) is registered as
+   a *read*: ``counter(name, read=fn)`` / ``gauge(name, read=fn)``,
+   where ``snapshot()`` calls the zero-argument ``fn`` on the thread
+   that scrapes.  Only a count nothing else keeps is pushed, through a
+   handle's ``inc()``/``observe()``: one lock acquire and one add, with
+   the name + labels lookup done once, at wiring time.
 2. **Mergeability.**  Snapshots are plain JSON-ready dicts, and
    :func:`merge_snapshots` is associative and commutative (counters and
    gauges add; histograms add bucket-wise under identical bounds), so
@@ -29,9 +32,10 @@ table in ``docs/OBSERVABILITY.md``.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 __all__ = [
     "CATALOG",
@@ -146,11 +150,8 @@ class Histogram:
         self._count = 0
 
     def observe(self, seconds: float) -> None:
-        index = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if seconds <= bound:
-                index = i
-                break
+        # The first bound >= seconds: bounds are inclusive upper edges.
+        index = bisect_left(self.bounds, seconds)
         with self._lock:
             self._counts[index] += 1
             self._sum += seconds
@@ -167,6 +168,23 @@ class Histogram:
                 "sum": self._sum,
                 "count": self._count,
             }
+
+
+class _Reading:
+    """A counter or gauge read from the object that keeps its count.
+
+    ``snapshot()`` calls *read* on the thread that scrapes; the reading
+    has no ``inc()`` or ``set()``, because its count lives elsewhere.
+    """
+
+    __slots__ = ("_read",)
+
+    def __init__(self, read: Callable[[], float]) -> None:
+        self._read = read
+
+    @property
+    def value(self) -> float:
+        return float(self._read())
 
 
 class _NullMetric:
@@ -278,12 +296,15 @@ class MetricsRegistry:
 
     ``counter(name, **labels)`` (and ``gauge``/``histogram``) get or
     create the metric for that exact label set; callers keep the handle.
+    A counter or gauge created with ``read=fn`` reports ``fn()`` at
+    snapshot time; the first metric registered for a name and label set
+    stands.
     ``snapshot()`` returns a JSON-ready dict; :func:`merge_snapshots`
     aggregates snapshots ring-wide.
 
     A registry built with ``enabled=False`` hands out shared no-op
-    metrics and snapshots empty — the "stripped" configuration the E16
-    overhead benchmark compares against.
+    metrics, never calls a read, and snapshots empty — the "stripped"
+    configuration the E16 overhead benchmark compares against.
     """
 
     def __init__(self, enabled: bool = True) -> None:
@@ -312,11 +333,15 @@ class MetricsRegistry:
                 metric = table[key] = factory()
             return metric
 
-    def counter(self, name: str, **labels: str) -> Counter:
-        return self._get("counter", name, labels, Counter)
+    def counter(self, name: str, read: Callable[[], float] | None = None,
+                **labels: str) -> Counter:
+        return self._get("counter", name, labels,
+                         Counter if read is None else lambda: _Reading(read))
 
-    def gauge(self, name: str, **labels: str) -> Gauge:
-        return self._get("gauge", name, labels, Gauge)
+    def gauge(self, name: str, read: Callable[[], float] | None = None,
+              **labels: str) -> Gauge:
+        return self._get("gauge", name, labels,
+                         Gauge if read is None else lambda: _Reading(read))
 
     def histogram(self, name: str,
                   bounds: Iterable[float] = DEFAULT_BUCKETS,

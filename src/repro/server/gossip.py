@@ -154,7 +154,7 @@ class GossipAgent:
         self._m_suspects = metrics.counter("repro_gossip_suspects_total")
         self._m_refutes = metrics.counter("repro_gossip_refutes_total")
         self._m_down = metrics.counter("repro_gossip_down_total")
-        self._g_epoch = metrics.gauge("repro_view_epoch")
+        metrics.gauge("repro_view_epoch", read=lambda: view.epoch or 0)
         self._suspected_at: dict[str, float] = {}
         self._down_at: dict[str, float] = {}
         self._stop = threading.Event()
@@ -177,7 +177,6 @@ class GossipAgent:
             self._events.emit(
                 "member-joined", member=self._self_label, prefetched=prefetched
             )
-        self._g_epoch.set(float(self._view.epoch or 0))
         self._stop.clear()
         self._thread = threading.Thread(
             target=self._loop, name=f"gossip:{self._self_label}", daemon=True
@@ -295,7 +294,6 @@ class GossipAgent:
         if changed:
             self._defend_self()
             self._sync_pool()
-            self._g_epoch.set(float(self._view.epoch or 0))
         return changed
 
     # -- one round -----------------------------------------------------------
@@ -308,7 +306,6 @@ class GossipAgent:
         self._defend_self()
         self._sweep()
         self._sync_pool()
-        self._g_epoch.set(float(self._view.epoch or 0))
 
     def _pick_peer(self) -> str | None:
         peers = [

@@ -148,7 +148,7 @@ class ShardedClient:
         Connection factory, ``(member, timeout) -> ValidationClient``;
         injectable for tests.
     telemetry:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry` mirroring
+        Optional :class:`~repro.obs.metrics.MetricsRegistry` exporting
         the client-side routing counters (reads per member, failovers,
         corpus requeues/steals).  Named ``telemetry`` — not ``metrics``
         — because :meth:`metrics` is the ring-wide scrape op.
@@ -212,7 +212,6 @@ class ShardedClient:
             self.placement, self.pool, policy=read_policy,
             metrics=self.telemetry,
         )
-        self._m_failovers = self.telemetry.counter("repro_ring_failovers_total")
         self._lock = threading.Lock()
         self._holders: dict[str, set[str]] = {}
         self._fingerprints: LRU[tuple[str, str | None], str] = LRU(
@@ -226,6 +225,9 @@ class ShardedClient:
         self._coarse: LRU[str, CoarseChecker] = LRU(_COARSE_CACHE_SIZE)
         self._coarse_filtered = 0
         self._server_cache_hits = 0
+        self.telemetry.counter(
+            "repro_ring_failovers_total", read=lambda: self._failovers
+        )
 
     # -- placement compatibility surface -------------------------------------
 
@@ -402,7 +404,6 @@ class ShardedClient:
                 if candidate is not owner:
                     with self._lock:
                         self._failovers += 1
-                    self._m_failovers.inc()
                     self.events.emit(
                         "failover",
                         fingerprint=fingerprint[:16],

@@ -102,12 +102,9 @@ class Router:
         # the server's own inflight+queue_depth, plus the baseline that
         # lets the score add only the traffic sent *since* the report.
         self._reported: dict[str, tuple[int, int, float]] = {}
-        # Optional observability mirror: served reads per member, as
-        # repro_ring_reads_total{member=...} in a MetricsRegistry.
-        # Handles are cached per label so the per-call cost is one dict
-        # probe (see repro.obs.metrics).
+        # Exports each member's served count as
+        # repro_ring_reads_total{member=...}, a read of _requests.
         self._metrics = metrics
-        self._read_counters: dict[str, Any] = {}
 
     # -- policy --------------------------------------------------------------
 
@@ -239,17 +236,16 @@ class Router:
             self._inflight[label] -= 1
             if self._inflight[label] <= 0:
                 del self._inflight[label]
-            if served:
-                self._requests[label] += 1
-                if self._metrics is not None:
-                    counter = self._read_counters.get(label)
-                    if counter is None:
-                        counter = self._read_counters[label] = (
-                            self._metrics.counter(
-                                "repro_ring_reads_total", member=label
-                            )
-                        )
-                    counter.inc()
+            if not served:
+                return
+            first = label not in self._requests
+            self._requests[label] += 1
+        if first and self._metrics is not None:
+            self._metrics.counter(
+                "repro_ring_reads_total",
+                read=lambda: self.requests_by_member[label],
+                member=label,
+            )
 
     @property
     def inflight(self) -> dict[str, int]:

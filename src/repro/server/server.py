@@ -55,7 +55,7 @@ import stat
 import threading
 from collections import Counter
 from time import monotonic
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.core.classify import classify_dtd
 from repro.core.coarse import encode_coarse
@@ -328,8 +328,8 @@ class ValidationServer:
         self.events = events if events is not None else EventLog()
         self.slow_ms = slow_ms
         self.hot_limit = hot_limit
-        # Handles are resolved once here, so the per-request cost of a
-        # metric is a lock-guarded add, not a registry lookup.
+        # Pushed instruments, for what no object counts: handles are
+        # resolved once here.  Kept counts are reads (_register_reads).
         m = self.metrics
         self._m_requests = {
             op: m.counter("repro_requests_total", op=op) for op in protocol.OPS
@@ -337,10 +337,6 @@ class ValidationServer:
         self._m_latency = {
             op: m.histogram("repro_request_seconds", op=op)
             for op in protocol.OPS
-        }
-        self._m_errors = {
-            code: m.counter("repro_errors_total", code=code)
-            for code in protocol.ERROR_CODES
         }
         self._m_phases = {
             phase: m.histogram("repro_phase_seconds", phase=phase)
@@ -351,29 +347,13 @@ class ValidationServer:
             for backend in protocol.ALGORITHMS
             if backend != "auto"
         }
-        self._m_dispatch = {
-            backend: m.counter("repro_dispatch_total", backend=backend)
-            for backend in protocol.ALGORITHMS
-            if backend != "auto"
-        }
-        self._m_cache = {
-            outcome: m.counter("repro_verdict_cache_total", outcome=outcome)
-            for outcome in ("hit", "miss", "evict")
-        }
-        self._m_batch_items = m.counter("repro_batch_items_total")
         self._m_slow = m.counter("repro_slow_requests_total")
         self._m_traced = m.counter("repro_traced_requests_total")
-        self._g_inflight = m.gauge("repro_inflight")
-        self._g_connections = m.gauge("repro_connections")
-        self._g_kernel_memo = m.gauge("repro_kernel_memo_entries")
-        self.registry.attach_metrics(m)
         if self.store is not None:
-            self.store.attach_observability(metrics=m, events=self.events)
+            self.store.attach_observability(events=self.events)
         self._verdict_cache = (
             VerdictCache(verdict_cache) if verdict_cache > 0 else None
         )
-        # The cache counts its own traffic; scrapes add what is new since.
-        self._cache_seen = {"hits": 0, "misses": 0, "evictions": 0}
         # Dispatchers hold compiled artifacts alive; bounding them by the
         # registry's own budget keeps a long-lived server's memory
         # proportional to maxsize, not to every schema ever seen.
@@ -392,7 +372,8 @@ class ValidationServer:
         self._unix_path: str | None = None
         self._tcp_address: tuple[str, int] | None = None
         self._requests = 0
-        self._errors = 0
+        # Error replies by code (_count_error).
+        self._errors = dict.fromkeys(protocol.ERROR_CODES, 0)
         self._batches = 0
         self._batch_items = 0
         # Verdict work currently executing off-loop — the load signal a
@@ -424,6 +405,48 @@ class ValidationServer:
         # Set when stop()'s drain times out: an off-loop run still being
         # checked stops at its next document.
         self._abandoned = False
+        self._register_reads()
+
+    def _register_reads(self) -> None:
+        """Export each count the server, its registry, store and verdict
+        cache keep as a read of that count.
+
+        A scrape runs on the event loop, which owns the server's own
+        counts; the registry, store and cache read theirs under their
+        own locks.
+        """
+        m = self.metrics
+
+        def export(name: str, label: str, fields: dict[str, str],
+                   counts: Callable[[], Mapping[str, int]]) -> None:
+            for value, field in fields.items():
+                m.counter(name, read=lambda f=field: counts()[f], **{label: value})
+
+        registry, store, cache = self.registry, self.store, self._verdict_cache
+        export("repro_errors_total", "code",
+               {code: code for code in protocol.ERROR_CODES},
+               lambda: self._errors)
+        export("repro_dispatch_total", "backend",
+               {b: b for b in protocol.ALGORITHMS if b != "auto"},
+               lambda: self._dispatch_counts)
+        export("repro_registry_events_total", "event",
+               {"hit": "hits", "miss": "misses", "store_hit": "store_hits",
+                "eviction": "evictions"},
+               lambda: registry.stats.as_dict())
+        if store is not None:
+            export("repro_store_events_total", "event",
+                   {"hit": "hits", "miss": "misses", "corrupt": "corrupt",
+                    "save": "saves", "upgrade": "upgrades"},
+                   lambda: store.counts)
+        outcomes = {"hit": "hits", "miss": "misses", "evict": "evictions"}
+        export("repro_verdict_cache_total", "outcome", outcomes,
+               (lambda: cache.stats) if cache is not None
+               else lambda: dict.fromkeys(outcomes.values(), 0))
+        m.counter("repro_batch_items_total", read=lambda: self._batch_items)
+        m.gauge("repro_inflight", read=lambda: self._inflight)
+        m.gauge("repro_connections", read=lambda: len(self._conn_tasks))
+        m.gauge("repro_kernel_memo_entries",
+                read=lambda: registry.kernel_memo_entries)
 
     # -- endpoints -----------------------------------------------------------
 
@@ -745,18 +768,21 @@ class ValidationServer:
         A :class:`ProtocolError` answers with its own code; anything else
         is ``internal``, naming the exception.
         """
-        self._errors += 1
         if isinstance(error, ProtocolError):
-            self._m_errors.get(error.code, self._m_errors["internal"]).inc()
+            self._count_error(error.code)
             return protocol.error_payload(
                 error.code, error.message, id=request_id, details=error.details
             )
-        self._m_errors["internal"].inc()
+        self._count_error("internal")
         return protocol.error_payload(
             "internal", f"{type(error).__name__}: {error}", id=request_id
         )
 
     # -- instrumentation helpers ---------------------------------------------
+
+    def _count_error(self, code: str) -> None:
+        """Count one error reply; a code outside ERROR_CODES is internal."""
+        self._errors[code if code in self._errors else "internal"] += 1
 
     def _observe_request(
         self, op: str, watch: Stopwatch, timings: dict[str, Any]
@@ -958,13 +984,11 @@ class ValidationServer:
         ``least-inflight`` routing client balances on.
         """
         self._inflight += count
-        self._g_inflight.set(self._inflight)
         hop = Stopwatch()
         try:
             return await asyncio.to_thread(work, *args), hop.seconds
         finally:
             self._inflight -= count
-            self._g_inflight.set(self._inflight)
 
     async def _check_run(
         self, dispatcher: BackendDispatcher, docs: list[str], algorithm: str
@@ -992,9 +1016,6 @@ class ValidationServer:
         timings["verdict"] = checked.seconds
         timings["backend"] = checked.algorithm
         self._dispatch_counts[checked.algorithm] += 1
-        counter = self._m_dispatch.get(checked.algorithm)
-        if counter is not None:
-            counter.inc()
 
     @staticmethod
     def _check(
@@ -1175,7 +1196,6 @@ class ValidationServer:
         """
         self._requests += len(run)
         self._batch_items += len(run)
-        self._m_batch_items.inc(len(run))
         decoded: list[protocol.BatchItem | ProtocolError] = []
         for line in run:
             try:
@@ -1235,8 +1255,7 @@ class ValidationServer:
 
     def _item_error(self, code: str, message: str, item_id: Any) -> dict[str, Any]:
         """A structured per-item error reply; the batch goes on."""
-        self._errors += 1
-        self._m_errors.get(code, self._m_errors["internal"]).inc()
+        self._count_error(code)
         reply = protocol.error_payload(code, message, id=item_id)
         reply["op"] = "check-batch-item"
         return reply
@@ -1535,7 +1554,7 @@ class ValidationServer:
             "server": {
                 "uptime_seconds": round(uptime, 3),
                 "requests": self._requests,
-                "errors": self._errors,
+                "errors": sum(self._errors.values()),
                 "batches": self._batches,
                 "batch_items": self._batch_items,
                 "inflight": self._inflight,
@@ -1565,20 +1584,9 @@ class ValidationServer:
         """The metrics scrape: a mergeable snapshot plus exposition text.
 
         Not epoch-gated — scrapers address a shard directly, not through
-        ring routing.  Gauges that mirror live server state, and the
-        verdict-cache counters the dispatchers keep, are brought up to
-        date at snapshot time so the scrape never lags the truth.
+        ring routing.  Counts kept by the server, its registry, store and
+        verdict cache are read where they are kept, at snapshot time.
         """
-        self._g_inflight.set(self._inflight)
-        self._g_connections.set(len(self._conn_tasks))
-        self._g_kernel_memo.set(self.registry.kernel_memo_entries)
-        if self._verdict_cache is not None:
-            stats = self._verdict_cache.stats
-            for outcome, key in (
-                ("hit", "hits"), ("miss", "misses"), ("evict", "evictions")
-            ):
-                self._m_cache[outcome].inc(stats[key] - self._cache_seen[key])
-            self._cache_seen = stats
         snapshot = self.metrics.snapshot()
         return {
             "ok": True,

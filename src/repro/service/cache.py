@@ -16,8 +16,8 @@ are its ``(verdict, error)`` pairs, which the cache never inspects.
 
 One instance is shared across threads (``ValidationServer`` consults it
 from every connection); a single lock guards the :class:`~repro.lru.LRU`
-and the hit/miss/eviction counters that feed
-``repro_verdict_cache_total``.
+and the hit/miss/eviction counters, which the server's ``stats`` and
+metrics scrape both read.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class VerdictCache:
 
     @property
     def stats(self) -> dict[str, int]:
-        """Counters for the ``stats`` op and the metrics bridge."""
+        """Counters for the ``stats`` op and the metrics scrape."""
         with self._lock:
             return {
                 "hits": self.hits,

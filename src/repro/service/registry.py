@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.dtd.model import DTD
 from repro.dtd.parser import parse_dtd
@@ -134,31 +134,10 @@ class SchemaRegistry:
         self._evictions = 0
         self._store_hits = 0
         self._compile_seconds = 0.0
-        # Optional observability mirror: per-event counters in a
-        # MetricsRegistry.  None (the default) costs one attribute check
-        # per event; see attach_metrics.
-        self._event_counters: dict[str, Any] | None = None
 
     def attach_store(self, store: "ArtifactStore | None") -> None:
         """Attach (or detach, with ``None``) the persistent backing store."""
         self.store = store
-
-    def attach_metrics(self, metrics: Any) -> None:
-        """Mirror registry events into *metrics* (a
-        :class:`repro.obs.metrics.MetricsRegistry`) as
-        ``repro_registry_events_total{event=...}`` counters.  A later
-        call rebinds the mirror (last attach wins); ``None`` detaches."""
-        if metrics is None:
-            self._event_counters = None
-            return
-        self._event_counters = {
-            event: metrics.counter("repro_registry_events_total", event=event)
-            for event in ("hit", "miss", "store_hit", "eviction")
-        }
-
-    def _count_event(self, event: str, amount: int = 1) -> None:
-        if self._event_counters is not None:
-            self._event_counters[event].inc(amount)
 
     # -- lookup / compilation ----------------------------------------------
 
@@ -183,7 +162,6 @@ class SchemaRegistry:
             cached = self._entries.get(fingerprint)
             if cached is not None:
                 self._hits += 1
-                self._count_event("hit")
                 return cached, "hit"
         # Disk, then compile, both outside the lock: either can be slow and
         # must not serialize unrelated lookups.  A racing load/compile of
@@ -207,18 +185,14 @@ class SchemaRegistry:
             if existing is not None:
                 if source != "seed":
                     self._hits += 1
-                    self._count_event("hit")
                 return existing, "hit"
             if source == "store":
                 self._store_hits += 1
-                self._count_event("store_hit")
             elif source == "miss":
                 self._misses += 1
-                self._count_event("miss")
                 self._compile_seconds += schema.compile_seconds
             if self._entries.put(fingerprint, schema):
                 self._evictions += 1
-                self._count_event("eviction")
         return schema, source
 
     def put(self, schema: CompiledSchema) -> CompiledSchema:
@@ -251,7 +225,6 @@ class SchemaRegistry:
             if cached is not None:
                 if count:
                     self._hits += 1
-                    self._count_event("hit")
             return cached
 
     # -- maintenance --------------------------------------------------------
@@ -260,11 +233,6 @@ class SchemaRegistry:
         """Drop all cached artifacts (statistics are kept)."""
         with self._lock:
             self._entries.clear()
-
-    def reset_stats(self) -> None:
-        with self._lock:
-            self._hits = self._misses = self._evictions = self._store_hits = 0
-            self._compile_seconds = 0.0
 
     def __len__(self) -> int:
         with self._lock:
@@ -287,10 +255,10 @@ class SchemaRegistry:
 
     @property
     def stats(self) -> RegistryStats:
-        # upgrade_count is a counter read, not the store's full stats
-        # snapshot (which walks the artifact directory).
+        # The store's counts, not its full stats (which walk the
+        # artifact directory).
         store = self.store
-        upgrades = store.upgrade_count if store is not None else 0
+        upgrades = store.counts["upgrades"] if store is not None else 0
         with self._lock:
             return RegistryStats(
                 hits=self._hits,

@@ -214,30 +214,15 @@ class ArtifactStore:
         self._saves = 0
         self._upgrades = 0
         self._upgrade_logged = False
-        # Optional observability mirrors; None (the default) costs one
-        # attribute check per event.  See attach_observability.
-        self._event_counters = None
+        # Optional sink; None (the default) costs one attribute check per
+        # upgrade.  See attach_observability.
         self._events = None
 
-    def attach_observability(self, metrics=None, events=None) -> None:
-        """Mirror store events into a
-        :class:`repro.obs.metrics.MetricsRegistry` (as
-        ``repro_store_events_total{event=...}`` counters) and/or emit
-        ``store-upgrade`` events to a :class:`repro.obs.events.EventLog`.
-        A later call rebinds each sink independently (last attach wins);
-        passing ``None`` for a sink detaches it."""
-        if metrics is None:
-            self._event_counters = None
-        else:
-            self._event_counters = {
-                event: metrics.counter("repro_store_events_total", event=event)
-                for event in ("hit", "miss", "corrupt", "save", "upgrade")
-            }
+    def attach_observability(self, events=None) -> None:
+        """Emit ``store-upgrade`` events to a
+        :class:`repro.obs.events.EventLog`.  A later call rebinds the
+        sink (last attach wins); ``None`` detaches it."""
         self._events = events if events is not None and events.enabled else None
-
-    def _count_event(self, event: str) -> None:
-        if self._event_counters is not None:
-            self._event_counters[event].inc()
 
     # -- paths --------------------------------------------------------------
 
@@ -282,15 +267,12 @@ class ArtifactStore:
         except OSError:
             with self._lock:
                 self._misses += 1
-            self._count_event("miss")
             return None
         schema = self._decode(blob, fingerprint)
         if schema is None:
             with self._lock:
                 self._corrupt += 1
                 self._misses += 1
-            self._count_event("corrupt")
-            self._count_event("miss")
             try:
                 path.unlink()
             except OSError:
@@ -301,7 +283,6 @@ class ArtifactStore:
             self._upgrade_in_place(schema, version)
         with self._lock:
             self._hits += 1
-        self._count_event("hit")
         return schema
 
     def _upgrade_in_place(self, schema: CompiledSchema, version: int) -> None:
@@ -324,7 +305,6 @@ class ArtifactStore:
             self._upgrades += 1
             already_logged = self._upgrade_logged
             self._upgrade_logged = True
-        self._count_event("upgrade")
         if self._events is not None:
             self._events.emit(
                 "store-upgrade",
@@ -363,7 +343,6 @@ class ArtifactStore:
             raise
         with self._lock:
             self._saves += 1
-        self._count_event("save")
         return path
 
     def _decode(self, blob: bytes, fingerprint: str) -> CompiledSchema | None:
@@ -409,24 +388,25 @@ class ArtifactStore:
                 artifacts += 1
             except OSError:
                 pass
-        with self._lock:
-            return StoreStats(
-                directory=str(self.directory),
-                artifacts=artifacts,
-                total_bytes=total_bytes,
-                hits=self._hits,
-                misses=self._misses,
-                corrupt=self._corrupt,
-                saves=self._saves,
-                upgrades=self._upgrades,
-            )
+        return StoreStats(
+            directory=str(self.directory),
+            artifacts=artifacts,
+            total_bytes=total_bytes,
+            **self.counts,
+        )
 
     @property
-    def upgrade_count(self) -> int:
-        """Format-version upgrades performed, without the directory walk
-        :attr:`stats` does (registry snapshots poll this per call)."""
+    def counts(self) -> dict[str, int]:
+        """The load and save counts of :attr:`stats`, without its
+        directory walk (registry stats and metrics scrapes read these)."""
         with self._lock:
-            return self._upgrades
+            return {
+                "hits": self._hits,
+                "misses": self._misses,
+                "corrupt": self._corrupt,
+                "saves": self._saves,
+                "upgrades": self._upgrades,
+            }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ArtifactStore({str(self.directory)!r})"

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry, counter_value
+from repro.obs.metrics import MetricsRegistry, counter_value, histogram_entries
 from repro.server.gossip import GossipAgent
 from repro.server.placement import PlacementView, member_label
 from repro.server.pool import ConnectionPool
@@ -740,7 +740,7 @@ def _wait_for(predicate, timeout: float = 10.0) -> None:
         time.sleep(0.02)
 
 
-def _local_ring(tmp_path, count: int, replica_count: int = 1):
+def _local_ring(tmp_path, count: int, replica_count: int = 1, **server_kwargs):
     """A ring started the way ``serve --ring N`` starts one: every shard
     bound, the full view installed at epoch 1, then the agents."""
     handles = [
@@ -748,6 +748,7 @@ def _local_ring(tmp_path, count: int, replica_count: int = 1):
             unix_path=str(tmp_path / f"shard-{i}.sock"),
             gossip_interval=INTERVAL,
             replica_count=replica_count,
+            **server_kwargs,
         ).start()
         for i in range(count)
     ]
@@ -813,6 +814,79 @@ class TestRingMembership:
         finally:
             for handle in handles:
                 handle.stop()
+
+    def test_a_shard_compiling_a_large_dtd_stays_alive_in_its_peers_views(
+        self, tmp_path, monkeypatch
+    ):
+        # The compile runs off the shard's event loop, so the shard keeps
+        # answering its peers' probes: a suspicion times out after three
+        # gossip intervals, far inside the compile.  A probe waits out a
+        # stalled loop for up to its 2 s socket timeout before failing,
+        # so the probes' latency is what shows a loop held by the compile.
+        import threading
+
+        from test_hostile_schema import LARGE_DTD
+
+        from repro.service import registry as registry_mod
+
+        started = threading.Event()
+        compile_schema = registry_mod.compile_schema
+
+        def signalled(dtd, **kwargs):
+            started.set()
+            return compile_schema(dtd, **kwargs)
+
+        monkeypatch.setattr(registry_mod, "compile_schema", signalled)
+        records = _EventRecords()
+        handles, paths = _local_ring(tmp_path, 3, events=EventLog(records))
+        compiling, peers = paths[0], handles[1:]
+        replies: list[dict] = []
+
+        def check() -> None:
+            with ValidationClient.connect_unix(compiling, timeout=120) as client:
+                replies.append(client.check(LARGE_DTD, "<r><a></a></r>"))
+
+        checker = threading.Thread(target=check)
+        try:
+            checker.start()
+            assert started.wait(timeout=60)
+            rounds = 0
+            while checker.is_alive():
+                for peer in peers:
+                    status = peer.server.placement.member_status(compiling)
+                    assert status is not None and status[0] == "alive"
+                rounds += 1
+                time.sleep(INTERVAL)
+            registry = handles[0].server.registry.stats
+            slowest = [
+                max(
+                    bound
+                    for bound, count in zip(
+                        [*entry["le"], float("inf")], entry["counts"]
+                    )
+                    if count
+                )
+                for peer in peers
+                for entry in histogram_entries(
+                    peer.server.metrics.snapshot(), "repro_gossip_probe_seconds"
+                )
+            ]
+        finally:
+            checker.join(timeout=120)
+            for handle in handles:
+                handle.stop()
+        assert replies[0]["potentially_valid"] is True
+        assert replies[0]["schema"]["registry"] == "miss"
+        # The compile outlasted the suspicion timeout, and no peer's probe
+        # waited on it: every probe bucket's bound is under half of it.
+        assert registry.compile_seconds > 3 * INTERVAL
+        assert rounds > 3
+        assert len(slowest) == len(peers)
+        assert max(slowest) < registry.compile_seconds / 2
+        assert not [
+            event for event in records.named("member-suspect")
+            if event["member"] == compiling
+        ]
 
     def test_a_joiner_serves_its_prefetched_schemas_warm(self, tmp_path):
         schemas = [schema_text(i) for i in range(8)]

@@ -4,13 +4,15 @@ Covers the obs primitives in isolation (histogram bucket math and
 quantiles, merge associativity, Prometheus rendering, the event-log
 line schema, trace contexts) and the instrumented stack end to end: the
 ``metrics`` wire op, opt-in tracing across a forced ring failover, the
-``--hot-limit`` / ``--slow-ms`` server knobs, registry/store event
-counters, and the ring-wide CLI aggregation.
+``--hot-limit`` / ``--slow-ms`` server knobs, the scrape agreeing with
+``stats`` on every count both carry, and the ring-wide CLI aggregation.
 """
 
 from __future__ import annotations
 
 import json
+import pickle
+import socket
 
 import pytest
 
@@ -70,6 +72,22 @@ class TestHistogram:
         h = Histogram(bounds=(0.001, 0.01))
         h.observe(0.001)
         assert h._entry()["counts"] == [1, 0, 0]
+
+    @pytest.mark.parametrize("value, bucket", [
+        (0.0, 0), (0.0005, 0),  # below the first bound
+        (0.002, 1), (0.05, 2),  # between bounds
+        (0.01, 1),  # on an inner bound
+        (0.1, 2),  # on the last bound
+        (0.1000001, 3), (7.0, 3),  # above it: the +Inf bucket
+    ])
+    def test_a_value_lands_in_the_first_bucket_that_bounds_it(
+        self, value, bucket
+    ):
+        h = Histogram(bounds=(0.001, 0.01, 0.1))
+        h.observe(value)
+        counts = [0, 0, 0, 0]
+        counts[bucket] = 1
+        assert h._entry()["counts"] == counts
 
     def test_quantiles_interpolate_inside_the_winning_bucket(self):
         h = Histogram(bounds=(0.1, 0.2, 0.4))
@@ -173,13 +191,35 @@ class TestMetricsRegistry:
             registry.gauge("repro_requests_total")
 
     def test_disabled_registry_hands_out_noops_and_snapshots_empty(self):
+        def never() -> int:
+            raise AssertionError("a stripped registry read a count")
+
         registry = MetricsRegistry(enabled=False)
         registry.counter("repro_requests_total", op="check").inc()
         registry.gauge("repro_inflight").set(5)
         registry.histogram("repro_request_seconds", op="check").observe(0.1)
+        registry.counter("repro_batch_items_total", read=never)
+        registry.gauge("repro_connections", read=never)
         assert registry.snapshot() == {
             "counters": [], "gauges": [], "histograms": []
         }
+
+    def test_a_read_reports_its_count_at_snapshot_time(self):
+        registry = MetricsRegistry()
+        kept = {"items": 0, "open": 0}
+        registry.counter("repro_batch_items_total",
+                         read=lambda: kept["items"])
+        registry.gauge("repro_connections", read=lambda: kept["open"])
+        kept.update(items=7, open=2)
+        snapshot = registry.snapshot()
+        assert counter_value(snapshot, "repro_batch_items_total") == 7.0
+        assert snapshot["gauges"] == [
+            {"name": "repro_connections", "labels": {}, "value": 2.0}
+        ]
+        kept["items"] = 9
+        assert counter_value(
+            registry.snapshot(), "repro_batch_items_total"
+        ) == 9.0
 
 
 # -- Prometheus exposition ---------------------------------------------------
@@ -440,40 +480,188 @@ class TestServerKnobs:
         }
 
 
-class TestRegistryAndStoreEventCounters:
-    def test_registry_events_mirror_into_metrics(self):
+def _raw_exchange(path: str, stream: bytes, replies: int) -> list[dict]:
+    """Send *stream* in one write on a fresh connection; read *replies*."""
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(10)
+        sock.connect(path)
+        sock.sendall(stream)
+        with sock.makefile("rb") as lines:
+            return [json.loads(lines.readline()) for _ in range(replies)]
+
+
+#: Scraped series -> stats field, for the counts both surfaces carry.
+REGISTRY_EVENTS = {
+    "hit": "hits", "miss": "misses", "store_hit": "store_hits",
+    "eviction": "evictions",
+}
+STORE_EVENTS = {
+    "hit": "hits", "miss": "misses", "corrupt": "corrupt", "save": "saves",
+    "upgrade": "upgrades",
+}
+CACHE_OUTCOMES = {"hit": "hits", "miss": "misses", "evict": "evictions"}
+
+
+def shared_counts(stats: dict, snapshot: dict) -> dict[str, tuple]:
+    """``name -> (stats value, scraped value)`` for every count that
+    ``stats`` and the scrape both carry."""
+    pairs: dict[str, tuple] = {}
+    for event, field in REGISTRY_EVENTS.items():
+        pairs[f"registry.{field}"] = (
+            stats["registry"][field],
+            counter_value(snapshot, "repro_registry_events_total", event=event),
+        )
+    if stats["store"] is not None:
+        for event, field in STORE_EVENTS.items():
+            pairs[f"store.{field}"] = (
+                stats["store"][field],
+                counter_value(snapshot, "repro_store_events_total", event=event),
+            )
+    cache = stats["server"]["verdict_cache"]
+    if cache is not None:
+        for outcome, field in CACHE_OUTCOMES.items():
+            pairs[f"verdict_cache.{field}"] = (
+                cache[field],
+                counter_value(
+                    snapshot, "repro_verdict_cache_total", outcome=outcome
+                ),
+            )
+    backends = {
+        entry["labels"]["backend"]
+        for entry in snapshot["counters"]
+        if entry["name"] == "repro_dispatch_total"
+    }
+    for backend in backends | set(stats["dispatch"]):
+        pairs[f"dispatch.{backend}"] = (
+            stats["dispatch"].get(backend, 0),
+            counter_value(snapshot, "repro_dispatch_total", backend=backend),
+        )
+    server = stats["server"]
+    pairs["batch_items"] = (
+        server["batch_items"],
+        counter_value(snapshot, "repro_batch_items_total"),
+    )
+    pairs["errors"] = (
+        server["errors"], counter_value(snapshot, "repro_errors_total")
+    )
+    gauges = {entry["name"]: entry["value"] for entry in snapshot["gauges"]}
+    pairs["inflight"] = (server["inflight"], gauges["repro_inflight"])
+    return pairs
+
+
+class TestScrapeAgreesWithStats:
+    """Each count is kept once, where the work happens, and both
+    ``stats`` and the ``metrics`` scrape read it there, so the two agree
+    even over a registry or store with history from before the server."""
+
+    def test_every_count_both_surfaces_carry_agrees(self, tmp_path):
         from repro.dtd.parser import parse_dtd
+        from repro.server.client import ServerError, ValidationClient
+        from repro.server.protocol import encode
+        from repro.service.compiled import compile_schema, schema_fingerprint
         from repro.service.registry import SchemaRegistry
-
-        metrics = MetricsRegistry()
-        registry = SchemaRegistry(maxsize=1)
-        registry.attach_metrics(metrics)
-        registry.get(parse_dtd(schema_text(0)))
-        registry.get(parse_dtd(schema_text(0)))
-        registry.get(parse_dtd(schema_text(1)))  # evicts schema 0
-        snapshot = metrics.snapshot()
-        events = "repro_registry_events_total"
-        assert counter_value(snapshot, events, event="miss") == 2
-        assert counter_value(snapshot, events, event="hit") == 1
-        assert counter_value(snapshot, events, event="eviction") == 1
-
-    def test_store_events_mirror_into_metrics(self, tmp_path):
-        from repro.dtd.parser import parse_dtd
-        from repro.service.compiled import compile_schema
         from repro.service.store import ArtifactStore
 
-        metrics = MetricsRegistry()
+        # A store that saved and loaded one artifact, and holds one older-
+        # format and one corrupt file; a registry that compiled one schema.
         store = ArtifactStore(tmp_path / "store")
-        store.attach_observability(metrics=metrics)
-        schema = compile_schema(parse_dtd(schema_text(0)))
-        store.save(schema)
-        assert store.load(schema.fingerprint) is not None
-        assert store.load("0" * 64) is None
-        snapshot = metrics.snapshot()
-        events = "repro_store_events_total"
-        assert counter_value(snapshot, events, event="save") == 1
-        assert counter_value(snapshot, events, event="hit") == 1
-        assert counter_value(snapshot, events, event="miss") == 1
+        stored = compile_schema(parse_dtd(schema_text(50)))
+        store.save(stored)
+        assert store.load(stored.fingerprint) is not None
+        older = compile_schema(parse_dtd(schema_text(51)))
+        store.path_for(older.fingerprint).write_bytes(
+            b"repro-pv-artifact 2\n" + pickle.dumps(older)
+        )
+        store.path_for(
+            schema_fingerprint(parse_dtd(schema_text(52)))
+        ).write_bytes(b"garbage")
+        registry = SchemaRegistry(maxsize=2)
+        registry.get(parse_dtd(schema_text(60)))
+
+        def doc(items: int) -> str:
+            return "<r0>" + "<a0>x</a0>" * items + "</r0>"
+
+        with ServerThread(
+            unix_path=str(tmp_path / "pv.sock"), registry=registry,
+            store=store, verdict_cache=2,
+        ) as handle:
+            with ValidationClient.connect_unix(handle.unix_path) as client:
+                # The verdict cache misses, hits, misses and evicts.
+                for items in (1, 1, 2, 3):
+                    assert client.check(schema_text(0), doc(items))["ok"]
+                # A store hit, an upgrade, and a corrupt file recompiled.
+                for index in (50, 51, 52):
+                    assert client.check(
+                        schema_text(index), doc_text(index)
+                    )["ok"]
+                # A batch with a malformed item line and a bad document.
+                *items, trailer = _raw_exchange(handle.unix_path, (
+                    encode({"op": "check-batch", "dtd": schema_text(0),
+                            "count": 3})
+                    + encode({"doc": doc(1)})
+                    + b"{not json\n"
+                    + encode({"doc": "<r0><a0>"})
+                ), 4)
+                assert trailer["items"] == 3 and trailer["errors"] == 2
+                for payload, code in (
+                    ({"op": "check", "dtd": "<!ELEMENT", "doc": "<r/>"},
+                     "bad-dtd"),
+                    ({"op": "check", "dtd": schema_text(0), "doc": doc(1),
+                      "algorithm": "bogus"}, "bad-request"),
+                ):
+                    with pytest.raises(ServerError) as info:
+                        client.request(payload)
+                    assert info.value.code == code
+                first = client.metrics()["metrics"]
+                stats = client.stats()
+                second = client.metrics()["metrics"]
+        pairs = shared_counts(stats, first)
+        mismatched = {
+            name: pair for name, pair in pairs.items() if pair[0] != pair[1]
+        }
+        assert not mismatched
+        # The traffic moved every count but the idle ones.
+        idle = {"inflight", "dispatch.machine", "dispatch.figure5",
+                "dispatch.earley"}
+        assert {name for name, (kept, _) in pairs.items() if not kept} == idle
+        assert pairs["registry.misses"] == (3, 3)
+        assert pairs["store.saves"] == (4, 4)
+        assert pairs["errors"] == (4, 4)
+        # A second scrape moves no counter but the requests served since.
+        assert [
+            entry for entry in second["counters"]
+            if entry["name"] != "repro_requests_total"
+        ] == [
+            entry for entry in first["counters"]
+            if entry["name"] != "repro_requests_total"
+        ]
+
+    def test_servers_sharing_a_registry_each_scrape_its_counts(
+        self, tmp_path
+    ):
+        from repro.server.client import ValidationClient
+        from repro.service.registry import SchemaRegistry
+
+        registry = SchemaRegistry()
+        with ServerThread(
+            unix_path=str(tmp_path / "first.sock"), registry=registry
+        ) as first, ServerThread(
+            unix_path=str(tmp_path / "second.sock"), registry=registry
+        ) as second:
+            with ValidationClient.connect_unix(first.unix_path) as client:
+                client.check(DTD, DOC)
+                client.check(DTD, DOC)
+            for handle in (first, second):
+                with ValidationClient.connect_unix(handle.unix_path) as client:
+                    stats = client.stats()
+                    snapshot = client.metrics()["metrics"]
+                assert (
+                    stats["registry"]["hits"], stats["registry"]["misses"]
+                ) == (1, 1)
+                for event, field in REGISTRY_EVENTS.items():
+                    assert counter_value(
+                        snapshot, "repro_registry_events_total", event=event
+                    ) == stats["registry"][field]
 
 
 # -- the instrumented ring ---------------------------------------------------
@@ -498,6 +686,7 @@ class TestTracedFailover:
                     schema_text(index), doc_text(index), trace=True
                 )
                 telemetry = ring.telemetry.snapshot()
+                ring_stats = ring.ring_stats
         finally:
             live.stop()
         assert reply["ok"] is True
@@ -511,6 +700,16 @@ class TestTracedFailover:
         assert counter_value(
             telemetry, "repro_ring_reads_total", member=live_path
         ) == 1
+        # The scrape reads the counts ring_stats reports.
+        assert ring_stats["failovers"] == counter_value(
+            telemetry, "repro_ring_failovers_total"
+        )
+        scraped_reads = {
+            entry["labels"]["member"]: entry["value"]
+            for entry in telemetry["counters"]
+            if entry["name"] == "repro_ring_reads_total"
+        }
+        assert ring_stats["requests_by_member"] == scraped_reads
 
     def test_failover_and_liveness_events_are_emitted(self, tmp_path):
         lines: list[str] = []

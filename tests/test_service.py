@@ -147,8 +147,6 @@ class TestSchemaRegistry:
         registry.clear()
         assert len(registry) == 0
         assert registry.stats.misses == 1
-        registry.reset_stats()
-        assert registry.stats.lookups == 0
 
     def test_maxsize_must_be_positive(self):
         with pytest.raises(ValueError):
