@@ -664,6 +664,43 @@ class TestScrapeAgreesWithStats:
                     ) == stats["registry"][field]
 
 
+class TestRegistryAndStoreEventCounters:
+    """The registry's and store's event counts reach a server's scrape,
+    which reads them where they are kept."""
+
+    def test_registry_events_mirror_into_metrics(self):
+        from repro.dtd.parser import parse_dtd
+        from repro.service.registry import SchemaRegistry
+
+        registry = SchemaRegistry(maxsize=1)
+        server = ValidationServer(registry=registry)
+        registry.get(parse_dtd(schema_text(0)))
+        registry.get(parse_dtd(schema_text(0)))
+        registry.get(parse_dtd(schema_text(1)))  # evicts schema 0
+        snapshot = server.metrics.snapshot()
+        events = "repro_registry_events_total"
+        assert counter_value(snapshot, events, event="miss") == 2
+        assert counter_value(snapshot, events, event="hit") == 1
+        assert counter_value(snapshot, events, event="eviction") == 1
+
+    def test_store_events_mirror_into_metrics(self, tmp_path):
+        from repro.dtd.parser import parse_dtd
+        from repro.service.compiled import compile_schema
+        from repro.service.store import ArtifactStore
+
+        store = ArtifactStore(tmp_path / "store")
+        server = ValidationServer(store=store)
+        schema = compile_schema(parse_dtd(schema_text(0)))
+        store.save(schema)
+        assert store.load(schema.fingerprint) is not None
+        assert store.load("0" * 64) is None
+        snapshot = server.metrics.snapshot()
+        events = "repro_store_events_total"
+        assert counter_value(snapshot, events, event="save") == 1
+        assert counter_value(snapshot, events, event="hit") == 1
+        assert counter_value(snapshot, events, event="miss") == 1
+
+
 # -- the instrumented ring ---------------------------------------------------
 
 
