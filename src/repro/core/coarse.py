@@ -394,7 +394,7 @@ class CoarseChecker:
         from repro.core.stream import check_coarse_events, tree_events
 
         root = document.root if isinstance(document, XmlDocument) else document
-        return check_coarse_events(self.summary, tree_events(root), "")
+        return check_coarse_events(self.summary, tree_events(root))
 
     def check_text(self, source: str) -> CoarseVerdict:
         """The coarse pass straight from document text, no tree built."""

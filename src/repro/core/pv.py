@@ -20,8 +20,10 @@ verifies this decomposition against the whole-document Earley baseline on
 Every backend answers Problem PV through the one event walk of
 :mod:`repro.core.stream`: ``check_text`` feeds it the scanner's events
 (no tree is built), ``check_document`` an iterative traversal of the
-tree.  The kernel steps its machines inside the walk; the other backends
-answer :meth:`PVChecker.check_content` once per element.
+tree.  Both feeders yield a well-formed document's events, and the
+scanner alone raises a document's syntax errors, so the walk takes no
+source text.  The kernel steps its machines inside the walk; the other
+backends answer :meth:`PVChecker.check_content` once per element.
 
 Checkers do not compile schemas themselves: construction resolves the DTD
 through the process-wide :class:`~repro.service.registry.SchemaRegistry`
@@ -200,7 +202,7 @@ class PVChecker:
         stack.
         """
         root = document.root if isinstance(document, XmlDocument) else document
-        return self._walk(_stream().tree_events(root), "")
+        return self._walk(_stream().tree_events(root))
 
     def check_text(self, text: str) -> PVVerdict:
         """Problem PV straight from document text.
@@ -210,19 +212,19 @@ class PVChecker:
         ``check_document(parse_xml(text))``, as is every well-formedness
         error.
         """
-        return self._walk(scan_events(text), text)
+        return self._walk(scan_events(text))
 
     def is_potentially_valid(self, document: XmlDocument | XmlElement) -> bool:
         """Boolean convenience wrapper over :meth:`check_document`."""
         return self.check_document(document).potentially_valid
 
-    def _walk(self, events: Iterable[tuple[int, str, int]], source: str) -> PVVerdict:
+    def _walk(self, events: Iterable[tuple[int, str, int]]) -> PVVerdict:
         # The bound method is taken per call: stored on the checker it
         # would be a reference cycle, and an evicted schema would then
         # stay in memory until the cyclic collector ran.
         check_content = None if self._stepped else self.check_content
         verdict = _stream().check_events(
-            self.compiled, events, source, check_content, self._depth_bounded
+            self.compiled, events, check_content, self._depth_bounded
         )
         if verdict.depth_limited and self.config.strict_depth:
             raise DepthBoundExceeded(self.depth)

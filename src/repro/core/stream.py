@@ -15,10 +15,13 @@ document depth is bounded by memory, never by the interpreter stack.
   end tag, through :meth:`~repro.core.pv.PVChecker.check_content`.
 
 Two feeders drive the walk: :func:`~repro.xmlmodel.fastlex.scan_events`
-over document text (no tree is built, and every well-formedness
-diagnostic is the parser's, because the walk never stops scanning
-early), and :func:`tree_events`, a parsed tree's
-:func:`~repro.xmlmodel.tree.walk`.  :class:`~repro.core.pv.PVChecker`
+over document text (no tree is built) and :func:`tree_events`, a parsed
+tree's :func:`~repro.xmlmodel.tree.walk`.  Both yield the events of a
+well-formed document: one root, properly nested tags, no text outside
+the root.  The scanner raises every well-formedness error itself, the
+parser's, and the walk reads every event, so it never stops scanning
+early.  A walk therefore reads no offset, raises no syntax error and
+does not know which feeder it reads.  :class:`~repro.core.pv.PVChecker`
 routes ``check_text`` and ``check_document`` through them;
 :func:`stream_check_document` is the kernel's text entry.  Failures come
 out in pre-order, nothing is checked under an undeclared element or a
@@ -38,10 +41,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 from repro.core.coarse import CoarseSummary, CoarseVerdict
 from repro.core.kernel import KernelMachine
 from repro.core.pv import NodeFailure, PVVerdict
-from repro.errors import XmlSyntaxError
 from repro.service.compiled import CompiledSchema
 from repro.xmlmodel.delta import SIGMA
-from repro.xmlmodel.fastlex import EV_END, EV_START, EV_TEXT, _loc, scan_events
+from repro.xmlmodel.fastlex import EV_START, EV_TEXT, scan_events
 from repro.xmlmodel.tree import XmlElement, walk
 
 __all__ = [
@@ -99,8 +101,7 @@ def _frame_path(frame: list) -> str:
 def tree_events(root: XmlElement) -> Iterator[tuple[int, str, int]]:
     """The ``scan_events`` stream of the subtree at *root*, off its walk.
 
-    Offsets are ``0``: a tree is well-formed by construction, so the
-    walk never needs a source position for it.
+    Offsets are ``0``: no walk reads one.
     """
     for kind, node in walk(root):
         yield kind, node.text if kind == EV_TEXT else node.name, 0
@@ -108,23 +109,23 @@ def tree_events(root: XmlElement) -> Iterator[tuple[int, str, int]]:
 
 def stream_check_document(compiled: CompiledSchema, source: str) -> PVVerdict:
     """Problem PV over *source* with kernel semantics, no tree built."""
-    return check_events(compiled, scan_events(source), source)
+    return check_events(compiled, scan_events(source))
 
 
 def check_events(
     compiled: CompiledSchema,
     events: Iterable[tuple[int, str, int]],
-    source: str,
     check_content: Callable[[str, Sequence[str]], bool] | None = None,
     depth_bounded: bool = False,
 ) -> PVVerdict:
-    """Problem PV over one document's ``(kind, payload, offset)`` *events*.
+    """Problem PV over one well-formed document's *events*.
 
-    With *check_content* ``None`` the kernel decides every element as its
+    The events are ``(kind, payload, offset)`` tuples from a feeder that
+    guarantees one root and proper nesting; offsets are not read.  With
+    *check_content* ``None`` the kernel decides every element as its
     children arrive.  Otherwise each element's ``Delta_T`` symbols go to
-    ``check_content(element, symbols)`` once, at its end tag.  *source*
-    is the text the offsets index, read only to position a syntax error.
-    When *depth_bounded*, a "no" from the content checks is reported as
+    ``check_content(element, symbols)`` once, at its end tag.  When
+    *depth_bounded*, a "no" from the content checks is reported as
     ``depth_limited``: the caller's backend ran under an insertion-depth
     bound that may have cut a witness.  A root mismatch never is.
     """
@@ -137,9 +138,8 @@ def check_events(
     stack: list[list] = []
     root_failures: list[NodeFailure] | None = None
     root_mismatch: NodeFailure | None = None
-    root_seen = False
 
-    for kind, payload, offset in events:
+    for kind, payload, _offset in events:
         if kind == EV_START:
             if stack:
                 parent = stack[-1]
@@ -181,12 +181,6 @@ def check_events(
                     ]
                 )
                 continue
-            if root_seen:
-                raise XmlSyntaxError(
-                    f"multiple root elements: second root <{payload}>",
-                    *_loc(source, offset),
-                )
-            root_seen = True
             if payload != dtd_root:
                 root_mismatch = NodeFailure(
                     path="/",
@@ -213,13 +207,6 @@ def check_events(
                 ]
             )
         elif kind == EV_TEXT:
-            if not stack:
-                if payload.strip():
-                    raise XmlSyntaxError(
-                        "character data outside the root element",
-                        *_loc(source, offset),
-                    )
-                continue
             if not payload:
                 continue
             frame = stack[-1]
@@ -231,16 +218,7 @@ def check_events(
                 if not frame[_MACHINE].step(sigma_id):
                     frame[_DEAD] = True
         else:  # EV_END
-            if not stack:
-                raise XmlSyntaxError(
-                    f"unmatched end tag </{payload}>", *_loc(source, offset)
-                )
             frame = stack.pop()
-            if frame[_NAME] != payload:
-                raise XmlSyntaxError(
-                    f"end tag </{payload}> does not match open <{frame[_NAME]}>",
-                    *_loc(source, offset),
-                )
             own = frame[_OWN]
             subtree = frame[_FAILURES]
             symbols = frame[_SYMBOLS]
@@ -271,12 +249,6 @@ def check_events(
                     parent[_FAILURES] = subtree
                 else:
                     parent[_FAILURES].extend(subtree)
-    if stack:
-        raise XmlSyntaxError(
-            f"unclosed element <{stack[-1][_NAME]}>", *_loc(source, len(source))
-        )
-    if not root_seen:
-        raise XmlSyntaxError("document has no root element")
     if root_mismatch is not None:
         return PVVerdict(False, (root_mismatch,), depth_limited=False)
     failures = tuple(root_failures or ())
@@ -300,22 +272,19 @@ _C_CHILDREN = 7
 
 def stream_coarse_check(summary: CoarseSummary, source: str) -> CoarseVerdict:
     """The coarse pass over *source*, no tree built."""
-    return check_coarse_events(summary, scan_events(source), source)
+    return check_coarse_events(summary, scan_events(source))
 
 
 def check_coarse_events(
-    summary: CoarseSummary,
-    events: Iterable[tuple[int, str, int]],
-    source: str,
+    summary: CoarseSummary, events: Iterable[tuple[int, str, int]]
 ) -> CoarseVerdict:
-    """The coarse pass over one document's ``(kind, payload, offset)`` *events*.
+    """The coarse pass over one well-formed document's *events*.
 
     :class:`~repro.core.coarse.CoarseChecker` feeds it a tree through
     :func:`tree_events`, and :func:`stream_coarse_check` feeds it text,
     so both report the same verdict, node and reason for the same
-    document.  Well-formedness errors raise exactly as the parse-first
-    pipeline would (a pending verdict never swallows one); *source* is
-    the text the offsets index, read only to position a syntax error.
+    document.  The pass reads every event, so a pending verdict never
+    swallows the scanner's well-formedness error.
     """
     pcdata_bit = summary.pcdata_bit
     element_bit = summary.element_bit
@@ -328,7 +297,6 @@ def check_coarse_events(
     stack: list[list] = []
     reject: CoarseVerdict | None = None
     uncertain: CoarseVerdict | None = None
-    root_seen = False
 
     def child_token(frame: list, token_bit: int | None, symbol: str) -> None:
         """Apply one ``Delta_T`` token to *frame*."""
@@ -379,16 +347,10 @@ def check_coarse_events(
         if not (accepts_masks[bit] >> token_bit) & 1:
             frame[_C_ACCEPT] = False
 
-    for kind, payload, offset in events:
+    for kind, payload, _offset in events:
         if kind == EV_START:
             if not stack:
-                if root_seen:
-                    raise XmlSyntaxError(
-                        f"multiple root elements: second root <{payload}>",
-                        *_loc(source, offset),
-                    )
-                root_seen = True
-                if reject is None and payload != summary.root:
+                if payload != summary.root:
                     reject = CoarseVerdict(
                         "reject",
                         path="/",
@@ -412,13 +374,6 @@ def check_coarse_events(
                 bit = None
             stack.append([payload, bit, {}, 0, True, False, path, 0])
         elif kind == EV_TEXT:
-            if not stack:
-                if payload.strip():
-                    raise XmlSyntaxError(
-                        "character data outside the root element",
-                        *_loc(source, offset),
-                    )
-                continue
             if not payload:
                 continue
             frame = stack[-1]
@@ -427,16 +382,7 @@ def check_coarse_events(
                     frame[_C_LAST_SIGMA] = True
                     child_token(frame, pcdata_bit, SIGMA)
         else:  # EV_END
-            if not stack:
-                raise XmlSyntaxError(
-                    f"unmatched end tag </{payload}>", *_loc(source, offset)
-                )
             frame = stack.pop()
-            if frame[_C_NAME] != payload:
-                raise XmlSyntaxError(
-                    f"end tag </{payload}> does not match open <{frame[_C_NAME]}>",
-                    *_loc(source, offset),
-                )
             if reject is not None:
                 continue
             bit = frame[_C_BIT]
@@ -477,12 +423,6 @@ def check_coarse_events(
                         "full backend"
                     ),
                 )
-    if stack:
-        raise XmlSyntaxError(
-            f"unclosed element <{stack[-1][_C_NAME]}>", *_loc(source, len(source))
-        )
-    if not root_seen:
-        raise XmlSyntaxError("document has no root element")
     if reject is not None:
         return reject
     if uncertain is not None:

@@ -860,7 +860,7 @@ class ValidationServer:
             return await self._op_probe(request)
         self._check_epoch(request)
         if request.op == "stats":
-            return self._op_stats()
+            return await self._op_stats()
         if request.op == "put-artifact":
             return await self._op_put_artifact(request, timings)
         if request.op == "get-artifact":
@@ -1543,7 +1543,13 @@ class ValidationServer:
             "queue_depth": max(0, self._inflight - self._capacity),
         }
 
-    def _op_stats(self) -> dict[str, Any]:
+    async def _op_stats(self) -> dict[str, Any]:
+        store = self.store
+        store_stats = None
+        if store is not None:
+            # The store's stats walk its directory, which nothing prunes:
+            # one hop off the loop.  The server's own counts stay on it.
+            store_stats = (await asyncio.to_thread(lambda: store.stats)).as_dict()
         dispatch = dict(self._dispatch_counts)
         uptime = (
             monotonic() - self._started_at if self._started_at is not None else 0.0
@@ -1570,7 +1576,7 @@ class ValidationServer:
                 ),
             },
             "registry": self.registry.stats.as_dict(),
-            "store": self.store.stats.as_dict() if self.store is not None else None,
+            "store": store_stats,
             "dispatch": dispatch,
             "hot": [
                 [fingerprint, count]

@@ -6,8 +6,9 @@ exactly the behaviours the paper relies on:
 * :mod:`repro.xmlmodel.tree` — mutable element/text tree with the
   structural edit operations of the editorial process (wrap a contiguous
   child range in a new element, unwrap an element, text edits),
-* :mod:`repro.xmlmodel.lexer` / :mod:`repro.xmlmodel.parser` —
-  well-formedness parsing (the paper's "XML string"),
+* :mod:`repro.xmlmodel.fastlex` / :mod:`repro.xmlmodel.parser` —
+  well-formedness scanning and parsing (the paper's "XML string"), with
+  :mod:`repro.xmlmodel.lexer` as the scanner's reference,
 * :mod:`repro.xmlmodel.serialize` — canonical text output,
 * :mod:`repro.xmlmodel.delta` — the ``delta_T`` and ``Delta_T`` operators of
   Sections 3.1 and 4.

@@ -22,6 +22,8 @@ _NAME_CHARS = _NAME_START | set("0123456789.-")
 _WHITESPACE = set(" \t\r\n")
 
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": '"'}
+_DECIMAL = frozenset("0123456789")
+_HEX = frozenset("0123456789abcdefABCDEF")
 
 
 class XmlTokenKind(Enum):
@@ -95,6 +97,32 @@ def _skip_whitespace(cursor: _Cursor) -> None:
         cursor.take()
 
 
+def _reference_text(body: str) -> str | None:
+    """The text of the reference ``&body;``, or ``None`` if it is not one.
+
+    *body* names one of the five predefined entities, or is a character
+    reference: ``#`` and ASCII decimal digits, or ``#x``/``#X`` and ASCII
+    hex digits, for a code point XML 1.0's ``Char`` production allows.
+    """
+    if not body.startswith("#"):
+        return _ENTITIES.get(body)
+    if body.startswith(("#x", "#X")):
+        digits, base, allowed = body[2:], 16, _HEX
+    else:
+        digits, base, allowed = body[1:], 10, _DECIMAL
+    if not digits or not allowed.issuperset(digits):
+        return None
+    code = int(digits, base)
+    if (
+        0x20 <= code <= 0xD7FF
+        or code in (0x9, 0xA, 0xD)
+        or 0xE000 <= code <= 0xFFFD
+        or 0x10000 <= code <= 0x10FFFF
+    ):
+        return chr(code)
+    return None
+
+
 def _decode_reference(cursor: _Cursor) -> str:
     """Decode an entity or character reference starting at ``&``."""
     line, column = cursor.line, cursor.column
@@ -104,13 +132,11 @@ def _decode_reference(cursor: _Cursor) -> str:
         raise XmlSyntaxError("unterminated entity reference", line, column)
     body = cursor.source[cursor.position : end]
     cursor.take(end - cursor.position + 1)
-    if body.startswith("#x") or body.startswith("#X"):
-        return chr(int(body[2:], 16))
-    if body.startswith("#"):
-        return chr(int(body[1:]))
-    if body in _ENTITIES:
-        return _ENTITIES[body]
-    raise XmlSyntaxError(f"unknown entity &{body};", line, column)
+    text = _reference_text(body)
+    if text is None:
+        what = "invalid character reference" if body.startswith("#") else "unknown entity"
+        raise XmlSyntaxError(f"{what} &{body};", line, column)
+    return text
 
 
 def _scan_attributes(cursor: _Cursor) -> tuple[tuple[str, str], ...]:

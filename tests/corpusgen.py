@@ -18,9 +18,16 @@ distribution:
   misclassify first.
 * :func:`mixed_corpus` — the skewed valid/corrupt mix (provenance
   labelled per document) the differential suites run on.
-* :func:`reference_parse` — the reference parser: the character lexer's
-  tokens built into a tree, the oracle ``parse_xml`` is pinned against
-  and E19's reference arm.
+* :func:`mutate_bytes` — one seeded byte-level edit of a document's text
+  (drop, duplicate, swap, truncate, or swap one markup character for
+  another), mostly yielding text that is not well formed.
+* :func:`reference_tokens` — the character lexer's tokens under the
+  reference parser's document rules (one root, matching end tags, no
+  character data outside the root), the oracle ``scan_events`` is
+  pinned against.
+* :func:`reference_parse` — the reference parser: those tokens built
+  into a tree, the oracle ``parse_xml`` is pinned against and E19's
+  reference arm.
 
 Everything is deterministic in ``seed``; nothing here asserts — verdicts
 belong to the tests and benchmarks that consume the corpus.
@@ -35,15 +42,18 @@ from repro.dtd.model import DTD
 from repro.errors import XmlSyntaxError
 from repro.workloads.corrupt import corrupt_inject, corrupt_rename, corrupt_swap
 from repro.workloads.docgen import DocumentGenerator
-from repro.xmlmodel.lexer import XmlTokenKind, tokenize_xml
+from repro.xmlmodel.lexer import XmlToken, XmlTokenKind, tokenize_xml
 from repro.xmlmodel.tree import XmlDocument, XmlElement, XmlText
 
 __all__ = [
+    "BYTE_MUTATIONS",
     "MUTATIONS",
     "SHAPES",
     "valid_documents",
     "mutate",
+    "mutate_bytes",
     "mixed_corpus",
+    "reference_tokens",
     "reference_parse",
 ]
 
@@ -210,21 +220,61 @@ def corpus_documents(
         yield document
 
 
+# -- byte-level mutations ---------------------------------------------------
+
+#: Every byte-level edit :func:`mutate_bytes` knows how to apply.
+BYTE_MUTATIONS = ("drop", "duplicate", "swap", "truncate", "markup")
+
+#: The markup characters the ``markup`` edit replaces with one another.
+MARKUP_CHARS = "<>/&;"
+
+
+def mutate_bytes(text: str, rng: random.Random) -> str:
+    """*text* with exactly one seeded byte-level edit.
+
+    Drop a byte, duplicate one, swap two adjacent ones, truncate, or
+    replace one of ``<>/&;`` with another of them.  Unlike :func:`mutate`
+    the result is often not well formed: these mutants probe the scanner
+    and its error positions rather than the verdicts.  The corpora are
+    ASCII, so a character is a byte.
+    """
+    kind = rng.choice(BYTE_MUTATIONS)
+    if kind == "markup":
+        spots = [index for index, char in enumerate(text) if char in MARKUP_CHARS]
+        if spots:
+            index = rng.choice(spots)
+            others = MARKUP_CHARS.replace(text[index], "")
+            return text[:index] + rng.choice(others) + text[index + 1 :]
+        kind = "drop"
+    if len(text) < 2:
+        return ""
+    index = rng.randrange(len(text) - 1)
+    if kind == "drop":
+        return text[:index] + text[index + 1 :]
+    if kind == "duplicate":
+        return text[: index + 1] + text[index:]
+    if kind == "swap":
+        return text[:index] + text[index + 1] + text[index] + text[index + 2 :]
+    return text[:index]
+
+
 # -- the reference parser ----------------------------------------------------
 
 
-def reference_parse(source: str) -> XmlDocument:
-    """*source* parsed by the reference character lexer's token stream.
+def reference_tokens(source: str) -> Iterator[XmlToken]:
+    """The reference lexer's tokens of *source* under the document rules.
 
-    Independent of the scanner ``parse_xml`` reads: the same
-    well-formedness rules over :func:`~repro.xmlmodel.lexer.tokenize_xml`,
-    each error positioned at its token.
+    Independent of the scanner: :func:`~repro.xmlmodel.lexer.tokenize_xml`'s
+    stream, checked for one root element, end tags that match the open
+    element, and no character data outside the root.  Each violation
+    raises at its token (a missing root has no position).  Whitespace
+    outside the root and the ``EOF`` token are not yielded.
     """
-    root: XmlElement | None = None
-    stack: list[XmlElement] = []
+    open_names: list[str] = []
+    root_seen = False
     for token in tokenize_xml(source):
         if token.kind is XmlTokenKind.TEXT:
-            if not stack:
+            if not open_names:
                 if token.text.strip():
                     raise XmlSyntaxError(
                         "character data outside the root element",
@@ -232,37 +282,58 @@ def reference_parse(source: str) -> XmlDocument:
                         token.column,
                     )
                 continue
-            stack[-1].append(XmlText(token.text))
         elif token.kind in (XmlTokenKind.START_TAG, XmlTokenKind.EMPTY_TAG):
-            element = XmlElement(token.name, attributes=dict(token.attributes))
-            if stack:
-                stack[-1].append(element)
-            elif root is None:
-                root = element
-            else:
-                raise XmlSyntaxError(
-                    f"multiple root elements: second root <{token.name}>",
-                    token.line,
-                    token.column,
-                )
+            if not open_names:
+                if root_seen:
+                    raise XmlSyntaxError(
+                        f"multiple root elements: second root <{token.name}>",
+                        token.line,
+                        token.column,
+                    )
+                root_seen = True
             if token.kind is XmlTokenKind.START_TAG:
-                stack.append(element)
+                open_names.append(token.name)
         elif token.kind is XmlTokenKind.END_TAG:
-            if not stack:
+            if not open_names:
                 raise XmlSyntaxError(
                     f"unmatched end tag </{token.name}>", token.line, token.column
                 )
-            open_element = stack.pop()
-            if open_element.name != token.name:
+            open_name = open_names.pop()
+            if open_name != token.name:
                 raise XmlSyntaxError(
-                    f"end tag </{token.name}> does not match open <{open_element.name}>",
+                    f"end tag </{token.name}> does not match open <{open_name}>",
                     token.line,
                     token.column,
                 )
-        elif stack:  # EOF
-            raise XmlSyntaxError(
-                f"unclosed element <{stack[-1].name}>", token.line, token.column
-            )
-    if root is None:
-        raise XmlSyntaxError("document has no root element")
+        else:  # EOF
+            if open_names:
+                raise XmlSyntaxError(
+                    f"unclosed element <{open_names[-1]}>", token.line, token.column
+                )
+            if not root_seen:
+                raise XmlSyntaxError("document has no root element")
+            return
+        yield token
+
+
+def reference_parse(source: str) -> XmlDocument:
+    """*source* parsed by the reference character lexer's token stream.
+
+    Independent of the scanner ``parse_xml`` reads: the tree of
+    :func:`reference_tokens`, each error positioned at its token.
+    """
+    stack: list[XmlElement] = []
+    for token in reference_tokens(source):
+        if token.kind is XmlTokenKind.TEXT:
+            stack[-1].append(XmlText(token.text))
+        elif token.kind is XmlTokenKind.END_TAG:
+            stack.pop()
+        else:
+            element = XmlElement(token.name, attributes=dict(token.attributes))
+            if stack:
+                stack[-1].append(element)
+            else:
+                root = element
+            if token.kind is XmlTokenKind.START_TAG:
+                stack.append(element)
     return XmlDocument(root)

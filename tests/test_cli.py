@@ -478,6 +478,31 @@ class TestErrors:
         path.write_text("<r><a></r>")
         assert main(["check", schema, str(path)]) == 2
 
+    def test_an_invalid_character_reference_is_one_error_line(
+        self, schema, tmp_path, capsys
+    ):
+        path = tmp_path / "bad.xml"
+        path.write_text("<r>&#xZZ;</r>")
+        assert main(["check", schema, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: invalid character reference &#xZZ; (line 1, column 4)"
+        ]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_batch_reports_an_invalid_character_reference_and_goes_on(
+        self, schema, doc_s_file, tmp_path, capsys, workers
+    ):
+        path = tmp_path / "bad.xml"
+        path.write_text("<r a='&#xD800;'/>")
+        status = main(["batch", schema, str(path), doc_s_file, "--workers", workers])
+        assert status == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert "invalid character reference &#xD800;" in lines[0]
+        assert lines[1].endswith("potentially valid")
+
 
 class TestRingStatusCli:
     def test_all_up_reports_and_exits_zero(self, tmp_path, capsys):

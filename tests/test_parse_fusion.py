@@ -5,15 +5,16 @@ the reference character lexer (:mod:`repro.xmlmodel.lexer`) is its
 fallback for hard tags and its oracle.  Each seam gets a differential:
 
 * **Scanner** — the fast tokenizer's events must be *exactly* the
-  reference lexer's tokens mapped to events: kind, name, text, the start
-  tags' attributes, and each position (``_loc`` of the event's offset
-  against the token's line and column), including every error's type,
-  message and position.
+  reference lexer's tokens under the reference parser's document rules
+  (:func:`corpusgen.reference_tokens`) mapped to events: kind, name,
+  text, the start tags' attributes, and each position (``_loc`` of the
+  event's offset against the token's line and column), including every
+  error's type, message and position.
 * **Tree builder** — :func:`~repro.xmlmodel.parser.parse_xml` builds its
   tree from those events; it must return the tree of the reference
-  parser (:func:`corpusgen.reference_parse`, the lexer's tokens built
-  into a tree) node for node, attributes and unmerged text nodes
-  included, or raise its exact error.
+  parser (:func:`corpusgen.reference_parse`, those tokens built into a
+  tree) node for node, attributes and unmerged text nodes included, or
+  raise its exact error.
 * **Treeless checking** — the one event walk
   (:mod:`repro.core.stream`), fed by the scanner or by a tree, must
   return the verdict of an independent explicit-stack tree oracle
@@ -24,6 +25,11 @@ fallback for hard tags and its oracle.  Each seam gets a differential:
   ``(fingerprint, digest, mode)`` must replay verdicts exactly, and the
   surfaces threaded through it (dispatcher, batch, server) must answer
   repeats from it without changing a single verdict field.
+* **Byte mutants** — each corpus text, with one seeded byte-level edit
+  (:func:`corpusgen.mutate_bytes`), must pass the scanner and tree
+  differentials; every text surface must raise ``parse_xml``'s exact
+  error on a malformed mutant and give the tree path's answer on a
+  well-formed one.
 
 Corpora come from :mod:`corpusgen`; ``REPRO_FUZZ_SEED`` and
 ``REPRO_FUZZ_DOCS`` scale the run exactly as in the admission suite (CI's
@@ -33,6 +39,8 @@ Corpora come from :mod:`corpusgen`; ``REPRO_FUZZ_SEED`` and
 from __future__ import annotations
 
 import os
+import random
+from functools import partial
 
 import pytest
 
@@ -56,7 +64,7 @@ from repro.xmlmodel.fastlex import (
     scan_events,
     tag_attributes,
 )
-from repro.xmlmodel.lexer import XmlTokenKind, tokenize_xml
+from repro.xmlmodel.lexer import XmlTokenKind
 from repro.xmlmodel.parser import parse_xml
 from repro.xmlmodel.serialize import to_xml
 from repro.xmlmodel.tree import XmlText
@@ -98,13 +106,13 @@ HANDCRAFTED = (
     "<r>pre<![CDATA[mid]]>post</r>",
     "<r>&lt;&gt;&amp;&apos;&quot;</r>",
     "<r>&#65;&#x41;&#x6a;</r>",
+    "<r>&#X41;&#9;&#xD;&#xD7FF;&#xE000;&#x10FFFF;</r>",
     "<r a='&amp;&#x3C;'>x</r>",
     "<?xml version='1.0'?>\n<r/>",
     "<!DOCTYPE r [<!ELEMENT r EMPTY>]>\n<r/>",
     "<!DOCTYPE r SYSTEM 'r.dtd'>\n<r/>",
     "<r>\n  <a>one</a>\n  <a>two</a>\n</r>",
     "<ns:r xmlns:ns='u'><ns:a/></ns:r>",
-    "</r >x",
     "  \n\t<r/>\n  ",
     "<r><a/><a></a><a x='y'/></r>",
 )
@@ -129,6 +137,18 @@ MALFORMED = (
     "<r><?pi never closed</r>",
     "<r/",
     "</r/>",
+    # Character references the lexer's one decoder rejects: not ASCII
+    # digits of their base, empty, or not an XML 1.0 ``Char``.
+    "<r>&#x99999999;</r>",
+    "<r>&#;</r>",
+    "<r>&#x;</r>",
+    "<r a='&#xZZ;'/>",
+    "<r>&#+65;</r>",
+    "<r>&# 65;</r>",
+    "<r>&#1_0;</r>",
+    "<r>&#\u0663;</r>",
+    "<r>&#0;</r>",
+    "<r>&#xD800;</r>",
 )
 
 
@@ -145,12 +165,12 @@ NOT_DOCUMENTS = (
     "<r><a></r>",
     "<r><a>",
     "<r>\n<a>",
+    "</r >x",
 )
 
 
 def _error(error: Exception) -> tuple:
-    """An error's type, message and position (``&#xZZ;`` raises a bare
-    ValueError, which has no position)."""
+    """An error's type, message and position."""
     where = (getattr(error, "line", None), getattr(error, "column", None))
     return type(error), str(error), where
 
@@ -176,14 +196,15 @@ def _scanned(source: str):
 
 
 def _reference_events(source: str):
-    """The reference lexer's tokens mapped to events."""
-    for token in tokenize_xml(source):
+    """The reference lexer's tokens under the document rules, mapped to
+    events."""
+    for token in corpusgen.reference_tokens(source):
         where = (token.line, token.column)
         if token.kind is XmlTokenKind.TEXT:
             yield EV_TEXT, token.text, (), where
         elif token.kind is XmlTokenKind.END_TAG:
             yield EV_END, token.name, (), where
-        elif token.kind is not XmlTokenKind.EOF:
+        else:
             yield EV_START, token.name, token.attributes, where
             if token.kind is XmlTokenKind.EMPTY_TAG:
                 yield EV_END, token.name, (), where
@@ -196,7 +217,7 @@ def test_fast_tokenizer_matches_reference_handcrafted(source):
     assert scanned[1] is None
 
 
-@pytest.mark.parametrize("source", MALFORMED)
+@pytest.mark.parametrize("source", MALFORMED + NOT_DOCUMENTS)
 def test_fast_tokenizer_matches_reference_errors(source):
     scanned = _outcome(_scanned(source))
     assert scanned == _outcome(_reference_events(source))
@@ -392,6 +413,75 @@ def test_stream_checking_raises_reference_errors(source):
     with pytest.raises(ReproError) as coarse:
         stream_coarse_check(schema.coarse, source)
     assert str(coarse.value) == expected
+
+
+# -- byte-level mutants ------------------------------------------------------
+
+#: Seeded byte-level mutants per corpus text; the corpus itself scales
+#: with ``REPRO_FUZZ_DOCS``.
+MUTANTS_PER_TEXT = 3
+
+ALGORITHMS = ("kernel", "machine", "figure5", "earley")
+
+
+def _mutants(name: str) -> list[str]:
+    rng = random.Random(f"{SEED}-{name}")
+    return [
+        corpusgen.mutate_bytes(text, rng)
+        for text in _corpus_texts(name)
+        for _ in range(MUTANTS_PER_TEXT)
+    ]
+
+
+def _raised(check, argument):
+    """The error ``check(argument)`` raises, as :func:`_error` gives it,
+    or ``None``."""
+    try:
+        check(argument)
+    except Exception as error:
+        return _error(error)
+    return None
+
+
+@pytest.mark.parametrize("name", POOL_NAMES)
+def test_byte_mutants_match_the_reference(name):
+    """Byte-level mutants of the corpus keep every differential.
+
+    The scanner's events and error equal the reference tokens', and
+    ``parse_xml`` equals the reference parser.  A malformed mutant fails
+    the fused kernel pass, every backend's ``check_text`` and the coarse
+    pass with ``parse_xml``'s exact error; a well-formed one gets the
+    tree path's answer from each.
+    """
+    dtd = catalog.load(name)
+    schema = DEFAULT_REGISTRY.get(dtd)
+    checkers = [PVChecker(dtd, algorithm=algorithm) for algorithm in ALGORITHMS]
+    coarse = CoarseChecker(schema.coarse)
+    fused = partial(stream_check_document, schema)
+    coarse_text = partial(stream_coarse_check, schema.coarse)
+    text_surfaces = [fused, coarse_text] + [c.check_text for c in checkers]
+    mutants = _mutants(name)
+    well_formed = 0
+    for text in mutants:
+        scanned = _outcome(_scanned(text))
+        assert scanned == _outcome(_reference_events(text)), text[:120]
+        parsed = _parsed(parse_xml, text)
+        assert parsed == _parsed(corpusgen.reference_parse, text), text[:120]
+        error = parsed[1]
+        if error is not None:
+            for check in text_surfaces:
+                assert _raised(check, text) == error, (check, text[:120])
+            continue
+        well_formed += 1
+        tree = parse_xml(text)
+        kernel = checkers[0]
+        assert _answer(fused, text) == _answer(kernel.check_document, tree), text[:120]
+        for checker in checkers:
+            assert _answer(checker.check_text, text) == _answer(
+                checker.check_document, tree
+            ), (checker.algorithm, text[:120])
+        assert coarse_text(text) == coarse.check_document(tree), text[:120]
+    assert 0 < well_formed < len(mutants)
 
 
 # -- the verdict memo cache --------------------------------------------------

@@ -995,6 +995,20 @@ class TestCoarseFilter:
             assert all(r["algorithm"] == "coarse" for r in replies)
             assert ring.ring_stats["requests_by_member"] == requests_before
 
+    def test_an_invalid_character_reference_escalates_to_bad_document(
+        self, shard_paths
+    ):
+        # The filter's scan raises the document's syntax error, and the
+        # shard owns bad-document: the item escalates, the client goes on.
+        with ShardedClient(shard_paths, coarse_filter=True) as ring:
+            ring.check_batch(FIGURE1, [DOC_OK])  # prime the summary cache
+            replies, trailer = ring.check_batch(
+                FIGURE1, ["<r>&#xZZ;</r>", self.REJECT]
+            )
+        assert replies[0]["error"]["code"] == "bad-document"
+        assert replies[1]["filtered"] is True
+        assert trailer["errors"] == 1
+
     def test_cache_miss_falls_back_to_get_coarse(self, shard_paths):
         # Prime the *shard* with the artifact through one client, then a
         # fresh client (empty stamp cache) must fetch the summary via the

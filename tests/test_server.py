@@ -223,6 +223,25 @@ class TestServerErrors:
             client.check(FIGURE1, "<r><a></r>")
         assert excinfo.value.code == "bad-document"
 
+    def test_an_invalid_character_reference_is_a_bad_document(self, client):
+        bad = "<r>&#xZZ;</r>"
+        with pytest.raises(ServerError) as excinfo:
+            client.check(FIGURE1, bad)
+        assert excinfo.value.code == "bad-document"
+        assert excinfo.value.message.startswith(
+            "invalid character reference &#xZZ;"
+        )
+        replies, trailer = client.check_batch(FIGURE1, [DOC_OK, bad])
+        assert replies[0]["potentially_valid"] is True
+        assert replies[1]["error"]["code"] == "bad-document"
+        assert trailer["errors"] == 1
+        assert client.stats()["server"]["errors"] == 2
+        snapshot = client.metrics()["metrics"]
+        assert counter_value(
+            snapshot, "repro_errors_total", code="bad-document"
+        ) == 2
+        assert counter_value(snapshot, "repro_errors_total", code="internal") == 0
+
     def test_unknown_op(self, client):
         reply = client.send_raw(b'{"op": "frobnicate"}\n')
         assert reply["error"]["code"] == "unsupported-op"
@@ -446,6 +465,43 @@ class TestStoreBackedServer:
         assert store.stats.corrupt == 1
         # The recompiled artifact healed the store for the next restart.
         assert store.load(fingerprint) is not None
+
+    def test_stats_reads_the_store_off_the_event_loop(self, tmp_path, monkeypatch):
+        """The store's stats walk its directory, which nothing prunes.
+        While that walk is pending, a ``health`` on another connection
+        of the same server still answers."""
+        entered = threading.Event()
+        release = threading.Event()
+        walk = ArtifactStore.stats.fget
+
+        def blocked(store):
+            entered.set()
+            release.wait(5)
+            return walk(store)
+
+        monkeypatch.setattr(ArtifactStore, "stats", property(blocked))
+        replies: list = []
+        with ServerThread(
+            host="127.0.0.1", store=ArtifactStore(tmp_path / "artifacts")
+        ) as handle:
+
+            def ask() -> None:
+                with ValidationClient.connect(handle.tcp_address) as client:
+                    replies.append(client.stats())
+
+            asker = threading.Thread(target=ask)
+            asker.start()
+            try:
+                assert entered.wait(5)
+                with ValidationClient.connect(handle.tcp_address) as client:
+                    assert client.health()["status"] == "ok"
+                    answered_first = not release.is_set() and not replies
+            finally:
+                release.set()
+                asker.join(10)
+        assert answered_first
+        assert replies[0]["store"]["artifacts"] == 0
+        assert replies[0]["server"]["requests"] >= 1
 
 
 def _one_shot_server(respond) -> tuple[str, int, threading.Thread]:
