@@ -40,12 +40,7 @@ Layer map (bottom-up):
 
 from repro.config import CheckerConfig, DEFAULT_CONFIG, DEFAULT_DEPTH_BOUND
 from repro.core.classify import ClassificationReport, classify_dtd
-from repro.core.completion import (
-    CompletionDepthError,
-    CompletionError,
-    CompletionResult,
-    complete_document,
-)
+from repro.core.completion import CompletionError, CompletionResult, complete_document
 from repro.core.incremental import IncrementalChecker, prop3_char_insert_ok
 from repro.core.machine import PVMachine
 from repro.core.pv import PVChecker, PVVerdict
@@ -126,7 +121,6 @@ __all__ = [
     "complete_document",
     "CompletionResult",
     "CompletionError",
-    "CompletionDepthError",
     # service layer
     "CompiledSchema",
     "compile_schema",

@@ -23,7 +23,9 @@
 * :mod:`repro.core.completion` — constructive completion: compute the tag
   insertions that turn a potentially valid document into a valid one
   (regenerates Figure 3),
-* :mod:`repro.core.classify` — Definition 6-8 DTD classification reports.
+* :mod:`repro.core.classify` — Definition 6-8 DTD classification reports,
+* :mod:`repro.core.trampoline` — runs completion's derivation search and
+  Figure 5's nested recognizers from an explicit stack.
 """
 
 from repro.core.pv import PVChecker, PVVerdict

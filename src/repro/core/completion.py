@@ -14,34 +14,32 @@ per-element content grammar of :func:`repro.grammar.build.build_content_cfg`
 
 * a *direct* slot (``C:y -> y``): the existing child stays at this level, or
 * an *inserted* element (``C:y -> CONTENT:y``): a new ``<y>`` wraps the
-  sub-derivation's tokens — possibly none, in which case the recursion
+  sub-derivation's tokens — possibly none, in which case the derivation
   bottoms out in a synthesized minimal witness.
 
 Because ``CONTENT:x`` carries the **original** content model (with its
 ``?``/``+`` intact), any derivation reconstructs a *fully valid* content,
-not merely a potentially valid one.  Recursion over actual element children
-completes the whole document.
+not merely a potentially valid one.  One pass over the tree walk completes
+the whole document: each element's derivation places its actual element
+children, and the walk completes them in turn.
 
-The parser is a memoized top-down interval parser with cycle-safe caching
-(derivability is a least fixpoint, so "true" results are always cacheable
-while "false" results are cached only when no in-progress cycle was
-touched).  节点-level spans are small in practice, and completions are an
-editor-scale operation, so the cubic worst case is acceptable; the fast
-recognizers remain the per-keystroke path.
+Derivability is a CYK-style chart over the un-binarized grammar.  One
+derivation is reconstructed by a depth-first search over productions and
+splits whose frames run on an explicit stack
+(:func:`~repro.core.trampoline.trampoline`), so neither document depth nor
+content width costs interpreter stack.  Node-level spans are small in
+practice, and completions are an editor-scale operation, so the cubic
+worst case is acceptable; the fast recognizers remain the per-keystroke
+path.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
-# Interval parsing and reconstruction recurse proportionally to the token
-# span (star chains unroll one level per token); lift CPython's default
-# limit so editor-scale nodes complete comfortably.
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
-
+from repro.core.trampoline import trampoline
 from repro.dtd.model import DTD
 from repro.errors import ReproError
 from repro.grammar.build import build_content_cfg, content_nonterminal
@@ -50,7 +48,6 @@ from repro.xmlmodel.delta import SIGMA
 from repro.xmlmodel.tree import XmlDocument, XmlElement, XmlNode, XmlText
 
 __all__ = [
-    "CompletionDepthError",
     "CompletionError",
     "CompletionResult",
     "complete_document",
@@ -67,23 +64,6 @@ class CompletionError(ReproError):
         super().__init__(
             f"no completion exists for <{element}> at {path}: "
             "the content cannot be completed by tag insertions alone"
-        )
-
-
-class CompletionDepthError(ReproError):
-    """The document nests deeper than completion can follow.
-
-    Completion recurses once per document level (and per token of a
-    content span), so a deep enough document reaches the interpreter's
-    recursion limit.  That says nothing about potential validity: this is
-    not a :class:`CompletionError`.
-    """
-
-    def __init__(self, limit: int) -> None:
-        self.limit = limit
-        super().__init__(
-            "document nests too deep to complete: completion recurses per "
-            f"level and reached the recursion limit ({limit} frames)"
         )
 
 
@@ -121,9 +101,7 @@ class _IntervalParser:
     # -- recognition ---------------------------------------------------------
 
     def derives(self, symbol: str, i: int, j: int) -> bool:
-        """Whether *symbol* derives ``tokens[i:j]`` (chart lookup)."""
-        if not self.grammar.is_nonterminal(symbol):
-            return j == i + 1 and self._tokens[i] == symbol
+        """Whether nonterminal *symbol* derives ``tokens[i:j]`` (chart lookup)."""
         return symbol in self._chart[i][j - i]
 
     def _build_chart(self) -> None:
@@ -145,30 +123,38 @@ class _IntervalParser:
                         head = production.head
                         if head in cell:
                             continue
-                        if self._body_derives(production.body, 0, i, i + width):
+                        if self._body_derives(production.body, i, i + width):
                             cell.add(head)
                             changed = True
 
     def _body_derives(
-        self, body: tuple[str, ...], index: int, i: int, j: int
+        self, body: tuple[str, ...], i: int, j: int, index: int = 0
     ) -> bool:
         """Whether ``body[index:]`` derives ``tokens[i:j]`` given the chart
-        up to (and including the in-progress fixpoint of) width ``j - i``."""
-        if index == len(body):
-            return i == j
-        symbol = body[index]
-        if not self.grammar.is_nonterminal(symbol):
-            return (
-                i < j
-                and self._tokens[i] == symbol
-                and self._body_derives(body, index + 1, i + 1, j)
-            )
-        for split in range(i, j + 1):
-            if symbol not in self._chart[i][split - i]:
-                continue
-            if self._body_derives(body, index + 1, split, j):
-                return True
-        return False
+        up to (and including the in-progress fixpoint of) width ``j - i``.
+
+        One forward set of the token positions the symbols read so far
+        can end at, advanced one symbol at a time.
+        """
+        chart, tokens = self._chart, self._tokens
+        ends = {i}
+        for symbol in body[index:]:
+            if self.grammar.is_nonterminal(symbol):
+                ends = {
+                    split
+                    for start in ends
+                    for split in range(start, j + 1)
+                    if symbol in chart[start][split - start]
+                }
+            else:
+                ends = {
+                    start + 1
+                    for start in ends
+                    if start < j and tokens[start] == symbol
+                }
+            if not ends:
+                return False
+        return j in ends
 
     # -- reconstruction ----------------------------------------------------------
 
@@ -179,35 +165,33 @@ class _IntervalParser:
         items: a minimal-height derivation never repeats an item along a
         root-to-leaf path (the repeat could be shortcut), so restricting
         the search to repeat-free paths preserves completeness while
-        guaranteeing termination on cyclic unit/epsilon chains.
+        guaranteeing termination on cyclic unit/epsilon chains.  Before
+        it descends, the search asks the chart whether a production's
+        body derives the span and whether the rest of a body derives the
+        rest of it: a branch that fails either check would fail anyway.
         """
-        tree = self._reconstruct(symbol, i, j, set())
+        tree = trampoline(self._reconstruct(symbol, i, j, set()))
         if tree is None:  # pragma: no cover - caller checks derives() first
             raise AssertionError(f"no derivation for {symbol} over [{i},{j})")
         return tree
 
     def _reconstruct(
         self, symbol: str, i: int, j: int, path: set[tuple[str, int, int]]
-    ) -> "_Node | None":
-        grammar = self.grammar
-        if not grammar.is_nonterminal(symbol):
-            if j == i + 1 and self._tokens[i] == symbol:
-                return _Node(symbol, i, j, None, ())
-            return None
-        if not self.derives(symbol, i, j):
-            return None
+    ) -> Iterator:
+        """A derivation of nonterminal *symbol* over ``[i, j)``, or ``None``."""
         key = (symbol, i, j)
         if key in path:
             return None
         path.add(key)
-        try:
-            for production in grammar.alternatives(symbol):
-                children = self._reconstruct_body(production.body, 0, i, j, path)
-                if children is not None:
-                    return _Node(symbol, i, j, production, tuple(children))
-            return None
-        finally:
-            path.discard(key)
+        for production in self.grammar.alternatives(symbol):
+            if not self._body_derives(production.body, i, j):
+                continue
+            children = yield self._reconstruct_body(production.body, 0, i, j, path)
+            if children is not None:
+                path.discard(key)
+                return _Node(symbol, i, j, production, tuple(children))
+        path.discard(key)
+        return None
 
     def _reconstruct_body(
         self,
@@ -216,13 +200,14 @@ class _IntervalParser:
         i: int,
         j: int,
         path: set[tuple[str, int, int]],
-    ) -> "list[_Node] | None":
+    ) -> Iterator:
+        """Derivations of ``body[index:]`` over ``[i, j)``, or ``None``."""
         if index == len(body):
             return [] if i == j else None
         symbol = body[index]
         if not self.grammar.is_nonterminal(symbol):
             if i < j and self._tokens[i] == symbol:
-                rest = self._reconstruct_body(body, index + 1, i + 1, j, path)
+                rest = yield self._reconstruct_body(body, index + 1, i + 1, j, path)
                 if rest is not None:
                     return [_Node(symbol, i, i + 1, None, ()), *rest]
             return None
@@ -233,10 +218,12 @@ class _IntervalParser:
         for split in range(j, i - 1, -1):
             if not self.derives(symbol, i, split):
                 continue
-            child = self._reconstruct(symbol, i, split, path)
+            if not self._body_derives(body, split, j, index + 1):
+                continue
+            child = yield self._reconstruct(symbol, i, split, path)
             if child is None:
                 continue
-            rest = self._reconstruct_body(body, index + 1, split, j, path)
+            rest = yield self._reconstruct_body(body, index + 1, split, j, path)
             if rest is not None:
                 return [child, *rest]
         return None
@@ -284,131 +271,83 @@ def _token_items(element: XmlElement) -> tuple[list[str], list[list[XmlNode]]]:
     return tokens, items
 
 
-class _Completer:
-    def __init__(self, dtd: DTD) -> None:
-        self.dtd = dtd
-        self.parser = _parser_for(dtd)
-        self.inserted = 0
+def _place(
+    derivation: _Node,
+    items: list[list[XmlNode]],
+    target: XmlElement,
+    path: str,
+    placed: dict[int, tuple[XmlElement, str]],
+) -> int:
+    """Append what *derivation* assigns to *target*; return the insertions.
 
-    def complete(self, element: XmlElement, path: str) -> XmlElement:
-        if element.name not in self.dtd:
-            raise CompletionError(path, element.name)
-        tokens, items = _token_items(element)
-        start = content_nonterminal(element.name)
-        self.parser.set_tokens(tokens)
-        if not self.parser.derives(start, 0, len(tokens)):
-            raise CompletionError(path, element.name)
-        derivation = self.parser.derivation(start, 0, len(tokens))
-        # Materialize before recursing: recursion re-targets the shared parser.
-        plan = _extract_plan(derivation)
-        output = XmlElement(element.name, attributes=dict(element.attributes))
-        self._apply_plan(plan, items, output, path)
-        return output
-
-    def _apply_plan(
-        self,
-        plan: list["_PlanItem"],
-        items: list[list[XmlNode]],
-        target: XmlElement,
-        path: str,
-    ) -> None:
-        for entry in plan:
-            if isinstance(entry, _Direct):
-                for node in items[entry.token_index]:
-                    if isinstance(node, XmlText):
-                        target.append(XmlText(node.text))
-                    else:
-                        child_path = f"{path}/{node.name}"
-                        target.append(self.complete(node, child_path))
-            else:
-                self.inserted += 1
-                wrapper = XmlElement(entry.element)
-                target.append(wrapper)
-                self._apply_plan(entry.children, items, wrapper, path)
-
-
-@dataclass(frozen=True)
-class _Direct:
-    """A token kept at the current level (existing child / text run)."""
-
-    token_index: int
-
-
-@dataclass(frozen=True)
-class _Inserted:
-    """A synthesized element wrapping a sub-plan (possibly empty)."""
-
-    element: str
-    children: list["_PlanItem"]
-
-
-_PlanItem = _Direct | _Inserted
-
-
-def _extract_plan(node: _Node) -> list[_PlanItem]:
-    """Flatten a ``CONTENT:x`` derivation into direct/inserted items."""
-    plan: list[_PlanItem] = []
-    _collect(node, plan)
-    return plan
-
-
-def _collect(node: _Node, plan: list[_PlanItem]) -> None:
-    production = node.production
-    if production is None:
-        # Terminal leaf: one consumed token.
-        plan.append(_Direct(node.start))
-        return
-    head = production.head
-    if head.startswith("CONTENT:"):
-        for child in node.children:
-            _collect(child, plan)
-        return
-    if head.startswith("C:"):
+    A kept token's nodes go in at their level: text as a copy, an element
+    as an empty output that *placed* keys by the element for the tree
+    walk to fill.  ``C:y -> CONTENT:y`` is an inserted ``<y>``: the nodes
+    under it go into it until the ``None`` pushed after them pops it.
+    """
+    inserted = 0
+    targets = [target]
+    stack: list[_Node | None] = [derivation]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            targets.pop()
+            continue
+        production = node.production
+        if production is None:  # a terminal: one token kept at this level
+            for child in items[node.start]:
+                if isinstance(child, XmlText):
+                    targets[-1].append(XmlText(child.text))
+                else:
+                    output = XmlElement(child.name, attributes=dict(child.attributes))
+                    targets[-1].append(output)
+                    placed[id(child)] = (output, f"{path}/{child.name}")
+            continue
         if (
-            len(node.children) == 1
+            production.head.startswith("C:")
+            and node.children
             and node.children[0].production is not None
-            and node.children[0].production.head.startswith("CONTENT:")
         ):
-            # C:y -> CONTENT:y — an inserted <y> wrapping the sub-plan.
-            element = head[len("C:") :]
-            if element == SIGMA:
-                # C:#PCDATA -> ε: nothing to emit (optional text omitted).
-                return
-            inner: list[_PlanItem] = []
-            _collect(node.children[0], inner)
-            plan.append(_Inserted(element, inner))
-            return
-        if not node.children:
-            # C:#PCDATA -> ε
-            return
-        # C:y -> y — the direct token.
-        _collect(node.children[0], plan)
-        return
-    # Auxiliary regex nonterminals (%alt/%star/%opt/%plus): structural.
-    for child in node.children:
-        _collect(child, plan)
+            wrapper = XmlElement(production.head[len("C:") :])
+            targets[-1].append(wrapper)
+            targets.append(wrapper)
+            stack.append(None)
+            inserted += 1
+        stack.extend(reversed(node.children))
+    return inserted
 
 
 def complete_element(dtd: DTD, element: XmlElement) -> tuple[XmlElement, int]:
     """Complete the subtree rooted at *element*; returns (new tree, insertions).
 
-    Raises :class:`CompletionDepthError` when the subtree nests deeper
-    than the recursion limit lets completion follow.
+    One pass over the tree walk: each element's derivation places its
+    children's empty outputs, which the walk fills when it reaches them.
+    The walk is pre-order, so a :class:`CompletionError` names the first
+    element in document order whose content cannot be completed.
     """
-    completer = _Completer(dtd)
-    try:
-        completed = completer.complete(element, f"/{element.name}")
-    except RecursionError:
-        raise CompletionDepthError(sys.getrecursionlimit()) from None
-    return completed, completer.inserted
+    parser = _parser_for(dtd)
+    completed = XmlElement(element.name, attributes=dict(element.attributes))
+    placed = {id(element): (completed, f"/{element.name}")}
+    inserted = 0
+    for node in element.iter_elements():
+        output, path = placed.pop(id(node))
+        if node.name not in dtd:
+            raise CompletionError(path, node.name)
+        tokens, items = _token_items(node)
+        start = content_nonterminal(node.name)
+        parser.set_tokens(tokens)
+        if not parser.derives(start, 0, len(tokens)):
+            raise CompletionError(path, node.name)
+        derivation = parser.derivation(start, 0, len(tokens))
+        inserted += _place(derivation, items, output, path, placed)
+    return completed, inserted
 
 
 def complete_document(dtd: DTD, document: XmlDocument) -> CompletionResult:
     """Compute a valid extension of *document* (Definition 2's ``Ext``).
 
     Raises :class:`CompletionError` when (and only when) the document is not
-    potentially valid, and :class:`CompletionDepthError` when it nests too
-    deep to complete.  The returned document preserves all original nodes,
+    potentially valid.  The returned document preserves all original nodes,
     their order and their character data; only new element wrappers are
     added — exactly the paper's notion of extension.
     """

@@ -46,6 +46,10 @@ Acceptance after the last token requires some consumption node with a
 root-ward path of silently-finishable nodes — for usable DTDs this is
 automatic, recovering the paper's "stop anywhere" rule (Theorem 3).
 
+Neither an insertion chain nor the GSS's height costs interpreter stack:
+a round explores hypothesized elements' entry nodes from a worklist, and
+acceptance is reachability of the bottom sentinel with one seen set.
+
 Complexity positioning
 ----------------------
 Exact potential validity is context-free-language recognition (Theorem 1),
@@ -235,40 +239,47 @@ class PVMachine:
     # -- token matching -------------------------------------------------------
 
     def _match_from(self, frame: Node, symbol: str, out: dict[int, Node]) -> None:
-        """Consume *symbol* at (or below) *frame*'s eligible positions."""
-        assert frame.element is not None
-        if self._merged:
-            key = (frame.element, frame.position)
-            recorded = self._key_replay.get(key)
-            if recorded is not None:
-                # Same positional exploration already done (or in progress)
-                # this round: the produced nodes are already in `out`/the
-                # store; this frame only contributes additional stack
-                # contexts.  Registering it here also covers targets that
-                # are appended later in the original exploration.
-                frames, targets = recorded
-                frames.append(frame)
-                for node in targets:
-                    node.add_source(frame)
-                return
-            frames = [frame]
-            targets = []
-            self._key_replay[key] = (frames, targets)
-        else:
-            frames = [frame]
-            targets = []
-        tables = self._tables(frame.element)
-        if tables.automaton is None:
-            return
+        """Consume *symbol* at (or below) *frame*'s eligible positions,
+        exploring hypothesized elements' entry nodes from a worklist."""
         can_embed = self.analysis.can_embed
-        for index in self._silent_closure(frame.element, frame.position):
-            position = tables.position(index)
-            label = position.label
-            assert label is not None  # exact automata have no group positions
-            if label == symbol:
-                self._emit(frames, index, out, targets)
-            if label != PCDATA and can_embed(label, symbol):
-                self._descend(frames, index, label, symbol, out, targets)
+        worklist = [frame]
+        while worklist:
+            frame = worklist.pop()
+            assert frame.element is not None
+            if self._merged:
+                key = (frame.element, frame.position)
+                recorded = self._key_replay.get(key)
+                if recorded is not None:
+                    # Same positional exploration already done (or in
+                    # progress) this round: the produced nodes are already
+                    # in `out`/the store; this frame only contributes
+                    # additional stack contexts.  Registering it here also
+                    # covers targets that are appended later in the
+                    # original exploration.
+                    frames, targets = recorded
+                    frames.append(frame)
+                    for node in targets:
+                        node.add_source(frame)
+                    continue
+                frames = [frame]
+                targets = []
+                self._key_replay[key] = (frames, targets)
+            else:
+                frames = [frame]
+                targets = []
+            tables = self._tables(frame.element)
+            if tables.automaton is None:
+                continue
+            for index in self._silent_closure(frame.element, frame.position):
+                position = tables.position(index)
+                label = position.label
+                assert label is not None  # exact automata have no group positions
+                if label == symbol:
+                    self._emit(frames, index, out, targets)
+                if label != PCDATA and can_embed(label, symbol):
+                    entry = self._descend(frames, index, label, targets)
+                    if entry is not None:
+                        worklist.append(entry)
 
     def _emit(
         self,
@@ -296,11 +307,10 @@ class PVMachine:
         frames: list[Node],
         index: int,
         label: str,
-        symbol: str,
-        out: dict[int, Node],
         targets: list[Node],
-    ) -> None:
-        """Hypothesize a missing <label> at position *index* of the frames."""
+    ) -> Node | None:
+        """Hypothesize a missing <label> at position *index* of the frames;
+        return its entry node if it is new and within the depth bound."""
         frame = frames[0]
         assert frame.element is not None
         if self._merged:
@@ -310,17 +320,15 @@ class PVMachine:
             targets.append(continuation)
             child, created = self._round_node("entry", label, ENTRY)
             child.add_parent(continuation)
-            if created:
-                self._match_from(child, symbol, out)
-        else:
-            assert self.depth is not None
-            if frame.nesting + 1 > self.depth:
-                return
-            continuation = self._new_node(frame.element, index, frame.nesting)
-            continuation.parents.extend(frame.parents)
-            child = self._new_node(label, ENTRY, frame.nesting + 1)
-            child.parents.append(continuation)
-            self._match_from(child, symbol, out)
+            return child if created else None
+        assert self.depth is not None
+        if frame.nesting + 1 > self.depth:
+            return None
+        continuation = self._new_node(frame.element, index, frame.nesting)
+        continuation.parents.extend(frame.parents)
+        child = self._new_node(label, ENTRY, frame.nesting + 1)
+        child.parents.append(continuation)
+        return child
 
     # -- round bookkeeping ---------------------------------------------------------
 
@@ -374,26 +382,23 @@ class PVMachine:
         return True
 
     def accepts_now(self) -> bool:
-        """Would stopping here be accepted? (A root-ward finishable path.)"""
+        """Would stopping here be accepted? (A root-ward finishable path:
+        any walk to the bottom through finishable nodes contains one.)"""
         if self.rejected_at is not None:
             return False
-        return any(self._finishable_up(leaf, set()) for leaf in self.leaves)
-
-    def _finishable_up(self, node: Node, visiting: set[int]) -> bool:
-        if node.is_bottom:
-            return True
-        if not self._tables(node.element).finishable_from(node.position):
-            return False
-        marker = id(node)
-        if marker in visiting:
-            return False  # a cycle contributes no finite closing path
-        visiting.add(marker)
-        try:
-            return any(
-                self._finishable_up(parent, visiting) for parent in node.parents
-            )
-        finally:
-            visiting.discard(marker)
+        stack = list(self.leaves)
+        seen: set[int] = set()
+        while stack:
+            node = stack.pop()
+            if node.is_bottom:
+                return True
+            marker = id(node)
+            if marker in seen:
+                continue
+            seen.add(marker)
+            if self._tables(node.element).finishable_from(node.position):
+                stack.extend(node.parents)
+        return False
 
     def recognize(self, symbols: Iterable[str]) -> bool:
         """Decide ECPV for the token sequence *symbols*."""

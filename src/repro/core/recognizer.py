@@ -16,6 +16,9 @@ Faithfulness notes (line numbers refer to Figure 5):
   created on first deep search into a missing element, with ``depth - 1``;
   deep search is attempted only while ``depth > 0`` (line 26) — the
   paper's fix for the Figure 7 infinite loop on PV-strong recursive DTDs.
+  The nested call keeps the figure's shape but yields the sub-recognizer's
+  frame (:func:`~repro.core.trampoline.trampoline`), so nesting as deep as
+  ``D`` costs no interpreter stack.
 * The reachability test is the paper's lookup table ``LT`` (Definition 5):
   ``lookup(x, element(n))`` asks whether token ``x`` is reachable *from*
   ``element(n)`` in ``R_T`` (Example 4 notes ``b`` is absent from the
@@ -52,10 +55,11 @@ pin both (see EXPERIMENTS.md, finding F-A1).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.config import DEFAULT_DEPTH_BOUND
 from repro.core.dag import DtdDag, ElementDag, build_dag
+from repro.core.trampoline import trampoline
 from repro.dtd.analysis import DTDAnalysis
 from repro.dtd.model import DTD, PCDATA
 from repro.grammar.glushkov import Position
@@ -131,6 +135,11 @@ class ECRecognizer:
 
     def validate(self, symbol: str) -> str:
         """Figure 5 lines 10-37: match one input symbol, return accept/reject."""
+        return trampoline(self._validate(symbol))
+
+    def _validate(self, symbol: str) -> Iterator:
+        """:meth:`validate` as a frame that yields the nested recognizer's
+        frame of a missing element (lines 23-28)."""
         dag = self._dag
         lookup = self.lookup_table.lookup
         result = _REJECT
@@ -202,7 +211,7 @@ class ECRecognizer:
                         )
                     if (
                         node.recognizer.depth > 0
-                        and node.recognizer.validate(symbol) == _ACCEPT
+                        and (yield node.recognizer._validate(symbol)) == _ACCEPT
                     ):
                         node.recognizer.consumed += 1
                         result = _ACCEPT

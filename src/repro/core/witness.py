@@ -10,7 +10,8 @@ are exactly such witnesses).
 The cost of an element is ``1 +`` the minimum cost of a word of its content
 model, computed as a least fixpoint over the mutually recursive
 declarations; unproductive elements get infinite cost and synthesis raises
-:class:`~repro.errors.UnusableElementError` for them.
+:class:`~repro.errors.UnusableElementError` for them.  Synthesis keeps the
+open elements on an explicit stack, so a deep witness costs no call stack.
 """
 
 from __future__ import annotations
@@ -93,10 +94,13 @@ def minimal_instance(dtd: DTD, element: str | None = None) -> XmlElement:
 
 
 def _build(dtd: DTD, element: str, costs: dict[str, float]) -> XmlElement:
-    node = XmlElement(element)
-    regex = dtd.content_regex(element)
-    if regex is None:
-        return node
-    for child_name in _cheapest_word(regex, costs):
-        node.append(_build(dtd, child_name, costs))
-    return node
+    root = XmlElement(element)
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        regex = dtd.content_regex(node.name)
+        if regex is None:
+            continue
+        for child_name in _cheapest_word(regex, costs):
+            stack.append(node.append(XmlElement(child_name)))
+    return root

@@ -1072,12 +1072,18 @@ class ValidationServer:
             "schema": self._schema_fields(schema, disposition),
         }
         if request.coarse:
-            response["coarse"] = self._coarse_stamp(schema)
+            response["coarse"] = await self._coarse_stamp(schema)
         return response
 
-    def _coarse_stamp(self, schema: CompiledSchema) -> str:
-        """The base64 coarse summary a ``"coarse": true`` reply carries."""
-        return base64.b64encode(encode_coarse(schema.coarse)).decode("ascii")
+    @staticmethod
+    async def _coarse_stamp(schema: CompiledSchema) -> str:
+        """The base64 coarse summary a ``"coarse": true`` reply carries.
+
+        The summary is built on its first read, so reading and encoding
+        it run in one thread hop, off the event loop.
+        """
+        blob = await asyncio.to_thread(lambda: encode_coarse(schema.coarse))
+        return base64.b64encode(blob).decode("ascii")
 
     # -- the streaming batch op ----------------------------------------------
 
@@ -1162,7 +1168,7 @@ class ValidationServer:
             "elapsed_ms": watch.elapsed_ms,
         }
         if request.coarse:
-            trailer["coarse"] = self._coarse_stamp(schema)
+            trailer["coarse"] = await self._coarse_stamp(schema)
         self._observe_request("check-batch", watch, batch_timings)
         if request.trace is not None:
             self._m_traced.inc()
@@ -1381,8 +1387,7 @@ class ValidationServer:
 
         The lightweight sibling of ``get-artifact``: a ring client caches
         this per fingerprint to pre-filter batches locally.  A possible
-        disk load (and the summary build, for pre-v3 artifacts) runs
-        off-loop.
+        disk load and the summary's build on its first read run off-loop.
         """
         assert request.fingerprint is not None
         blob = await self._encode_held(

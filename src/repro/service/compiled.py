@@ -4,10 +4,11 @@ A :class:`CompiledSchema` bundles everything any checking backend derives
 from a DTD — the reachability/classification analysis (Definition 5-8),
 the Section 4.2 DAG model consumed by the exact :class:`PVMachine` and the
 Figure-5 recognizer, the dense integer tables consumed by the kernel
-backend, and (lazily, because only the Earley backend needs it) the
-per-element content grammar of Section 3.3.  Once built, verdicts never
-touch DTD text again; that is the paper's amortization argument made
-into an object.
+backend, and, each built on first use, the coarse summary the ring
+client's filter runs and the per-element content grammar of Section 3.3
+that only the Earley backend needs.  Once built, verdicts never touch DTD
+text again; that is the paper's amortization argument made into an
+object.
 
 Identity is a **content hash** (:func:`schema_fingerprint`): the SHA-256
 of the canonical serialization plus the designated root.  Two DTD sources
@@ -15,11 +16,12 @@ that differ only in formatting, comments or entity sugar parse to equal
 models, serialize identically, and therefore share one artifact — the
 property the registry's cache key relies on.
 
-The artifact is immutable after construction (the lazy Earley members are
+The artifact is immutable after construction (the lazy members are
 memoized, never rebound to different values) and **picklable**, so a
 ``multiprocessing`` pool can ship it to workers once at startup.  The
-lazy members are dropped from the pickle: they are derived data and each
-worker rebuilds them on first use only if its backend needs them.
+pickle carries the coarse summary once it has been built and drops the
+Earley members: they are derived data and each worker rebuilds them on
+first use only if its backend needs them.
 """
 
 from __future__ import annotations
@@ -77,10 +79,9 @@ class CompiledSchema:
         rebuild them lazily on first kernel use.
     coarse:
         The coarse summary (:class:`~repro.core.coarse.CoarseSummary`)
-        the ring client's filter runs.  Built eagerly by
-        :func:`compile_schema` and carried inside the pickle (artifact
-        format version 3); older artifacts rebuild it lazily on first
-        use.
+        the ring client's filter runs.  Built on first read, since only
+        that filter reads it, and carried inside the pickle once built
+        (artifact format version 3).
     compile_seconds:
         Wall time the compilation took (feeds registry statistics and the
         E10 benchmark's amortization table).
@@ -151,8 +152,7 @@ class CompiledSchema:
 
     @property
     def coarse(self) -> CoarseSummary:
-        """The coarse summary (rebuilt if the pickle lacked it — i.e.
-        the artifact predates format version 3)."""
+        """The coarse summary, built on first read."""
         if self._coarse is None:
             self._coarse = compile_coarse(self.dag)
         return self._coarse
@@ -187,9 +187,9 @@ class CompiledSchema:
         self.analysis = state["analysis"]
         self.dag = state["dag"]
         self.compile_seconds = state["compile_seconds"]
-        # Version-1 artifacts predate the kernel tables and version-1/-2
-        # artifacts predate the coarse summary; absent means "rebuild
-        # lazily", so old pickles keep loading.
+        # Version-1 artifacts predate the kernel tables, and an artifact
+        # carries the coarse summary only once it was built; absent means
+        # "build lazily", so old pickles keep loading.
         self._tables = state.get("tables")
         self._coarse = state.get("coarse")
         self._content_cfg = None
@@ -213,7 +213,6 @@ def compile_schema(dtd: DTD, fingerprint: str | None = None) -> CompiledSchema:
     started = perf_counter()
     dag = DtdDag(dtd)
     tables = compile_tables(dag)
-    coarse = compile_coarse(dag)
     elapsed = perf_counter() - started
     return CompiledSchema(
         dtd=dtd,
@@ -222,7 +221,6 @@ def compile_schema(dtd: DTD, fingerprint: str | None = None) -> CompiledSchema:
         dag=dag,
         compile_seconds=elapsed,
         tables=tables,
-        coarse=coarse,
     )
 
 

@@ -27,8 +27,8 @@ Format versions
 * **2** — the pickle carries the kernel backend's dense integer tables
   (:mod:`repro.core.tables`).
 * **3** (current) — the pickle additionally carries the coarse
-  summary (:mod:`repro.core.coarse`), so a shipped or reloaded artifact
-  serves ``get-coarse`` with zero rebuild.
+  summary (:mod:`repro.core.coarse`) once it has been built, so a
+  shipped or reloaded artifact serves ``get-coarse`` with zero rebuild.
 
 A *supported older* version (see :data:`SUPPORTED_FORMAT_VERSIONS`) is a
 legitimate artifact, not corruption: the load succeeds, the missing

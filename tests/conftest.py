@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-import sys
 
 import pytest
 
@@ -40,19 +39,6 @@ DIFFERENTIAL_DTDS = (
     "strong-chain",
     "with-any",
 )
-
-
-@pytest.fixture
-def default_recursion_limit():
-    """The interpreter's default recursion limit for the test's duration.
-
-    Importing :mod:`repro` raises it, because completion still recurses
-    per level; nothing a client DTD passes through may rely on that.
-    """
-    raised = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    yield
-    sys.setrecursionlimit(raised)
 
 
 @pytest.fixture

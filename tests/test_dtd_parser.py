@@ -195,7 +195,6 @@ def _deep_dtd_text(model: str, spaced: bool = False) -> str:
     return f"<!ELEMENT r {model}>\n<!ELEMENT a EMPTY>"
 
 
-@pytest.mark.usefixtures("default_recursion_limit")
 class TestDeepContentModels:
     """Every fold over a content model is one iterative walk, so a client
     DTD nested far past the recursion limit parses, fingerprints,

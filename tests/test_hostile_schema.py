@@ -143,7 +143,6 @@ def test_every_concurrent_sender_of_a_bad_dtd_gets_bad_dtd(
     assert len(parses) == 2
 
 
-@pytest.mark.usefixtures("default_recursion_limit")
 def test_a_dtd_nested_10000_deep_is_answered_cold_and_after_eviction(
     server_handle,
 ):

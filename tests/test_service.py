@@ -191,6 +191,24 @@ class TestCompiledSchema:
             checker = schema.checker(algorithm)
             assert checker.check_content("r", ["a"])
 
+    def test_the_coarse_summary_is_built_on_first_read(self, monkeypatch):
+        """Only the ring client's filter reads the coarse summary, so a
+        compile does not build it; the first read does, and the pickle
+        carries it from then on."""
+        from repro.core.coarse import compile_coarse, encode_coarse
+        from repro.service import compiled
+
+        def refuse(dag):
+            raise AssertionError("the compile built the coarse summary")
+
+        monkeypatch.setattr(compiled, "compile_coarse", refuse)
+        schema = compile_schema(catalog.manuscript())
+        assert not schema.has_coarse
+        monkeypatch.undo()
+        expected = encode_coarse(compile_coarse(schema.dag))
+        assert encode_coarse(schema.coarse) == expected
+        assert pickle.loads(pickle.dumps(schema)).has_coarse
+
 
 class TestBatchChecker:
     @pytest.mark.parametrize("dtd_name", ["paper-figure1", "play", "manuscript"])

@@ -284,8 +284,8 @@ def test_a_deep_document_validates_when_served(tmp_path):
 def test_every_algorithm_reports_the_deepest_failure():
     """Character data in the deepest ``<x>`` (content ``x*``) is the one
     failure, and every algorithm names it by the same path.  Half of
-    ``DEEP`` keeps the test short and stays well past the process's
-    20,000-frame recursion limit."""
+    ``DEEP`` keeps the test short and stays well past the interpreter's
+    recursion limit."""
     depth = DEEP // 2
     failure = NodeFailure(
         "/r" + "/x[0]" * depth,

@@ -13,7 +13,7 @@ from repro.validity.validator import DTDValidator
 from repro.workloads.docgen import DocumentGenerator
 from repro.xmlmodel.parser import parse_xml
 
-#: Five times the process's raised recursion limit.
+#: A hundred times the interpreter's default recursion limit.
 DEEP = 100_000
 
 

@@ -11,7 +11,7 @@ from repro.xmlmodel.parser import parse_xml
 from repro.xmlmodel.serialize import to_xml
 from repro.xmlmodel.tree import XmlDocument, XmlElement, XmlText, walk
 
-#: Five times the process's raised recursion limit.
+#: A hundred times the interpreter's default recursion limit.
 DEEP = 100_000
 
 
