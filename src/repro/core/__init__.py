@@ -10,8 +10,9 @@
 * :mod:`repro.core.tables` / :mod:`repro.core.kernel` — the machine's
   automata compiled to dense integer tables with bitmask state sets, and
   ``KernelMachine`` running the same GSS semantics over them (with an
-  optional native build); the library's production checker, selected
-  with ``PVChecker(dtd, algorithm="kernel")``,
+  optional native build), its configurations interned per schema as
+  the ``KernelState``s the document walk steps; the library's production
+  checker, selected with ``PVChecker(dtd, algorithm="kernel")``,
 * :mod:`repro.core.pv` — Problem PV / Problem ECPV drivers over documents,
 * :mod:`repro.core.stream` — the one document walk every backend runs,
   fed by the scanner's events or a tree's

@@ -38,12 +38,36 @@ Bit-twiddling idiom used throughout (lowest set bit extraction)::
 
 Python ints are arbitrary-width, so automata with more than 63
 positions need no widening logic (pinned by the bitmask-width tests).
+
+The document walk does not step a machine per element.  It steps
+:class:`KernelState` objects, a lazy DFA over the machine's own
+configurations: each live configuration of at most
+:data:`STATE_NODE_LIMIT` GSS nodes is interned once per schema, in the
+schema's one runtime memo, and a state keeps the successors it has
+already met in its ``next`` map.  A child is one ``next`` lookup; only a
+miss runs :func:`advance`, which decodes the configuration into a
+:class:`KernelMachine`, runs one round and interns the result.  A larger
+configuration is not interned: its frame steps the raw machine, which
+answers the same ``next`` / ``accepts`` protocol with an empty map.
 """
+
+from array import array
+from sys import getsizeof
+from types import MappingProxyType
 
 from repro.config import MACHINE_NODE_LIMIT
 from repro.errors import PVError
 
-__all__ = ["KernelMachine", "IMPLEMENTATION", "EMISSIONS_LIMIT"]
+__all__ = [
+    "KernelMachine",
+    "KernelState",
+    "advance",
+    "initial_state",
+    "IMPLEMENTATION",
+    "EMISSIONS_LIMIT",
+    "EMISSIONS_BYTES_LIMIT",
+    "STATE_NODE_LIMIT",
+]
 
 #: Which build this is; the native copy is patched to say "native".
 IMPLEMENTATION = "pure"
@@ -59,6 +83,164 @@ _BOTTOM = 0
 #: reaching new GSS states cannot grow it for the life of the process.
 #: Realistic schemas settle in the hundreds of entries.
 EMISSIONS_LIMIT = 1 << 14
+
+#: Most bytes one schema's memo may be charged, interned states, their
+#: codes and successor maps included.  A store that would pass it clears
+#: the memo first, as a full entry count does.
+EMISSIONS_BYTES_LIMIT = 3 << 20
+
+#: Most GSS nodes (the bottom sentinel aside) an interned configuration
+#: may hold.  A larger one is not interned: its frame steps a raw
+#: :class:`KernelMachine` until the configuration shrinks back.
+STATE_NODE_LIMIT = 64
+
+# What the memo is charged per entry: rough CPython sizes of the objects
+# an entry keeps alive, its share of the memo's hash table included.  An
+# emission entry adds its lists' items, a state its code.
+_ENTRY_BYTES = 160
+_STATE_BYTES = 200
+_EDGE_BYTES = 64
+
+#: A raw machine's ``next`` map: it has no interned successors, so every
+#: step is a miss.
+_NO_EDGES = MappingProxyType({})
+
+
+class KernelState:
+    """One interned kernel configuration: a state of the lazy DFA.
+
+    ``code`` is the configuration in canonical form (see
+    :meth:`KernelMachine._code`), ``accepts`` whether the content may end
+    here, and ``next`` maps a symbol id to the successor state met so
+    far.  A state is immutable but for ``next``, holds no reference to
+    the memo that interned it, and so stays valid after a clear.  States
+    are runtime-only: the memo that holds them never pickles.
+    """
+
+    __slots__ = ("code", "accepts", "next")
+
+    def __init__(self, code, accepts):
+        self.code = code
+        self.accepts = accepts
+        self.next = {}
+
+
+# The state after a round with no survivor: it accepts nothing, and
+# advance keeps it on every symbol.  Its map is read-only, as every
+# schema shares it.
+_DEAD = KernelState(None, False)
+_DEAD.next = _NO_EDGES
+
+
+def _charge(memo, charge):
+    """Charge a schema's memo *charge* bytes for what is stored next.
+
+    A charge that finds the memo at either bound clears it first.  States
+    already handed out stay valid: a clear only forgets them.
+    """
+    with memo.lock:
+        if len(memo) >= EMISSIONS_LIMIT or (
+            memo.charged + charge > EMISSIONS_BYTES_LIMIT
+        ):
+            memo.clear()
+        memo.charged += charge
+
+
+def _intern(memo, code, accepts):
+    """The memo's state for *code*, interned on first sight."""
+    state = memo.get(code)
+    if state is None:
+        state = KernelState(code, accepts)
+        _charge(memo, _STATE_BYTES + getsizeof(code))
+        memo[code] = state
+    return state
+
+
+def initial_state(tables, element_id):
+    """The state of element *element_id* before its first child.
+
+    It is interned under ``~element_id``, so the walk asks the memo for
+    that key first and calls this only on a miss.
+    """
+    return _intern(
+        tables.emissions, ~element_id, tables.elements[element_id].entry_fin
+    )
+
+
+def advance(tables, state, sym):
+    """The successor of *state* on symbol id *sym*, after a ``next`` miss.
+
+    Decodes the configuration into a :class:`KernelMachine`, runs one
+    round and interns the result, which becomes ``state.next[sym]``.  A
+    result past :data:`STATE_NODE_LIMIT` nodes is returned as the raw
+    machine itself, and a raw *state* (such a machine) is stepped in
+    place, until its configuration is small enough to intern again.
+    """
+    if state.__class__ is KernelMachine:
+        machine = state
+    elif state is _DEAD:
+        return _DEAD
+    else:
+        machine = _decode(tables, state.code)
+    memo = tables.emissions
+    if machine.step(sym):
+        code = machine._code()
+        if code is None:
+            return machine
+        successor = _intern(memo, code, machine.accepts_now())
+    else:
+        successor = _DEAD
+    if machine is not state:
+        _charge(memo, _EDGE_BYTES)
+        state.next[sym] = successor
+    return successor
+
+
+def _decode(tables, code):
+    """A fresh :class:`KernelMachine` in the configuration *code*."""
+    elements = tables.elements
+    if code.__class__ is int:
+        # Flat: ~((mask + 1) * element count + element), mask -1 = ENTRY.
+        shifted, element_id = divmod(~code, len(elements))
+        machine = KernelMachine(tables, tables.symbols[element_id])
+        if shifted:
+            machine._flat_entry = False
+            machine._flat_mask = shifted - 1
+        return machine
+    ints = array("q")
+    ints.frombytes(code)
+    machine = KernelMachine(tables, tables.symbols[ints[0]])
+    machine._flat = False
+    elem = [-1]
+    pos = [_ENTRY]
+    key = [0]
+    parents = [[]]
+    fin = [True]
+    at = 2
+    end = len(ints)
+    while at < end:
+        packed = ints[at]
+        count = ints[at + 1]
+        element_id = packed >> 21
+        index = (packed & 0x1FFFFF) - 1
+        element = elements[element_id]
+        elem.append(element_id)
+        pos.append(index)
+        key.append(packed)
+        parents.append(ints[at + 2 : at + 2 + count].tolist())
+        if index == _ENTRY:
+            fin.append(element.entry_fin)
+        else:
+            fin.append((element.fin_mask >> index) & 1)
+        at += 2 + count
+    machine._elem = elem
+    machine._pos = pos
+    machine._key = key
+    machine._parents = parents
+    machine._fin = fin
+    machine._allocated = len(elem)
+    machine.leaves = list(range(1, ints[1] + 1))
+    return machine
 
 
 def _compute_emissions(tables, position, sym):
@@ -92,11 +274,12 @@ def _compute_emissions(tables, position, sym):
 class KernelMachine:
     """Exact ECPV recognizer over :class:`repro.core.tables.CompiledTables`.
 
-    One instance checks one element's content sequence; construction is a
-    handful of list appends, so per-node instantiation inside a document
-    walk is cheap.  Feed interned symbol ids through :meth:`step` (or
-    strings through :meth:`recognize`); ``-1`` is the "undeclared symbol"
-    id and matches nothing anywhere.
+    One instance checks one element's content sequence.  Feed interned
+    symbol ids through :meth:`step` (or strings through :meth:`recognize`);
+    ``-1`` is the "undeclared symbol" id and matches nothing anywhere.
+    The document walk builds one only on a :class:`KernelState` miss, or
+    for a configuration too large to intern; ``next`` and ``accepts`` let
+    it stand in a frame where a state would.
     """
 
     __slots__ = (
@@ -150,40 +333,35 @@ class KernelMachine:
 
     # -- stepping -------------------------------------------------------------
 
+    #: No interned successors: in a frame, every step is a miss.
+    next = _NO_EDGES
+
+    @property
+    def accepts(self):
+        """:meth:`accepts_now`, read the way a :class:`KernelState`'s is."""
+        return self.accepts_now()
+
     def step(self, sym):
         """Feed one interned symbol id; False when no hypothesis survives."""
         if self.rejected_at is not None:
             return False
         if self._flat:
-            # One shared-memo lookup decides the whole flat round: the
-            # transition is a pure function of (element, state, symbol),
-            # where state -1 is the virtual ENTRY state.  -1 as the cached
-            # value means "an insertion hypothesis fires here".
-            state = -1 if self._flat_entry else self._flat_mask
-            fkey = (self._root_elem, state, sym)
-            emissions = self.tables.emissions
-            survivors = emissions.get(fkey)
-            if survivors is None:
-                tables = self._root_tables
-                closures = tables.closures
-                if state == -1:
-                    closure = closures[0]
-                else:
-                    closure = 0
-                    mask = state
-                    while mask:
-                        low = mask & -mask
-                        mask ^= low
-                        # bit i's closure lives in closures[i + 1]
-                        closure |= closures[low.bit_length()]
-                if closure and closure & tables.embed_masks.get(sym, 0):
-                    survivors = -1
-                else:
-                    survivors = closure & tables.match_masks.get(sym, 0)
-                if len(emissions) >= EMISSIONS_LIMIT:
-                    emissions.clear()
-                emissions[fkey] = survivors
-            if survivors != -1:
+            # A flat round is bitwise arithmetic on the position set; its
+            # result is memoized as a KernelState edge, not here.
+            tables = self._root_tables
+            closures = tables.closures
+            if self._flat_entry:
+                closure = closures[0]
+            else:
+                closure = 0
+                mask = self._flat_mask
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    # bit i's closure lives in closures[i + 1]
+                    closure |= closures[low.bit_length()]
+            if not closure & tables.embed_masks.get(sym, 0):
+                survivors = closure & tables.match_masks.get(sym, 0)
                 self._consumed += 1
                 self._flat_entry = False
                 self._flat_mask = survivors
@@ -367,8 +545,10 @@ class KernelMachine:
                 cached = _compute_emissions(
                     elements[element_id], (packed & 0x1FFFFF) - 1, sym
                 )
-                if len(emissions) >= EMISSIONS_LIMIT:
-                    emissions.clear()
+                _charge(
+                    emissions,
+                    _ENTRY_BYTES + 8 * len(cached[0]) + 64 * len(cached[1]),
+                )
                 emissions[ekey] = cached
             match_list, cont_list = cached
             if not match_list and not cont_list:
@@ -518,6 +698,49 @@ class KernelMachine:
             return False
         return True
 
+    # -- interning --------------------------------------------------------------
+
+    def _code(self):
+        """This live configuration in canonical form, the memo's state key.
+
+        A flat configuration is one negative int (emission keys are
+        non-negative).  Otherwise the code is the bytes of one int array:
+        the root element, the leaf count, then per node its packed key,
+        parent count and parents.  Nodes are the ones the leaves reach
+        through parent edges, numbered from the leaves in discovery order;
+        the bottom sentinel is 0.  ``None`` past :data:`STATE_NODE_LIMIT`
+        nodes.
+        """
+        if self._flat:
+            mask = -1 if self._flat_entry else self._flat_mask
+            return ~((mask + 1) * len(self._elements) + self._root_elem)
+        leaves = self.leaves
+        if len(leaves) > STATE_NODE_LIMIT:
+            return None
+        parents = self._parents
+        number = {_BOTTOM: 0}
+        for leaf in leaves:
+            number[leaf] = len(number)
+        order = list(leaves)
+        at = 0
+        while at < len(order):
+            for parent in parents[order[at]]:
+                if parent not in number:
+                    if len(order) == STATE_NODE_LIMIT:
+                        return None
+                    number[parent] = len(number)
+                    order.append(parent)
+            at += 1
+        key = self._key
+        code = [self._root_elem, len(leaves)]
+        for node in order:
+            node_parents = parents[node]
+            code.append(key[node])
+            code.append(len(node_parents))
+            for parent in node_parents:
+                code.append(number[parent])
+        return array("q", code).tobytes()
+
     # -- acceptance -----------------------------------------------------------
 
     def accepts_now(self):
@@ -575,10 +798,6 @@ class KernelMachine:
             if not step(sid(symbol, -1)):
                 return False
         return self.accepts_now()
-
-    def accepts(self, symbols):
-        """Alias of :meth:`recognize` mirroring the machine's API."""
-        return self.recognize(symbols)
 
     @property
     def allocated_nodes(self):

@@ -6,6 +6,11 @@ recompiled over the dense integer tables of :mod:`repro.core.tables`.
 It is exact and unbounded for every DTD class — the differential suite
 pins ``kernel ≡ machine ≡ earley`` on the full random-DTD corpus.
 
+The document walk steps :class:`KernelState` objects, the kernel's
+configurations interned once per schema: a child is one
+``state.next.get(sym)``, and only a miss runs :func:`advance`, one
+machine round over the decoded configuration.
+
 Native build seam
 -----------------
 The hot loop lives in :mod:`repro.core._kernel_impl`, written to compile
@@ -28,10 +33,15 @@ from repro.dtd.model import DTD
 
 __all__ = [
     "KernelMachine",
+    "KernelState",
+    "advance",
+    "initial_state",
     "kernel_machine_for_dtd",
     "NATIVE",
     "IMPLEMENTATION",
     "EMISSIONS_LIMIT",
+    "EMISSIONS_BYTES_LIMIT",
+    "STATE_NODE_LIMIT",
 ]
 
 if os.environ.get("REPRO_KERNEL_PURE"):
@@ -52,9 +62,17 @@ else:
 IMPLEMENTATION: str = "native" if NATIVE else "pure"
 
 KernelMachine = _impl.KernelMachine
+KernelState = _impl.KernelState
+advance = _impl.advance
+initial_state = _impl.initial_state
 
-#: The bound on each schema's shared ``emissions`` memo.
+#: The bounds on each schema's shared ``emissions`` memo: entries, and
+#: bytes charged.
 EMISSIONS_LIMIT: int = _impl.EMISSIONS_LIMIT
+EMISSIONS_BYTES_LIMIT: int = _impl.EMISSIONS_BYTES_LIMIT
+
+#: Most GSS nodes an interned configuration may hold.
+STATE_NODE_LIMIT: int = _impl.STATE_NODE_LIMIT
 
 
 def kernel_machine_for_dtd(dtd: DTD, element: str | None = None) -> "KernelMachine":

@@ -22,8 +22,8 @@ Every backend answers Problem PV through the one event walk of
 (no tree is built), ``check_document`` an iterative traversal of the
 tree.  Both feeders yield a well-formed document's events, and the
 scanner alone raises a document's syntax errors, so the walk takes no
-source text.  The kernel steps its machines inside the walk; the other
-backends answer :meth:`PVChecker.check_content` once per element.
+source text.  The kernel steps its interned states inside the walk; the
+other backends answer :meth:`PVChecker.check_content` once per element.
 
 Checkers do not compile schemas themselves: construction resolves the DTD
 through the process-wide :class:`~repro.service.registry.SchemaRegistry`
@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING, Iterable, Literal, Sequence
 
 from repro.config import CheckerConfig, DEFAULT_CONFIG
 from repro.core.dag import DtdDag
+from repro.core.kernel import advance, initial_state
 from repro.core.machine import PVMachine
 from repro.core.recognizer import ECRecognizer
 from repro.dtd.analysis import DTDClass
@@ -56,9 +57,8 @@ __all__ = ["Algorithm", "NodeFailure", "PVVerdict", "PVChecker"]
 
 Algorithm = Literal["machine", "kernel", "figure5", "earley"]
 
-# Resolved on first use: repro.core.stream imports this module, and so
-# does repro.core.kernel (it subclasses PVChecker), so a top-level import
-# would be circular.
+# Resolved on first use: repro.core.stream imports this module, so a
+# top-level import would be circular.
 _stream_module = None
 
 
@@ -153,7 +153,7 @@ class PVChecker:
             algorithm == "figure5"
             or (algorithm == "machine" and self.machine_depth is not None)
         )
-        # The walk steps kernel machines itself; every other backend is
+        # The walk steps kernel states itself; every other backend is
         # asked once per element, at its end tag.
         self._stepped = algorithm == "kernel"
 
@@ -178,8 +178,13 @@ class PVChecker:
         if self.algorithm == "machine":
             return PVMachine(self.dag, element, self.machine_depth).recognize(symbols)
         if self.algorithm == "kernel":
-            machine = _stream().KernelMachine(self.compiled.tables, element)
-            return machine.recognize(symbols)
+            tables = self.compiled.tables
+            sid = tables.sid.get
+            state = initial_state(tables, tables.sid[element])
+            for symbol in symbols:
+                sym = sid(symbol, -1)
+                state = state.next.get(sym) or advance(tables, state, sym)
+            return state.accepts
         if self.algorithm == "figure5":
             recognizer = ECRecognizer(self.dag, element, self.depth)
             return recognizer.accepts(symbols)

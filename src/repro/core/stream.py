@@ -7,9 +7,12 @@ order.  :func:`check_events` is the walk every backend runs: it holds one
 frame per *open* element and no Python call per document level, so
 document depth is bounded by memory, never by the interpreter stack.
 
-* **Kernel frames** step a :class:`~repro.core.kernel.KernelMachine` per
-  child as it arrives, tag names interned to
-  :class:`~repro.core.tables.CompiledTables` ids.
+* **Kernel frames** hold a :class:`~repro.core.kernel.KernelState`, an
+  interned kernel configuration, and step it per child as it arrives:
+  one ``state.next`` lookup on the child's interned id, and
+  :func:`~repro.core.kernel.advance` only on a miss.  A configuration too
+  large to intern is a raw :class:`~repro.core.kernel.KernelMachine`,
+  which answers ``next`` and ``accepts`` the same way.
 * **Every other backend** (``machine``, ``earley``, ``figure5``) keeps
   the frame's ``Delta_T`` symbols and is asked once per element, at its
   end tag, through :meth:`~repro.core.pv.PVChecker.check_content`.
@@ -39,7 +42,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.coarse import CoarseSummary, CoarseVerdict
-from repro.core.kernel import KernelMachine
+from repro.core.kernel import advance, initial_state
 from repro.core.pv import NodeFailure, PVVerdict
 from repro.service.compiled import CompiledSchema
 from repro.xmlmodel.delta import SIGMA
@@ -57,35 +60,18 @@ __all__ = [
 # Frame layout for the walk (lists beat attribute access in the inner
 # loop).  ``SYMBOLS is None`` marks a suppressed frame: under an
 # undeclared element or a mismatched root nothing is checked or recorded.
-# ``FAILURES`` stays ``None`` until a descendant fails.
+# ``STATE`` is the kernel state, ``None`` for a backend that checks the
+# element whole.  ``FAILURES`` stays ``None`` until a descendant fails.
 _NAME = 0
-_MACHINE = 1
+_STATE = 1
 _SYMBOLS = 2
 _FAILURES = 3
 _OWN = 4
 _PARENT = 5
 _INDEX = 6
 _CHILDREN = 7
-_DEAD = 8
 
 _CONTENT_REASON = "content cannot be completed by tag insertions alone"
-
-
-class _Unstepped:
-    """The machine slot of a frame whose backend checks it whole.
-
-    Stands in for a :class:`KernelMachine` on ``machine``, ``earley`` and
-    ``figure5`` frames, so the walk steps every frame alike and tests the
-    backend only once per element, at its end tag.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, tables: object, element: str) -> None:
-        pass
-
-    def step(self, sym: int) -> bool:
-        return True
 
 
 def _frame_path(frame: list) -> str:
@@ -133,7 +119,10 @@ def check_events(
     sid_get = tables.sid.get
     sigma_id = tables.sid[SIGMA]
     dtd_root = compiled.dtd.root
-    new_machine = KernelMachine if check_content is None else _Unstepped
+    kernel = check_content is None
+    # Interned states: ``~element_id`` keys an element's state before its
+    # first child.
+    memo_get = tables.emissions.get
 
     stack: list[list] = []
     root_failures: list[NodeFailure] | None = None
@@ -148,15 +137,15 @@ def check_events(
                 symbols = parent[_SYMBOLS]
                 if symbols is None:
                     # Suppressed subtree: track nesting only.
-                    stack.append(
-                        [payload, None, None, None, None, parent, index, 0, False]
-                    )
+                    stack.append([payload, None, None, None, None, parent, index, 0])
                     continue
                 symbols.append(payload)
-                if not parent[_MACHINE].step(sid_get(payload, -1)):
-                    parent[_DEAD] = True
-                if sid_get(payload) is None:
-                    frame = [payload, None, None, None, None, parent, index, 0, False]
+                sym = sid_get(payload, -1)
+                if kernel:
+                    state = parent[_STATE]
+                    parent[_STATE] = state.next.get(sym) or advance(tables, state, sym)
+                if sym < 0:
+                    frame = [payload, None, None, None, None, parent, index, 0]
                     frame[_OWN] = NodeFailure(
                         path=_frame_path(frame),
                         element=payload,
@@ -170,14 +159,15 @@ def check_events(
                 stack.append(
                     [
                         payload,
-                        new_machine(tables, payload),
+                        (memo_get(~sym) or initial_state(tables, sym))
+                        if kernel
+                        else None,
                         [],
                         None,
                         None,
                         parent,
                         index,
                         0,
-                        False,
                     ]
                 )
                 continue
@@ -191,19 +181,18 @@ def check_events(
                         f"<{dtd_root}>"
                     ),
                 )
-                stack.append([payload, None, None, None, None, None, 0, 0, False])
+                stack.append([payload, None, None, None, None, None, 0, 0])
                 continue
             stack.append(
                 [
                     payload,
-                    new_machine(tables, payload),
+                    initial_state(tables, tables.sid[payload]) if kernel else None,
                     [],
                     None,
                     None,
                     None,
                     0,
                     0,
-                    False,
                 ]
             )
         elif kind == EV_TEXT:
@@ -215,16 +204,19 @@ def check_events(
                 continue
             if not symbols or symbols[-1] != SIGMA:
                 symbols.append(SIGMA)
-                if not frame[_MACHINE].step(sigma_id):
-                    frame[_DEAD] = True
+                if kernel:
+                    state = frame[_STATE]
+                    frame[_STATE] = state.next.get(sigma_id) or advance(
+                        tables, state, sigma_id
+                    )
         else:  # EV_END
             frame = stack.pop()
             own = frame[_OWN]
             subtree = frame[_FAILURES]
             symbols = frame[_SYMBOLS]
             if symbols is not None:
-                if check_content is None:
-                    failed = frame[_DEAD] or not frame[_MACHINE].accepts_now()
+                if kernel:
+                    failed = not frame[_STATE].accepts
                 else:
                     symbols = tuple(symbols)
                     failed = not check_content(payload, symbols)

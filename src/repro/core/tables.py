@@ -24,18 +24,21 @@ repeated cost into the one-time schema compile the registry amortizes.
 Everything in this module is plain data (ints, arrays, dicts, tuples):
 the tables pickle cheaply, ride inside the artifact-store format
 (version 2) and the ring's ``put-artifact`` wire blobs, and are shared
-read-only across threads and worker processes.
+read-only across threads and worker processes.  The one exception is the
+kernel's runtime memo (:class:`KernelMemo`), which threads fill as they
+check and which never pickles.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from threading import Lock
 
 from repro.core.dag import ENTRY, DtdDag, PositionTables
 from repro.dtd.model import PCDATA
 
-__all__ = ["ElementTables", "CompiledTables", "compile_tables"]
+__all__ = ["ElementTables", "CompiledTables", "KernelMemo", "compile_tables"]
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,27 @@ class ElementTables:
     entry_fin: bool
 
 
+class KernelMemo(dict):
+    """A schema's runtime kernel memo: a dict plus the bytes charged to it.
+
+    The kernel stores emission entries and interned states here and adds
+    what each costs to ``charged`` under ``lock``, since the threads that
+    check one schema share its memo; it clears the memo when a store
+    would pass its entry or byte bound.  A clear zeroes the charge.
+    """
+
+    __slots__ = ("charged", "lock")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.charged = 0
+        self.lock = Lock()
+
+    def clear(self) -> None:
+        super().clear()
+        self.charged = 0
+
+
 @dataclass(frozen=True)
 class CompiledTables:
     """All per-element tables plus the interned symbol space.
@@ -106,14 +130,18 @@ class CompiledTables:
     root_id:
         The id of the DTD's designated root element.
     emissions:
-        Runtime-only memo shared by every :class:`KernelMachine` over
-        these tables: packed ``(element, position, symbol)`` key → the
-        key's emission lists (match indices, descend ``(index, child)``
-        pairs), which are document-independent; flat-regime entries are
-        keyed by whole position *sets*, so the kernel clears the memo
-        when a miss finds :data:`~repro.core.kernel.EMISSIONS_LIMIT`
-        entries.  Never pickled (artifacts stay deterministic), starts
-        empty in every unpickling process.
+        The one runtime-only :class:`KernelMemo` of the kernel over these
+        tables.  It holds two kinds of entry, both document-independent:
+        a packed ``(element, position, symbol)`` int → that key's
+        emission lists (match indices, descend ``(index, child)`` pairs),
+        and a configuration code (a negative int when flat, else bytes)
+        → its interned :class:`~repro.core.kernel.KernelState`.  States
+        are keyed by whole configurations, so the kernel clears the memo
+        when a store finds :data:`~repro.core.kernel.EMISSIONS_LIMIT`
+        entries or would pass
+        :data:`~repro.core.kernel.EMISSIONS_BYTES_LIMIT` bytes charged.
+        Never pickled (artifacts stay deterministic), starts empty in
+        every unpickling process.
     """
 
     symbols: tuple[str, ...]
@@ -121,7 +149,9 @@ class CompiledTables:
     elements: tuple[ElementTables, ...] = field(repr=False)
     sigma_id: int
     root_id: int
-    emissions: dict = field(default_factory=dict, repr=False, compare=False)
+    emissions: KernelMemo = field(
+        default_factory=KernelMemo, repr=False, compare=False
+    )
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -129,7 +159,7 @@ class CompiledTables:
         return state
 
     def __setstate__(self, state):
-        state.setdefault("emissions", {})
+        state["emissions"] = KernelMemo()
         self.__dict__.update(state)
 
     def element(self, name: str) -> ElementTables:

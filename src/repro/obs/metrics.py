@@ -256,7 +256,8 @@ CATALOG: tuple[MetricSpec, ...] = (
     MetricSpec("repro_connections", "gauge", (),
                "Open client connections on this server."),
     MetricSpec("repro_kernel_memo_entries", "gauge", (),
-               "Kernel emissions-memo entries summed over resident schemas."),
+               "Kernel memo entries (emission lists and interned states) "
+               "summed over resident schemas."),
     MetricSpec("repro_registry_events_total", "counter", ("event",),
                "Schema registry events: hit, miss, store_hit, eviction."),
     MetricSpec("repro_store_events_total", "counter", ("event",),

@@ -13,30 +13,38 @@ from __future__ import annotations
 
 import pickle
 import random
+import sys
+import threading
 from itertools import product
 
 import pytest
 
+from repro.core import kernel as seam
+from repro.core import stream
 from repro.core.dag import ENTRY, build_dag
 from repro.core.kernel import (
+    EMISSIONS_BYTES_LIMIT,
     EMISSIONS_LIMIT,
     IMPLEMENTATION,
     NATIVE,
     KernelMachine,
+    KernelState,
     kernel_machine_for_dtd,
 )
 from repro.core.machine import PVMachine
 from repro.core.pv import PVChecker
-from repro.core.tables import CompiledTables, compile_tables
+from repro.core.tables import CompiledTables, KernelMemo, compile_tables
 from repro.dtd import catalog
 from repro.dtd.model import PCDATA
 from repro.dtd.parser import parse_dtd
 from repro.dtd.random_gen import random_dtd
 from repro.service.compiled import compile_schema
 from repro.service.store import decode_artifact, encode_artifact
+from repro.workloads.corrupt import corrupt_swap
 from repro.workloads.degrade import degrade
 from repro.workloads.docgen import DocumentGenerator
 from repro.xmlmodel.delta import SIGMA
+from repro.xmlmodel.serialize import to_xml
 from test_differential import RANDOM_DTD_CONFIGS
 
 DIFFERENTIAL_DTDS = (
@@ -59,6 +67,28 @@ WIDE = "<!ELEMENT r (%s)><!ELEMENT a EMPTY>" % ", ".join(["a?"] * 70)
 
 def _tables(dtd) -> CompiledTables:
     return compile_tables(build_dag(dtd))
+
+
+def _memo_bytes(memo: dict) -> int:
+    """What *memo* holds: a recursive ``sys.getsizeof`` over its keys,
+    values and the states they reach, each object counted once."""
+    seen = set()
+    total = 0
+    stack = [memo]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, tuple):
+            stack.extend(obj)
+        elif isinstance(obj, KernelState):
+            stack.extend((obj.code, obj.accepts, obj.next))
+    return total
 
 
 class TestCompiledTables:
@@ -99,14 +129,32 @@ class TestCompiledTables:
             tables.element("nope")
 
     def test_emissions_memo_never_pickles(self):
-        tables = _tables(catalog.paper_figure1())
-        machine = KernelMachine(tables, "r")
-        machine.recognize(["a"])
-        assert tables.emissions  # the run populated the shared memo
-        revived = pickle.loads(pickle.dumps(tables))
+        """Emission entries and interned states live in the runtime memo
+        only: after checks through the walk, the tables and the artifact
+        pickle to the bytes they had before any check."""
+        dtd = catalog.paper_figure1()
+        schema = compile_schema(dtd)
+        tables = schema.tables
+        tables_bytes = pickle.dumps(tables)
+        schema_bytes = pickle.dumps(schema)
+        checker = PVChecker(dtd, algorithm="kernel", compiled=schema)
+        # Valid, in need of insertions, and not potentially valid.
+        for text in ("<r><a><c/><d/></a></r>", "<r><d>x</d><e/></r>",
+                     "<r><a><c><e/></c></a></r>"):
+            checker.check_text(text)
+        memo = tables.emissions
+        assert any(isinstance(state, KernelState) for state in memo.values())
+        assert any(isinstance(key, bytes) for key in memo)  # non-flat states
+        assert memo.charged > 0
+        assert pickle.dumps(tables) == tables_bytes
+        assert pickle.dumps(schema) == schema_bytes
+        revived = pickle.loads(tables_bytes)
         assert revived.emissions == {}
+        assert isinstance(revived.emissions, KernelMemo)
+        assert revived.emissions.charged == 0
         # ...and the revived tables still drive verdicts.
         assert KernelMachine(revived, "r").recognize(["a"])
+        assert pickle.loads(schema_bytes).tables.emissions == {}
 
 
     def test_emissions_memo_stays_bounded(self):
@@ -120,14 +168,21 @@ class TestCompiledTables:
         schema = compile_schema(dtd)
         checker = PVChecker(dtd, algorithm="kernel", compiled=schema)
         rng = random.Random(170)
-        peak = 0
-        for _ in range(1000):
+        peak = peak_bytes = 0
+        for count in range(1, 1001):
             children = "".join(rng.choice(("<a/>", "<b/>")) for _ in range(60))
             checker.check_text(f"<r>{children}</r>")
             peak = max(peak, len(schema.tables.emissions))
+            if count % 50 == 0:
+                peak_bytes = max(peak_bytes, _memo_bytes(schema.tables.emissions))
         assert peak <= EMISSIONS_LIMIT
         # The unbounded memo would have passed the bound well before this.
         assert peak > EMISSIONS_LIMIT // 2
+        # Every state carries a successor map, so here the byte bound
+        # clears first.  What the memo holds at its peak, states included,
+        # stays near what it is charged (3.1 MB on CPython 3.11).
+        assert EMISSIONS_BYTES_LIMIT // 2 < peak_bytes
+        assert peak_bytes <= EMISSIONS_BYTES_LIMIT * 5 // 4
 
 
 def _dfs_closure(tables, position: int) -> int:
@@ -229,6 +284,8 @@ class TestKernelMachineSemantics:
     def test_exhaustive_short_contents_match_the_machine(self, name):
         dtd = catalog.load(name)
         tables = _tables(dtd)
+        # The same contents stepped as interned states.
+        stepped = PVChecker(dtd, algorithm="kernel", compiled=compile_schema(dtd))
         names = list(dtd.element_names())
         alphabet = names[:4] + [SIGMA]
         for element in names:
@@ -243,6 +300,7 @@ class TestKernelMachineSemantics:
                     exact = PVMachine.for_dtd(dtd, element).recognize(tokens)
                     kernel = KernelMachine(tables, element).recognize(tokens)
                     assert exact == kernel, (name, element, tokens)
+                    assert stepped.check_content(element, tokens) == exact
 
     def test_unknown_symbols_reject(self):
         machine = kernel_machine_for_dtd(catalog.paper_figure1())
@@ -252,6 +310,138 @@ class TestKernelMachineSemantics:
         machine = kernel_machine_for_dtd(catalog.paper_figure1(), "f")
         assert machine.recognize(["c", "e"])
         assert not machine.recognize(["e", "c"])
+
+
+CHAIN_DTD = "<!ELEMENT r (x*)><!ELEMENT x (x*)>"
+
+
+def _corpus(name: str, seed: int, count: int) -> list[str]:
+    """Generated documents of one catalog DTD, each followed by a
+    degraded copy (half its tags removed) and, where one exists, a
+    swapped copy (usually not potentially valid)."""
+    dtd = catalog.load(name)
+    rng = random.Random(seed)
+    texts = []
+    generator = DocumentGenerator(dtd, seed=seed)
+    for document in generator.documents(count, target_nodes=40, max_depth=8):
+        texts.append(to_xml(document))
+        texts.append(to_xml(degrade(document, rng, fraction=0.5)[0]))
+        swapped = corrupt_swap(document, rng)
+        if swapped is not None:
+            texts.append(to_xml(swapped))
+    return texts
+
+
+class TestInternedStates:
+    """The walk steps interned kernel configurations: a child is one
+    ``next`` lookup, and only a miss runs a machine round."""
+
+    def test_deep_chain_misses_do_not_grow_with_depth(self, monkeypatch):
+        """``<r><x>…</x></r>`` under ``x (x*)``: every level repeats the
+        same two configurations, so a cold check misses as often at
+        20,000 levels as at 1,000."""
+        misses = []
+
+        def counting(tables, state, sym):
+            misses.append(sym)
+            return seam.advance(tables, state, sym)
+
+        monkeypatch.setattr(stream, "advance", counting)
+        dtd = parse_dtd(CHAIN_DTD)
+        counts = []
+        for depth in (1_000, 20_000):
+            checker = PVChecker(dtd, algorithm="kernel", compiled=compile_schema(dtd))
+            del misses[:]
+            text = "<r>" + "<x>" * depth + "</x>" * depth + "</r>"
+            assert checker.check_text(text).potentially_valid
+            counts.append(len(misses))
+        assert counts[0] == counts[1] > 0
+
+    def test_a_memo_clear_never_invalidates_a_held_state(self, monkeypatch):
+        """With the memo bounded at 8 entries it clears many times inside
+        every document, under frames that hold states.  Four threads
+        checking one schema's corpus must still answer as a serial run
+        with a warm memo does."""
+        dtd = catalog.load("xhtml-basic")
+        schema = compile_schema(dtd)
+        checker = PVChecker(dtd, algorithm="kernel", compiled=schema)
+        texts = _corpus("xhtml-basic", 26, 6)
+        for text in texts:
+            checker.check_text(text)
+        expected = [checker.check_text(text) for text in texts]
+        assert not all(verdict.potentially_valid for verdict in expected)
+
+        clears = []
+        clear = KernelMemo.clear
+
+        def counting_clear(memo):
+            clears.append(len(memo))
+            clear(memo)
+
+        monkeypatch.setattr(KernelMemo, "clear", counting_clear)
+        monkeypatch.setattr(seam._impl, "EMISSIONS_LIMIT", 8)
+        schema.tables.emissions.clear()
+        results = [None] * 4
+
+        def run(slot):
+            order = list(range(len(texts)))
+            random.Random(slot).shuffle(order)
+            verdicts = {index: checker.check_text(texts[index]) for index in order}
+            results[slot] = [verdicts[index] for index in range(len(texts))]
+
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 4
+        assert len(clears) > len(texts)
+        memo = schema.tables.emissions
+        assert len(memo) <= 8
+        assert 0 < memo.charged <= EMISSIONS_BYTES_LIMIT
+
+    def test_configurations_past_the_node_bound_run_raw(self, monkeypatch):
+        """With the node bound at 0 every non-flat configuration is
+        stepped as a raw machine; verdicts and failures do not change."""
+        dtd = catalog.load("xhtml-basic")
+        texts = _corpus("xhtml-basic", 27, 4)
+        interned = PVChecker(dtd, algorithm="kernel", compiled=compile_schema(dtd))
+        expected = [interned.check_text(text) for text in texts]
+        monkeypatch.setattr(seam._impl, "STATE_NODE_LIMIT", 0)
+        schema = compile_schema(dtd)
+        raw = PVChecker(dtd, algorithm="kernel", compiled=schema)
+        assert [raw.check_text(text) for text in texts] == expected
+        assert not any(isinstance(key, bytes) for key in schema.tables.emissions)
+        machine = PVChecker(dtd, algorithm="machine")
+        assert [
+            machine.check_text(text).potentially_valid for text in texts
+        ] == [verdict.potentially_valid for verdict in expected]
+
+    @pytest.mark.parametrize("name", ("xhtml-basic", "docbook-article", "strong-chain"))
+    def test_codes_round_trip(self, name):
+        """A state's code decodes to a machine that encodes to the same
+        code and accepts as the state says."""
+        dtd = catalog.load(name)
+        schema = compile_schema(dtd)
+        checker = PVChecker(dtd, algorithm="kernel", compiled=schema)
+        for text in _corpus(name, 28, 4):
+            checker.check_text(text)
+        states = [
+            state
+            for state in schema.tables.emissions.values()
+            if isinstance(state, KernelState)
+        ]
+        assert any(isinstance(state.code, bytes) for state in states)
+        for state in states:
+            machine = seam._impl._decode(schema.tables, state.code)
+            assert machine._code() == state.code
+            assert bool(machine.accepts_now()) == bool(state.accepts)
 
 
 @pytest.mark.parametrize("name", DIFFERENTIAL_DTDS)

@@ -46,6 +46,11 @@ from repro.core import kernel
 assert kernel.NATIVE, "the seam did not pick up the native extension"
 assert kernel.IMPLEMENTATION == "native", kernel.IMPLEMENTATION
 assert kernel.KernelMachine.__module__ == "repro.core._kernel_native"
+assert kernel.KernelState.__module__ == "repro.core._kernel_native"
+
+# The document walk steps the seam's states, so it runs the native build.
+from repro.core import stream
+assert stream.advance is kernel.advance
 
 # Pure vs native differential: same verdict on every document.
 from repro.core.pv import PVChecker
