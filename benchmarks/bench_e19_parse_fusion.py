@@ -10,11 +10,11 @@ actually makes.
 Three bars on the same skewed corpus:
 
 1. **Equivalence** — document by document, the fused path
-   (``PVChecker.check_text``: regex scanner → interned tag events →
-   streaming kernel, no tree) returns exactly the verdict of the
-   reference pipeline (the character lexer's tokens built into a tree by
-   ``corpusgen.reference_parse`` → ``check_document``), failure tuples
-   included.
+   (``PVChecker.check_text``: ``scan_events``, expat or its regex
+   loop → interned tag events → streaming kernel, no tree) returns
+   exactly the verdict of the reference pipeline (the character
+   lexer's tokens built into a tree by ``corpusgen.reference_parse`` →
+   ``check_document``), failure tuples included.
 2. **Fusion throughput** — text-to-verdict on the kernel tier, the
    fused path clears **2×** the reference pipeline, single core,
    interleaved best-of-rounds (the E15 measurement discipline).

@@ -368,6 +368,8 @@ class ValidationServer:
         self._dispatch_counts: Counter[str] = Counter()
         self._servers: list[asyncio.AbstractServer] = []
         self._conn_tasks: set[asyncio.Task] = set()
+        # Connections parked in readline between requests (_read_line).
+        self._idle: set[asyncio.Task] = set()
         self._closing: asyncio.Event | None = None
         self._unix_path: str | None = None
         self._tcp_address: tuple[str, int] | None = None
@@ -539,11 +541,12 @@ class ValidationServer:
             await asyncio.to_thread(gossip.stop)
         for server in self._servers:
             server.close()
-        for server in self._servers:
-            await server.wait_closed()
-        self._servers.clear()
         if self._closing is not None:
             self._closing.set()
+        # An idle connection closes at once; a busy one finishes its
+        # request, sees the closing event and closes.
+        for task in self._idle:
+            task.cancel()
         if self._conn_tasks:
             _done, pending = await asyncio.wait(
                 list(self._conn_tasks), timeout=drain_timeout
@@ -553,6 +556,11 @@ class ValidationServer:
             self._abandoned = bool(pending)
         for task in list(self._conn_tasks):
             task.cancel()
+        # Last: from Python 3.12.1 on this also waits for every accepted
+        # connection to close.
+        for server in self._servers:
+            await server.wait_closed()
+        self._servers.clear()
         if self._unix_path is not None:
             # Leave nothing behind: a lingering socket path would force
             # the next start() through the stale-socket probe (and, on a
@@ -634,10 +642,12 @@ class ValidationServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         assert self._closing is not None
+        task = asyncio.current_task()
+        assert task is not None
         try:
             while not self._closing.is_set():
-                line = await self._read_line(reader)
-                if line is None:  # EOF, shutdown, or an unrecoverable read
+                line = await self._read_line(reader, task)
+                if line is None:  # EOF or an unrecoverable read
                     break
                 if line is _OVERLONG:
                     await self._lose_framing(writer, ProtocolError(
@@ -679,29 +689,24 @@ class ValidationServer:
             except (ConnectionError, OSError):
                 pass
 
-    async def _read_line(self, reader: asyncio.StreamReader) -> bytes | None:
-        """One request line, or ``None`` on EOF/shutdown, racing the two.
+    async def _read_line(
+        self, reader: asyncio.StreamReader, task: asyncio.Task
+    ) -> bytes | None:
+        """One request line, or ``None`` on EOF or a failed read.
 
-        An idle connection is parked in ``readline``; racing the read
-        against the closing event is what lets :meth:`stop` drain busy
-        connections without waiting on idle ones forever.
+        While it waits, the connection's *task* is parked in ``readline``
+        and counted idle: :meth:`stop` cancels idle connections and drains
+        busy ones, so no request line costs a task of its own.
         """
-        assert self._closing is not None
-        read = asyncio.ensure_future(reader.readline())
-        closing = asyncio.ensure_future(self._closing.wait())
-        done, pending = await asyncio.wait(
-            {read, closing}, return_when=asyncio.FIRST_COMPLETED
-        )
-        for task in pending:
-            task.cancel()
-        if read not in done:
-            return None
+        self._idle.add(task)
         try:
-            line = read.result()
+            line = await reader.readline()
         except ValueError:  # stream limit overrun: cannot resync the framing
             return _OVERLONG
         except (ConnectionError, OSError):
             return None
+        finally:
+            self._idle.discard(task)
         return line or None
 
     # -- request handling ----------------------------------------------------

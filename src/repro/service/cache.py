@@ -46,8 +46,14 @@ class VerdictCache:
 
     @staticmethod
     def digest(text: str) -> bytes:
-        """The 16-byte blake2b digest standing in for *text*."""
-        return hashlib.blake2b(text.encode("utf-8"), digest_size=16).digest()
+        """The 16-byte blake2b digest standing in for *text*.
+
+        ``surrogatepass`` encodes a lone surrogate (a JSON ``\\ud800``
+        escape decodes to one) instead of raising, and stays injective,
+        so distinct texts keep distinct keys.
+        """
+        encoded = text.encode("utf-8", "surrogatepass")
+        return hashlib.blake2b(encoded, digest_size=16).digest()
 
     @classmethod
     def key(cls, fingerprint: str, text: str, backend: str) -> Hashable:

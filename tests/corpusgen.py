@@ -21,6 +21,9 @@ distribution:
 * :func:`mutate_bytes` — one seeded byte-level edit of a document's text
   (drop, duplicate, swap, truncate, or swap one markup character for
   another), mostly yielding text that is not well formed.
+* :func:`mutate_fast_path` — one seeded edit drawn from the scanner's
+  expat fast-path alphabet, so the mutant still takes that path and
+  expat's accept/reject decision meets the reference's.
 * :func:`reference_tokens` — the character lexer's tokens under the
   reference parser's document rules (one root, matching end tags, no
   character data outside the root), the oracle ``scan_events`` is
@@ -36,6 +39,7 @@ belong to the tests and benchmarks that consume the corpus.
 from __future__ import annotations
 
 import random
+import string
 from typing import Iterator
 
 from repro.dtd.model import DTD
@@ -47,11 +51,13 @@ from repro.xmlmodel.tree import XmlDocument, XmlElement, XmlText
 
 __all__ = [
     "BYTE_MUTATIONS",
+    "FAST_PATH_CHARS",
     "MUTATIONS",
     "SHAPES",
     "valid_documents",
     "mutate",
     "mutate_bytes",
+    "mutate_fast_path",
     "mixed_corpus",
     "reference_tokens",
     "reference_parse",
@@ -256,6 +262,39 @@ def mutate_bytes(text: str, rng: random.Random) -> str:
     if kind == "swap":
         return text[:index] + text[index + 1] + text[index] + text[index + 2 :]
     return text[:index]
+
+
+#: The characters of the scanner's expat fast path: ASCII name
+#: characters, the markup characters of tags and attribute values, and
+#: whitespace, plus ``!`` and ``?``, which spell comments and PIs.  No
+#: ``&``, ``[`` or carriage return: those keep a text off that path.
+FAST_PATH_CHARS = string.ascii_letters + string.digits + "._:-" + "<>/=\"'" + " \t\n" + "!?"
+
+#: Markup the ``splice`` edit inserts whole: what one character rarely
+#: builds, comments and PIs above all.
+FAST_PATH_SPLICES = ("<!--", "-->", "<?", "?>", "<?xml version='1.0'?>", "</", "/>", "<a>")
+
+
+def mutate_fast_path(text: str, rng: random.Random) -> str:
+    """*text* with exactly one seeded edit from the fast-path alphabet.
+
+    Replace, insert or drop one character, or splice in a markup
+    fragment; inserted characters come from :data:`FAST_PATH_CHARS`.  An
+    ASCII corpus text stays ASCII and free of ``&``, ``[`` and carriage
+    returns, so the scanner still reads it with expat first: these
+    mutants pit expat's accept/reject decisions against the reference's
+    (a splice can still open a comment with ``<!-->``, which the scanner
+    leaves to the reference loop).
+    """
+    kind = rng.choice(("replace", "insert", "drop", "splice"))
+    index = rng.randrange(len(text) + (kind in ("insert", "splice")))
+    if kind == "replace":
+        return text[:index] + rng.choice(FAST_PATH_CHARS) + text[index + 1 :]
+    if kind == "insert":
+        return text[:index] + rng.choice(FAST_PATH_CHARS) + text[index:]
+    if kind == "drop":
+        return text[:index] + text[index + 1 :]
+    return text[:index] + rng.choice(FAST_PATH_SPLICES) + text[index:]
 
 
 # -- the reference parser ----------------------------------------------------

@@ -1,8 +1,10 @@
 """The fused parse→verdict hot path never changes an answer.
 
-Document text has one scanner, :func:`repro.xmlmodel.fastlex.scan_events`;
-the reference character lexer (:mod:`repro.xmlmodel.lexer`) is its
-fallback for hard tags and its oracle.  Each seam gets a differential:
+Document text has one scanner, :func:`repro.xmlmodel.fastlex.scan_events`,
+which reads with stdlib expat when the text allows and with its regex
+reference loop otherwise; the reference character lexer
+(:mod:`repro.xmlmodel.lexer`) is that loop's fallback for hard tags and
+the oracle of both.  Each seam gets a differential:
 
 * **Scanner** — the fast tokenizer's events must be *exactly* the
   reference lexer's tokens under the reference parser's document rules
@@ -30,6 +32,13 @@ fallback for hard tags and its oracle.  Each seam gets a differential:
   differentials; every text surface must raise ``parse_xml``'s exact
   error on a malformed mutant and give the tree path's answer on a
   well-formed one.
+* **The expat fast path** — every corpus shape is read by expat alone
+  (no call into the reference loop), each construct kept off the fast
+  path goes to the loop, chunk boundaries a few characters apart change
+  no event, an expat error after events went out is the reference's
+  error on every text surface, the scan streams, and one-edit mutants
+  over the fast path's alphabet (:func:`corpusgen.mutate_fast_path`)
+  pit expat's accept/reject decisions against the reference's.
 
 Corpora come from :mod:`corpusgen`; ``REPRO_FUZZ_SEED`` and
 ``REPRO_FUZZ_DOCS`` scale the run exactly as in the admission suite (CI's
@@ -38,8 +47,10 @@ Corpora come from :mod:`corpusgen`; ``REPRO_FUZZ_SEED`` and
 
 from __future__ import annotations
 
+import gc
 import os
 import random
+import tracemalloc
 from functools import partial
 
 import pytest
@@ -55,6 +66,7 @@ from repro.service.batch import BatchChecker
 from repro.service.cache import VerdictCache
 from repro.service.dispatch import BackendDispatcher
 from repro.service.registry import DEFAULT_REGISTRY
+from repro.xmlmodel import fastlex
 from repro.xmlmodel.delta import content_symbols
 from repro.xmlmodel.fastlex import (
     EV_END,
@@ -484,6 +496,248 @@ def test_byte_mutants_match_the_reference(name):
     assert 0 < well_formed < len(mutants)
 
 
+# -- the expat fast path -----------------------------------------------------
+
+
+@pytest.fixture
+def reference_calls(monkeypatch) -> list[str]:
+    """Every source the scanner's reference loop reads during the test."""
+    calls: list[str] = []
+    loop = fastlex._reference_loop
+
+    def counted(source: str):
+        calls.append(source)
+        return loop(source)
+
+    monkeypatch.setattr(fastlex, "_reference_loop", counted)
+    return calls
+
+
+@pytest.mark.parametrize("shape", sorted(corpusgen.SHAPES))
+@pytest.mark.parametrize("name", POOL_NAMES)
+def test_every_corpus_shape_takes_the_fast_path(name, shape, reference_calls):
+    """Expat alone reads generated documents of every shape, with the
+    reference's events: at 25% mutated, the manuscript corpus is the
+    one servebench's bulk workload sends."""
+    corpus = corpusgen.mixed_corpus(
+        catalog.load(name), DOCS_PER_DTD, seed=SEED, corrupt_fraction=0.25, shape=shape
+    )
+    for document in corpusgen.corpus_documents(corpus):
+        text = to_xml(document)
+        assert _outcome(_scanned(text)) == _outcome(_reference_events(text)), text[:120]
+        assert not reference_calls, text[:120]
+
+
+#: One document per construct that keeps a text off the fast path.
+OFF_THE_FAST_PATH = {
+    "entity": "<r>a &amp; b</r>",
+    "character-reference": "<r a='&#x41;'>x</r>",
+    "cdata": "<r>pre<![CDATA[<raw>]]>post</r>",
+    "doctype": "<!DOCTYPE r [<!ELEMENT r ANY>]>\n<r>x</r>",
+    "non-ascii-text": "<r>café</r>",
+    "non-ascii-name": "<ré/>",
+    "carriage-return": "<r>\r\n<a/>\r</r>",
+    "lone-surrogate": "<r>\ud800</r>",
+    "comment-opening-gt": "<r>a<!-->b-->c</r>",
+    "comment-opening-dash-gt": "<r>a<!--->b-->c</r>",
+}
+
+
+@pytest.mark.parametrize(
+    "source", OFF_THE_FAST_PATH.values(), ids=OFF_THE_FAST_PATH.keys()
+)
+def test_hard_constructs_take_the_reference_loop(source, reference_calls):
+    scanned = _outcome(_scanned(source))
+    assert reference_calls == [source]
+    assert scanned == _outcome(_reference_events(source))
+
+
+#: Fast-path documents with what a chunk boundary can split: text runs
+#: longer than a chunk, empty tags, attributes, and comments and PIs
+#: inside text.
+CHUNKED = (
+    "<?xml version='1.0'?>\n<r>one<a x='1' y=\"two\">two</a><b/>three"
+    "<!-- c -->four<?pi d?>five</r>\n<!-- e -->",
+    "<r>" + "long text " * 40 + "<a/>" + "tail" * 30 + "</r>",
+    "<r>\n  <a>one</a>\n  <a>two</a>\n</r>",
+    "<r><a/><a></a><a x='y'/><a\n/></r>",
+)
+
+
+@pytest.mark.parametrize("chunk", (1, 2, 3, 5, 7, 64))
+def test_chunk_boundaries_do_not_change_events(chunk, monkeypatch, reference_calls):
+    monkeypatch.setattr(fastlex, "_CHUNK", chunk)
+    for text in CHUNKED + tuple(_corpus_texts("manuscript")[:6]):
+        assert _outcome(_scanned(text)) == _outcome(_reference_events(text)), text[:120]
+    assert not reference_calls
+    for text in HANDCRAFTED + MALFORMED + NOT_DOCUMENTS:
+        assert _outcome(_scanned(text)) == _outcome(_reference_events(text)), text
+
+
+@pytest.mark.parametrize("size", (1, 3, 8))
+def test_text_runs_longer_than_the_text_buffer_keep_their_offsets(size):
+    """Past a full text buffer expat hands a run over in pieces, and a
+    piece longer than the buffer at once, at its own start: the reader
+    places each run where it starts and joins its pieces."""
+    for text in CHUNKED + tuple(_corpus_texts("manuscript")[:6]):
+        parse, events, split = fastlex._expat_reader(text, size)
+        parse(text, True)
+        fastlex._join_runs(events, split, len(events))
+        assert events == list(fastlex._reference_loop(text)), text[:120]
+
+
+def _late_defects(text: str, root: str) -> dict[str, str]:
+    """*text* with one defect near its end, past its first chunks."""
+    end_tag = f"</{root}>"
+    assert text.endswith(end_tag)
+    body = text[: -len(end_tag)]
+    return {
+        "unclosed": body,
+        "mismatched": body + "</zz>" + end_tag,
+        "second-root": text + f"<{root}/>",
+        "text-after-root": text + "stray",
+        "bad-tag": body + "<a b='1/>" + end_tag,
+        "stray-lt": body + "a < b" + end_tag,
+    }
+
+
+def test_an_expat_error_after_yielded_events_is_the_reference_error(
+    monkeypatch, reference_calls
+):
+    """Expat rejects a document after events went out: the reference loop
+    takes over past them, and every text surface raises its error."""
+    monkeypatch.setattr(fastlex, "_CHUNK", 64)
+    dtd = catalog.manuscript()
+    schema = DEFAULT_REGISTRY.get(dtd)
+    checkers = [PVChecker(dtd, algorithm=algorithm) for algorithm in ALGORITHMS]
+    surfaces = [
+        parse_xml,
+        partial(stream_check_document, schema),
+        partial(stream_coarse_check, schema.coarse),
+    ] + [checker.check_text for checker in checkers]
+    text = max(_corpus_texts("manuscript"), key=len)
+    assert len(text) > 4 * 64
+    for defect, bad in _late_defects(text, dtd.root).items():
+        reference_calls.clear()
+        from_expat = 0
+        with pytest.raises(ReproError) as raised:
+            for _event in scan_events(bad):
+                from_expat += not reference_calls
+        assert from_expat > 0 and reference_calls == [bad], defect
+        expected = _parsed(corpusgen.reference_parse, bad)[1]
+        assert expected is not None and _error(raised.value) == expected, defect
+        assert _outcome(_scanned(bad)) == _outcome(_reference_events(bad)), defect
+        for check in surfaces:
+            assert _raised(check, bad) == expected, (defect, check)
+
+
+def test_an_expat_reject_the_reference_accepts_keeps_its_events(
+    monkeypatch, reference_calls
+):
+    """Where expat is stricter than the reference (an attribute twice, no
+    space between attributes, a control character, ``]]>`` in text), the
+    reference loop's events past those already yielded complete the
+    stream."""
+    monkeypatch.setattr(fastlex, "_CHUNK", 64)
+    text = max(_corpus_texts("manuscript"), key=len)
+    body, end_tag = text[: text.rindex("</")], text[text.rindex("</") :]
+    for tail in ("<a x='1' x='2'/>", "<a x='1'y='2'/>", "a\x01b", "a]]>b"):
+        bad = body + tail + end_tag
+        reference_calls.clear()
+        events, from_expat = [], 0
+        for event in scan_events(bad):
+            events.append(event)
+            from_expat += not reference_calls
+        assert from_expat > 0 and reference_calls == [bad], tail
+        assert _outcome(_scanned(bad)) == _outcome(_reference_events(bad)), tail
+        assert events == list(fastlex._reference_loop(bad)), tail
+
+
+def test_a_100000_deep_document_takes_the_fast_path(reference_calls):
+    depth = 100_000
+    text = "<x>" * depth + "</x>" * depth
+    events = list(scan_events(text))
+    assert not reference_calls
+    assert events == [(EV_START, "x", 3 * i) for i in range(depth)] + [
+        (EV_END, "x", 3 * depth + 4 * i) for i in range(depth)
+    ]
+
+
+def test_the_fast_path_streams(reference_calls):
+    """Memory is bounded by a chunk's events, not by the document's: a
+    scan that collected all 300,002 events first would hold ~25 MB."""
+    text = "<r>" + "<x>word</x>" * 100_000 + "</r>"
+    tracemalloc.start()
+    try:
+        count = sum(1 for _event in scan_events(text))
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 300_002 and not reference_calls
+    assert peak < 2_000_000
+
+
+def test_the_fast_path_leaves_no_cycles(monkeypatch):
+    """The parser and its handlers refer to each other: each scan must
+    let them go, or every document's events wait for the cyclic
+    collector."""
+    monkeypatch.setattr(fastlex, "_CHUNK", 64)
+    text = max(_corpus_texts("manuscript"), key=len)
+    gc.collect()
+    gc.disable()
+    try:
+        for source in (text, text[:-1], text[:60], text[:60] + "</x>"):
+            _outcome(scan_events(source))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name", POOL_NAMES)
+def test_fast_path_mutants_meet_the_reference(name, reference_calls):
+    """One-edit mutants over the fast path's alphabet: expat's accept or
+    reject decision must give the reference's events and error."""
+    rng = random.Random(f"{SEED}-fast-{name}")
+    mutants = [
+        corpusgen.mutate_fast_path(text, rng)
+        for text in _corpus_texts(name)
+        for _ in range(MUTANTS_PER_TEXT)
+    ]
+    decided = {"accepted": 0, "rejected": 0, "off the path": 0}
+    for mutant in mutants:
+        reference_calls.clear()
+        scanned = _outcome(_scanned(mutant))
+        assert scanned == _outcome(_reference_events(mutant)), mutant[:120]
+        if not fastlex._expat_reads_alike(mutant):
+            decided["off the path"] += 1
+        else:
+            decided["rejected" if reference_calls else "accepted"] += 1
+    assert decided["accepted"] > 0 and decided["rejected"] > 0, decided
+    assert decided["off the path"] <= len(mutants) // 10, decided
+
+
+class _CountedFind(str):
+    """A source that sums the characters each ``find`` examines."""
+
+    def find(self, sub, start=0, end=None):
+        found = super().find(sub, start, end)
+        stop = len(self) if end is None else min(end, len(self))
+        self.examined = getattr(self, "examined", 0) + (
+            (found + len(sub) if found >= 0 else stop) - start
+        )
+        return found
+
+
+@pytest.mark.parametrize("runs", (500, 4000))
+def test_the_reference_loop_is_linear_in_text_runs(runs):
+    """One ``&amp;`` sends the document to the reference loop, whose text
+    searches must stop at the run's end: each searching the rest of the
+    source is quadratic in runs (20 s for 300,000 runs)."""
+    source = _CountedFind("<r>&amp;" + "<x>word</x>" * runs + "</r>")
+    assert len(list(scan_events(source))) == 3 * runs + 3
+    assert source.examined <= 2 * len(source)
+
+
 # -- the verdict memo cache --------------------------------------------------
 
 
@@ -587,3 +841,29 @@ def test_server_stamps_cached_replies(tmp_path):
             assert stats["hits"] == 2 and stats["misses"] == 2
             exposition = client.metrics()["prometheus"]
             assert "repro_verdict_cache_total" in exposition
+
+
+def test_a_lone_surrogate_gets_one_answer_with_the_cache_on_and_off(tmp_path):
+    """A JSON ``\\ud800`` escape decodes to a lone surrogate, which the
+    cache's digest must key like any other text."""
+    from repro.dtd.parser import parse_dtd
+    from repro.server.client import ValidationClient
+    from repro.server.server import ServerThread
+
+    dtd_text = "<!ELEMENT r (#PCDATA)>"
+    doc = "<r>\ud800</r>"
+    schema = DEFAULT_REGISTRY.get(parse_dtd(dtd_text, root="r"))
+    for cache in (None, 16):
+        batch = BatchChecker(schema, algorithm="kernel", verdict_cache=cache)
+        result = batch.check_texts([doc, doc])
+        assert [(item.ok, item.error) for item in result.items] == [(True, None)] * 2
+    served = []
+    for cache in (0, 8):
+        with ServerThread(
+            unix_path=str(tmp_path / f"pv{cache}.sock"), verdict_cache=cache
+        ) as handle:
+            with ValidationClient.connect_unix(handle.unix_path) as client:
+                single = [client.check(dtd_text, doc) for _ in range(2)]
+                replies, _trailer = client.check_batch(dtd_text, [doc, doc])
+        served.append([reply["potentially_valid"] for reply in single + replies])
+    assert served == [[True] * 4, [True] * 4]

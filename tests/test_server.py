@@ -418,6 +418,26 @@ class TestGracefulShutdown:
         finally:
             client.close()
 
+    def test_an_idle_connection_closes_at_once(self):
+        # Parked between requests, a connection holds no request: stop()
+        # closes it without waiting out the 30 s drain.
+        handle = ServerThread(host="127.0.0.1")
+        handle.start()
+        try:
+            with socket.create_connection(handle.tcp_address, timeout=10) as sock:
+                sock.sendall(protocol.encode({"op": "health"}))
+                with sock.makefile("rb") as lines:
+                    assert protocol.decode_reply(lines.readline())["ok"] is True
+                    began = time.monotonic()
+                    handle.stop()
+                    stopped = time.monotonic() - began
+                    rest = lines.readline()
+        finally:
+            handle.stop()
+        assert stopped < 5.0
+        assert rest == b""  # closed by the server, no reply pending
+        assert not handle.server._idle
+
     def test_new_connections_refused_after_stop(self):
         with ServerThread(host="127.0.0.1") as handle:
             address = handle.tcp_address
