@@ -1,25 +1,27 @@
 """E11 — the serving front: warm server vs per-request cold compilation.
 
 The async server's claim extends E10's amortization argument to a
-long-running process: one warm registry (backed by the persistent disk
-store) answers every connection's verdicts from the compiled artifact, so
-a served corpus must beat an embedder that recompiles the schema per
-request — *including* the server's JSON/socket overhead, which the cold
-arm does not pay.  Three measured arms over the same mixed corpus:
+long-running process: one warm in-memory registry answers every
+connection's verdicts from the compiled artifact, so a served corpus
+must beat an embedder that recompiles the schema per request —
+*including* the server's JSON/socket overhead, which the cold arm does
+not pay.  Three measured arms over the same mixed corpus:
 
 * **cold** — per request: clear the process caches, re-parse the DTD,
   recompile the artifact, check (the naive embed-the-library service);
-* **warm server** — one ``ValidationServer`` (in-memory registry + disk
-  store) on a Unix socket, one persistent client connection, the corpus
-  streamed through as NDJSON requests;
-* **restarted server** — a brand-new server and registry over the same
-  disk store, corpus replayed.
+* **warm server** — one ``ValidationServer`` on a Unix socket, one
+  persistent client connection, the corpus streamed through as NDJSON
+  requests;
+* **restarted server** — a brand-new server and registry, corpus
+  replayed.  The registry is the one artifact cache, so its first
+  request compiles the schema from the DTD text it carries.
 
 Asserted: the warm server is at least 2× faster than cold per-request
 compilation, every arm returns identical verdicts, and the restarted
-server performs **zero** schema compilations — its artifact comes from
-the store (``compile_schema`` is instrumented and must not fire, and the
-server's own stats must report ``misses == 0`` with one store hit).
+server compiles the schema exactly once (``compile_schema`` is
+instrumented, and the server's own stats must report one miss).  The
+restarted server's first-request latency is printed beside the warm
+server's per-request latency: that gap is what a restart costs.
 
 ``REPRO_BENCH_FAST=1`` shrinks the corpus for the CI smoke job.
 """
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import os
 import random
+from time import perf_counter
 
 import repro.service.registry as registry_module
 from repro.bench.harness import Table, throughput, time_callable
@@ -38,7 +41,6 @@ from repro.server.client import ValidationClient
 from repro.server.server import ServerThread
 from repro.service.compiled import clear_compile_caches, compile_schema
 from repro.service.registry import SchemaRegistry
-from repro.service.store import ArtifactStore
 from repro.workloads.degrade import degrade
 from repro.workloads.docgen import DocumentGenerator
 from repro.xmlmodel.parser import parse_xml
@@ -68,7 +70,6 @@ def test_e11_server_throughput(benchmark, manuscript_dtd, tmp_path, monkeypatch)
     dtd_text = dtd_to_text(manuscript_dtd)
     root = manuscript_dtd.root
     texts = _corpus(manuscript_dtd)
-    store_dir = tmp_path / "artifacts"
 
     # -- arm 1: per-request cold compilation (no server, no cache) ---------
     def cold_run() -> list[bool]:
@@ -84,7 +85,7 @@ def test_e11_server_throughput(benchmark, manuscript_dtd, tmp_path, monkeypatch)
     cold_verdicts = cold_run()
 
     # -- arm 2: one warm server, one persistent connection ------------------
-    warm_registry = SchemaRegistry(store=ArtifactStore(store_dir))
+    warm_registry = SchemaRegistry()
     with ServerThread(
         unix_path=str(tmp_path / "e11.sock"), registry=warm_registry
     ) as handle:
@@ -100,7 +101,7 @@ def test_e11_server_throughput(benchmark, manuscript_dtd, tmp_path, monkeypatch)
             warm_verdicts = server_run()
             benchmark(lambda: client.check(dtd_text, texts[0], root=root))
 
-    # -- arm 3: restarted server over the warm disk store -------------------
+    # -- arm 3: a restarted server: fresh registry, first request compiles ---
     compile_calls: list[str] = []
     original_compile = registry_module.compile_schema
 
@@ -109,14 +110,18 @@ def test_e11_server_throughput(benchmark, manuscript_dtd, tmp_path, monkeypatch)
         return original_compile(dtd, fingerprint=fingerprint)
 
     monkeypatch.setattr(registry_module, "compile_schema", counting_compile)
-    restart_registry = SchemaRegistry(store=ArtifactStore(store_dir))
+    clear_compile_caches()
+    restart_registry = SchemaRegistry()
     with ServerThread(
         unix_path=str(tmp_path / "e11-restart.sock"), registry=restart_registry
     ) as handle:
         with ValidationClient.connect_unix(handle.unix_path) as client:
-            started_verdicts = [
+            started = perf_counter()
+            first = client.check(dtd_text, texts[0], root=root)
+            first_request_ms = (perf_counter() - started) * 1000.0
+            started_verdicts = [first["potentially_valid"]] + [
                 client.check(dtd_text, text, root=root)["potentially_valid"]
-                for text in texts
+                for text in texts[1:]
             ]
             restart_stats = client.stats()["registry"]
     monkeypatch.setattr(registry_module, "compile_schema", original_compile)
@@ -136,6 +141,10 @@ def test_e11_server_throughput(benchmark, manuscript_dtd, tmp_path, monkeypatch)
     table.print()
     print(f"warm registry: {warm_registry.stats}")
     print(f"restarted registry: {restart_stats}")
+    print(
+        f"restarted server, first request (compiles): {first_request_ms:.2f} ms; "
+        f"warm server: {warm_seconds / len(texts) * 1000.0:.2f} ms per request"
+    )
 
     # Every arm agrees, document by document.
     assert warm_verdicts == cold_verdicts
@@ -148,11 +157,10 @@ def test_e11_server_throughput(benchmark, manuscript_dtd, tmp_path, monkeypatch)
         f"per-request cold compilation"
     )
 
-    # A restart must be free of recompilation: the artifact comes from the
-    # disk store (one store hit, zero compiles, zero compile seconds).
-    assert compile_calls == [], (
+    # A restarted server compiles the schema once, on its first request,
+    # and answers every later request from its registry.
+    assert len(compile_calls) == 1, (
         f"restarted server compiled {len(compile_calls)} artifact(s)"
     )
-    assert restart_stats["misses"] == 0
-    assert restart_stats["store_hits"] == 1
-    assert restart_stats["compile_seconds"] == 0.0
+    assert restart_stats["misses"] == 1
+    assert first["schema"]["registry"] == "miss"

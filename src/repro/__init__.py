@@ -32,8 +32,8 @@ Layer map (bottom-up):
   scripts used by tests and benchmarks.
 * :mod:`repro.service` — the throughput layer: compiled-schema registry
   (compile a DTD once, share the artifact everywhere), parallel batch
-  checking, the persistent artifact store, and the one text→verdict
-  pipeline (:class:`BackendDispatcher`).
+  checking, and the one text→verdict pipeline
+  (:class:`BackendDispatcher`).
 * :mod:`repro.server` — the asyncio NDJSON serving front (imported on
   demand; ``python -m repro serve``).
 """
@@ -63,7 +63,6 @@ from repro.service.registry import (
     SchemaRegistry,
     default_registry,
 )
-from repro.service.store import ArtifactStore, StoreStats, default_store_dir
 from repro.errors import (
     DTDError,
     DTDSemanticError,
@@ -133,9 +132,6 @@ __all__ = [
     "BatchItem",
     "BatchResult",
     "check_batch",
-    "ArtifactStore",
-    "StoreStats",
-    "default_store_dir",
     "BackendDispatcher",
     "DispatchDecision",
     # errors

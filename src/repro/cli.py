@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command> ...``.
 
-Ten commands wrap the library for shell use:
+Nine commands wrap the library for shell use:
 
 ``classify SCHEMA.dtd``
     Print the Definition 6-8 classification report of a DTD.
@@ -38,11 +38,10 @@ Ten commands wrap the library for shell use:
 
 ``serve``
     Run the long-lived NDJSON validation server (TCP and/or a Unix
-    socket) over one warm schema registry, optionally backed by the
-    persistent artifact store; verdicts run on the server's threads, so
-    more cores take more shard processes.  ``--ring N`` starts a
-    local ring of N shard servers (consecutive ports / suffixed socket
-    paths, one registry and store partition each) for development and
+    socket) over one warm schema registry; verdicts run on the server's
+    threads, so more cores take more shard processes.  ``--ring N``
+    starts a local ring of N shard servers (consecutive ports / suffixed
+    socket paths, one registry each) for development and
     smoke testing of the sharded topology; every shard of a ring runs a
     SWIM-style gossip agent, the ring's one control plane (probe,
     suspect, refute, confirm down, mint epochs), starting from a view
@@ -72,12 +71,9 @@ Ten commands wrap the library for shell use:
     shard is down (the aggregate over the survivors still prints).
     ``--discover ADDR`` bootstraps the member list like ``ring-status``.
 
-``cache {stats,clear,warm}``
-    Inspect, empty, or pre-populate the persistent artifact store.
-
 Exit status: 0 for "yes" verdicts (and clean service runs), 1 for "no"
-verdicts and runtime failures (a port that will not bind, a store that
-will not write), 2 for usage/parse errors.  ``main`` always *returns*
+verdicts and runtime failures (a port that will not bind, an event log
+that will not open), 2 for usage/parse errors.  ``main`` always *returns*
 the status — argparse's ``SystemExit`` on bad usage is caught and
 converted — so embedding callers never have to trap exits.
 """
@@ -96,7 +92,6 @@ from repro.errors import ReproError
 from repro.service.batch import BatchChecker
 from repro.service.dispatch import BackendDispatcher
 from repro.service.registry import DEFAULT_REGISTRY
-from repro.service.store import ArtifactStore, default_store_dir
 from repro.validity.validator import DTDValidator
 from repro.xmlmodel.parser import parse_xml
 from repro.xmlmodel.serialize import to_xml
@@ -107,7 +102,7 @@ __all__ = ["main"]
 #: Usage/parse errors exit with this status (mirrors argparse's own code).
 USAGE_ERROR = 2
 
-#: Runtime failures (bind errors, unwritable stores) exit with this status.
+#: Runtime failures (bind errors, unwritable event logs) exit with this status.
 RUNTIME_ERROR = 1
 
 _ALGORITHMS = ("machine", "kernel", "figure5", "earley", "auto")
@@ -303,16 +298,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return USAGE_ERROR
     shards = args.ring
 
-    def shard_store(index: int) -> ArtifactStore | None:
-        if not args.store:
-            return None
-        # Each shard owns a disjoint slice of the schema space, so each
-        # gets its own store partition — artifacts travel between shards
-        # over the wire (put-artifact), not through a shared directory.
-        if shards == 1:
-            return ArtifactStore(args.store)
-        return ArtifactStore(Path(args.store) / f"shard-{index}")
-
     events = None
     if args.events:
         from repro.obs.events import EventLog
@@ -330,7 +315,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     seeds = [seed for seed in seeds if seed]
     servers = [
         ValidationServer(
-            store=shard_store(index),
             default_algorithm=args.algorithm,
             events=events,
             slow_ms=args.slow_ms,
@@ -340,7 +324,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             replica_count=args.replicas,
             read_policy=args.read_policy,
         )
-        for index in range(shards)
+        for _ in range(shards)
     ]
 
     def endpoints(index: int) -> tuple[int | None, str | None]:
@@ -376,9 +360,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     )
                 if server.unix_path is not None:
                     print(f"{name}listening on unix:{server.unix_path}",
-                          file=sys.stderr)
-                if server.store is not None:
-                    print(f"{name}artifact store: {server.store.directory}",
                           file=sys.stderr)
             if shards > 1:
                 # Every shard is bound: install the full view in process
@@ -630,44 +611,6 @@ def _cmd_ring_status(args: argparse.Namespace) -> int:
     return 0 if all_up else RUNTIME_ERROR
 
 
-def _cmd_cache(args: argparse.Namespace) -> int:
-    if args.action == "warm" and not args.schemas:
-        print("error: cache warm needs at least one schema file", file=sys.stderr)
-        return USAGE_ERROR
-    if args.action != "warm" and args.schemas:
-        print(f"error: cache {args.action} takes no schema files", file=sys.stderr)
-        return USAGE_ERROR
-    store = ArtifactStore(args.store or default_store_dir())
-    if args.action == "stats":
-        print(store.stats)
-        for fingerprint in store.fingerprints():
-            print(f"  {fingerprint}")
-        return 0
-    if args.action == "clear":
-        removed = store.clear()
-        print(f"removed {removed} artifact(s) from {store.directory}")
-        return 0
-    # warm: compile whatever the store does not already hold, saving
-    # explicitly so an unwritable store is a loud runtime failure (the
-    # registry's write-through deliberately degrades in silence).
-    from repro.service.compiled import compile_schema, schema_fingerprint
-
-    dtds = [_load_dtd(path, args.root) for path in args.schemas]
-    try:
-        for path, dtd in zip(args.schemas, dtds):
-            fingerprint = schema_fingerprint(dtd)
-            if store.load(fingerprint) is not None:
-                print(f"{path}: {fingerprint[:16]}... (already stored)")
-                continue
-            store.save(compile_schema(dtd, fingerprint=fingerprint))
-            print(f"{path}: {fingerprint[:16]}... (compiled)")
-    except OSError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return RUNTIME_ERROR
-    print(store.stats)
-    return 0
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     """Profile a check/batch workload; print the cumulative-time top-N."""
     import cProfile
@@ -882,17 +825,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--unix", default=None, metavar="PATH", help="also serve a Unix socket"
     )
     serve.add_argument(
-        "--store",
-        nargs="?",
-        const=str(default_store_dir()),
-        default=None,
-        metavar="DIR",
-        help=(
-            "back the registry with the persistent artifact store "
-            "(default directory when DIR is omitted)"
-        ),
-    )
-    serve.add_argument(
         "--algorithm",
         choices=_ALGORITHMS,
         default="auto",
@@ -905,7 +837,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "start a local ring of N shard servers (consecutive ports, "
-            "socket paths suffixed .0..N-1, one store partition each)"
+            "socket paths suffixed .0..N-1)"
         ),
     )
     serve.add_argument(
@@ -1057,22 +989,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="per-shard scrape timeout, seconds",
     )
     metrics.set_defaults(handler=_cmd_metrics)
-
-    cache = sub.add_parser(
-        "cache", help="manage the persistent compiled-artifact store"
-    )
-    cache.add_argument("action", choices=("stats", "clear", "warm"))
-    cache.add_argument(
-        "schemas", nargs="*", metavar="schema", help="DTD files (warm only)"
-    )
-    cache.add_argument(
-        "--store",
-        default=None,
-        metavar="DIR",
-        help=f"store directory (default: {default_store_dir()})",
-    )
-    cache.add_argument("--root", default=None, help="root element type (warm)")
-    cache.set_defaults(handler=_cmd_cache)
     return parser
 
 

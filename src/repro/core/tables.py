@@ -22,8 +22,8 @@ precomputed here for *every* ``(element, position)`` pair, moving that
 repeated cost into the one-time schema compile the registry amortizes.
 
 Everything in this module is plain data (ints, arrays, dicts, tuples):
-the tables pickle cheaply, ride inside the artifact-store format
-(version 2) and the ring's ``put-artifact`` wire blobs, and are shared
+the tables pickle cheaply, ride inside the ring's ``put-artifact``
+wire blobs and ``BatchChecker``'s worker pool, and are shared
 read-only across threads and worker processes.  The one exception is the
 kernel's runtime memo (:class:`KernelMemo`), which threads fill as they
 check and which never pickles.

@@ -11,9 +11,8 @@ The stack emits a small, stable vocabulary: ``member-down`` /
 ``member-suspect`` / ``member-down`` / ``member-refuted`` /
 ``member-removed`` from the gossip agent,
 ``failover`` from :class:`ShardedClient`,
-``window-requeued`` from the corpus scheduler, ``store-upgrade`` from
-the artifact store, and ``slow-request`` from servers run with
-``--slow-ms``.  ``docs/OBSERVABILITY.md`` documents the per-event
+``window-requeued`` from the corpus scheduler, and ``slow-request``
+from servers run with ``--slow-ms``.  ``docs/OBSERVABILITY.md`` documents the per-event
 fields.
 """
 

@@ -259,9 +259,7 @@ CATALOG: tuple[MetricSpec, ...] = (
                "Kernel memo entries (emission lists and interned states) "
                "summed over resident schemas."),
     MetricSpec("repro_registry_events_total", "counter", ("event",),
-               "Schema registry events: hit, miss, store_hit, eviction."),
-    MetricSpec("repro_store_events_total", "counter", ("event",),
-               "Artifact store events: hit, miss, corrupt, save, upgrade."),
+               "Schema registry events: hit, miss, eviction."),
     MetricSpec("repro_ring_reads_total", "counter", ("member",),
                "Client-side reads served, by ring member."),
     MetricSpec("repro_ring_failovers_total", "counter", (),

@@ -341,7 +341,7 @@ class ValidationClient:
         )
 
     def stats(self) -> dict[str, Any]:
-        """Server, registry, store, hot-fingerprint, and dispatch statistics."""
+        """Server, registry, hot-fingerprint, and dispatch statistics."""
         return self.request({"op": "stats"})
 
     def metrics(self) -> dict[str, Any]:
@@ -372,8 +372,8 @@ class ValidationClient:
         )
 
     def get_artifact(self, fingerprint: str) -> bytes:
-        """The server's compiled artifact for *fingerprint*, as the
-        :mod:`repro.service.store` wire/file format bytes."""
+        """The server's compiled artifact for *fingerprint*, as
+        :func:`~repro.service.compiled.encode_artifact` bytes."""
         reply = self.request({"op": "get-artifact", "fingerprint": fingerprint})
         return base64.b64decode(reply["artifact"].encode("ascii"))
 
@@ -386,7 +386,8 @@ class ValidationClient:
         return base64.b64decode(reply["coarse"].encode("ascii"))
 
     def put_artifact(self, fingerprint: str, blob: bytes) -> dict[str, Any]:
-        """Seed an artifact (store-format *blob*) into the server."""
+        """Seed an artifact (:func:`~repro.service.compiled.encode_artifact`
+        *blob*) into the server's registry."""
         return self.request(
             {
                 "op": "put-artifact",

@@ -108,9 +108,9 @@ class GossipAgent:
     connect:
         Connection factory for the probe pool, injectable for tests.
     install:
-        ``(fingerprint, blob) -> disposition | None``: installs one
-        prefetched artifact blob (the server's ``put-artifact`` check;
-        ``None`` means rejected).  Without it a join prefetches nothing.
+        ``(fingerprint, blob) -> bool``: installs one prefetched artifact
+        blob (the server's ``put-artifact`` check; ``False`` means
+        rejected).  Without it a join prefetches nothing.
     """
 
     def __init__(
@@ -127,7 +127,7 @@ class GossipAgent:
         metrics: MetricsRegistry | None = None,
         events: EventLog | None = None,
         rng: random.Random | None = None,
-        install: Callable[[str, bytes], Any] | None = None,
+        install: Callable[[str, bytes], bool] | None = None,
     ) -> None:
         self._view = view
         self._install = install
@@ -269,7 +269,7 @@ class GossipAgent:
                     )
                 except (OSError, ProtocolError, ServerError):
                     continue
-                if self._install(fingerprint, blob) is not None:
+                if self._install(fingerprint, blob):
                     installed += 1
                 break
         return installed

@@ -55,10 +55,10 @@ round trip instead of one per document.
 
 Artifact hand-off ops
 ---------------------
-``get-artifact`` returns a compiled schema artifact held by this server —
-the :mod:`repro.service.store` file format (versioned header + pickle),
-base64-encoded — and ``put-artifact`` seeds one into the registry (and
-the disk store, when attached).  Together they let a routing client
+``get-artifact`` returns a compiled schema artifact held by this
+server's registry — :func:`~repro.service.compiled.encode_artifact`'s
+bytes (versioned header + pickle), base64-encoded — and ``put-artifact``
+seeds one into the registry.  Together they let a routing client
 move artifacts between shards by fingerprint so each schema is compiled
 at most once ring-wide, and a joining shard prefetch its hottest owned
 artifacts.
@@ -106,8 +106,7 @@ membership rumor must not poison a liveness probe.
    ``put-artifact`` payloads are unpickled (after header and fingerprint
    verification, which cannot make unpickling itself safe).  Run servers
    only on trusted networks — Unix sockets, localhost, or a private
-   segment between your own shards — exactly like the disk store, which
-   already trusts its pickle files.  TLS + auth on TCP endpoints is
+   segment between your own shards.  TLS + auth on TCP endpoints is
    named in the roadmap; until then, do not expose the port publicly.
 
 Responses always carry ``"ok"``.  Success responses echo ``"op"`` (and
@@ -127,8 +126,8 @@ Failures are structured, never a dropped connection::
 Error codes: ``bad-json`` (line is not JSON), ``bad-request`` (JSON but
 not a valid request object), ``bad-dtd`` / ``bad-document`` (payload does
 not parse), ``bad-item`` (a batch item line is defective),
-``bad-artifact`` (a ``put-artifact`` blob fails decoding or fingerprint
-verification), ``artifact-miss`` (``get-artifact`` for a fingerprint this
+``bad-artifact`` (a ``put-artifact`` blob fails decoding, version or
+fingerprint verification), ``artifact-miss`` (``get-artifact`` for a fingerprint this
 server does not hold), ``wrong-epoch`` (the request's ring epoch is
 older than the shard's view; the error object carries the current view),
 ``unsupported-op``, ``internal``.  A

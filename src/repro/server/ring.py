@@ -3,9 +3,8 @@
 This module is the data plane of the horizontal-scaling layer over
 :mod:`repro.server`: a fleet of independent
 :class:`~repro.server.server.ValidationServer` processes ("shards"),
-each with its own registry (and optionally its own disk store), fronted
-by a client that routes every request to a shard owning the request's
-schema.  It composes the focused layers of the ring stack:
+each with its own registry, fronted by a client that routes every
+request to a shard owning the request's schema.  It composes the focused layers of the ring stack:
 
 * :mod:`repro.server.placement` — :class:`ShardRing` (consistent
   hashing with virtual nodes and replica sets) and

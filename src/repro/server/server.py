@@ -2,9 +2,8 @@
 
 :class:`ValidationServer` is the long-running serving front over the
 service layer: one warm :class:`~repro.service.registry.SchemaRegistry`
-(optionally backed by a persistent
-:class:`~repro.service.store.ArtifactStore`) answers potential-validity
-requests for many concurrent connections, speaking the newline-delimited
+answers potential-validity requests for many concurrent connections,
+speaking the newline-delimited
 JSON protocol of :mod:`repro.server.protocol` over TCP and/or a Unix
 domain socket.
 
@@ -12,9 +11,8 @@ Execution model
 ---------------
 The event loop owns the schema-resolution state (the text memo, the
 dispatchers); compiles and verdicts are CPU-bound and run off-loop.  A
-DTD text the server has not resolved before is parsed and loaded or
-compiled in one thread hop, shared by concurrent requests for that
-text.  Every ``check`` and every
+DTD text the server has not resolved before is parsed and compiled in
+one thread hop, shared by concurrent requests for that text.  Every ``check`` and every
 ``check-batch`` item runs the one text→verdict pipeline,
 :meth:`~repro.service.dispatch.BackendDispatcher.check_text`, on a
 thread (``asyncio.to_thread``) over a per-fingerprint dispatcher that
@@ -72,10 +70,9 @@ from repro.server.gossip import DEFAULT_PROBE_INTERVAL, GossipAgent
 from repro.server.placement import Member, PlacementView, parse_member
 from repro.server.protocol import ProtocolError, Request
 from repro.service.cache import VerdictCache
-from repro.service.compiled import CompiledSchema
+from repro.service.compiled import CompiledSchema, decode_artifact, encode_artifact
 from repro.service.dispatch import BackendDispatcher, TextVerdict
 from repro.service.registry import SchemaRegistry
-from repro.service.store import ArtifactStore, decode_artifact, encode_artifact
 from repro.validity.validator import DTDValidator, ValidationReport
 from repro.xmlmodel.parser import parse_xml
 
@@ -267,10 +264,7 @@ class ValidationServer:
     ----------
     registry:
         The warm artifact cache shared by every connection.  A fresh one
-        is created when omitted (optionally backed by *store*).
-    store:
-        Persistent artifact store.  Attached to the registry, so restarts
-        skip recompilation.
+        is created when omitted.
     default_algorithm:
         Backend when a request names none; ``"auto"`` (the default)
         resolves to the fused kernel.
@@ -294,7 +288,6 @@ class ValidationServer:
     def __init__(
         self,
         registry: SchemaRegistry | None = None,
-        store: ArtifactStore | None = None,
         default_algorithm: str = "auto",
         metrics: MetricsRegistry | None = None,
         events: EventLog | None = None,
@@ -318,11 +311,8 @@ class ValidationServer:
         if read_policy is not None and read_policy not in protocol.READ_POLICIES:
             raise ValueError(f"unknown read policy {read_policy!r}")
         if registry is None:
-            registry = SchemaRegistry(store=store)
-        elif store is not None and registry.store is None:
-            registry.attach_store(store)
+            registry = SchemaRegistry()
         self.registry = registry
-        self.store = store if store is not None else registry.store
         self.default_algorithm = default_algorithm
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.events = events if events is not None else EventLog()
@@ -349,8 +339,6 @@ class ValidationServer:
         }
         self._m_slow = m.counter("repro_slow_requests_total")
         self._m_traced = m.counter("repro_traced_requests_total")
-        if self.store is not None:
-            self.store.attach_observability(events=self.events)
         self._verdict_cache = (
             VerdictCache(verdict_cache) if verdict_cache > 0 else None
         )
@@ -410,12 +398,12 @@ class ValidationServer:
         self._register_reads()
 
     def _register_reads(self) -> None:
-        """Export each count the server, its registry, store and verdict
-        cache keep as a read of that count.
+        """Export each count the server, its registry and verdict cache
+        keep as a read of that count.
 
         A scrape runs on the event loop, which owns the server's own
-        counts; the registry, store and cache read theirs under their
-        own locks.
+        counts; the registry and cache read theirs under their own
+        locks.
         """
         m = self.metrics
 
@@ -424,7 +412,7 @@ class ValidationServer:
             for value, field in fields.items():
                 m.counter(name, read=lambda f=field: counts()[f], **{label: value})
 
-        registry, store, cache = self.registry, self.store, self._verdict_cache
+        registry, cache = self.registry, self._verdict_cache
         export("repro_errors_total", "code",
                {code: code for code in protocol.ERROR_CODES},
                lambda: self._errors)
@@ -432,14 +420,8 @@ class ValidationServer:
                {b: b for b in protocol.ALGORITHMS if b != "auto"},
                lambda: self._dispatch_counts)
         export("repro_registry_events_total", "event",
-               {"hit": "hits", "miss": "misses", "store_hit": "store_hits",
-                "eviction": "evictions"},
+               {"hit": "hits", "miss": "misses", "eviction": "evictions"},
                lambda: registry.stats.as_dict())
-        if store is not None:
-            export("repro_store_events_total", "event",
-                   {"hit": "hits", "miss": "misses", "corrupt": "corrupt",
-                    "save": "saves", "upgrade": "upgrades"},
-                   lambda: store.counts)
         outcomes = {"hit": "hits", "miss": "misses", "evict": "evictions"}
         export("repro_verdict_cache_total", "outcome", outcomes,
                (lambda: cache.stats) if cache is not None
@@ -865,7 +847,7 @@ class ValidationServer:
             return await self._op_probe(request)
         self._check_epoch(request)
         if request.op == "stats":
-            return await self._op_stats()
+            return self._op_stats()
         if request.op == "put-artifact":
             return await self._op_put_artifact(request, timings)
         if request.op == "get-artifact":
@@ -893,7 +875,7 @@ class ValidationServer:
         The warm path stays on the event loop: one text-memo probe and one
         counted registry lookup, so a repeated request body never
         re-parses its DTD.  The cold path (:meth:`_resolve_text`: parse,
-        then the registry, which may load or compile) is one thread hop,
+        then the registry, which may compile) is one thread hop,
         so a large client DTD does not stall the shard's other
         connections.  Concurrent cold requests for one text wait on the
         first one's hop and then take the warm path, answering as if they
@@ -1273,27 +1255,21 @@ class ValidationServer:
 
     # -- artifact hand-off ops -----------------------------------------------
 
-    def _install_artifact(self, fingerprint: str, blob: bytes) -> str | None:
-        """Seed one artifact blob; where it went, or ``None`` if rejected.
+    def _install_artifact(self, fingerprint: str, blob: bytes) -> bool:
+        """Seed one artifact blob into the registry; ``False`` if rejected.
 
-        The blob is the :mod:`repro.service.store` file format (header +
-        pickle); decoding verifies magic, version, and the embedded
-        fingerprint against *fingerprint*, so a corrupt or mislabeled
-        blob is never a poisoned registry entry.  Shared by
-        ``put-artifact`` and the gossip agent's join prefetch; runs off
-        the event loop in both.
+        The blob is :func:`~repro.service.compiled.encode_artifact`'s
+        format (header + pickle); decoding verifies magic, version, and
+        the embedded fingerprint against *fingerprint*, so a corrupt,
+        mislabeled or older-version blob is never a poisoned registry
+        entry.  Shared by ``put-artifact`` and the gossip agent's join
+        prefetch; runs off the event loop in both.
         """
         schema = decode_artifact(blob, fingerprint)
         if schema is None:
-            return None
+            return False
         self.registry.put(schema)
-        if self.store is not None:
-            try:
-                self.store.save(schema)
-                return "registry+store"
-            except OSError:
-                pass  # an unwritable store degrades to memory-only seeding
-        return "registry"
+        return True
 
     async def _op_put_artifact(
         self, request: Request, timings: dict[str, Any]
@@ -1304,35 +1280,30 @@ class ValidationServer:
         :meth:`_install_artifact`: a blob failing decoding or fingerprint
         verification is a structured ``bad-artifact`` error.  Unpickling,
         like the rest of the wire protocol, assumes a trusted network —
-        see the protocol module's trust-model note.  Decode and disk
-        write run off-loop: a multi-megabyte artifact must not stall
-        other connections.
+        see the protocol module's trust-model note.  Decoding runs
+        off-loop: a multi-megabyte artifact must not stall other
+        connections.
         """
         assert request.fingerprint is not None and request.artifact is not None
         fingerprint = request.fingerprint
         artifact = request.artifact
 
-        def decode_and_store() -> str | None:
+        def decode_and_install() -> bool:
             try:
                 blob = base64.b64decode(artifact.encode("ascii"), validate=True)
             except (binascii.Error, UnicodeEncodeError, ValueError):
-                return None
+                return False
             return self._install_artifact(fingerprint, blob)
 
         artifact_watch = Stopwatch()
-        stored = await asyncio.to_thread(decode_and_store)
+        installed = await asyncio.to_thread(decode_and_install)
         timings["artifact"] = artifact_watch.seconds
-        if stored is None:
+        if not installed:
             raise ProtocolError(
                 "bad-artifact",
                 "artifact failed decoding or fingerprint verification",
             )
-        return {
-            "ok": True,
-            "op": "put-artifact",
-            "fingerprint": fingerprint,
-            "stored": stored,
-        }
+        return {"ok": True, "op": "put-artifact", "fingerprint": fingerprint}
 
     async def _encode_held(
         self,
@@ -1340,25 +1311,17 @@ class ValidationServer:
         encode: Callable[[CompiledSchema], bytes],
         timings: dict[str, Any],
     ) -> bytes:
-        """*encode* applied to the artifact held for *fingerprint*.
-
-        The registry first, then the store (a loaded artifact is seeded
-        into the registry); when neither holds it, ``artifact-miss``.
-        The lookup, a possible disk load and the encoding run off-loop.
+        """*encode* applied to the artifact the registry holds for
+        *fingerprint*; ``artifact-miss`` when it holds none.  The lookup
+        and the encoding run off-loop.
         """
 
-        def load_and_encode() -> bytes | None:
+        def lookup_and_encode() -> bytes | None:
             schema = self.registry.lookup(fingerprint)
-            if schema is None and self.store is not None:
-                schema = self.store.load(fingerprint)
-                if schema is not None:
-                    self.registry.put(schema)
-            if schema is None:
-                return None
-            return encode(schema)
+            return None if schema is None else encode(schema)
 
         artifact_watch = Stopwatch()
-        blob = await asyncio.to_thread(load_and_encode)
+        blob = await asyncio.to_thread(lookup_and_encode)
         timings["artifact"] = artifact_watch.seconds
         if blob is None:
             raise ProtocolError(
@@ -1372,8 +1335,8 @@ class ValidationServer:
     ) -> dict[str, Any]:
         """Hand the compiled artifact for a fingerprint to a peer.
 
-        Pickling (and a possible disk load) runs off-loop, like every
-        other heavy path in this server.
+        Pickling runs off-loop, like every other heavy path in this
+        server.
         """
         assert request.fingerprint is not None
         blob = await self._encode_held(request.fingerprint, encode_artifact, timings)
@@ -1391,8 +1354,8 @@ class ValidationServer:
         """Hand the few-hundred-byte coarse summary to a routing client.
 
         The lightweight sibling of ``get-artifact``: a ring client caches
-        this per fingerprint to pre-filter batches locally.  A possible
-        disk load and the summary's build on its first read run off-loop.
+        this per fingerprint to pre-filter batches locally.  The
+        summary's build on its first read runs off-loop.
         """
         assert request.fingerprint is not None
         blob = await self._encode_held(
@@ -1553,13 +1516,7 @@ class ValidationServer:
             "queue_depth": max(0, self._inflight - self._capacity),
         }
 
-    async def _op_stats(self) -> dict[str, Any]:
-        store = self.store
-        store_stats = None
-        if store is not None:
-            # The store's stats walk its directory, which nothing prunes:
-            # one hop off the loop.  The server's own counts stay on it.
-            store_stats = (await asyncio.to_thread(lambda: store.stats)).as_dict()
+    def _op_stats(self) -> dict[str, Any]:
         dispatch = dict(self._dispatch_counts)
         uptime = (
             monotonic() - self._started_at if self._started_at is not None else 0.0
@@ -1586,7 +1543,6 @@ class ValidationServer:
                 ),
             },
             "registry": self.registry.stats.as_dict(),
-            "store": store_stats,
             "dispatch": dispatch,
             "hot": [
                 [fingerprint, count]
@@ -1600,7 +1556,7 @@ class ValidationServer:
         """The metrics scrape: a mergeable snapshot plus exposition text.
 
         Not epoch-gated — scrapers address a shard directly, not through
-        ring routing.  Counts kept by the server, its registry, store and
+        ring routing.  Counts kept by the server, its registry and
         verdict cache are read where they are kept, at snapshot time.
         """
         snapshot = self.metrics.snapshot()
@@ -1619,7 +1575,7 @@ class ServerThread:
     The context-manager form the tests, the E11 benchmark, and the CI
     smoke job use::
 
-        with ServerThread(unix_path=str(tmp / "pv.sock"), store=store) as handle:
+        with ServerThread(unix_path=str(tmp / "pv.sock")) as handle:
             with ValidationClient.connect_unix(handle.unix_path) as client:
                 client.check(dtd_text, doc_text)
 

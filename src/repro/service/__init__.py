@@ -8,9 +8,11 @@ the per-verdict side of that promise; this package delivers the
 amortization and the bulk-throughput side:
 
 * :mod:`repro.service.compiled` — :class:`CompiledSchema`, the immutable
-  one-time compilation artifact, keyed by a content hash of the DTD.
-* :mod:`repro.service.registry` — :class:`SchemaRegistry`, an LRU cache of
-  compiled artifacts with hit/miss/eviction statistics.  A process-wide
+  one-time compilation artifact, keyed by a content hash of the DTD, and
+  the versioned byte encoding the ring's artifact hand-off ships.
+* :mod:`repro.service.registry` — :class:`SchemaRegistry`, the one
+  artifact cache: an in-memory LRU of compiled artifacts with
+  hit/miss/eviction statistics.  A process-wide
   default registry backs every :class:`~repro.core.pv.PVChecker`
   construction, so repeated checkers over the same schema share one
   artifact instead of recompiling.
@@ -18,16 +20,13 @@ amortization and the bulk-throughput side:
   of documents out over a ``multiprocessing`` pool.  Workers receive the
   compiled artifact once (at pool start), not per document, and the
   result carries aggregate throughput statistics.
-* :mod:`repro.service.store` — :class:`ArtifactStore`, the persistent
-  on-disk artifact cache (atomic writes, corruption-tolerant loads) that
-  backs a registry across process restarts.
 * :mod:`repro.service.dispatch` — :class:`BackendDispatcher`, the one
   text→verdict pipeline every surface calls (``auto`` resolves to the
   fused kernel, repeats come from the verdict cache), with an auditable
   decision log.
 
 This is the architectural seam scaling work builds on: anything that can
-obtain a :class:`CompiledSchema` — from memory, disk, or a peer — can
+obtain a :class:`CompiledSchema` — from its registry or a peer — can
 answer verdicts without ever touching DTD text again.  The asyncio
 serving front over this layer lives in :mod:`repro.server`.
 """
@@ -51,11 +50,6 @@ from repro.service.registry import (
     SchemaRegistry,
     default_registry,
 )
-from repro.service.store import (
-    ArtifactStore,
-    StoreStats,
-    default_store_dir,
-)
 
 __all__ = [
     "CompiledSchema",
@@ -70,9 +64,6 @@ __all__ = [
     "BatchItem",
     "BatchResult",
     "check_batch",
-    "ArtifactStore",
-    "StoreStats",
-    "default_store_dir",
     "BackendDispatcher",
     "DispatchDecision",
     "DispatchedVerdict",

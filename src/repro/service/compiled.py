@@ -22,11 +22,25 @@ memoized, never rebound to different values) and **picklable**, so a
 pickle carries the coarse summary once it has been built and drops the
 Earley members: they are derived data and each worker rebuilds them on
 first use only if its backend needs them.
+
+Wire format
+-----------
+The ring's ``get-artifact``/``put-artifact`` hand-off ships an artifact
+as :func:`encode_artifact` bytes: a one-line versioned ASCII header
+followed by the pickle payload::
+
+    repro-pv-artifact 3\n
+    <pickle bytes of the CompiledSchema>
+
+:func:`decode_artifact` accepts exactly :data:`ARTIFACT_FORMAT_VERSION`
+and checks the embedded fingerprint, so a wrong magic, another version,
+a garbled payload or a mislabeled artifact is rejected, never seeded.
 """
 
 from __future__ import annotations
 
 import hashlib
+import pickle
 from time import perf_counter
 
 from repro.core.coarse import CoarseSummary, compile_coarse
@@ -39,11 +53,22 @@ from repro.grammar.build import build_content_cfg
 from repro.grammar.earley import EarleyRecognizer
 
 __all__ = [
+    "ARTIFACT_MAGIC",
+    "ARTIFACT_FORMAT_VERSION",
     "CompiledSchema",
     "schema_fingerprint",
     "compile_schema",
     "clear_compile_caches",
+    "encode_artifact",
+    "decode_artifact",
 ]
+
+#: First header token of every encoded artifact.
+ARTIFACT_MAGIC = "repro-pv-artifact"
+
+#: The one version :func:`encode_artifact` writes and
+#: :func:`decode_artifact` accepts.  Bump when the pickled layout changes.
+ARTIFACT_FORMAT_VERSION = 3
 
 
 def schema_fingerprint(dtd: DTD) -> str:
@@ -73,15 +98,12 @@ class CompiledSchema:
         ``DAG_T`` with both the flattened and the exact position tables.
     tables:
         The kernel backend's dense integer tables
-        (:class:`~repro.core.tables.CompiledTables`).  Built eagerly by
-        :func:`compile_schema` and carried inside the pickle (artifact
-        format version 2); artifacts unpickled from the version-1 layout
-        rebuild them lazily on first kernel use.
+        (:class:`~repro.core.tables.CompiledTables`), built by
+        :func:`compile_schema` and carried inside the pickle.
     coarse:
         The coarse summary (:class:`~repro.core.coarse.CoarseSummary`)
         the ring client's filter runs.  Built on first read, since only
-        that filter reads it, and carried inside the pickle once built
-        (artifact format version 3).
+        that filter reads it, and carried inside the pickle once built.
     compile_seconds:
         Wall time the compilation took (feeds registry statistics and the
         E10 benchmark's amortization table).
@@ -93,7 +115,7 @@ class CompiledSchema:
         "analysis",
         "dag",
         "compile_seconds",
-        "_tables",
+        "tables",
         "_coarse",
         "_content_cfg",
         "_earley",
@@ -105,16 +127,16 @@ class CompiledSchema:
         fingerprint: str,
         analysis: DTDAnalysis,
         dag: DtdDag,
+        tables: CompiledTables,
         compile_seconds: float = 0.0,
-        tables: CompiledTables | None = None,
         coarse: CoarseSummary | None = None,
     ) -> None:
         self.dtd = dtd
         self.fingerprint = fingerprint
         self.analysis = analysis
         self.dag = dag
+        self.tables = tables
         self.compile_seconds = compile_seconds
-        self._tables = tables
         self._coarse = coarse
         self._content_cfg = None
         self._earley: EarleyRecognizer | None = None
@@ -136,19 +158,6 @@ class CompiledSchema:
         if self._earley is None:
             self._earley = EarleyRecognizer(self.content_cfg())
         return self._earley
-
-    @property
-    def tables(self) -> CompiledTables:
-        """The kernel backend's dense tables (rebuilt if the pickle lacked
-        them — i.e. the artifact predates format version 2)."""
-        if self._tables is None:
-            self._tables = compile_tables(self.dag)
-        return self._tables
-
-    @property
-    def has_tables(self) -> bool:
-        """Whether the tables are already present (no rebuild needed)."""
-        return self._tables is not None
 
     @property
     def coarse(self) -> CoarseSummary:
@@ -177,7 +186,7 @@ class CompiledSchema:
             "analysis": self.analysis,
             "dag": self.dag,
             "compile_seconds": self.compile_seconds,
-            "tables": self._tables,
+            "tables": self.tables,
             "coarse": self._coarse,
         }
 
@@ -187,11 +196,9 @@ class CompiledSchema:
         self.analysis = state["analysis"]
         self.dag = state["dag"]
         self.compile_seconds = state["compile_seconds"]
-        # Version-1 artifacts predate the kernel tables, and an artifact
-        # carries the coarse summary only once it was built; absent means
-        # "build lazily", so old pickles keep loading.
-        self._tables = state.get("tables")
-        self._coarse = state.get("coarse")
+        self.tables = state["tables"]
+        # None until the coarse summary is first read; built lazily then.
+        self._coarse = state["coarse"]
         self._content_cfg = None
         self._earley = None
 
@@ -219,8 +226,8 @@ def compile_schema(dtd: DTD, fingerprint: str | None = None) -> CompiledSchema:
         fingerprint=fingerprint or schema_fingerprint(dtd),
         analysis=dag.analysis,
         dag=dag,
-        compile_seconds=elapsed,
         tables=tables,
+        compile_seconds=elapsed,
     )
 
 
@@ -233,3 +240,33 @@ def clear_compile_caches() -> None:
     """
     analyze.cache_clear()
     build_dag.cache_clear()
+
+
+def encode_artifact(schema: CompiledSchema) -> bytes:
+    """*schema* in the hand-off's self-describing bytes (header + pickle)."""
+    header = f"{ARTIFACT_MAGIC} {ARTIFACT_FORMAT_VERSION}\n".encode("ascii")
+    return header + pickle.dumps(schema, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def decode_artifact(blob: bytes, fingerprint: str) -> CompiledSchema | None:
+    """Decode :func:`encode_artifact` bytes, or ``None`` on any defect.
+
+    Every defect — missing or bad header, any version but
+    :data:`ARTIFACT_FORMAT_VERSION`, truncated or garbled pickle, an
+    embedded fingerprint that does not match the expected one — yields
+    ``None``, never an exception; the server's ``put-artifact`` op turns
+    it into a structured ``bad-artifact`` error.
+    """
+    header = f"{ARTIFACT_MAGIC} {ARTIFACT_FORMAT_VERSION}\n".encode("ascii")
+    if not blob.startswith(header):
+        return None
+    try:
+        schema = pickle.loads(blob[len(header) :])
+    except Exception:
+        # A truncated or garbled payload can raise nearly anything out
+        # of the unpickler (EOFError, UnpicklingError, AttributeError,
+        # ValueError, ...); every such defect is just a bad blob.
+        return None
+    if not isinstance(schema, CompiledSchema) or schema.fingerprint != fingerprint:
+        return None
+    return schema

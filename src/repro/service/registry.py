@@ -13,26 +13,20 @@ recently inserted: a hit refreshes the entry) guarded by a lock, and it
 keeps running statistics — hits, misses, evictions, and cumulative
 compile seconds — that the batch CLI and the E10 benchmark report.
 
-A registry may additionally be backed by a persistent
-:class:`~repro.service.store.ArtifactStore`: an in-memory miss then tries
-the disk before compiling (counted as a ``store_hit``, not a miss), and
-every fresh compile is written through, so a restarted process warms up
-from disk without recompiling anything.
+The registry is the one artifact cache: nothing is kept on disk, so a
+restarted process compiles each schema again on its first request, from
+the DTD text that request carries.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.dtd.model import DTD
 from repro.dtd.parser import parse_dtd
 from repro.lru import LRU
 from repro.service.compiled import CompiledSchema, compile_schema, schema_fingerprint
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store -> compiled)
-    from repro.service.store import ArtifactStore
 
 __all__ = [
     "RegistryStats",
@@ -52,31 +46,22 @@ class RegistryStats:
     compile_seconds: float = 0.0
     size: int = 0
     maxsize: int = 0
-    store_hits: int = 0
-    store_upgrades: int = 0
 
     @property
     def lookups(self) -> int:
-        return self.hits + self.misses + self.store_hits
+        return self.hits + self.misses
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of lookups served warm — from memory or disk."""
+        """Fraction of lookups served warm, without a compile."""
         total = self.lookups
-        return (self.hits + self.store_hits) / total if total else 0.0
-
-    @property
-    def compiles(self) -> int:
-        """Artifacts actually compiled (a miss that the store did not absorb)."""
-        return self.misses
+        return self.hits / total if total else 0.0
 
     def as_dict(self) -> dict[str, object]:
         """A JSON-ready rendering (the server's ``stats`` op uses this)."""
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "store_hits": self.store_hits,
-            "store_upgrades": self.store_upgrades,
             "evictions": self.evictions,
             "compile_seconds": self.compile_seconds,
             "size": self.size,
@@ -93,14 +78,11 @@ class RegistryStats:
             compile_seconds=self.compile_seconds + other.compile_seconds,
             size=self.size + other.size,
             maxsize=self.maxsize + other.maxsize,
-            store_hits=self.store_hits + other.store_hits,
-            store_upgrades=self.store_upgrades + other.store_upgrades,
         )
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
-        disk = f", {self.store_hits} disk hit(s)" if self.store_hits else ""
         return (
-            f"{self.hits} hit(s), {self.misses} miss(es){disk}, "
+            f"{self.hits} hit(s), {self.misses} miss(es), "
             f"{self.evictions} eviction(s), "
             f"{self.compile_seconds:.4f}s compiling, "
             f"{self.size}/{self.maxsize} cached"
@@ -116,28 +98,16 @@ class SchemaRegistry:
         Maximum number of artifacts retained.  The least recently *used*
         artifact is evicted when a newly compiled one would exceed the
         bound.  Must be positive.
-    store:
-        Optional persistent :class:`~repro.service.store.ArtifactStore`.
-        In-memory misses try the store before compiling, and fresh
-        compiles are written through to it.
     """
 
-    def __init__(
-        self, maxsize: int = 64, store: "ArtifactStore | None" = None
-    ) -> None:
+    def __init__(self, maxsize: int = 64) -> None:
         self._entries: LRU[str, CompiledSchema] = LRU(maxsize)
         self.maxsize = maxsize
-        self.store = store
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._store_hits = 0
         self._compile_seconds = 0.0
-
-    def attach_store(self, store: "ArtifactStore | None") -> None:
-        """Attach (or detach, with ``None``) the persistent backing store."""
-        self.store = store
 
     # -- lookup / compilation ----------------------------------------------
 
@@ -152,10 +122,9 @@ class SchemaRegistry:
     def resolve(self, dtd: DTD) -> tuple[CompiledSchema, str]:
         """:meth:`get`, plus how the artifact was found.
 
-        The disposition is ``"hit"`` (held in memory), ``"store"`` (loaded
-        from the persistent store) or ``"miss"`` (compiled) — the
-        counter this lookup moved, which a served reply reports as its
-        ``registry`` field.
+        The disposition is ``"hit"`` (held in memory) or ``"miss"``
+        (compiled) — the counter this lookup moved, which a served reply
+        reports as its ``registry`` field.
         """
         fingerprint = schema_fingerprint(dtd)
         with self._lock:
@@ -163,18 +132,10 @@ class SchemaRegistry:
             if cached is not None:
                 self._hits += 1
                 return cached, "hit"
-        # Disk, then compile, both outside the lock: either can be slow and
-        # must not serialize unrelated lookups.  A racing load/compile of
-        # the same DTD wastes work but stays correct (first insert wins).
-        from_store = self.store.load(fingerprint) if self.store is not None else None
-        if from_store is not None:
-            return self._insert(fingerprint, from_store, source="store")
+        # Compile outside the lock: it can be slow and must not serialize
+        # unrelated lookups.  A racing compile of the same DTD wastes work
+        # but stays correct (first insert wins).
         schema = compile_schema(dtd, fingerprint=fingerprint)
-        if self.store is not None:
-            try:
-                self.store.save(schema)
-            except OSError:
-                pass  # an unwritable store degrades to memory-only caching
         return self._insert(fingerprint, schema, source="miss")
 
     def _insert(
@@ -186,9 +147,7 @@ class SchemaRegistry:
                 if source != "seed":
                     self._hits += 1
                 return existing, "hit"
-            if source == "store":
-                self._store_hits += 1
-            elif source == "miss":
+            if source == "miss":
                 self._misses += 1
                 self._compile_seconds += schema.compile_seconds
             if self._entries.put(fingerprint, schema):
@@ -216,9 +175,8 @@ class SchemaRegistry:
         With ``count=True`` a *hit* is recorded in the statistics — the
         form serving paths use, where a fingerprint lookup is the
         request's cache access.  A miss is deliberately not counted: the
-        caller falls back to :meth:`get`, which classifies the outcome
-        accurately (store hit vs compile); counting here too would record
-        one request twice.
+        caller falls back to :meth:`get`, which counts the compile;
+        counting here too would record one request twice.
         """
         with self._lock:
             cached = self._entries.get(fingerprint)
@@ -243,9 +201,7 @@ class SchemaRegistry:
         """Entries in the kernel ``emissions`` memos of the resident schemas."""
         with self._lock:
             schemas = self._entries.values()
-        return sum(
-            len(schema.tables.emissions) for schema in schemas if schema.has_tables
-        )
+        return sum(len(schema.tables.emissions) for schema in schemas)
 
     def __contains__(self, dtd: object) -> bool:
         if not isinstance(dtd, DTD):
@@ -255,10 +211,6 @@ class SchemaRegistry:
 
     @property
     def stats(self) -> RegistryStats:
-        # The store's counts, not its full stats (which walk the
-        # artifact directory).
-        store = self.store
-        upgrades = store.counts["upgrades"] if store is not None else 0
         with self._lock:
             return RegistryStats(
                 hits=self._hits,
@@ -267,8 +219,6 @@ class SchemaRegistry:
                 compile_seconds=self._compile_seconds,
                 size=len(self._entries),
                 maxsize=self.maxsize,
-                store_hits=self._store_hits,
-                store_upgrades=upgrades,
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

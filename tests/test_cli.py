@@ -423,52 +423,6 @@ class TestRingCli:
                 process.wait(timeout=10)
 
 
-class TestCacheCli:
-    @pytest.fixture
-    def store_dir(self, tmp_path):
-        return str(tmp_path / "artifacts")
-
-    def test_stats_on_empty_store(self, store_dir, capsys):
-        assert main(["cache", "stats", "--store", store_dir]) == 0
-        assert "0 artifact(s)" in capsys.readouterr().out
-
-    def test_warm_then_stats_then_clear(self, schema, store_dir, capsys):
-        assert main(["cache", "warm", schema, "--store", store_dir]) == 0
-        out = capsys.readouterr().out
-        assert "(compiled)" in out
-        assert main(["cache", "warm", schema, "--store", store_dir]) == 0
-        assert "(already stored)" in capsys.readouterr().out
-        assert main(["cache", "stats", "--store", store_dir]) == 0
-        assert "1 artifact(s)" in capsys.readouterr().out
-        assert main(["cache", "clear", "--store", store_dir]) == 0
-        assert "removed 1 artifact(s)" in capsys.readouterr().out
-
-    def test_warm_without_schemas_is_usage_error(self, store_dir, capsys):
-        assert main(["cache", "warm", "--store", store_dir]) == 2
-        assert "schema" in capsys.readouterr().err
-
-    def test_stats_with_schemas_is_usage_error(self, schema, store_dir):
-        assert main(["cache", "stats", schema, "--store", store_dir]) == 2
-
-    def test_warm_bad_dtd_is_parse_error(self, tmp_path, store_dir):
-        bad = tmp_path / "bad.dtd"
-        bad.write_text("<!ELEMENT broken")
-        assert main(["cache", "warm", str(bad), "--store", store_dir]) == 2
-
-    def test_warm_unwritable_store_is_runtime_error(self, schema, tmp_path, capsys):
-        blocked = tmp_path / "blocked"
-        blocked.write_text("a file occupying the store path")
-        assert main(["cache", "warm", schema, "--store", str(blocked)]) == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_default_store_dir_honors_env(self, schema, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
-        assert main(["cache", "warm", schema]) == 0
-        capsys.readouterr()
-        assert main(["cache", "stats"]) == 0
-        assert "envcache" in capsys.readouterr().out
-
-
 class TestErrors:
     def test_missing_file(self, schema):
         assert main(["check", schema, "/nonexistent.xml"]) == 2

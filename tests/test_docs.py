@@ -142,15 +142,18 @@ class TestBackendsDocCoverage:
         assert f'`AUTO_BACKEND` is `"{AUTO_BACKEND}"`' in self.backends_md()
 
     def test_store_format_versions_are_documented(self):
-        from repro.service.store import (
-            STORE_FORMAT_VERSION,
-            SUPPORTED_FORMAT_VERSIONS,
-        )
+        """The one wire version is documented as the only one accepted,
+        and no other version is listed as a layout."""
+        from repro.service.compiled import ARTIFACT_FORMAT_VERSION
 
         text = self.backends_md()
-        assert f"**version {STORE_FORMAT_VERSION}** (current)" in text
-        for version in SUPPORTED_FORMAT_VERSIONS:
-            assert f"version {version}" in text
+        assert (
+            f"**version {ARTIFACT_FORMAT_VERSION}** (current, and the only "
+            "one accepted)" in text
+        )
+        assert re.findall(r"\*\*version (\d+)\*\*", text) == [
+            str(ARTIFACT_FORMAT_VERSION)
+        ]
 
 
 class TestObservabilityDocCoverage:

@@ -20,8 +20,12 @@ from repro.errors import (
     DTDSyntaxError,
     UnknownElementError,
 )
-from repro.service.compiled import compile_schema, schema_fingerprint
-from repro.service.store import decode_artifact, encode_artifact
+from repro.service.compiled import (
+    compile_schema,
+    decode_artifact,
+    encode_artifact,
+    schema_fingerprint,
+)
 
 FIGURE1 = """
 <!ELEMENT r (a+)>

@@ -6,7 +6,8 @@ test here pins it against the machine (and the Earley reference) rather
 than against hand-derived expectations.  The structural tests cover what
 the differential corpus cannot see directly: the compiled table shapes,
 the >63-position bitmask regime (where masks stop fitting a machine
-word), and the pickle/wire path the artifact store ships tables through.
+word), and the pickle/wire path the ring's artifact hand-off ships
+tables through.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ from repro.dtd import catalog
 from repro.dtd.model import PCDATA
 from repro.dtd.parser import parse_dtd
 from repro.dtd.random_gen import random_dtd
-from repro.service.compiled import compile_schema
-from repro.service.store import decode_artifact, encode_artifact
+from repro.service.compiled import compile_schema, decode_artifact, encode_artifact
 from repro.workloads.corrupt import corrupt_swap
 from repro.workloads.degrade import degrade
 from repro.workloads.docgen import DocumentGenerator
@@ -468,12 +468,11 @@ def test_kernel_machine_earley_agree_on_documents(name):
 class TestArtifactTransport:
     def test_tables_survive_the_wire_format(self):
         schema = compile_schema(catalog.manuscript())
-        assert schema.has_tables
         blob = encode_artifact(schema)
         revived = decode_artifact(blob, schema.fingerprint)
         assert revived is not None
         # The shipped pickle carries the tables — no rebuild on arrival.
-        assert revived.has_tables
+        assert isinstance(revived.tables, CompiledTables)
         assert revived.tables.symbols == schema.tables.symbols
 
     def test_revived_artifact_drives_the_kernel(self):

@@ -11,7 +11,6 @@ line schema, trace contexts) and the instrumented stack end to end: the
 from __future__ import annotations
 
 import json
-import pickle
 import socket
 
 import pytest
@@ -491,14 +490,7 @@ def _raw_exchange(path: str, stream: bytes, replies: int) -> list[dict]:
 
 
 #: Scraped series -> stats field, for the counts both surfaces carry.
-REGISTRY_EVENTS = {
-    "hit": "hits", "miss": "misses", "store_hit": "store_hits",
-    "eviction": "evictions",
-}
-STORE_EVENTS = {
-    "hit": "hits", "miss": "misses", "corrupt": "corrupt", "save": "saves",
-    "upgrade": "upgrades",
-}
+REGISTRY_EVENTS = {"hit": "hits", "miss": "misses", "eviction": "evictions"}
 CACHE_OUTCOMES = {"hit": "hits", "miss": "misses", "evict": "evictions"}
 
 
@@ -511,12 +503,6 @@ def shared_counts(stats: dict, snapshot: dict) -> dict[str, tuple]:
             stats["registry"][field],
             counter_value(snapshot, "repro_registry_events_total", event=event),
         )
-    if stats["store"] is not None:
-        for event, field in STORE_EVENTS.items():
-            pairs[f"store.{field}"] = (
-                stats["store"][field],
-                counter_value(snapshot, "repro_store_events_total", event=event),
-            )
     cache = stats["server"]["verdict_cache"]
     if cache is not None:
         for outcome, field in CACHE_OUTCOMES.items():
@@ -552,29 +538,15 @@ def shared_counts(stats: dict, snapshot: dict) -> dict[str, tuple]:
 class TestScrapeAgreesWithStats:
     """Each count is kept once, where the work happens, and both
     ``stats`` and the ``metrics`` scrape read it there, so the two agree
-    even over a registry or store with history from before the server."""
+    even over a registry with history from before the server."""
 
     def test_every_count_both_surfaces_carry_agrees(self, tmp_path):
         from repro.dtd.parser import parse_dtd
         from repro.server.client import ServerError, ValidationClient
         from repro.server.protocol import encode
-        from repro.service.compiled import compile_schema, schema_fingerprint
         from repro.service.registry import SchemaRegistry
-        from repro.service.store import ArtifactStore
 
-        # A store that saved and loaded one artifact, and holds one older-
-        # format and one corrupt file; a registry that compiled one schema.
-        store = ArtifactStore(tmp_path / "store")
-        stored = compile_schema(parse_dtd(schema_text(50)))
-        store.save(stored)
-        assert store.load(stored.fingerprint) is not None
-        older = compile_schema(parse_dtd(schema_text(51)))
-        store.path_for(older.fingerprint).write_bytes(
-            b"repro-pv-artifact 2\n" + pickle.dumps(older)
-        )
-        store.path_for(
-            schema_fingerprint(parse_dtd(schema_text(52)))
-        ).write_bytes(b"garbage")
+        # A registry that compiled one schema before the server started.
         registry = SchemaRegistry(maxsize=2)
         registry.get(parse_dtd(schema_text(60)))
 
@@ -583,13 +555,14 @@ class TestScrapeAgreesWithStats:
 
         with ServerThread(
             unix_path=str(tmp_path / "pv.sock"), registry=registry,
-            store=store, verdict_cache=2,
+            verdict_cache=2,
         ) as handle:
             with ValidationClient.connect_unix(handle.unix_path) as client:
                 # The verdict cache misses, hits, misses and evicts.
                 for items in (1, 1, 2, 3):
                     assert client.check(schema_text(0), doc(items))["ok"]
-                # A store hit, an upgrade, and a corrupt file recompiled.
+                # Three more schemas compile and evict schema 0, which
+                # the batch below compiles again.
                 for index in (50, 51, 52):
                     assert client.check(
                         schema_text(index), doc_text(index)
@@ -624,8 +597,7 @@ class TestScrapeAgreesWithStats:
         idle = {"inflight", "dispatch.machine", "dispatch.figure5",
                 "dispatch.earley"}
         assert {name for name, (kept, _) in pairs.items() if not kept} == idle
-        assert pairs["registry.misses"] == (3, 3)
-        assert pairs["store.saves"] == (4, 4)
+        assert pairs["registry.misses"] == (6, 6)
         assert pairs["errors"] == (4, 4)
         # A second scrape moves no counter but the requests served since.
         assert [
@@ -664,9 +636,9 @@ class TestScrapeAgreesWithStats:
                     ) == stats["registry"][field]
 
 
-class TestRegistryAndStoreEventCounters:
-    """The registry's and store's event counts reach a server's scrape,
-    which reads them where they are kept."""
+class TestRegistryEventCounters:
+    """The registry's event counts reach a server's scrape, which reads
+    them where they are kept."""
 
     def test_registry_events_mirror_into_metrics(self):
         from repro.dtd.parser import parse_dtd
@@ -682,23 +654,6 @@ class TestRegistryAndStoreEventCounters:
         assert counter_value(snapshot, events, event="miss") == 2
         assert counter_value(snapshot, events, event="hit") == 1
         assert counter_value(snapshot, events, event="eviction") == 1
-
-    def test_store_events_mirror_into_metrics(self, tmp_path):
-        from repro.dtd.parser import parse_dtd
-        from repro.service.compiled import compile_schema
-        from repro.service.store import ArtifactStore
-
-        store = ArtifactStore(tmp_path / "store")
-        server = ValidationServer(store=store)
-        schema = compile_schema(parse_dtd(schema_text(0)))
-        store.save(schema)
-        assert store.load(schema.fingerprint) is not None
-        assert store.load("0" * 64) is None
-        snapshot = server.metrics.snapshot()
-        events = "repro_store_events_total"
-        assert counter_value(snapshot, events, event="save") == 1
-        assert counter_value(snapshot, events, event="hit") == 1
-        assert counter_value(snapshot, events, event="miss") == 1
 
 
 # -- the instrumented ring ---------------------------------------------------

@@ -18,10 +18,10 @@ from repro.server.ring import (
     parse_member,
 )
 from repro.server.server import ServerThread
-from repro.service.store import (
-    STORE_FORMAT_VERSION,
-    STORE_MAGIC,
-    ArtifactStore,
+from repro.service.compiled import (
+    ARTIFACT_FORMAT_VERSION,
+    ARTIFACT_MAGIC,
+    decode_artifact,
     encode_artifact,
 )
 
@@ -165,11 +165,11 @@ class TestArtifactOps:
             assert reply["schema"]["registry"] == "miss"
             blob = first.get_artifact(fingerprint)
         assert blob.startswith(
-            f"{STORE_MAGIC} {STORE_FORMAT_VERSION}\n".encode()
+            f"{ARTIFACT_MAGIC} {ARTIFACT_FORMAT_VERSION}\n".encode()
         )
         with ValidationClient.connect_unix(shard_paths[1]) as second:
             put = second.put_artifact(fingerprint, blob)
-            assert put["stored"] == "registry"
+            assert put["fingerprint"] == fingerprint and "stored" not in put
             # The seeded shard answers warm: no compile happened there.
             reply = second.check(FIGURE1, DOC_OK)
             assert reply["schema"]["registry"] == "hit"
@@ -184,7 +184,7 @@ class TestArtifactOps:
     def test_put_garbage_blob_is_bad_artifact(self, shard_paths):
         with ValidationClient.connect_unix(shard_paths[0]) as client:
             with pytest.raises(ServerError) as excinfo:
-                garbage = f"{STORE_MAGIC} {STORE_FORMAT_VERSION}\n".encode() + b"garbage"
+                garbage = f"{ARTIFACT_MAGIC} {ARTIFACT_FORMAT_VERSION}\n".encode() + b"garbage"
                 client.put_artifact("f" * 64, garbage)
             assert excinfo.value.code == "bad-artifact"
 
@@ -211,32 +211,35 @@ class TestArtifactOps:
             reply = client.send_raw(protocol.encode({"op": "get-artifact"}))
             assert reply["error"]["code"] == "bad-request"
 
-    def test_get_artifact_loads_from_store(self, tmp_path):
-        store_dir = tmp_path / "artifacts"
-        with ServerThread(
-            unix_path=str(tmp_path / "a.sock"), store=ArtifactStore(store_dir)
-        ) as handle:
-            with ValidationClient.connect_unix(handle.unix_path) as client:
-                fingerprint = client.check(FIGURE1, DOC_OK)["schema"]["fingerprint"]
-        # A fresh server over the same store serves the artifact from disk.
-        with ServerThread(
-            unix_path=str(tmp_path / "b.sock"), store=ArtifactStore(store_dir)
-        ) as handle:
-            with ValidationClient.connect_unix(handle.unix_path) as client:
-                blob = client.get_artifact(fingerprint)
-        assert blob.startswith(
-            f"{STORE_MAGIC} {STORE_FORMAT_VERSION}\n".encode()
-        )
+    def test_put_older_version_blob_is_bad_artifact(self, shard_paths):
+        """Only the current version decodes: a version-2 blob (the
+        layout an older build shipped) is refused, and the shard then
+        compiles for itself."""
+        with ValidationClient.connect_unix(shard_paths[0]) as first:
+            fingerprint = first.check(FIGURE1, DOC_OK)["schema"]["fingerprint"]
+            blob = first.get_artifact(fingerprint)
+        older = _with_version(blob, 2)
+        with ValidationClient.connect_unix(shard_paths[1]) as second:
+            with pytest.raises(ServerError) as excinfo:
+                second.put_artifact(fingerprint, older)
+            assert excinfo.value.code == "bad-artifact"
+            reply = second.check(FIGURE1, DOC_OK)
+            assert reply["schema"]["registry"] == "miss"
+            assert reply["potentially_valid"] is True
 
-    def test_wire_blob_equals_store_file_format(self, shard_paths, tmp_path):
+    def test_wire_blob_decodes_to_the_held_artifact(self, shard_paths):
         with ValidationClient.connect_unix(shard_paths[0]) as client:
             fingerprint = client.check(FIGURE1, DOC_OK)["schema"]["fingerprint"]
             blob = client.get_artifact(fingerprint)
-        store = ArtifactStore(tmp_path / "fmt")
-        schema = store._decode(blob, fingerprint)
+        schema = decode_artifact(blob, fingerprint)
         assert schema is not None and schema.fingerprint == fingerprint
-        header = f"{STORE_MAGIC} {STORE_FORMAT_VERSION}\n".encode()
+        header = f"{ARTIFACT_MAGIC} {ARTIFACT_FORMAT_VERSION}\n".encode()
         assert encode_artifact(schema)[: len(header)] == header
+
+
+def _with_version(blob: bytes, version: int) -> bytes:
+    """*blob* with its header's format version replaced by *version*."""
+    return f"{ARTIFACT_MAGIC} {version}\n".encode() + blob.split(b"\n", 1)[1]
 
 
 # -- the streaming batch op --------------------------------------------------
@@ -484,6 +487,32 @@ class TestShardedClient:
             handle.server.registry.stats.misses for handle in shard_handles
         )
         assert total_misses == 1
+
+    def test_a_refused_hand_off_falls_back_to_compiling(
+        self, shard_handles, monkeypatch
+    ):
+        """A holder that ships an older-version blob gets it refused
+        (``bad-artifact``), and the new owner compiles for itself."""
+        get_artifact = ValidationClient.get_artifact
+        monkeypatch.setattr(
+            ValidationClient, "get_artifact",
+            lambda client, fingerprint: _with_version(
+                get_artifact(client, fingerprint), 2
+            ),
+        )
+        paths = [handle.unix_path for handle in shard_handles]
+        with ShardedClient(paths) as ring:
+            ring.check(FIGURE1, DOC_OK)
+            owner = ring.ring.owner(ring.fingerprint(FIGURE1))
+            ring.ring.remove(owner)
+            reply = ring.check(FIGURE1, DOC_OK)
+        assert reply["schema"]["registry"] == "miss"
+        assert reply["potentially_valid"] is True
+        assert ring.ring_stats["handoffs"] == 0
+        total_misses = sum(
+            handle.server.registry.stats.misses for handle in shard_handles
+        )
+        assert total_misses == 2
 
     def test_failover_when_a_shard_dies(self, shard_handles):
         paths = [handle.unix_path for handle in shard_handles]

@@ -26,7 +26,6 @@ from repro.server.protocol import ProtocolError, decode_request
 from repro.server import server as server_mod
 from repro.server.server import ServerThread, ValidationServer
 from repro.service.registry import SchemaRegistry
-from repro.service.store import ArtifactStore
 
 FIGURE1 = """
 <!ELEMENT r (a+)>
@@ -194,7 +193,7 @@ class TestServerRoundTrip:
         reply = client.stats()
         assert reply["server"]["requests"] >= 2
         assert reply["registry"]["size"] == 1
-        assert reply["store"] is None
+        assert "store" not in reply
 
     def test_unix_socket(self, tmp_path):
         with ServerThread(unix_path=str(tmp_path / "pv.sock")) as handle:
@@ -445,83 +444,6 @@ class TestGracefulShutdown:
                 client.check(FIGURE1, DOC_OK)
         with pytest.raises(OSError):
             ValidationClient.connect(address)
-
-
-class TestStoreBackedServer:
-    def test_restart_skips_recompilation(self, tmp_path):
-        store_dir = tmp_path / "artifacts"
-        with ServerThread(
-            host="127.0.0.1", store=ArtifactStore(store_dir)
-        ) as handle:
-            with ValidationClient.connect(handle.tcp_address) as client:
-                assert client.check(FIGURE1, DOC_OK)["schema"]["registry"] == "miss"
-        # "Restart": a brand-new server and registry over the same store.
-        with ServerThread(
-            host="127.0.0.1", store=ArtifactStore(store_dir)
-        ) as handle:
-            with ValidationClient.connect(handle.tcp_address) as client:
-                reply = client.check(FIGURE1, DOC_OK)
-                stats = client.stats()
-        assert reply["schema"]["registry"] == "store"
-        assert stats["registry"]["misses"] == 0
-        assert stats["registry"]["store_hits"] == 1
-        assert stats["registry"]["compile_seconds"] == 0.0
-
-    def test_corrupt_store_recovers_by_recompiling(self, tmp_path):
-        store_dir = tmp_path / "artifacts"
-        fingerprint = None
-        with ServerThread(
-            host="127.0.0.1", store=ArtifactStore(store_dir)
-        ) as handle:
-            with ValidationClient.connect(handle.tcp_address) as client:
-                fingerprint = client.check(FIGURE1, DOC_OK)["schema"]["fingerprint"]
-        ArtifactStore(store_dir).path_for(fingerprint).write_bytes(b"garbage")
-        store = ArtifactStore(store_dir)
-        with ServerThread(host="127.0.0.1", store=store) as handle:
-            with ValidationClient.connect(handle.tcp_address) as client:
-                reply = client.check(FIGURE1, DOC_OK)
-        assert reply["potentially_valid"] is True
-        assert reply["schema"]["registry"] == "miss"  # honest recompile
-        assert store.stats.corrupt == 1
-        # The recompiled artifact healed the store for the next restart.
-        assert store.load(fingerprint) is not None
-
-    def test_stats_reads_the_store_off_the_event_loop(self, tmp_path, monkeypatch):
-        """The store's stats walk its directory, which nothing prunes.
-        While that walk is pending, a ``health`` on another connection
-        of the same server still answers."""
-        entered = threading.Event()
-        release = threading.Event()
-        walk = ArtifactStore.stats.fget
-
-        def blocked(store):
-            entered.set()
-            release.wait(5)
-            return walk(store)
-
-        monkeypatch.setattr(ArtifactStore, "stats", property(blocked))
-        replies: list = []
-        with ServerThread(
-            host="127.0.0.1", store=ArtifactStore(tmp_path / "artifacts")
-        ) as handle:
-
-            def ask() -> None:
-                with ValidationClient.connect(handle.tcp_address) as client:
-                    replies.append(client.stats())
-
-            asker = threading.Thread(target=ask)
-            asker.start()
-            try:
-                assert entered.wait(5)
-                with ValidationClient.connect(handle.tcp_address) as client:
-                    assert client.health()["status"] == "ok"
-                    answered_first = not release.is_set() and not replies
-            finally:
-                release.set()
-                asker.join(10)
-        assert answered_first
-        assert replies[0]["store"]["artifacts"] == 0
-        assert replies[0]["server"]["requests"] >= 1
 
 
 def _one_shot_server(respond) -> tuple[str, int, threading.Thread]:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import copyreg
+import io
 import pickle
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -11,9 +14,18 @@ from repro.bench.harness import checker_for
 from repro.cli import main
 from repro.core.pv import PVChecker
 from repro.dtd import catalog
+from repro.dtd.ast import Choice, Name, Opt, PCData, Plus, Seq, Star
 from repro.dtd.parser import parse_dtd
 from repro.service.batch import BatchChecker, check_batch
-from repro.service.compiled import CompiledSchema, compile_schema, schema_fingerprint
+from repro.service.compiled import (
+    ARTIFACT_FORMAT_VERSION,
+    ARTIFACT_MAGIC,
+    CompiledSchema,
+    compile_schema,
+    decode_artifact,
+    encode_artifact,
+    schema_fingerprint,
+)
 from repro.service.registry import DEFAULT_REGISTRY, SchemaRegistry
 from repro.workloads.corrupt import corrupt_rename, corrupt_swap
 from repro.workloads.degrade import degrade
@@ -38,6 +50,8 @@ FIGURE1_REFORMATTED = (
     "<!ELEMENT b (d|f)><!ELEMENT c (#PCDATA)>"
     "<!ELEMENT d (#PCDATA|e)*><!ELEMENT e EMPTY><!ELEMENT f (c,e)>"
 )
+
+PLAY = "<!ELEMENT play (act+)><!ELEMENT act (#PCDATA)>"
 
 
 def _differential_corpus(dtd, seed: int = 3, count: int = 4):
@@ -134,6 +148,20 @@ class TestSchemaRegistry:
         assert figure1 in registry
         assert play not in registry
 
+    def test_resolve_reports_each_disposition(self):
+        registry = SchemaRegistry()
+        dtd = parse_dtd(FIGURE1)
+        compiled, disposition = registry.resolve(dtd)
+        assert disposition == "miss" and registry.stats.misses == 1
+        assert registry.resolve(dtd) == (compiled, "hit")
+        assert registry.stats.hits == 1
+        # Nothing outlives the registry: a dropped artifact compiles again.
+        registry.clear()
+        recompiled, disposition = registry.resolve(dtd)
+        assert disposition == "miss" and recompiled is not compiled
+        stats = registry.stats
+        assert (stats.misses, stats.hits) == (2, 1)
+
     def test_lookup_by_fingerprint(self):
         registry = SchemaRegistry()
         dtd = parse_dtd(FIGURE1)
@@ -166,6 +194,107 @@ class TestSchemaRegistry:
         checker = checker_for(dtd, algorithm="figure5")
         assert checker.algorithm == "figure5"
         assert checker.is_potentially_valid(parse_xml("<r></r>"))
+
+
+class TestRegistrySeeding:
+    def test_put_counts_neither_hit_nor_miss(self):
+        registry = SchemaRegistry()
+        schema = compile_schema(parse_dtd(FIGURE1))
+        assert registry.put(schema) is schema
+        stats = registry.stats
+        assert (stats.hits, stats.misses, stats.size) == (0, 0, 1)
+
+    def test_put_keeps_existing_artifact(self):
+        registry = SchemaRegistry()
+        original = registry.get(parse_dtd(FIGURE1))
+        clone = compile_schema(parse_dtd(FIGURE1))
+        assert registry.put(clone) is original
+
+    def test_counted_lookup(self):
+        registry = SchemaRegistry()
+        schema = registry.get(parse_dtd(FIGURE1))
+        registry.lookup(schema.fingerprint, count=True)
+        registry.lookup("f" * 64, count=True)  # miss: left for get() to count
+        registry.lookup(schema.fingerprint)  # peek: not counted
+        stats = registry.stats
+        assert stats.hits == 1
+        assert stats.misses == 1  # only the compile; no double counting
+
+
+class _FieldLayoutPickler(pickle.Pickler):
+    """Pickles content-model nodes the way code before their flat form did.
+
+    Each node was a class reference plus a dict of its fields (``#PCDATA``,
+    which has none, had no state at all), and unpickling restored the
+    fields without running any constructor.
+    """
+
+    def reducer_override(self, obj):
+        if isinstance(obj, (Name, PCData, Seq, Choice, Star, Plus, Opt)):
+            state = {field.name: getattr(obj, field.name) for field in fields(obj)}
+            return copyreg.__newobj__, (type(obj),), state or None
+        return NotImplemented
+
+
+class TestArtifactCodec:
+    """``decode_artifact`` answers every defect with ``None``, never an
+    error, and accepts only the current format version."""
+
+    @pytest.fixture
+    def schema(self):
+        return compile_schema(parse_dtd(FIGURE1))
+
+    @staticmethod
+    def payload(blob: bytes) -> bytes:
+        return blob.split(b"\n", 1)[1]
+
+    def test_header_is_versioned(self, schema):
+        first_line = encode_artifact(schema).split(b"\n", 1)[0]
+        assert first_line == f"{ARTIFACT_MAGIC} {ARTIFACT_FORMAT_VERSION}".encode()
+
+    def test_truncated_payload(self, schema):
+        blob = encode_artifact(schema)
+        assert decode_artifact(blob[: len(blob) // 2], schema.fingerprint) is None
+
+    def test_garbage_bytes(self, schema):
+        garbage = b"\x00\xff garbage, definitely not a pickle \x00"
+        assert decode_artifact(garbage, schema.fingerprint) is None
+
+    def test_wrong_magic(self, schema):
+        blob = b"some-other-tool 1\n" + self.payload(encode_artifact(schema))
+        assert decode_artifact(blob, schema.fingerprint) is None
+
+    @pytest.mark.parametrize("offset", [1, -1, -2])
+    def test_any_other_format_version(self, schema, offset):
+        """A future version and the older layouts (1 and 2) alike."""
+        header = f"{ARTIFACT_MAGIC} {ARTIFACT_FORMAT_VERSION + offset}\n"
+        blob = header.encode() + self.payload(encode_artifact(schema))
+        assert decode_artifact(blob, schema.fingerprint) is None
+
+    def test_fingerprint_mismatch(self, schema):
+        """An artifact of another schema does not satisfy a decode."""
+        other = compile_schema(parse_dtd(PLAY))
+        assert decode_artifact(encode_artifact(schema), other.fingerprint) is None
+
+    def test_empty_blob(self, schema):
+        assert decode_artifact(b"", schema.fingerprint) is None
+
+    def test_field_layout_nodes_load_compare_and_hash(self, schema):
+        """Content nodes pickled as field dicts, as a current-version blob
+        written before they had a flat pickled form carries them, decode,
+        compare equal and hash like freshly parsed ones."""
+        schema.coarse  # noqa: B018 - a blob of that age carried it
+        payload = io.BytesIO()
+        _FieldLayoutPickler(payload, protocol=pickle.HIGHEST_PROTOCOL).dump(schema)
+        header = f"{ARTIFACT_MAGIC} {ARTIFACT_FORMAT_VERSION}\n".encode()
+        blob = header + payload.getvalue()
+        assert b"repro.dtd.ast" in blob and b"_rebuild" not in blob
+        loaded = decode_artifact(blob, schema.fingerprint)
+        assert loaded is not None
+        fresh = parse_dtd(FIGURE1)
+        assert loaded.dtd == fresh and hash(loaded.dtd) == hash(fresh)
+        assert {loaded.dtd: "cached"}[fresh] == "cached"
+        assert loaded.checker("kernel").check_content("r", ["a"])
 
 
 class TestCompiledSchema:
