@@ -70,6 +70,8 @@ ARTIFACT_MAGIC = "repro-pv-artifact"
 #: :func:`decode_artifact` accepts.  Bump when the pickled layout changes.
 ARTIFACT_FORMAT_VERSION = 3
 
+_HEADER = f"{ARTIFACT_MAGIC} {ARTIFACT_FORMAT_VERSION}\n".encode("ascii")
+
 
 def schema_fingerprint(dtd: DTD) -> str:
     """Content hash identifying *dtd* up to canonical serialization.
@@ -244,8 +246,7 @@ def clear_compile_caches() -> None:
 
 def encode_artifact(schema: CompiledSchema) -> bytes:
     """*schema* in the hand-off's self-describing bytes (header + pickle)."""
-    header = f"{ARTIFACT_MAGIC} {ARTIFACT_FORMAT_VERSION}\n".encode("ascii")
-    return header + pickle.dumps(schema, protocol=pickle.HIGHEST_PROTOCOL)
+    return _HEADER + pickle.dumps(schema, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def decode_artifact(blob: bytes, fingerprint: str) -> CompiledSchema | None:
@@ -257,11 +258,10 @@ def decode_artifact(blob: bytes, fingerprint: str) -> CompiledSchema | None:
     ``None``, never an exception; the server's ``put-artifact`` op turns
     it into a structured ``bad-artifact`` error.
     """
-    header = f"{ARTIFACT_MAGIC} {ARTIFACT_FORMAT_VERSION}\n".encode("ascii")
-    if not blob.startswith(header):
+    if not blob.startswith(_HEADER):
         return None
     try:
-        schema = pickle.loads(blob[len(header) :])
+        schema = pickle.loads(blob[len(_HEADER) :])
     except Exception:
         # A truncated or garbled payload can raise nearly anything out
         # of the unpickler (EOFError, UnpicklingError, AttributeError,
