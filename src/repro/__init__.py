@@ -32,8 +32,8 @@ Layer map (bottom-up):
   scripts used by tests and benchmarks.
 * :mod:`repro.service` — the throughput layer: compiled-schema registry
   (compile a DTD once, share the artifact everywhere), parallel batch
-  checking, and the one text→verdict pipeline
-  (:class:`BackendDispatcher`).
+  checking, and the one text→verdict function
+  (:func:`~repro.service.dispatch.check_text`).
 * :mod:`repro.server` — the asyncio NDJSON serving front (imported on
   demand; ``python -m repro serve``).
 """
@@ -56,7 +56,7 @@ from repro.service.compiled import (
     compile_schema,
     schema_fingerprint,
 )
-from repro.service.dispatch import BackendDispatcher, DispatchDecision
+from repro.service.dispatch import TextVerdict, check_text
 from repro.service.registry import (
     DEFAULT_REGISTRY,
     RegistryStats,
@@ -132,8 +132,8 @@ __all__ = [
     "BatchItem",
     "BatchResult",
     "check_batch",
-    "BackendDispatcher",
-    "DispatchDecision",
+    "check_text",
+    "TextVerdict",
     # errors
     "ReproError",
     "DTDError",

@@ -90,7 +90,7 @@ from repro.dtd.model import DTD
 from repro.dtd.parser import parse_dtd
 from repro.errors import ReproError
 from repro.service.batch import BatchChecker
-from repro.service.dispatch import BackendDispatcher
+from repro.service.dispatch import check_text
 from repro.service.registry import DEFAULT_REGISTRY
 from repro.validity.validator import DTDValidator
 from repro.xmlmodel.parser import parse_xml
@@ -165,10 +165,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    dispatcher = BackendDispatcher(_load_dtd(args.schema, args.root))
-    checked = dispatcher.check_text(
-        Path(args.document).read_text(), args.algorithm
-    )
+    schema = DEFAULT_REGISTRY.get(_load_dtd(args.schema, args.root))
+    checked = check_text(schema, Path(args.document).read_text(), args.algorithm)
     if checked.error is not None:
         print(f"error: {checked.error}", file=sys.stderr)
         return USAGE_ERROR
@@ -198,12 +196,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     print(result.summary(), file=sys.stderr)
     if args.stats:
         print(f"registry: {DEFAULT_REGISTRY.stats}", file=sys.stderr)
-        pool = result.pool_registry
-        if pool is not None:
-            print(
-                f"pool registry ({len(result.worker_stats)} worker(s)): {pool}",
-                file=sys.stderr,
-            )
     return 0 if result.all_ok else 1
 
 
@@ -616,16 +608,15 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import cProfile
     import pstats
 
-    dtd = _load_dtd(args.schema, args.root)
+    schema = DEFAULT_REGISTRY.get(_load_dtd(args.schema, args.root))
     texts = [Path(path).read_text() for path in args.documents]
     all_ok = True
 
     def run_check() -> None:
         nonlocal all_ok
-        dispatcher = BackendDispatcher(dtd)
         for _ in range(args.repeat):
             for text in texts:
-                checked = dispatcher.check_text(text, args.algorithm)
+                checked = check_text(schema, text, args.algorithm)
                 if checked.error is not None:
                     raise ReproError(checked.error)
                 if not checked.verdict.potentially_valid:
@@ -633,9 +624,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     def run_batch() -> None:
         nonlocal all_ok
-        checker = BatchChecker(
-            DEFAULT_REGISTRY.get(dtd), algorithm=args.algorithm
-        )
+        checker = BatchChecker(schema, algorithm=args.algorithm)
         for _ in range(args.repeat):
             result = checker.check_texts(texts, labels=args.documents)
             if not result.all_ok:

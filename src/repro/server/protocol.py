@@ -114,8 +114,7 @@ Responses always carry ``"ok"``.  Success responses echo ``"op"`` (and
 milliseconds, and the schema's registry disposition::
 
     {"ok": true, "op": "check", "potentially_valid": true, "failures": [],
-     "depth_limited": false, "algorithm": "machine",
-     "dispatch_reason": "...",                  # present when dispatched
+     "depth_limited": false, "algorithm": "kernel",  # auto resolved
      "elapsed_ms": 0.41,
      "schema": {"fingerprint": "9f...", "registry": "hit"}}
 
@@ -203,7 +202,7 @@ ERROR_CODES = (
 #: Operations that carry a DTD and therefore require the ``dtd`` field.
 SCHEMA_OPS = ("check", "classify", "validate", "check-batch")
 
-#: Accepted ``algorithm`` values; ``auto`` routes through the dispatcher.
+#: Accepted ``algorithm`` values; ``auto`` resolves to the kernel.
 ALGORITHMS = ("machine", "kernel", "figure5", "earley", "auto")
 
 #: Read policies a ring may advertise (``serve --read-policy``) and a

@@ -9,18 +9,18 @@ domain socket.
 
 Execution model
 ---------------
-The event loop owns the schema-resolution state (the text memo, the
-dispatchers); compiles and verdicts are CPU-bound and run off-loop.  A
-DTD text the server has not resolved before is parsed and compiled in
-one thread hop, shared by concurrent requests for that text.  Every ``check`` and every
-``check-batch`` item runs the one text→verdict pipeline,
-:meth:`~repro.service.dispatch.BackendDispatcher.check_text`, on a
-thread (``asyncio.to_thread``) over a per-fingerprint dispatcher that
-shares the server's verdict cache and the in-process artifact.  A
-``check`` is one thread hop; a batch takes one hop per *run*, every
-item line that has arrived since the batch last looked, and answers
-the run with one write.  Parallelism across processes comes from ring
-shards, not from inside one server.
+The event loop owns the schema-resolution state (the text memo);
+compiles and verdicts are CPU-bound and run off-loop.  A DTD text the
+server has not resolved before is parsed and compiled in one thread
+hop, shared by concurrent requests for that text.  Every ``check`` and
+every ``check-batch`` item runs the one text→verdict function,
+:func:`~repro.service.dispatch.check_text`, on a thread
+(``asyncio.to_thread``) over the artifact the registry resolved for the
+request and the server's verdict cache; nothing else is kept per
+schema.  A ``check`` is one thread hop; a batch takes one hop per
+*run*, every item line that has arrived since the batch last looked,
+and answers the run with one write.  Parallelism across processes
+comes from ring shards, not from inside one server.
 
 Shutdown is graceful by default: :meth:`ValidationServer.stop` closes the
 listeners, lets every in-flight request finish and its response flush,
@@ -71,7 +71,7 @@ from repro.server.placement import Member, PlacementView, parse_member
 from repro.server.protocol import ProtocolError, Request
 from repro.service.cache import VerdictCache
 from repro.service.compiled import CompiledSchema, decode_artifact, encode_artifact
-from repro.service.dispatch import BackendDispatcher, TextVerdict
+from repro.service.dispatch import TextVerdict, check_text
 from repro.service.registry import SchemaRegistry
 from repro.validity.validator import DTDValidator, ValidationReport
 from repro.xmlmodel.parser import parse_xml
@@ -342,10 +342,6 @@ class ValidationServer:
         self._verdict_cache = (
             VerdictCache(verdict_cache) if verdict_cache > 0 else None
         )
-        # Dispatchers hold compiled artifacts alive; bounding them by the
-        # registry's own budget keeps a long-lived server's memory
-        # proportional to maxsize, not to every schema ever seen.
-        self._dispatchers: LRU[str, BackendDispatcher] = LRU(registry.maxsize)
         self._text_index: LRU[tuple[str, str | None], str] = LRU(_TEXT_INDEX_SIZE)
         # Cold resolutions in flight per (DTD text, root); a request for
         # the same text waits on the first one's hop.  The future's
@@ -928,20 +924,6 @@ class ValidationServer:
 
     # -- ops -----------------------------------------------------------------
 
-    def _dispatcher(self, schema: CompiledSchema) -> BackendDispatcher:
-        """The dispatcher over *schema* (built on the event loop).
-
-        A cached dispatcher is reused only while it holds the very
-        artifact the registry returned: once the registry has evicted
-        and recompiled a schema, the old dispatcher's artifact is no
-        longer the one served or counted.
-        """
-        dispatcher = self._dispatchers.get(schema.fingerprint)
-        if dispatcher is None or dispatcher.schema is not schema:
-            dispatcher = BackendDispatcher(schema, verdict_cache=self._verdict_cache)
-            self._dispatchers.put(schema.fingerprint, dispatcher)
-        return dispatcher
-
     async def _run_check(
         self,
         schema: CompiledSchema,
@@ -951,7 +933,7 @@ class ValidationServer:
     ) -> TextVerdict:
         """One served verdict, a one-document hop; raises ``bad-document``."""
         [checked], timings["queue"] = await self._check_run(
-            self._dispatcher(schema), [doc_text], algorithm
+            schema, [doc_text], algorithm
         )
         if isinstance(checked, Exception):
             raise checked
@@ -978,7 +960,7 @@ class ValidationServer:
             self._inflight -= count
 
     async def _check_run(
-        self, dispatcher: BackendDispatcher, docs: list[str], algorithm: str
+        self, schema: CompiledSchema, docs: list[str], algorithm: str
     ) -> tuple[list[TextVerdict | Exception], float]:
         """Check *docs* in one hop: their results, per-document queue.
 
@@ -986,7 +968,7 @@ class ValidationServer:
         phase, spread evenly over the documents.
         """
         results, hop = await self._off_loop(
-            len(docs), self._check_all, dispatcher, docs, algorithm
+            len(docs), self._check_all, schema, docs, algorithm
         )
         verdict_seconds = sum(
             result.seconds for result in results if isinstance(result, TextVerdict)
@@ -1004,17 +986,10 @@ class ValidationServer:
         timings["backend"] = checked.algorithm
         self._dispatch_counts[checked.algorithm] += 1
 
-    @staticmethod
-    def _check(
-        dispatcher: BackendDispatcher, doc_text: str, algorithm: str
-    ) -> TextVerdict:
-        """One document through the one text→verdict pipeline."""
-        return dispatcher.check_text(doc_text, algorithm)
-
     def _check_all(
-        self, dispatcher: BackendDispatcher, docs: list[str], algorithm: str
+        self, schema: CompiledSchema, docs: list[str], algorithm: str
     ) -> list[TextVerdict | Exception]:
-        """The off-loop step: :meth:`_check` per document, in order.
+        """The off-loop step: :func:`check_text` per document, in order.
 
         An unexpected failure stays in its document's place, so the rest
         of a batch run is still answered.  Once :meth:`stop` has
@@ -1026,7 +1001,9 @@ class ValidationServer:
             if self._abandoned:
                 break
             try:
-                results.append(self._check(dispatcher, doc_text, algorithm))
+                results.append(
+                    check_text(schema, doc_text, algorithm, self._verdict_cache)
+                )
             except Exception as error:  # noqa: BLE001 - a reply beats a lost run
                 results.append(error)
         return results
@@ -1038,8 +1015,6 @@ class ValidationServer:
         fields["algorithm"] = checked.algorithm
         if checked.cached:
             fields["cached"] = True
-        if checked.reason:
-            fields["dispatch_reason"] = checked.reason
         return fields
 
     async def _op_check(
@@ -1106,7 +1081,6 @@ class ValidationServer:
                 request.dtd, request.root
             )
             batch_timings["parse"] = parse_watch.seconds
-            dispatcher = self._dispatcher(schema)
         except Exception as error:  # noqa: BLE001 - a reply beats a disconnect
             await self._lose_framing(writer, error, request.id)
             return False
@@ -1126,7 +1100,7 @@ class ValidationServer:
                 if not run:
                     break  # the reader has stopped
                 replies, run_errors = await self._answer_run(
-                    run, items, dispatcher, algorithm, request.trace
+                    run, items, schema, algorithm, request.trace
                 )
                 items += len(run)
                 errors += run_errors
@@ -1177,7 +1151,7 @@ class ValidationServer:
         self,
         run: list[bytes],
         first: int,
-        dispatcher: BackendDispatcher,
+        schema: CompiledSchema,
         algorithm: str,
         trace: str | None,
     ) -> tuple[bytes, int]:
@@ -1199,7 +1173,7 @@ class ValidationServer:
         results: list[TextVerdict | Exception] = []
         queue = 0.0
         if docs:
-            results, queue = await self._check_run(dispatcher, docs, algorithm)
+            results, queue = await self._check_run(schema, docs, algorithm)
         checked = iter(results)
         replies: list[bytes] = []
         errors = 0

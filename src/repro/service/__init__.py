@@ -20,10 +20,10 @@ amortization and the bulk-throughput side:
   of documents out over a ``multiprocessing`` pool.  Workers receive the
   compiled artifact once (at pool start), not per document, and the
   result carries aggregate throughput statistics.
-* :mod:`repro.service.dispatch` — :class:`BackendDispatcher`, the one
-  text→verdict pipeline every surface calls (``auto`` resolves to the
-  fused kernel, repeats come from the verdict cache), with an auditable
-  decision log.
+* :mod:`repro.service.dispatch` — :func:`check_text`, the one
+  text→verdict function every surface calls with the artifact it holds
+  (``auto`` resolves to the fused kernel, repeats come from the verdict
+  cache).
 
 This is the architectural seam scaling work builds on: anything that can
 obtain a :class:`CompiledSchema` — from its registry or a peer — can
@@ -38,12 +38,7 @@ from repro.service.compiled import (
     compile_schema,
     schema_fingerprint,
 )
-from repro.service.dispatch import (
-    BackendDispatcher,
-    DispatchDecision,
-    DispatchedVerdict,
-    TextVerdict,
-)
+from repro.service.dispatch import TextVerdict, check_text
 from repro.service.registry import (
     DEFAULT_REGISTRY,
     RegistryStats,
@@ -64,8 +59,6 @@ __all__ = [
     "BatchItem",
     "BatchResult",
     "check_batch",
-    "BackendDispatcher",
-    "DispatchDecision",
-    "DispatchedVerdict",
+    "check_text",
     "TextVerdict",
 ]

@@ -13,22 +13,22 @@ Worker protocol
 Documents are shipped as serialized XML rather than pickled DOM trees:
 the text form is smaller, immune to recursion-depth pickle hazards on
 deep trees, and makes ``check_paths`` a zero-copy dispatch (workers read
-and parse locally).  Results come back as plain
-:class:`~repro.core.pv.PVVerdict` dataclasses.  A document that fails to
-parse does not poison the batch — it yields a :class:`BatchItem` with
-``error`` set and counts as "not potentially valid" in the aggregate.
+and parse locally).  Each task returns just its :class:`BatchItem`, a
+plain dataclass around a :class:`~repro.core.pv.PVVerdict`.  A document
+that fails to parse does not poison the batch — it yields a
+:class:`BatchItem` with ``error`` set and counts as "not potentially
+valid" in the aggregate.
 
 Inline and in every pool worker, each document goes through
-:meth:`~repro.service.dispatch.BackendDispatcher.check_text`, the one
-text→verdict pipeline the server runs too — so worker count can never
-change a verdict, only the wall time.
+:func:`~repro.service.dispatch.check_text`, the one text→verdict
+function the server runs too — so worker count can never change a
+verdict, only the wall time.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 from typing import Iterable, Sequence
@@ -37,8 +37,8 @@ from repro.core.pv import PVVerdict
 from repro.dtd.model import DTD
 from repro.service.cache import VerdictCache
 from repro.service.compiled import CompiledSchema
-from repro.service.dispatch import BackendDispatcher, TextVerdict
-from repro.service.registry import DEFAULT_REGISTRY, RegistryStats, SchemaRegistry
+from repro.service.dispatch import TextVerdict, check_text
+from repro.service.registry import DEFAULT_REGISTRY, SchemaRegistry
 from repro.xmlmodel.serialize import to_xml
 from repro.xmlmodel.tree import XmlDocument
 
@@ -80,24 +80,6 @@ class BatchResult:
     workers: int
     algorithm: str
     fingerprint: str
-    #: One registry snapshot per pool worker (empty when checked inline).
-    worker_stats: tuple[RegistryStats, ...] = field(default=())
-
-    @property
-    def pool_registry(self) -> RegistryStats | None:
-        """Counter-wise sum of the workers' registry statistics.
-
-        ``None`` for inline runs; for pooled runs, ``hits`` counts the
-        documents each worker answered from its warm artifact, so the
-        parent's single compile plus these hits is the whole pool's cache
-        story.
-        """
-        if not self.worker_stats:
-            return None
-        total = RegistryStats()
-        for stats in self.worker_stats:
-            total = total.merged(stats)
-        return total
 
     @property
     def total(self) -> int:
@@ -143,32 +125,20 @@ class BatchResult:
 # (index, label, xml_text).  Top-level (module) names so the fork/spawn
 # pickling of the initializer and task function resolves by reference.
 
-_WORKER_DISPATCHER: BackendDispatcher | None = None
+_WORKER_SCHEMA: CompiledSchema | None = None
 _WORKER_ALGORITHM: str = "auto"
-_WORKER_REGISTRY: SchemaRegistry | None = None
 
 
 def _init_worker(schema: CompiledSchema, algorithm: str) -> None:
-    global _WORKER_DISPATCHER, _WORKER_ALGORITHM, _WORKER_REGISTRY
-    # A fresh registry (never the fork-inherited process default, whose
-    # counters belong to the parent) seeded with the shipped artifact:
-    # its statistics then describe exactly this worker's cache traffic.
-    _WORKER_REGISTRY = SchemaRegistry()
-    _WORKER_REGISTRY.put(schema)
-    _WORKER_DISPATCHER = BackendDispatcher(schema)
+    global _WORKER_SCHEMA, _WORKER_ALGORITHM
+    _WORKER_SCHEMA = schema
     _WORKER_ALGORITHM = algorithm
 
 
-def _check_one(task: tuple[int, str, str]) -> tuple[BatchItem, int, RegistryStats]:
+def _check_one(task: tuple[int, str, str]) -> BatchItem:
     index, label, text = task
-    assert _WORKER_DISPATCHER is not None, "pool initializer did not run"
-    assert _WORKER_REGISTRY is not None
-    # The per-document cache access, recorded: each task is one lookup of
-    # the shipped artifact, so pool-wide hit counts mean "documents
-    # answered without recompiling anywhere".
-    _WORKER_REGISTRY.lookup(_WORKER_DISPATCHER.schema.fingerprint, count=True)
-    checked = _WORKER_DISPATCHER.check_text(text, _WORKER_ALGORITHM)
-    return _item(index, label, checked), os.getpid(), _WORKER_REGISTRY.stats
+    assert _WORKER_SCHEMA is not None, "pool initializer did not run"
+    return _item(index, label, check_text(_WORKER_SCHEMA, text, _WORKER_ALGORITHM))
 
 
 def _item(index: int, label: str, checked: TextVerdict) -> BatchItem:
@@ -260,17 +230,19 @@ class BatchChecker:
         pre_errors: list[BatchItem] | None = None,
     ) -> BatchResult:
         started = perf_counter()
-        worker_stats: tuple[RegistryStats, ...] = ()
         if self.workers == 1 or len(tasks) <= 1:
             used_workers = 1
-            dispatcher = BackendDispatcher(self.schema, verdict_cache=self.verdict_cache)
             items = [
-                _item(index, label, dispatcher.check_text(text, self.algorithm))
+                _item(
+                    index,
+                    label,
+                    check_text(self.schema, text, self.algorithm, self.verdict_cache),
+                )
                 for index, label, text in tasks
             ]
         else:
             used_workers = self.workers
-            items, worker_stats = self._check_parallel(tasks)
+            items = self._check_parallel(tasks)
         elapsed = perf_counter() - started
         items.extend(pre_errors or ())
         items.sort(key=lambda item: item.index)
@@ -280,7 +252,6 @@ class BatchChecker:
             workers=used_workers,
             algorithm=self.algorithm,
             fingerprint=self.schema.fingerprint,
-            worker_stats=worker_stats,
         )
 
     def check_documents(self, documents: Sequence[XmlDocument]) -> BatchResult:
@@ -289,9 +260,7 @@ class BatchChecker:
 
     # -- the pool -----------------------------------------------------------
 
-    def _check_parallel(
-        self, tasks: list[tuple[int, str, str]]
-    ) -> tuple[list[BatchItem], tuple[RegistryStats, ...]]:
+    def _check_parallel(self, tasks: list[tuple[int, str, str]]) -> list[BatchItem]:
         context = multiprocessing.get_context()
         chunksize = max(1, len(tasks) // (self.workers * 4))
         with context.Pool(
@@ -299,16 +268,7 @@ class BatchChecker:
             initializer=_init_worker,
             initargs=(self.schema, self.algorithm),
         ) as pool:
-            outcomes = list(pool.map(_check_one, tasks, chunksize=chunksize))
-        items = [item for item, _pid, _stats in outcomes]
-        # Each task ships its worker's running counters; the last snapshot
-        # per pid (the one with the most lookups) is that worker's total.
-        latest: dict[int, RegistryStats] = {}
-        for _item, pid, stats in outcomes:
-            current = latest.get(pid)
-            if current is None or stats.lookups > current.lookups:
-                latest[pid] = stats
-        return items, tuple(latest[pid] for pid in sorted(latest))
+            return pool.map(_check_one, tasks, chunksize=chunksize)
 
 
 def check_batch(

@@ -11,8 +11,8 @@ pins the schema revision (a recompiled schema can never serve stale
 verdicts), the 16-byte blake2b digest stands in for the document text,
 and ``backend`` is the *resolved* backend, so an ``auto`` request and a
 ``kernel`` request for the same bytes share one entry.  The only caller
-is :meth:`repro.service.dispatch.BackendDispatcher.check_text`; values
-are its ``(verdict, error)`` pairs, which the cache never inspects.
+is :func:`repro.service.dispatch.check_text`; values are its
+``(verdict, error)`` pairs, which the cache never inspects.
 
 One instance is shared across threads (``ValidationServer`` consults it
 from every connection); a single lock guards the :class:`~repro.lru.LRU`

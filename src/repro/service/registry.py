@@ -69,17 +69,6 @@ class RegistryStats:
             "hit_rate": self.hit_rate,
         }
 
-    def merged(self, other: "RegistryStats") -> "RegistryStats":
-        """Counter-wise sum of two snapshots (pool-wide aggregation)."""
-        return RegistryStats(
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            evictions=self.evictions + other.evictions,
-            compile_seconds=self.compile_seconds + other.compile_seconds,
-            size=self.size + other.size,
-            maxsize=self.maxsize + other.maxsize,
-        )
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"{self.hits} hit(s), {self.misses} miss(es), "

@@ -88,20 +88,15 @@ class TestBackendsDocCoverage:
     """docs/BACKENDS.md renders dispatch.BACKENDS; they may not drift."""
 
     TABLE_ROW = re.compile(
-        r"^\| `([a-z0-9]+)` \| `([a-z-]+)` \| (yes|no) \| (.+?) \|$",
+        r"^\| `([a-z0-9]+)` \| `([a-z-]+)` \| (.+?) \|$",
         flags=re.MULTILINE,
     )
 
     def backends_md(self) -> str:
         return (DOCS / "BACKENDS.md").read_text()
 
-    def documented_rows(self) -> list[tuple[str, str, bool, str]]:
-        return [
-            (name, exactness, auto == "yes", summary)
-            for name, exactness, auto, summary in self.TABLE_ROW.findall(
-                self.backends_md()
-            )
-        ]
+    def documented_rows(self) -> list[tuple[str, str, str]]:
+        return self.TABLE_ROW.findall(self.backends_md())
 
     def test_doc_exists(self):
         assert (DOCS / "BACKENDS.md").is_file()
@@ -110,12 +105,9 @@ class TestBackendsDocCoverage:
         from repro.service.dispatch import BACKENDS
 
         documented = [
-            (name, exactness, auto)
-            for name, exactness, auto, _summary in self.documented_rows()
+            (name, exactness) for name, exactness, _summary in self.documented_rows()
         ]
-        registered = [
-            (info.name, info.exactness, info.auto) for info in BACKENDS
-        ]
+        registered = [(info.name, info.exactness) for info in BACKENDS]
         # Same rows, same order (the registry is "fastest exact first",
         # and the doc claims to render it).
         assert documented == registered, (
@@ -126,9 +118,7 @@ class TestBackendsDocCoverage:
     def test_summaries_match_the_registry(self):
         from repro.service.dispatch import BACKENDS
 
-        documented = {
-            name: summary for name, _e, _a, summary in self.documented_rows()
-        }
+        documented = {name: summary for name, _e, summary in self.documented_rows()}
         for info in BACKENDS:
             assert documented.get(info.name) == info.summary, (
                 f"docs/BACKENDS.md summary for {info.name!r} drifted from "

@@ -25,7 +25,7 @@ the oracle of both.  Each seam gets a differential:
   from a tree as from its text.
 * **The memo cache** — :class:`repro.service.cache.VerdictCache` keyed by
   ``(fingerprint, digest, mode)`` must replay verdicts exactly, and the
-  surfaces threaded through it (dispatcher, batch, server) must answer
+  surfaces threaded through it (``check_text``, batch, server) must answer
   repeats from it without changing a single verdict field.
 * **Byte mutants** — each corpus text, with one seeded byte-level edit
   (:func:`corpusgen.mutate_bytes`), must pass the scanner and tree
@@ -64,7 +64,7 @@ from repro.dtd.analysis import DTDClass
 from repro.errors import ReproError
 from repro.service.batch import BatchChecker
 from repro.service.cache import VerdictCache
-from repro.service.dispatch import BackendDispatcher
+from repro.service.dispatch import check_text
 from repro.service.registry import DEFAULT_REGISTRY
 from repro.xmlmodel import fastlex
 from repro.xmlmodel.delta import content_symbols
@@ -784,20 +784,17 @@ def test_verdict_cache_rejects_nonpositive_size():
 def test_dispatcher_check_text_uses_cache():
     schema = DEFAULT_REGISTRY.get(catalog.manuscript())
     cache = VerdictCache(16)
-    dispatcher = BackendDispatcher(schema, verdict_cache=cache)
     text = to_xml(
         corpusgen.valid_documents(catalog.manuscript(), 1, seed=SEED)[0]
     )
-    first = dispatcher.check_text(text)
+    first = check_text(schema, text, cache=cache)
     assert first.cached is False
-    replay = dispatcher.check_text(text)
+    replay = check_text(schema, text, cache=cache)
     assert replay.cached is True
     assert replay.verdict is first.verdict
     assert cache.stats["hits"] == 1
-    # An int size builds the cache internally; no cache means no replay.
-    assert BackendDispatcher(schema, verdict_cache=16).verdict_cache is not None
-    bare = BackendDispatcher(schema)
-    checked = bare.check_text(text)
+    # No cache means no replay.
+    checked = check_text(schema, text)
     assert checked.cached is False
     assert checked.verdict.potentially_valid == first.verdict.potentially_valid
 

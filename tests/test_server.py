@@ -25,6 +25,7 @@ from repro.server.client import ServerError, ValidationClient
 from repro.server.protocol import ProtocolError, decode_request
 from repro.server import server as server_mod
 from repro.server.server import ServerThread, ValidationServer
+from repro.service.compiled import CompiledSchema
 from repro.service.registry import SchemaRegistry
 
 FIGURE1 = """
@@ -171,9 +172,14 @@ class TestServerRoundTrip:
         assert set(verdicts.values()) == {True}
 
     def test_auto_dispatch_reports_reason(self, client):
+        # The resolved backend is the whole reason: auto is the kernel,
+        # and the reply carries no other dispatch field.
         reply = client.check(FIGURE1, DOC_OK, algorithm="auto")
-        assert reply["algorithm"] in ("kernel", "machine", "figure5", "earley")
-        assert reply["dispatch_reason"]
+        assert reply["algorithm"] == "kernel"
+        assert set(reply) == {
+            "ok", "op", "potentially_valid", "failures", "depth_limited",
+            "algorithm", "schema", "elapsed_ms",
+        }
 
     def test_id_is_echoed(self, client):
         assert client.check(FIGURE1, DOC_OK, id="req-1")["id"] == "req-1"
@@ -320,10 +326,9 @@ _CHURN = [
 class TestServerCachesFollowTheRegistry:
     def test_a_recompiled_schema_is_served_over_its_new_artifact(self):
         # check A, check B, classify C, classify D evicts A from a
-        # two-entry registry; classify does not touch the dispatchers,
-        # so A's dispatcher survives.  The second check of A recompiles
-        # it and must be served over the registry's new artifact, whose
-        # kernel memo the scrape then counts.
+        # two-entry registry.  The second check of A recompiles it and
+        # must be served over the registry's new artifact, whose kernel
+        # memo the scrape then counts.
         registry = SchemaRegistry(maxsize=2)
         with ServerThread(host="127.0.0.1", registry=registry) as handle:
             with ValidationClient.connect(handle.tcp_address) as client:
@@ -336,10 +341,40 @@ class TestServerCachesFollowTheRegistry:
         assert first["schema"]["registry"] == again["schema"]["registry"] == "miss"
         fingerprint = again["schema"]["fingerprint"]
         schema = registry.lookup(fingerprint)
-        assert handle.server._dispatchers.get(fingerprint).schema is schema
         gauges = {entry["name"]: entry["value"] for entry in scrape["gauges"]}
         assert len(schema.tables.emissions) >= 1
         assert gauges["repro_kernel_memo_entries"] == len(schema.tables.emissions)
+
+    @pytest.mark.parametrize("last", ["classify", "validate"])
+    def test_an_evicted_artifact_is_not_pinned(self, last):
+        # check A, check B, then classify (or validate) C evicts A from a
+        # two-entry registry.  Nothing else the server keeps may hold A's
+        # artifact: the registry's budget bounds what stays resident.
+        # A's DTD is this test's own, so no other artifact in the
+        # process shares its fingerprint.
+        registry = SchemaRegistry(maxsize=2)
+        with ServerThread(host="127.0.0.1", registry=registry) as handle:
+            with ValidationClient.connect(handle.tcp_address) as client:
+                reply = client.check(
+                    "<!ELEMENT pinned (leaf*)><!ELEMENT leaf (#PCDATA)>",
+                    "<pinned><leaf>x</leaf></pinned>",
+                )
+                fingerprint = reply["schema"]["fingerprint"]
+                client.check(*_CHURN[0])
+                dtd, doc = _CHURN[1]
+                if last == "classify":
+                    client.classify(dtd)
+                else:
+                    client.validate(dtd, doc)
+                assert registry.lookup(fingerprint) is None
+                assert registry.stats.size == 2
+                gc.collect()
+                alive = [
+                    obj for obj in gc.get_objects()
+                    if isinstance(obj, CompiledSchema)
+                    and obj.fingerprint == fingerprint
+                ]
+                assert alive == []
 
     def test_concurrent_validates_under_registry_churn_never_fail(self):
         # Regression: validators were cached in a dict that the server's
@@ -863,14 +898,13 @@ class TestInflightGauge:
         import time
 
         release = threading.Event()
-        server = server_handle.server
-        original = server._check
+        original = server_mod.check_text
 
-        def slow_check(dispatcher, doc_text, algorithm):
+        def slow_check(*args):
             release.wait(timeout=10)
-            return original(dispatcher, doc_text, algorithm)
+            return original(*args)
 
-        server._check = slow_check
+        server_mod.check_text = slow_check
         try:
             with ValidationClient.connect(server_handle.tcp_address) as busy:
                 busy.send({"op": "check", "dtd": FIGURE1, "doc": DOC_OK})
@@ -889,7 +923,7 @@ class TestInflightGauge:
                     assert busy.recv()["potentially_valid"] is True
                     assert observer.stats()["server"]["inflight"] == 0
         finally:
-            server._check = original
+            server_mod.check_text = original
             release.set()
 
     def test_queue_depth_counts_the_cpus_the_process_may_use(self, monkeypatch):
@@ -1161,11 +1195,11 @@ class TestBatchRuns:
         runs: list[int] = []
         check_all = server._check_all
 
-        def held(dispatcher, docs, algorithm):
+        def held(schema, docs, algorithm):
             runs.append(len(docs))
             entered.set()
             release.wait(timeout=10)
-            return check_all(dispatcher, docs, algorithm)
+            return check_all(schema, docs, algorithm)
 
         monkeypatch.setattr(server, "_check_all", held)
         count = 5000
@@ -1243,15 +1277,15 @@ class TestBatchRuns:
         # 20 ms; when stop()'s drain times out, the run's thread checks at
         # most the document it is in, not the rest of the run.
         server = ValidationServer()
-        check = server._check
+        check = server_mod.check_text
         checked: list[float] = []
 
-        def slow(dispatcher, doc_text, algorithm):
+        def slow(*args):
             time.sleep(0.02)
             checked.append(time.monotonic())
-            return check(dispatcher, doc_text, algorithm)
+            return check(*args)
 
-        monkeypatch.setattr(server, "_check", slow)
+        monkeypatch.setattr(server_mod, "check_text", slow)
 
         async def main() -> float:
             await server.start(host="127.0.0.1", port=0)

@@ -1,7 +1,7 @@
 """Surface equivalence: every serving surface answers the same bytes alike.
 
-Every surface runs the one text→verdict pipeline
-(:meth:`repro.service.dispatch.BackendDispatcher.check_text`), so one
+Every surface runs the one text→verdict function
+(:func:`repro.service.dispatch.check_text`), so one
 seeded corpus — valid documents, single-mutation corruptions and
 malformed texts over three catalog DTDs — must come back identical from
 the library, the batch checker (inline and pooled), the served ``check``
@@ -35,7 +35,8 @@ from repro.server.client import ValidationClient
 from repro.server.ring import ShardedClient
 from repro.server.server import ServerThread
 from repro.service.batch import BatchChecker, check_batch
-from repro.service.dispatch import BackendDispatcher
+from repro.service.compiled import compile_schema
+from repro.service.dispatch import AUTO_BACKEND, check_text
 from repro.xmlmodel.delta import SIGMA
 from repro.xmlmodel.parser import parse_xml
 from repro.xmlmodel.serialize import to_xml
@@ -218,10 +219,10 @@ def _nested(depth: int, core: str = "") -> str:
 def _library_answers(dtd_text: str, text: str) -> list[tuple[str, str, tuple]]:
     """``(algorithm, route, answer)`` for every served algorithm, through
     ``check_text`` and ``check_document(parse_xml(...))``."""
-    dispatcher = BackendDispatcher(parse_dtd(dtd_text))
+    schema = compile_schema(parse_dtd(dtd_text))
     out = []
     for algorithm in SERVED_ALGORITHMS:
-        checked = dispatcher.check_text(text, algorithm)
+        checked = check_text(schema, text, algorithm)
         answer = (
             _from_error(checked.error) if checked.error is not None
             else _from_verdict(checked.verdict)
@@ -229,10 +230,8 @@ def _library_answers(dtd_text: str, text: str) -> list[tuple[str, str, tuple]]:
         out.append((algorithm, "check_text", answer))
     tree = parse_xml(text)
     for algorithm in SERVED_ALGORITHMS:
-        if algorithm == "auto":
-            verdict = dispatcher.check_document(tree).verdict
-        else:
-            verdict = dispatcher.checker_for(algorithm).check_document(tree)
+        backend = AUTO_BACKEND if algorithm == "auto" else algorithm
+        verdict = schema.checker(backend).check_document(tree)
         out.append((algorithm, "check_document", _from_verdict(verdict)))
     return out
 
@@ -293,9 +292,9 @@ def test_every_algorithm_reports_the_deepest_failure():
         (SIGMA,),
         "content cannot be completed by tag insertions alone",
     )
-    dispatcher = BackendDispatcher(parse_dtd(DEEP_DTD))
+    schema = compile_schema(parse_dtd(DEEP_DTD))
     for algorithm in SERVED_ALGORITHMS:
-        checked = dispatcher.check_text(_nested(depth, "t"), algorithm)
+        checked = check_text(schema, _nested(depth, "t"), algorithm)
         assert checked.error is None, (algorithm, checked.error)
         assert checked.verdict.failures == (failure,), algorithm
 
